@@ -1,60 +1,30 @@
-"""Hot kernels for the exhaustive state-space search.
+"""Hot kernels for the exhaustive state-space search, vectorized with numpy.
 
 Colorings are packed as base-k integers (digit of vertex v = color-1, weight
-k^v). Both kernels exist twice: a numba-jitted loop and a vectorized numpy
-fallback. Set RECOLOR_DISABLE_NUMBA=1 to force the fallback; it is also used
-automatically when numba is not importable. Results are identical either way,
-which the test suite and the benchmark both check.
+k^v).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-DISABLE_ENV = "RECOLOR_DISABLE_NUMBA"
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    NUMBA_AVAILABLE = False
-
-
-def _env_disabled() -> bool:
-    return os.environ.get(DISABLE_ENV, "").strip().lower() in {"1", "true", "yes"}
-
-
-def jit_enabled() -> bool:
-    return NUMBA_AVAILABLE and not _env_disabled()
-
-
-def active_backend() -> str:
-    return "numba" if jit_enabled() else "numpy"
-
-
-def powers(n: int, k: int) -> np.ndarray:
-    out = np.empty(n, dtype=np.int64)
-    p = 1
-    for v in range(n):
-        out[v] = p
-        p *= k
-    return out
-
-
-def proper_mask_numpy(n: int, k: int, eu, ev, pows) -> np.ndarray:
-    size = int(k**n)
-    codes = np.arange(size, dtype=np.int64)
-    mask = np.ones(size, dtype=np.bool_)
-    for u, v in zip(eu, ev):
+def proper_mask(n: int, k: int, edges) -> np.ndarray:
+    """Boolean mask over all k^n packed states: True where the coloring is proper."""
+    pows = k ** np.arange(n, dtype=np.int64)
+    codes = np.arange(int(k**n), dtype=np.int64)
+    mask = np.ones(codes.shape[0], dtype=np.bool_)
+    for u, v in edges:
         mask &= ((codes // pows[u]) % k) != ((codes // pows[v]) % k)
     return mask
 
 
-def bfs_levels_numpy(start: int, proper, n: int, k: int, pows) -> np.ndarray:
-    """Distance from `start` to every proper state, -1 where unreachable."""
+def bfs_levels(start: int, proper: np.ndarray, n: int, k: int) -> np.ndarray:
+    """BFS over proper states reachable from `start` by single-digit changes.
+
+    Returns the distance to every state, -1 where unreachable.
+    """
+    pows = k ** np.arange(n, dtype=np.int64)
     dist = np.full(proper.shape[0], -1, dtype=np.int32)
     dist[start] = 0
     frontier = np.array([start], dtype=np.int64)
@@ -80,61 +50,3 @@ def bfs_levels_numpy(start: int, proper, n: int, k: int, pows) -> np.ndarray:
         dist[nxt] = level
         frontier = nxt
     return dist
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _proper_mask_jit(size, k, eu, ev, pows):  # pragma: no cover - jitted
-        mask = np.ones(size, dtype=np.bool_)
-        for code in range(size):
-            for j in range(eu.shape[0]):
-                if (code // pows[eu[j]]) % k == (code // pows[ev[j]]) % k:
-                    mask[code] = False
-                    break
-        return mask
-
-    @njit(cache=True)
-    def _bfs_fill_jit(start, proper, dist, queue, n, k, pows):  # pragma: no cover
-        head = 0
-        tail = 1
-        dist[start] = 0
-        queue[0] = start
-        while head < tail:
-            code = queue[head]
-            head += 1
-            dnext = dist[code] + 1
-            for v in range(n):
-                pv = pows[v]
-                digit = (code // pv) % k
-                base = code - digit * pv
-                for d in range(k):
-                    if d == digit:
-                        continue
-                    cand = base + d * pv
-                    if proper[cand] and dist[cand] < 0:
-                        dist[cand] = dnext
-                        queue[tail] = cand
-                        tail += 1
-        return tail
-
-
-def proper_mask(n: int, k: int, edges) -> np.ndarray:
-    """Boolean mask over all k^n packed states: True where the coloring is proper."""
-    pows = powers(n, k)
-    eu = np.array([u for u, _ in edges], dtype=np.int64)
-    ev = np.array([v for _, v in edges], dtype=np.int64)
-    if jit_enabled():
-        return _proper_mask_jit(int(k**n), k, eu, ev, pows)
-    return proper_mask_numpy(n, k, eu, ev, pows)
-
-
-def bfs_levels(start: int, proper: np.ndarray, n: int, k: int) -> np.ndarray:
-    """BFS over proper states reachable from `start` by single-digit changes."""
-    pows = powers(n, k)
-    if jit_enabled():
-        dist = np.full(proper.shape[0], -1, dtype=np.int32)
-        queue = np.empty(max(int(proper.sum()), 1), dtype=np.int64)
-        _bfs_fill_jit(np.int64(start), proper, dist, queue, n, k, pows)
-        return dist
-    return bfs_levels_numpy(start, proper, n, k, pows)

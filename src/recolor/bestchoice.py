@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .decomposition import EliminationOrdering, is_perfect_elimination
 from .errors import InvalidInput, NoValidColor
-from .graphs import Coloring, Graph, is_proper
+from .graphs import Coloring, Graph, require_proper
 from .sequences import RecoloringSequence, verify_sequence
 
 
@@ -152,32 +152,37 @@ def best_choice_recoloring(
     Requires a perfect elimination ordering and k at least 2 plus the largest
     number of later neighbors of any vertex, so a valid color always exists.
     """
-    n = g.n
-    if len(alpha.colors) != n or len(beta.colors) != n:
-        raise InvalidInput("coloring length does not match the graph")
-    if max(alpha.colors, default=1) > k or max(beta.colors, default=1) > k:
-        raise InvalidInput(f"colorings must use colors within 1..{k}")
-    if not is_proper(g, alpha) or not is_proper(g, beta):
-        raise InvalidInput("both endpoint colorings must be proper")
+    require_proper(g, alpha, k, "alpha")
+    require_proper(g, beta, k, "beta")
     if not is_perfect_elimination(g, peo):
         raise InvalidInput("ordering is not a perfect elimination ordering")
-
-    order = peo.order
     pos = peo.positions()
     max_out = 0
-    for v in range(n):
+    for v in range(g.n):
         max_out = max(max_out, sum(1 for w in g.adjacency[v] if pos[w] > pos[v]))
     if k < 2 + max_out:
         raise InvalidInput(f"need k >= {2 + max_out}, got {k}")
 
-    steps: list[tuple[int, int]] = []
-    for i in reversed(range(n)):
-        u = order[i]
-        later = [w for w in g.adjacency[u] if pos[w] > i]
-        steps = _extend(steps, alpha.colors, u, later, alpha.colors[u], beta.colors[u], k)
-
-    seq = RecoloringSequence(Coloring(k, alpha.colors), tuple(steps))
+    seq = _best_choice(g, peo, alpha, beta, k)
     final = verify_sequence(g, seq)
     if final.colors != beta.colors:
         raise AssertionError("sequence does not end at the target coloring")
     return seq
+
+
+def _best_choice(
+    g: Graph,
+    peo: EliminationOrdering,
+    alpha: Coloring,
+    beta: Coloring,
+    k: int,
+) -> RecoloringSequence:
+    """best_choice_recoloring without checking its inputs or replaying its output."""
+    order = peo.order
+    pos = peo.positions()
+    steps: list[tuple[int, int]] = []
+    for i in reversed(range(g.n)):
+        u = order[i]
+        later = [w for w in g.adjacency[u] if pos[w] > i]
+        steps = _extend(steps, alpha.colors, u, later, alpha.colors[u], beta.colors[u], k)
+    return RecoloringSequence(Coloring(k, alpha.colors), tuple(steps))

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bestchoice import best_choice_recoloring
+from .bestchoice import _best_choice
 from .decomposition import (
-    EliminationOrdering,
     TreeDecomposition,
     mcs_order,
     reduce_width2,
@@ -25,12 +24,11 @@ from .errors import (
     ImproperStart,
     ImproperStep,
     InvalidColoring,
-    InvalidDecomposition,
     InvalidInput,
     LiftFailure,
     NoOpStep,
 )
-from .graphs import Coloring, Graph, greedy_coloring, is_proper
+from .graphs import Coloring, Graph, greedy_coloring, require_proper
 from .sequences import (
     RecoloringSequence,
     concatenate,
@@ -76,13 +74,15 @@ def merge_same_colored(
     Returns the merged-and-filled graph (chordal, clique number <= 3), the
     merge map, and the inherited coloring, which is proper on the result.
     """
-    try:
-        validate_decomposition(g, td)
-    except InvalidDecomposition:
-        raise
-    if not is_proper(g, alpha):
-        raise InvalidColoring("input coloring is not proper")
+    validate_decomposition(g, td)
+    require_proper(g, alpha, alpha.k, "alpha")
+    return _merge(g, td, alpha)
 
+
+def _merge(
+    g: Graph, td: TreeDecomposition, alpha: Coloring
+) -> tuple[Graph, MergeMap, Coloring]:
+    """merge_same_colored without checking its inputs."""
     # classes keyed by representative = smallest member
     rep = list(range(g.n))
     members: dict[int, list[int]] = {v: [v] for v in range(g.n)}
@@ -134,20 +134,25 @@ def lift_sequence(
     Each merged step becomes one step per class member, ascending. The result
     is verified on g; failure means the inputs violated the merge contract.
     """
-    start = Coloring(
-        seq_h.start.k,
-        tuple(seq_h.start.colors[merge_map.to_merged[v]] for v in range(g.n)),
-    )
-    steps: list[tuple[int, int]] = []
-    for m, c in seq_h.steps:
-        for v in merge_map.classes[m]:
-            steps.append((v, c))
-    lifted = RecoloringSequence(start, tuple(steps))
+    lifted = _lift(seq_h, merge_map, g.n)
     try:
         verify_sequence(g, lifted)
     except (ImproperStart, ImproperStep, NoOpStep, InvalidColoring) as exc:
         raise LiftFailure(f"expanded sequence is invalid on the original graph: {exc}")
     return lifted
+
+
+def _lift(seq_h: RecoloringSequence, merge_map: MergeMap, n: int) -> RecoloringSequence:
+    """lift_sequence without replaying its output."""
+    start = Coloring(
+        seq_h.start.k,
+        tuple(seq_h.start.colors[merge_map.to_merged[v]] for v in range(n)),
+    )
+    steps: list[tuple[int, int]] = []
+    for m, c in seq_h.steps:
+        for v in merge_map.classes[m]:
+            steps.append((v, c))
+    return RecoloringSequence(start, tuple(steps))
 
 
 def two_phase_transform(
@@ -162,16 +167,21 @@ def two_phase_transform(
     """
     if k < 2 * d + 1:
         raise InvalidInput(f"need k >= {2 * d + 1}, got {k}")
-    for name, col in (("source", gamma_s), ("target", gamma_t)):
-        if len(col.colors) != g.n:
-            raise InvalidInput(f"{name} coloring length does not match the graph")
-        if any(c > d + 1 for c in col.colors):
-            raise InvalidInput(f"{name} coloring uses colors above {d + 1}")
-        if not is_proper(g, col):
-            raise InvalidInput(f"{name} coloring is not proper")
+    require_proper(g, gamma_s, d + 1, "source")
+    require_proper(g, gamma_t, d + 1, "target")
+    seq = _two_phase(g.n, gamma_s, gamma_t, d, k)
+    final = verify_sequence(g, seq)
+    if final.colors != gamma_t.colors:
+        raise AssertionError("two-phase transform missed its target")
+    return seq
 
+
+def _two_phase(
+    n: int, gamma_s: Coloring, gamma_t: Coloring, d: int, k: int
+) -> RecoloringSequence:
+    """two_phase_transform without checking its inputs or replaying its output."""
     classes: list[list[int]] = [[] for _ in range(d + 2)]
-    for v in range(g.n):
+    for v in range(n):
         classes[gamma_s.colors[v]].append(v)
 
     steps: list[tuple[int, int]] = []
@@ -185,22 +195,18 @@ def two_phase_transform(
         for v in classes[i]:
             steps.append((v, gamma_t.colors[v]))
 
-    seq = RecoloringSequence(Coloring(k, gamma_s.colors), tuple(steps))
-    final = verify_sequence(g, seq)
-    if final.colors != gamma_t.colors:
-        raise AssertionError("two-phase transform missed its target")
-    return seq
+    return RecoloringSequence(Coloring(k, gamma_s.colors), tuple(steps))
 
 
 def _toward_3coloring(
     g: Graph, td: TreeDecomposition, coloring: Coloring
 ) -> tuple[RecoloringSequence, Coloring]:
     """Sequence on g from `coloring` to a 3-coloring, via the merged graph."""
-    h, merge_map, col_h = merge_same_colored(g, td, coloring)
+    h, merge_map, col_h = _merge(g, td, coloring)
     peo = mcs_order(h)
     target = greedy_coloring(h, peo)
-    seq_h = best_choice_recoloring(h, peo, col_h, target, k=5)
-    lifted = lift_sequence(seq_h, merge_map, g)
+    seq_h = _best_choice(h, peo, col_h, target, k=5)
+    lifted = _lift(seq_h, merge_map, g.n)
     final = Coloring(5, tuple(target.colors[merge_map.to_merged[v]] for v in range(g.n)))
     return lifted, final
 
@@ -211,20 +217,16 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
     Both endpoints are pushed down to 3-colorings through their own merged
     chordal graphs, the two 3-colorings are bridged with the two-phase
     rotation, and the second half is replayed in reverse. Every vertex is
-    recolored at most PER_VERTEX_PIPELINE_BOUND times.
+    recolored at most PER_VERTEX_PIPELINE_BOUND times. The whole sequence is
+    replayed once at the end; the stages in between neither check nor replay.
     """
-    for name, col in (("alpha", alpha), ("beta", beta)):
-        if len(col.colors) != g.n:
-            raise InvalidColoring(f"{name} has wrong length")
-        if max(col.colors, default=1) > 5:
-            raise InvalidColoring(f"{name} must use colors within 1..5")
-        if not is_proper(g, col):
-            raise InvalidColoring(f"{name} is not proper")
-
+    require_proper(g, alpha, 5, "alpha")
+    require_proper(g, beta, 5, "beta")
     td = reduce_width2(g)
+    validate_decomposition(g, td)
     seq_a, gamma_1 = _toward_3coloring(g, td, alpha)
     seq_b, gamma_2 = _toward_3coloring(g, td, beta)
-    bridge = two_phase_transform(g, gamma_1, gamma_2, d=2, k=5)
+    bridge = _two_phase(g.n, gamma_1, gamma_2, d=2, k=5)
     whole = concatenate([seq_a, bridge, reverse_sequence(seq_b)])
     final = verify_sequence(g, whole)
     if final.colors != beta.colors:

@@ -19,7 +19,7 @@ from .decomposition import (
     mcs_order,
     reduce_width2,
 )
-from .errors import RecolorError
+from .errors import InvalidInput, RecolorError
 from .experiments import (
     ExperimentConfig,
     FAMILIES,
@@ -149,6 +149,8 @@ def _cmd_pipeline(args) -> int:
 def _cmd_oracle(args) -> int:
     g = Graph.from_json(_load(args.graph))
     if args.mode == "distance":
+        if not (args.alpha and args.beta):
+            raise InvalidInput("distance needs --alpha and --beta")
         alpha = Coloring.from_json(_load(args.alpha))
         beta = Coloring.from_json(_load(args.beta))
         d = bfs_distance(g, args.k, alpha, beta, args.state_cap)

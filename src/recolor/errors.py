@@ -5,7 +5,11 @@ class RecolorError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidColoring(RecolorError):
+class InvalidInput(RecolorError):
+    """Operation preconditions violated."""
+
+
+class InvalidColoring(InvalidInput):
     """A coloring is malformed or improper where properness is required."""
 
 
@@ -36,10 +40,6 @@ class InvalidDecomposition(RecolorError):
 class LiftFailure(RecolorError):
     """Expanding a merged-graph sequence produced an invalid sequence,
     which means a precondition on the inputs was violated."""
-
-
-class InvalidInput(RecolorError):
-    """Operation preconditions violated."""
 
 
 class InvalidIndex(RecolorError):

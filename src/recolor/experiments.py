@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -27,7 +28,7 @@ from .graphs import (
     random_proper_coloring,
 )
 from .oracle import DEFAULT_STATE_CAP, bfs_distance
-from .sequences import audit_best_choice, restrict, verify_sequence
+from .sequences import audit_best_choice, verify_sequence
 
 CSV_SCHEMA_VERSION = 1
 
@@ -110,11 +111,9 @@ def _build_graph(config: ExperimentConfig, n: int, seed: int) -> Graph:
     raise ValueError(f"unknown family {config.family!r}")
 
 
-def _measure(record: ExperimentRecord, g: Graph, seq) -> None:
+def _measure(record: ExperimentRecord, seq) -> None:
     record.seq_len = len(seq.steps)
-    record.max_per_vertex = max(
-        (len(restrict(seq, {v})) for v in range(g.n)), default=0
-    )
+    record.max_per_vertex = max(Counter(v for v, _ in seq.steps).values(), default=0)
 
 
 def _run_instance(
@@ -156,7 +155,7 @@ def _run_instance(
             final = verify_sequence(g, seq)
             if final.colors != dst.colors:
                 rec.status = "wrong-endpoint"
-            _measure(rec, g, seq)
+            _measure(rec, seq)
             if config.cross_check and k**g.n <= config.state_cap:
                 d = bfs_distance(g, k, src, dst, config.state_cap)
                 rec.bfs_distance = d

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvalidColoring, InvalidSize, NotEnoughColors
+from .errors import InvalidColoring, InvalidInput, InvalidSize, NotEnoughColors
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,9 @@ class Graph:
         sets: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                raise InvalidInput(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise InvalidInput(f"self-loop at vertex {u}")
             sets[u].add(v)
             sets[v].add(u)
         return Graph(n, tuple(tuple(sorted(s)) for s in sets))
@@ -92,6 +92,14 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
             if v > u and cols[v] == cu:
                 return False
     return True
+
+
+def require_proper(g: Graph, coloring: Coloring, max_color: int, name: str) -> None:
+    """Raise InvalidColoring unless `coloring` is a proper coloring of g in 1..max_color."""
+    if not is_proper(g, coloring):
+        raise InvalidColoring(f"{name} is not proper")
+    if max(coloring.colors, default=1) > max_color:
+        raise InvalidColoring(f"{name} uses colors above {max_color}")
 
 
 def spanning_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidColoring, TooLarge
-from .graphs import Coloring, Graph, is_proper
+from .errors import TooLarge
+from .graphs import Coloring, Graph, require_proper
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -48,11 +48,8 @@ def bfs_distance(
 ) -> int | None:
     """Fewest single-vertex recolorings from alpha to beta, None if unreachable."""
     _guard(g, k, state_cap)
-    for name, col in (("alpha", alpha), ("beta", beta)):
-        if not is_proper(g, col):
-            raise InvalidColoring(f"{name} is not proper")
-        if max(col.colors, default=1) > k:
-            raise InvalidColoring(f"{name} uses colors above {k}")
+    require_proper(g, alpha, k, "alpha")
+    require_proper(g, beta, k, "beta")
     start = encode_coloring(alpha, k)
     goal = encode_coloring(beta, k)
     if start == goal:

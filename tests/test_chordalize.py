@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +16,12 @@ from recolor import (
     NotWidth2,
     RecoloringSequence,
     TreeDecomposition,
+    best_choice_recoloring,
     clique_number_chordal,
     degeneracy_order,
+    gen_chordal_omega3,
     gen_partial_2tree,
+    greedy_coloring,
     is_chordal,
     is_proper,
     lift_sequence,
@@ -28,6 +34,7 @@ from recolor import (
     two_phase_transform,
     verify_sequence,
 )
+from recolor import bestchoice, chordalize
 from recolor.chordalize import PER_VERTEX_PIPELINE_BOUND
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -209,3 +216,53 @@ def test_pipeline_random_instances(n, seed, tenths):
 def test_merge_map_json_round_trip():
     merge_map = MergeMap((0, 1, 0), ((0, 2), (1,)))
     assert MergeMap.from_json(merge_map.to_json()) == merge_map
+
+
+# SHA-256 of the fixed-seed outputs below; a change to any produced sequence
+# breaks it. Refresh it only with a stated and measured change of outputs.
+CORPUS_DIGEST = "97828712a9926d96d7436b3db3af6e064cf9dc237199f195fb6123c417fa09ef"
+
+
+def test_outputs_match_recorded_digest():
+    digest = hashlib.sha256()
+    for n in (3, 10, 50, 200):
+        for s in range(10):
+            g = gen_partial_2tree(n, 0.6, s)
+            order = degeneracy_order(g)
+            alpha = random_proper_coloring(g, order, 5, 2 * s + 1)
+            beta = random_proper_coloring(g, order, 5, 2 * s + 2)
+            digest.update(json.dumps(pipeline_theorem(g, alpha, beta).to_json()).encode())
+
+            h = gen_chordal_omega3(n, s)
+            peo = mcs_order(h)
+            alpha = random_proper_coloring(h, peo, 5, s)
+            seq = best_choice_recoloring(h, peo, alpha, greedy_coloring(h, peo), 5)
+            digest.update(json.dumps(seq.to_json()).encode())
+    assert digest.hexdigest() == CORPUS_DIGEST
+
+
+def test_pipeline_replays_and_validates_once(monkeypatch):
+    calls = {"verify_sequence": 0, "validate_decomposition": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (chordalize, bestchoice):
+        monkeypatch.setattr(
+            module, "verify_sequence", counting("verify_sequence", verify_sequence)
+        )
+    monkeypatch.setattr(
+        chordalize,
+        "validate_decomposition",
+        counting("validate_decomposition", chordalize.validate_decomposition),
+    )
+    g = gen_partial_2tree(400, 0.6, 1)
+    order = degeneracy_order(g)
+    alpha = random_proper_coloring(g, order, 5, 1)
+    beta = random_proper_coloring(g, order, 5, 2)
+    pipeline_theorem(g, alpha, beta)
+    assert calls == {"verify_sequence": 1, "validate_decomposition": 1}

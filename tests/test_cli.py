@@ -91,6 +91,23 @@ def test_oracle_too_large_is_an_error(tmp_path):
     assert run("oracle", "connected", "--graph", str(g), "--k", "5") == 1
 
 
+def test_bad_input_is_one_error_line(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    c = tmp_path / "c.json"
+    bad = tmp_path / "bad.json"
+    _write(g, {"n": 2, "edges": [[0, 1]]})
+    _write(c, {"k": 2, "colors": [1, 2]})
+    _write(bad, {"n": 2, "edges": [[0, 5]]})
+    for argv in (
+        ("oracle", "distance", "--graph", str(g), "--k", "3"),
+        ("oracle", "distance", "--graph", str(g), "--alpha", str(c)),
+        ("check", "--graph", str(bad), "--coloring", str(c)),
+    ):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidInput: ") and err.count("\n") == 1
+
+
 def test_audit_exit_code_on_violation(tmp_path):
     g = tmp_path / "g.json"
     peo = tmp_path / "peo.json"

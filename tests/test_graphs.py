@@ -6,6 +6,7 @@ from recolor import (
     Coloring,
     Graph,
     InvalidColoring,
+    InvalidInput,
     InvalidSize,
     NotEnoughColors,
     gen_2tree,
@@ -49,8 +50,9 @@ def test_coloring_rejects_out_of_range():
 
 
 def test_graph_rejects_self_loop():
-    with pytest.raises(ValueError):
-        Graph.from_edges(2, [(0, 0)])
+    for edge in ((0, 0), (0, 5)):
+        with pytest.raises(InvalidInput):
+            Graph.from_edges(2, [edge])
 
 
 def test_gen_2tree_base_is_triangle():

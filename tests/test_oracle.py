@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +19,6 @@ from recolor import (
     reconfig_connected,
     reconfig_diameter,
 )
-from recolor import _kernels
 
 import helpers
 
@@ -147,40 +145,3 @@ def test_distance_never_exceeds_pipeline_length(n, seed):
     d = bfs_distance(g, 5, a, b)
     assert d is not None
     assert d <= len(seq.steps)
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_backends_agree(monkeypatch):
-    g = gen_partial_2tree(7, 0.7, 5)
-    order = degeneracy_order(g)
-    a = random_proper_coloring(g, order, 4, 1)
-    b = random_proper_coloring(g, order, 4, 2)
-
-    monkeypatch.delenv(_kernels.DISABLE_ENV, raising=False)
-    assert _kernels.active_backend() == "numba"
-    d_jit = bfs_distance(g, 4, a, b)
-    c_jit = reconfig_connected(g, 4)
-
-    monkeypatch.setenv(_kernels.DISABLE_ENV, "1")
-    assert _kernels.active_backend() == "numpy"
-    assert bfs_distance(g, 4, a, b) == d_jit
-    assert reconfig_connected(g, 4) == c_jit
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_kernels_identical_outputs():
-    g = gen_partial_2tree(6, 0.6, 8)
-    k = 4
-    pows = _kernels.powers(g.n, k)
-    eu = np.array([u for u, _ in g.edges()], dtype=np.int64)
-    ev = np.array([v for _, v in g.edges()], dtype=np.int64)
-    mask_np = _kernels.proper_mask_numpy(g.n, k, eu, ev, pows)
-    mask_jit = _kernels._proper_mask_jit(int(k**g.n), k, eu, ev, pows)
-    assert np.array_equal(mask_np, mask_jit)
-
-    start = int(np.flatnonzero(mask_np)[0])
-    dist_np = _kernels.bfs_levels_numpy(start, mask_np, g.n, k, pows)
-    dist_jit = np.full(mask_np.shape[0], -1, dtype=np.int32)
-    queue = np.empty(int(mask_np.sum()), dtype=np.int64)
-    _kernels._bfs_fill_jit(np.int64(start), mask_np, dist_jit, queue, g.n, k, pows)
-    assert np.array_equal(dist_np, dist_jit)
