@@ -1,11 +1,6 @@
 """Recoloring transformations between proper colorings of treewidth-2 graphs."""
 
-from .bestchoice import (
-    FutureColorList,
-    best_choice_color,
-    best_choice_recoloring,
-    local_best_choice_extend,
-)
+from .bestchoice import best_choice_recoloring, local_best_choice_extend
 from .chordalize import (
     MergeMap,
     PER_VERTEX_CHORDAL_BOUND,
@@ -22,8 +17,8 @@ from .decomposition import (
     degeneracy_order,
     is_chordal,
     is_perfect_elimination,
+    later_neighbors,
     mcs_order,
-    out_neighbors,
     reduce_width2,
     validate_decomposition,
 )

@@ -11,27 +11,10 @@ most 3 and five colors this recolors every vertex a bounded number of times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .decomposition import EliminationOrdering, is_perfect_elimination
+from .decomposition import EliminationOrdering, _later_form_cliques, later_neighbors
 from .errors import InvalidInput, NoValidColor
 from .graphs import Coloring, Graph, require_proper
 from .sequences import RecoloringSequence, verify_sequence
-
-
-@dataclass(frozen=True)
-class FutureColorList:
-    """Upcoming recolorings of a vertex's neighbors: (step position, color) pairs."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        positions = [p for p, _ in self.entries]
-        if any(b <= a for a, b in zip(positions, positions[1:])):
-            raise ValueError("positions must be strictly increasing")
-
-    def colors(self) -> list[int]:
-        return [c for _, c in self.entries]
 
 
 def _choose_color(valid: list[int], future_colors: list[int], target: int) -> int:
@@ -55,25 +38,6 @@ def _choose_color(valid: list[int], future_colors: list[int], target: int) -> in
         if c not in first_at:
             first_at[c] = pos
     return max(valid, key=lambda c: (first_at[c], -c))
-
-
-def best_choice_color(
-    u: int,
-    current: Coloring,
-    g: Graph,
-    future: FutureColorList,
-    beta_u: int,
-    k: int,
-) -> int:
-    """Color chosen for u when the next neighbor recoloring collides with it.
-
-    Valid colors differ from u's current color and from every current
-    neighbor color.
-    """
-    cols = current.colors
-    forbidden = {cols[u]} | {cols[w] for w in g.adjacency[u]}
-    valid = [c for c in range(1, k + 1) if c not in forbidden]
-    return _choose_color(valid, future.colors(), beta_u)
 
 
 def _extend(
@@ -154,16 +118,14 @@ def best_choice_recoloring(
     """
     require_proper(g, alpha, k, "alpha")
     require_proper(g, beta, k, "beta")
-    if not is_perfect_elimination(g, peo):
+    later = later_neighbors(g, peo)
+    if not _later_form_cliques(g, later):
         raise InvalidInput("ordering is not a perfect elimination ordering")
-    pos = peo.positions()
-    max_out = 0
-    for v in range(g.n):
-        max_out = max(max_out, sum(1 for w in g.adjacency[v] if pos[w] > pos[v]))
+    max_out = max(map(len, later), default=0)
     if k < 2 + max_out:
         raise InvalidInput(f"need k >= {2 + max_out}, got {k}")
 
-    seq = _best_choice(g, peo, alpha, beta, k)
+    seq = _best_choice(peo, later, alpha, beta, k)
     final = verify_sequence(g, seq)
     if final.colors != beta.colors:
         raise AssertionError("sequence does not end at the target coloring")
@@ -171,18 +133,18 @@ def best_choice_recoloring(
 
 
 def _best_choice(
-    g: Graph,
     peo: EliminationOrdering,
+    later: tuple[tuple[int, ...], ...],
     alpha: Coloring,
     beta: Coloring,
     k: int,
 ) -> RecoloringSequence:
-    """best_choice_recoloring without checking its inputs or replaying its output."""
-    order = peo.order
-    pos = peo.positions()
+    """best_choice_recoloring without checking its inputs or replaying its output.
+
+    `later` is later_neighbors(g, peo): each u is spliced in against the
+    neighbors already processed, which are exactly those after it.
+    """
     steps: list[tuple[int, int]] = []
-    for i in reversed(range(g.n)):
-        u = order[i]
-        later = [w for w in g.adjacency[u] if pos[w] > i]
-        steps = _extend(steps, alpha.colors, u, later, alpha.colors[u], beta.colors[u], k)
+    for u in reversed(peo.order):
+        steps = _extend(steps, alpha.colors, u, later[u], alpha.colors[u], beta.colors[u], k)
     return RecoloringSequence(Coloring(k, alpha.colors), tuple(steps))

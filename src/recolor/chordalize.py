@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .bestchoice import _best_choice
 from .decomposition import (
     TreeDecomposition,
+    later_neighbors,
     mcs_order,
     reduce_width2,
     validate_decomposition,
@@ -205,7 +206,7 @@ def _toward_3coloring(
     h, merge_map, col_h = _merge(g, td, coloring)
     peo = mcs_order(h)
     target = greedy_coloring(h, peo)
-    seq_h = _best_choice(h, peo, col_h, target, k=5)
+    seq_h = _best_choice(peo, later_neighbors(h, peo), col_h, target, k=5)
     lifted = _lift(seq_h, merge_map, g.n)
     final = Coloring(5, tuple(target.colors[merge_map.to_merged[v]] for v in range(g.n)))
     return lifted, final
@@ -220,8 +221,10 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
     recolored at most PER_VERTEX_PIPELINE_BOUND times. The whole sequence is
     replayed once at the end; the stages in between neither check nor replay.
     """
-    require_proper(g, alpha, 5, "alpha")
-    require_proper(g, beta, 5, "beta")
+    for name, coloring in (("alpha", alpha), ("beta", beta)):
+        if coloring.k != 5:
+            raise InvalidColoring(f"{name} is a {coloring.k}-coloring, not a 5-coloring")
+        require_proper(g, coloring, 5, name)
     td = reduce_width2(g)
     validate_decomposition(g, td)
     seq_a, gamma_1 = _toward_3coloring(g, td, alpha)

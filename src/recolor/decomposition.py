@@ -1,10 +1,16 @@
-"""Treewidth-2 decomposition, chordality, and elimination orderings."""
+"""Treewidth-2 decomposition, chordality, and elimination orderings.
+
+`later_neighbors` is the one place that answers "which neighbors of v come
+after v in this ordering" (the out-neighborhood N+(v)). The ordering checks
+here, the greedy recoloring in `bestchoice` and the audit in `sequences` all
+read the table it returns instead of recomputing positions.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidDecomposition, NotPEO, NotWidth2, OmegaTooLarge
+from .errors import InvalidDecomposition, InvalidInput, NotPEO, NotWidth2
 from .graphs import Graph
 
 
@@ -40,7 +46,7 @@ class EliminationOrdering:
 
     def __post_init__(self):
         if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError("not a permutation of 0..n-1")
+            raise InvalidInput("ordering is not a permutation of 0..n-1")
 
     def positions(self) -> list[int]:
         pos = [0] * len(self.order)
@@ -79,17 +85,32 @@ def mcs_order(g: Graph) -> EliminationOrdering:
     return EliminationOrdering(tuple(reversed(visit)))
 
 
-def is_perfect_elimination(g: Graph, peo: EliminationOrdering) -> bool:
-    """Check that every vertex's later neighbors form a clique."""
+def later_neighbors(g: Graph, peo: EliminationOrdering) -> tuple[tuple[int, ...], ...]:
+    """For each vertex v, the ascending tuple of its neighbors after v in peo."""
+    if len(peo.order) != g.n:
+        raise InvalidInput(
+            f"ordering has {len(peo.order)} vertices for a graph on {g.n} vertices"
+        )
     pos = peo.positions()
+    return tuple(
+        tuple(w for w in g.adjacency[v] if pos[w] > pos[v]) for v in range(g.n)
+    )
+
+
+def _later_form_cliques(g: Graph, later: tuple[tuple[int, ...], ...]) -> bool:
+    """True iff every entry of a later_neighbors table is a clique of g."""
     adj = g.neighbor_sets()
-    for v in range(g.n):
-        later = [w for w in g.adjacency[v] if pos[w] > pos[v]]
-        for i in range(len(later)):
-            for j in range(i + 1, len(later)):
-                if later[j] not in adj[later[i]]:
+    for outs in later:
+        for i in range(len(outs)):
+            for j in range(i + 1, len(outs)):
+                if outs[j] not in adj[outs[i]]:
                     return False
     return True
+
+
+def is_perfect_elimination(g: Graph, peo: EliminationOrdering) -> bool:
+    """Check that every vertex's later neighbors form a clique."""
+    return _later_form_cliques(g, later_neighbors(g, peo))
 
 
 def is_chordal(g: Graph) -> bool:
@@ -98,25 +119,12 @@ def is_chordal(g: Graph) -> bool:
 
 def clique_number_chordal(g: Graph, peo: EliminationOrdering) -> int:
     """Clique number of a chordal graph, read off a perfect elimination ordering."""
-    if not is_perfect_elimination(g, peo):
+    later = later_neighbors(g, peo)
+    if not _later_form_cliques(g, later):
         raise NotPEO("ordering is not a perfect elimination ordering of the graph")
     if g.n == 0:
         return 0
-    pos = peo.positions()
-    best = 0
-    for v in range(g.n):
-        later = sum(1 for w in g.adjacency[v] if pos[w] > pos[v])
-        best = max(best, later)
-    return best + 1
-
-
-def out_neighbors(peo: EliminationOrdering, g: Graph, v: int) -> tuple[int, ...]:
-    """Neighbors of v that come after it in the ordering, at most two of them."""
-    pos = peo.positions()
-    later = tuple(sorted(w for w in g.adjacency[v] if pos[w] > pos[v]))
-    if len(later) > 2:
-        raise OmegaTooLarge(f"vertex {v} has {len(later)} later neighbors")
-    return later
+    return 1 + max(map(len, later))
 
 
 def degeneracy_order(g: Graph) -> EliminationOrdering:

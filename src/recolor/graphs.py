@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvalidColoring, InvalidInput, InvalidSize, NotEnoughColors
+
+if TYPE_CHECKING:
+    from .decomposition import EliminationOrdering
 
 
 @dataclass(frozen=True)
@@ -166,23 +169,22 @@ def gen_chordal_omega3(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _order_tuple(order) -> tuple[int, ...]:
-    return tuple(order.order) if hasattr(order, "order") else tuple(order)
-
-
-def random_proper_coloring(g: Graph, peo, k: int, seed: int) -> Coloring:
+def random_proper_coloring(
+    g: Graph, peo: EliminationOrdering, k: int, seed: int
+) -> Coloring:
     """Proper k-coloring built along the reverse of an elimination ordering.
 
     Each vertex gets a uniformly random color among those unused by its
     already-colored neighbors. Works whenever k exceeds the number of later
     neighbors of every vertex along the ordering.
     """
-    order = _order_tuple(peo)
-    if sorted(order) != list(range(g.n)):
-        raise InvalidColoring("ordering is not a permutation of the vertices")
+    if len(peo.order) != g.n:
+        raise InvalidInput(
+            f"ordering has {len(peo.order)} vertices for a graph on {g.n} vertices"
+        )
     rng = random.Random(seed)
     colors = [0] * g.n
-    for v in reversed(order):
+    for v in reversed(peo.order):
         used = {colors[w] for w in g.adjacency[v] if colors[w]}
         avail = [c for c in range(1, k + 1) if c not in used]
         if not avail:
@@ -191,16 +193,15 @@ def random_proper_coloring(g: Graph, peo, k: int, seed: int) -> Coloring:
     return Coloring(k, tuple(colors))
 
 
-def greedy_coloring(g: Graph, order) -> Coloring:
+def greedy_coloring(g: Graph, order: EliminationOrdering) -> Coloring:
     """Smallest-available-color coloring along the reverse of the ordering.
 
     Along a perfect elimination ordering of a chordal graph this uses
     exactly omega(G) colors; with at most 2 later neighbors per vertex it
     never needs more than 3.
     """
-    seq = _order_tuple(order)
     colors = [0] * g.n
-    for v in reversed(seq):
+    for v in reversed(order.order):
         used = {colors[w] for w in g.adjacency[v] if colors[w]}
         c = 1
         while c in used:

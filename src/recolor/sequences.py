@@ -5,7 +5,10 @@ step must change its vertex's color and every intermediate coloring must stay
 proper; `verify_sequence` enforces both. The audit checks the structural
 properties that every greedily built sequence from `bestchoice` satisfies:
 no immediate re-recoloring, a per-vertex count bound driven by saved steps,
-and color distinctness around tight alternation patterns.
+and color distinctness around tight alternation patterns. The audit,
+`saved_steps` and `caused_by` read each vertex's out-neighbors N+(v) from one
+`later_neighbors` table per call, and reject an ordering that gives any
+vertex more than two of them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .decomposition import EliminationOrdering, out_neighbors
+from .decomposition import EliminationOrdering, later_neighbors
 from .errors import (
     AuditViolation,
     ImproperStart,
@@ -21,6 +24,7 @@ from .errors import (
     InvalidColoring,
     InvalidIndex,
     NoOpStep,
+    OmegaTooLarge,
 )
 from .graphs import Coloring, Graph, is_proper
 
@@ -179,6 +183,15 @@ def _replay_records(g: Graph, seq: RecoloringSequence) -> list[tuple[int, int, i
     return records
 
 
+def _out_neighbors(g: Graph, peo: EliminationOrdering) -> tuple[tuple[int, ...], ...]:
+    """later_neighbors(g, peo), after checking no vertex has more than two."""
+    outs = later_neighbors(g, peo)
+    for v, later in enumerate(outs):
+        if len(later) > 2:
+            raise OmegaTooLarge(f"vertex {v} has {len(later)} later neighbors")
+    return outs
+
+
 def caused_by(
     seq: RecoloringSequence, peo: EliminationOrdering, g: Graph, step_index: int
 ) -> Optional[int]:
@@ -190,7 +203,7 @@ def caused_by(
     if not (0 <= step_index < len(seq.steps)):
         raise InvalidIndex(f"step index {step_index} out of range")
     v = seq.steps[step_index][0]
-    outs = set(out_neighbors(peo, g, v))
+    outs = set(_out_neighbors(g, peo)[v])
     for w, _ in seq.steps[step_index + 1 :]:
         if w in outs:
             return w
@@ -225,7 +238,7 @@ def saved_steps(
     seq: RecoloringSequence, peo: EliminationOrdering, g: Graph, v: int
 ) -> list[int]:
     """Saved positions for v, as indices into restrict(seq, N+[v])."""
-    closed = set(out_neighbors(peo, g, v)) | {v}
+    closed = set(_out_neighbors(g, peo)[v]) | {v}
     trace = [w for w, _ in seq.steps if w in closed]
     return _saved_positions(trace, v)
 
@@ -295,9 +308,9 @@ def audit_best_choice(
     With strict=True the first violation raises AuditViolation; otherwise all
     violations are collected into the report.
     """
+    outs = _out_neighbors(g, peo)
     records = _replay_records(g, seq)
     n = g.n
-    outs = [out_neighbors(peo, g, v) for v in range(n)]
 
     # restricted step indices per closed out-neighborhood
     member_of: list[list[int]] = [[] for _ in range(n)]

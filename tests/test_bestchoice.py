@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 from recolor import (
     Coloring,
     EliminationOrdering,
-    FutureColorList,
     Graph,
     InvalidInput,
     NoValidColor,
     audit_best_choice,
-    best_choice_color,
     best_choice_recoloring,
     caused_by,
     gen_chordal_omega3,
@@ -27,27 +25,16 @@ from recolor.chordalize import PER_VERTEX_CHORDAL_BOUND
 from recolor.sequences import RecoloringSequence
 
 K2 = Graph.from_edges(2, [(0, 1)])
-# vertex 0 adjacent to 1 and 2; used to stage specific valid sets
-CHERRY = Graph.from_edges(3, [(0, 1), (0, 2)])
-
-
-def test_future_color_list_positions_must_increase():
-    with pytest.raises(ValueError):
-        FutureColorList(((3, 1), (3, 2)))
 
 
 def test_best_choice_rule1_target_wins():
     # valid = {3,4,5}, future colors 2,3; target 5 is valid and fresh
-    current = Coloring(5, (1, 2, 1))
-    future = FutureColorList(((4, 2), (7, 3)))
-    assert best_choice_color(0, current, CHERRY, future, beta_u=5, k=5) == 5
+    assert _choose_color([3, 4, 5], [2, 3], target=5) == 5
 
 
 def test_best_choice_rule2_smallest_fresh():
     # valid = {3,4}, target 1 is burned in the future; both 3 and 4 fresh
-    current = Coloring(5, (2, 1, 5))
-    future = FutureColorList(((4, 1), (5, 2), (9, 5)))
-    assert best_choice_color(0, current, CHERRY, future, beta_u=1, k=5) == 3
+    assert _choose_color([3, 4], [1, 2, 5], target=1) == 3
 
 
 def test_best_choice_rule3_latest_first_occurrence():
@@ -55,9 +42,8 @@ def test_best_choice_rule3_latest_first_occurrence():
 
 
 def test_best_choice_no_valid_color():
-    current = Coloring(3, (1, 2, 3))
     with pytest.raises(NoValidColor):
-        best_choice_color(0, current, CHERRY, FutureColorList(()), beta_u=2, k=3)
+        _choose_color([], [], target=2)
 
 
 def test_extend_noop_when_never_conflicted_and_already_at_target():
@@ -131,6 +117,25 @@ def test_recoloring_rejects_non_peo():
             Coloring(5, (2, 1, 2, 1)),
             5,
         )
+
+
+def test_one_positions_pass_per_public_call(monkeypatch):
+    calls = []
+    positions = EliminationOrdering.positions
+
+    def counting(self):
+        calls.append(self)
+        return positions(self)
+
+    monkeypatch.setattr(EliminationOrdering, "positions", counting)
+    g = gen_chordal_omega3(60, 5)
+    peo = mcs_order(g)
+    a = random_proper_coloring(g, peo, 5, 0)
+    b = greedy_coloring(g, peo)
+    seq = best_choice_recoloring(g, peo, a, b, 5)
+    assert len(calls) == 1
+    audit_best_choice(seq, peo, g)
+    assert len(calls) == 2
 
 
 def test_recoloring_large_instance_bounded():

@@ -95,13 +95,31 @@ def test_bad_input_is_one_error_line(tmp_path, capsys):
     g = tmp_path / "g.json"
     c = tmp_path / "c.json"
     bad = tmp_path / "bad.json"
+    path3 = tmp_path / "path3.json"
+    a3 = tmp_path / "a3.json"
+    b3 = tmp_path / "b3.json"
+    seq3 = tmp_path / "seq3.json"
+    short = tmp_path / "short.json"
+    dup = tmp_path / "dup.json"
     _write(g, {"n": 2, "edges": [[0, 1]]})
     _write(c, {"k": 2, "colors": [1, 2]})
     _write(bad, {"n": 2, "edges": [[0, 5]]})
+    _write(path3, {"n": 3, "edges": [[0, 1], [1, 2]]})
+    _write(a3, {"k": 5, "colors": [1, 2, 1]})
+    _write(b3, {"k": 5, "colors": [2, 1, 2]})
+    _write(seq3, {"start": {"k": 5, "colors": [1, 2, 1]}, "steps": [[0, 3]]})
+    _write(short, {"order": [0, 1]})
+    _write(dup, {"order": [0, 0, 1]})
+    recolor3 = ("recolor", "--graph", str(path3), "--alpha", str(a3), "--beta", str(b3))
+    audit3 = ("audit", "--graph", str(path3), "--seq", str(seq3))
     for argv in (
         ("oracle", "distance", "--graph", str(g), "--k", "3"),
         ("oracle", "distance", "--graph", str(g), "--alpha", str(c)),
         ("check", "--graph", str(bad), "--coloring", str(c)),
+        recolor3 + ("--peo", str(short), "--out", str(tmp_path / "out.json")),
+        recolor3 + ("--peo", str(dup), "--out", str(tmp_path / "out.json")),
+        audit3 + ("--peo", str(short)),
+        audit3 + ("--peo", str(dup)),
     ):
         assert run(*argv) == 1
         err = capsys.readouterr().err

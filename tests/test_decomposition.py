@@ -5,11 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recolor import (
+    Coloring,
     EliminationOrdering,
     Graph,
     InvalidDecomposition,
+    InvalidInput,
     NotPEO,
     NotWidth2,
+    OmegaTooLarge,
+    RecoloringSequence,
     TreeDecomposition,
     clique_number_chordal,
     degeneracy_order,
@@ -17,9 +21,10 @@ from recolor import (
     gen_chordal_omega3,
     gen_partial_2tree,
     is_chordal,
+    audit_best_choice,
     is_perfect_elimination,
+    later_neighbors,
     mcs_order,
-    out_neighbors,
     reduce_width2,
     validate_decomposition,
 )
@@ -144,31 +149,40 @@ def test_validator_catches_oversized_bag():
         validate_decomposition(K4, td)
 
 
-def test_out_neighbors_last_vertex_empty():
+def test_later_neighbors_last_vertex_empty():
     peo = mcs_order(K3)
-    assert out_neighbors(peo, K3, peo.order[-1]) == ()
+    assert later_neighbors(K3, peo)[peo.order[-1]] == ()
 
 
-def test_out_neighbors_k3_first_vertex():
+def test_later_neighbors_k3_first_vertex():
     peo = EliminationOrdering((0, 1, 2))
-    assert out_neighbors(peo, K3, 0) == (1, 2)
+    assert later_neighbors(K3, peo)[0] == (1, 2)
 
 
-def test_out_neighbors_pairs_adjacent():
+def test_later_neighbors_pairs_adjacent():
     g = gen_chordal_omega3(25, 1)
     peo = mcs_order(g)
-    for v in range(g.n):
-        outs = out_neighbors(peo, g, v)
+    for outs in later_neighbors(g, peo):
         if len(outs) == 2:
             assert g.has_edge(outs[0], outs[1])
 
 
-def test_out_neighbors_rejects_high_degree():
-    from recolor import OmegaTooLarge
+def test_later_neighbors_rejects_wrong_length():
+    with pytest.raises(InvalidInput):
+        later_neighbors(K3, EliminationOrdering((0, 1)))
 
+
+def test_audit_rejects_three_later_neighbors():
     peo = EliminationOrdering((0, 1, 2, 3))
+    assert len(later_neighbors(K4, peo)[0]) == 3
+    seq = RecoloringSequence(Coloring(5, (1, 2, 3, 4)), ())
     with pytest.raises(OmegaTooLarge):
-        out_neighbors(peo, K4, 0)
+        audit_best_choice(seq, peo, K4)
+
+
+def test_ordering_must_be_a_permutation():
+    with pytest.raises(InvalidInput):
+        EliminationOrdering((0, 0, 1))
 
 
 def test_degeneracy_order_on_partial_2tree():
