@@ -68,14 +68,10 @@ from .oracle import (
 )
 from .sequences import (
     AuditReport,
-    Block,
-    PatternQuery,
     RecoloringSequence,
-    Run,
     audit_best_choice,
     caused_by,
     concatenate,
-    find_patterns,
     restrict,
     reverse_sequence,
     saved_steps,

@@ -12,6 +12,7 @@ bridge between 3-colorings, giving a transformation between any two proper
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .bestchoice import _best_choice
 from .decomposition import (
@@ -83,48 +84,40 @@ def merge_same_colored(
 def _merge(
     g: Graph, td: TreeDecomposition, alpha: Coloring
 ) -> tuple[Graph, MergeMap, Coloring]:
-    """merge_same_colored without checking its inputs."""
-    # classes keyed by representative = smallest member
-    rep = list(range(g.n))
-    members: dict[int, list[int]] = {v: [v] for v in range(g.n)}
-    bags = [set(b) for b in td.bags]
+    """merge_same_colored without checking its inputs.
 
-    while True:
-        # first bag (ascending) with a repeated color; smallest pair within it
-        pick = None
-        for bag in bags:
-            by_color: dict[int, list[int]] = {}
-            for r in sorted(bag):
-                by_color.setdefault(alpha.colors[r], []).append(r)
-            pairs = [(grp[0], grp[1]) for grp in by_color.values() if len(grp) >= 2]
-            if pairs:
-                pick = min(pairs)
-                break
-        if pick is None:
-            break
-        a, b = pick
-        members[a].extend(members.pop(b))
-        for v in members[a]:
-            rep[v] = a
-        for bag in bags:
-            if b in bag:
-                bag.discard(b)
-                bag.add(a)
+    The classes are the connected components of "same color, shared bag" in
+    td. Merging two classes only renames them inside bags that already held
+    one of them, so merging until no bag repeats a color, in any order,
+    joins exactly these components.
+    """
+    root = list(range(g.n))
 
-    reps = sorted(members)
-    index = {r: i for i, r in enumerate(reps)}
-    to_merged = tuple(index[rep[v]] for v in range(g.n))
-    classes = tuple(tuple(sorted(members[r])) for r in reps)
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for bag in td.bags:
+        for a, b in combinations(bag, 2):
+            if alpha.colors[a] == alpha.colors[b]:
+                ra, rb = find(a), find(b)
+                root[max(ra, rb)] = min(ra, rb)
+
+    # classes are numbered in the order of their smallest members
+    index: dict[int, int] = {}
+    to_merged = tuple(index.setdefault(find(v), len(index)) for v in range(g.n))
+    classes: list[list[int]] = [[] for _ in index]
+    for v, m in enumerate(to_merged):
+        classes[m].append(v)
 
     edges = set()
-    for bag in bags:
-        listed = sorted(index[r] for r in bag)
-        for i in range(len(listed)):
-            for j in range(i + 1, len(listed)):
-                edges.add((listed[i], listed[j]))
-    h = Graph.from_edges(len(reps), sorted(edges))
-    alpha_h = Coloring(alpha.k, tuple(alpha.colors[r] for r in reps))
-    return h, MergeMap(to_merged, classes), alpha_h
+    for bag in td.bags:
+        edges.update(combinations({to_merged[v] for v in bag}, 2))
+    h = Graph.from_edges(len(classes), edges)
+    alpha_h = Coloring(alpha.k, tuple(alpha.colors[c[0]] for c in classes))
+    return h, MergeMap(to_merged, tuple(map(tuple, classes))), alpha_h
 
 
 def lift_sequence(

@@ -40,9 +40,13 @@ from .oracle import DEFAULT_STATE_CAP, bfs_distance, reconfig_connected, reconfi
 from .sequences import RecoloringSequence, audit_best_choice, verify_sequence
 
 
-def _load(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
+def _read(path: str, cls):
+    """cls.from_json of the JSON file at path; any unreadable file is InvalidInput."""
+    try:
+        with open(path) as handle:
+            return cls.from_json(json.load(handle))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InvalidInput(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _dump(path: str, obj: dict) -> None:
@@ -68,13 +72,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    g = Graph.from_json(_load(args.graph))
+    g = _read(args.graph, Graph)
     if args.coloring:
-        col = Coloring.from_json(_load(args.coloring))
+        col = _read(args.coloring, Coloring)
         ok = is_proper(g, col)
         print("proper" if ok else "improper")
         return 0 if ok else 1
-    seq = RecoloringSequence.from_json(_load(args.seq))
+    seq = _read(args.seq, RecoloringSequence)
     try:
         final = verify_sequence(g, seq)
     except RecolorError as exc:
@@ -82,7 +86,7 @@ def _cmd_check(args) -> int:
         return 1
     print(f"valid sequence of {len(seq.steps)} steps")
     if args.expect_final:
-        want = Coloring.from_json(_load(args.expect_final))
+        want = _read(args.expect_final, Coloring)
         if final.colors != want.colors:
             print("final coloring does not match the expected one")
             return 1
@@ -90,7 +94,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    g = Graph.from_json(_load(args.graph))
+    g = _read(args.graph, Graph)
     if not args.td and not args.peo:
         print("nothing to do: pass --td and/or --peo", file=sys.stderr)
         return 2
@@ -106,9 +110,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    g = Graph.from_json(_load(args.graph))
-    td = TreeDecomposition.from_json(_load(args.td))
-    alpha = Coloring.from_json(_load(args.alpha))
+    g = _read(args.graph, Graph)
+    td = _read(args.td, TreeDecomposition)
+    alpha = _read(args.alpha, Coloring)
     h, merge_map, alpha_h = merge_same_colored(g, td, alpha)
     _dump(
         args.out,
@@ -123,10 +127,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_recolor(args) -> int:
-    g = Graph.from_json(_load(args.graph))
-    peo = EliminationOrdering.from_json(_load(args.peo))
-    alpha = Coloring.from_json(_load(args.alpha))
-    beta = Coloring.from_json(_load(args.beta))
+    g = _read(args.graph, Graph)
+    peo = _read(args.peo, EliminationOrdering)
+    alpha = _read(args.alpha, Coloring)
+    beta = _read(args.beta, Coloring)
     seq = best_choice_recoloring(g, peo, alpha, beta, args.k)
     _dump(args.out, seq.to_json())
     if args.trace:
@@ -137,9 +141,9 @@ def _cmd_recolor(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    g = Graph.from_json(_load(args.graph))
-    alpha = Coloring.from_json(_load(args.alpha))
-    beta = Coloring.from_json(_load(args.beta))
+    g = _read(args.graph, Graph)
+    alpha = _read(args.alpha, Coloring)
+    beta = _read(args.beta, Coloring)
     seq = pipeline_theorem(g, alpha, beta)
     _dump(args.out, seq.to_json())
     print(f"wrote sequence of {len(seq.steps)} steps to {args.out}")
@@ -147,12 +151,12 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g = Graph.from_json(_load(args.graph))
+    g = _read(args.graph, Graph)
     if args.mode == "distance":
         if not (args.alpha and args.beta):
             raise InvalidInput("distance needs --alpha and --beta")
-        alpha = Coloring.from_json(_load(args.alpha))
-        beta = Coloring.from_json(_load(args.beta))
+        alpha = _read(args.alpha, Coloring)
+        beta = _read(args.beta, Coloring)
         d = bfs_distance(g, args.k, alpha, beta, args.state_cap)
         print("unreachable" if d is None else d)
         return 0
@@ -165,9 +169,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    g = Graph.from_json(_load(args.graph))
-    peo = EliminationOrdering.from_json(_load(args.peo))
-    seq = RecoloringSequence.from_json(_load(args.seq))
+    g = _read(args.graph, Graph)
+    peo = _read(args.peo, EliminationOrdering)
+    seq = _read(args.seq, RecoloringSequence)
     report = audit_best_choice(seq, peo, g, strict=False)
     if args.json_out:
         _dump(args.json_out, report.to_json())
@@ -180,9 +184,13 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    try:
+        sizes = tuple(int(x) for x in args.sizes.split(","))
+    except ValueError:
+        raise InvalidInput(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     config = ExperimentConfig(
         family=args.family,
-        sizes=tuple(int(x) for x in args.sizes.split(",")),
+        sizes=sizes,
         seeds=tuple(range(args.seeds)),
         k=args.k,
         keep_prob=args.keep_prob,

@@ -4,14 +4,24 @@
 after v in this ordering" (the out-neighborhood N+(v)). The ordering checks
 here, the greedy recoloring in `bestchoice` and the audit in `sequences` all
 read the table it returns instead of recomputing positions.
+
+Every choice here is lowest index first: among the vertices or bags that
+qualify, take the one with the smallest key and, on a tie, the smallest
+index. Each such choice pops a `heapq` of `(key, index)` entries. An item
+is pushed again whenever its key, or whether it qualifies, changes, so a
+popped entry whose key no longer matches, or whose item no longer
+qualifies, is stale and skipped. No loop rescans all vertices or bags to
+make a choice.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InvalidDecomposition, InvalidInput, NotPEO, NotWidth2
-from .graphs import Graph
+from .graphs import Graph, _require_ordering_of
 
 
 @dataclass(frozen=True)
@@ -68,29 +78,26 @@ def mcs_order(g: Graph) -> EliminationOrdering:
     For a chordal graph the result is a perfect elimination ordering. Ties
     are broken toward the lowest vertex index so the output is reproducible.
     """
-    n = g.n
-    weight = [0] * n
-    visited = [False] * n
+    weight = [0] * g.n
+    visited = [False] * g.n
     visit: list[int] = []
-    for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not visited[v] and (best < 0 or weight[v] > weight[best]):
-                best = v
+    heap = [(0, v) for v in range(g.n)]
+    while heap:
+        key, best = heapq.heappop(heap)
+        if visited[best] or -key != weight[best]:
+            continue
         visited[best] = True
         visit.append(best)
         for u in g.adjacency[best]:
             if not visited[u]:
                 weight[u] += 1
+                heapq.heappush(heap, (-weight[u], u))
     return EliminationOrdering(tuple(reversed(visit)))
 
 
 def later_neighbors(g: Graph, peo: EliminationOrdering) -> tuple[tuple[int, ...], ...]:
     """For each vertex v, the ascending tuple of its neighbors after v in peo."""
-    if len(peo.order) != g.n:
-        raise InvalidInput(
-            f"ordering has {len(peo.order)} vertices for a graph on {g.n} vertices"
-        )
+    _require_ordering_of(g, peo)
     pos = peo.positions()
     return tuple(
         tuple(w for w in g.adjacency[v] if pos[w] > pos[v]) for v in range(g.n)
@@ -132,19 +139,21 @@ def degeneracy_order(g: Graph) -> EliminationOrdering:
 
     Every vertex has at most d later neighbors, where d is the degeneracy.
     """
-    adj = g.neighbor_sets()
+    degree = [len(a) for a in g.adjacency]
     alive = [True] * g.n
     order = []
-    for _ in range(g.n):
-        best = -1
-        for v in range(g.n):
-            if alive[v] and (best < 0 or len(adj[v]) < len(adj[best])):
-                best = v
+    heap = [(d, v) for v, d in enumerate(degree)]
+    heapq.heapify(heap)
+    while heap:
+        key, best = heapq.heappop(heap)
+        if not alive[best] or key != degree[best]:
+            continue
         alive[best] = False
         order.append(best)
-        for u in adj[best]:
-            adj[u].discard(best)
-        adj[best] = set()
+        for u in g.adjacency[best]:
+            if alive[u]:
+                degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
     return EliminationOrdering(tuple(order))
 
 
@@ -201,40 +210,43 @@ def validate_decomposition(g: Graph, td: TreeDecomposition, width: int = 2) -> N
         if reach != members:
             raise InvalidDecomposition(f"bags containing vertex {v} are not connected")
 
+    covered = {(u, v) for bag in td.bags for u in bag for v in bag if u < v}
     for u, v in g.edges():
-        if not any(u in bag and v in bag for bag in td.bags):
+        if (u, v) not in covered:
             raise InvalidDecomposition(f"edge ({u}, {v}) is in no bag")
 
 
 def _prune_subset_bags(
     bags: list[set[int]], tree_edges: list[tuple[int, int]]
 ) -> tuple[tuple[frozenset[int], ...], tuple[tuple[int, int], ...]]:
-    """Contract tree edges whose endpoint bags are nested; keeps the tree valid."""
+    """Contract tree edges whose endpoint bags are nested; keeps the tree valid.
+
+    Always contracts the lowest-index bag that is a subset of a tree
+    neighbour into its lowest-index such neighbour. Only a contraction
+    changes adjacency, and only that of the contracted bag's neighbours, so
+    those are the bags pushed again.
+    """
     adj: list[set[int]] = [set() for _ in bags]
     for i, j in tree_edges:
         adj[i].add(j)
         adj[j].add(i)
     alive = [True] * len(bags)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(bags)):
-            if not alive[i]:
-                continue
-            for j in sorted(adj[i]):
-                if bags[i] <= bags[j]:
-                    for x in adj[i]:
-                        if x != j:
-                            adj[x].discard(i)
-                            adj[x].add(j)
-                            adj[j].add(x)
-                    adj[j].discard(i)
-                    adj[i] = set()
-                    alive[i] = False
-                    changed = True
-                    break
-            if changed:
-                break
+    heap = list(range(len(bags)))
+    while heap:
+        i = heapq.heappop(heap)
+        # a contracted bag has no neighbours left, so it never qualifies again
+        into = min((j for j in adj[i] if bags[i] <= bags[j]), default=None)
+        if into is None:
+            continue
+        for x in adj[i]:
+            if x != into:
+                adj[x].discard(i)
+                adj[x].add(into)
+                adj[into].add(x)
+            heapq.heappush(heap, x)
+        adj[into].discard(i)
+        adj[i] = set()
+        alive[i] = False
     index = {}
     new_bags = []
     for i, bag in enumerate(bags):
@@ -260,48 +272,46 @@ def reduce_width2(g: Graph) -> TreeDecomposition:
     treewidth exceeds 2.
     """
     adj = g.neighbor_sets()
-    alive = [True] * g.n
+    # degrees never rise, so each vertex enters the heap once, on reaching 2
+    heap = [v for v in range(g.n) if len(adj[v]) <= 2]
     elim: list[tuple[int, list[int]]] = []
-    remaining = g.n
-    while remaining:
-        v = -1
-        for u in range(g.n):
-            if alive[u] and len(adj[u]) <= 2:
-                v = u
-                break
-        if v < 0:
-            raise NotWidth2("all remaining vertices have degree at least 3")
+    while heap:
+        v = heapq.heappop(heap)
         nb = sorted(adj[v])
-        if len(nb) == 2:
+        for u in nb:
+            adj[u].discard(v)
+        # a new fill edge keeps both degrees; otherwise each neighbor lost one
+        if len(nb) == 2 and nb[1] not in adj[nb[0]]:
             a, b = nb
             adj[a].add(b)
             adj[b].add(a)
-        for u in nb:
-            adj[u].discard(v)
-        adj[v] = set()
-        alive[v] = False
+        else:
+            for u in nb:
+                if len(adj[u]) == 2:
+                    heapq.heappush(heap, u)
         elim.append((v, nb))
-        remaining -= 1
+    if len(elim) < g.n:
+        raise NotWidth2("all remaining vertices have degree at least 3")
 
     if not elim:
         return TreeDecomposition((frozenset(),), ())
 
     bags: list[set[int]] = []
     tree_edges: list[tuple[int, int]] = []
+    # each subset of at most 2 vertices of a bag -> the first bag holding it
+    first_holding: dict[tuple[int, ...], int] = {}
     for v, nb in reversed(elim):
         bag = set(nb) | {v}
-        if not bags:
-            bags.append(bag)
-            continue
-        # the neighbors were eliminated later, so some existing bag holds them all
-        need = set(nb)
-        parent = next(
-            (idx for idx, existing in enumerate(bags) if need <= existing), None
-        )
-        if parent is None:
-            raise AssertionError(f"no bag contains {sorted(need)}")
+        if bags:
+            # the neighbors were eliminated later, so some existing bag holds them all
+            parent = first_holding.get(tuple(nb))
+            if parent is None:
+                raise AssertionError(f"no bag contains {nb}")
+            tree_edges.append((parent, len(bags)))
+        for r in range(3):
+            for sub in combinations(sorted(bag), r):
+                first_holding.setdefault(sub, len(bags))
         bags.append(bag)
-        tree_edges.append((parent, len(bags) - 1))
 
     pruned_bags, pruned_edges = _prune_subset_bags(bags, tree_edges)
     return TreeDecomposition(pruned_bags, pruned_edges)

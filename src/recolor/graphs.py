@@ -169,6 +169,14 @@ def gen_chordal_omega3(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _require_ordering_of(g: Graph, order: EliminationOrdering) -> None:
+    """Raise InvalidInput unless the ordering has exactly one entry per vertex of g."""
+    if len(order.order) != g.n:
+        raise InvalidInput(
+            f"ordering has {len(order.order)} vertices for a graph on {g.n} vertices"
+        )
+
+
 def random_proper_coloring(
     g: Graph, peo: EliminationOrdering, k: int, seed: int
 ) -> Coloring:
@@ -178,10 +186,7 @@ def random_proper_coloring(
     already-colored neighbors. Works whenever k exceeds the number of later
     neighbors of every vertex along the ordering.
     """
-    if len(peo.order) != g.n:
-        raise InvalidInput(
-            f"ordering has {len(peo.order)} vertices for a graph on {g.n} vertices"
-        )
+    _require_ordering_of(g, peo)
     rng = random.Random(seed)
     colors = [0] * g.n
     for v in reversed(peo.order):
@@ -200,6 +205,7 @@ def greedy_coloring(g: Graph, order: EliminationOrdering) -> Coloring:
     exactly omega(G) colors; with at most 2 later neighbors per vertex it
     never needs more than 3.
     """
+    _require_ordering_of(g, order)
     colors = [0] * g.n
     for v in reversed(order.order):
         used = {colors[w] for w in g.adjacency[v] if colors[w]}

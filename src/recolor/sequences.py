@@ -1,4 +1,4 @@
-"""Recoloring sequences: replay, restriction, patterns, and structural audits.
+"""Recoloring sequences: replay, restriction, and structural audits.
 
 A sequence is a start coloring plus ordered (vertex, new_color) steps. Every
 step must change its vertex's color and every intermediate coloring must stay
@@ -46,38 +46,6 @@ class RecoloringSequence:
             Coloring.from_json(obj["start"]),
             tuple((int(v), int(c)) for v, c in obj["steps"]),
         )
-
-
-@dataclass(frozen=True)
-class Run:
-    """Pattern token: the vertex recolored in a maximal run of length >= min_count."""
-
-    vertex: int
-    min_count: int = 1
-
-
-@dataclass(frozen=True)
-class Block:
-    """Pattern token: the vertex tuple repeated exactly `count` times in a row."""
-
-    vertices: tuple[int, ...]
-    count: int
-
-
-@dataclass(frozen=True)
-class PatternQuery:
-    """Token list: plain ints match one step of that vertex; Run and Block as above."""
-
-    tokens: tuple
-
-    def __post_init__(self):
-        if not self.tokens:
-            raise ValueError("empty pattern")
-        for tok in self.tokens:
-            if isinstance(tok, Run) and tok.min_count < 1:
-                raise ValueError("run repetition must be >= 1")
-            if isinstance(tok, Block) and (tok.count < 1 or not tok.vertices):
-                raise ValueError("block must be nonempty and repeat >= 1 times")
 
 
 def verify_sequence(g: Graph, seq: RecoloringSequence) -> Coloring:
@@ -137,39 +105,6 @@ def concatenate(parts: list[RecoloringSequence]) -> RecoloringSequence:
         for v, c in part.steps:
             cur[v] = c
     return RecoloringSequence(parts[0].start, tuple(steps))
-
-
-def _match_at(trace, tokens, start: int) -> bool:
-    i = start
-    n = len(trace)
-    for tok in tokens:
-        if isinstance(tok, Run):
-            if i >= n or trace[i] != tok.vertex:
-                return False
-            if i > 0 and trace[i - 1] == tok.vertex:
-                return False  # not the start of a maximal run
-            j = i
-            while j < n and trace[j] == tok.vertex:
-                j += 1
-            if j - i < tok.min_count:
-                return False
-            i = j
-        elif isinstance(tok, Block):
-            width = len(tok.vertices)
-            for _ in range(tok.count):
-                if tuple(trace[i : i + width]) != tok.vertices:
-                    return False
-                i += width
-        else:
-            if i >= n or trace[i] != tok:
-                return False
-            i += 1
-    return True
-
-
-def find_patterns(trace, query: PatternQuery) -> list[int]:
-    """All start indices (overlaps allowed) where the pattern matches the trace."""
-    return [i for i in range(len(trace)) if _match_at(trace, query.tokens, i)]
 
 
 def _replay_records(g: Graph, seq: RecoloringSequence) -> list[tuple[int, int, int]]:

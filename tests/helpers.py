@@ -111,14 +111,6 @@ def brute_max_clique(g: Graph, cap: int | None = None) -> int:
     return best
 
 
-def naive_fixed_pattern_indices(trace, pattern):
-    """Sliding-window scan for a fixed vertex pattern."""
-    w = len(pattern)
-    return [
-        i for i in range(len(trace) - w + 1) if tuple(trace[i : i + w]) == tuple(pattern)
-    ]
-
-
 def saved_positions_oracle(seq, peo, g, v):
     """Saved steps recomputed from the definition over full-sequence indices."""
     pos = peo.positions()

@@ -76,6 +76,19 @@ def test_merge_path_endpoints():
     _merge_invariants(P3, alpha, h, merge_map, alpha_h)
 
 
+def test_merge_chains_across_bags():
+    # 0 and 2 share the first bag, 2 and 4 the second: one class of three
+    p5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    td = TreeDecomposition((frozenset({0, 1, 2}), frozenset({2, 3, 4})), ((0, 1),))
+    alpha = Coloring(2, (1, 2, 1, 2, 1))
+    h, merge_map, alpha_h = merge_same_colored(p5, td, alpha)
+    assert merge_map.classes == ((0, 2, 4), (1,), (3,))
+    assert merge_map.to_merged == (0, 1, 0, 2, 0)
+    assert h.edges() == [(0, 1), (0, 2)]
+    assert alpha_h.colors == (1, 2, 2)
+    _merge_invariants(p5, alpha, h, merge_map, alpha_h)
+
+
 def test_merge_injective_alpha_fills_bags():
     # colors distinct inside the bag: no merging, but the bag becomes a clique
     alpha = Coloring(3, (1, 2, 3))
@@ -246,6 +259,28 @@ def test_outputs_match_recorded_digest():
             seq = best_choice_recoloring(h, peo, alpha, greedy_coloring(h, peo), 5)
             digest.update(json.dumps(seq.to_json()).encode())
     assert digest.hexdigest() == CORPUS_DIGEST
+
+
+DECOMPOSITION_DIGEST = "fe6d04174b3fe291cdecdc7924180fd3390cce430c4bcea6c06132c2fef5c721"
+
+
+def test_decomposition_outputs_match_recorded_digest():
+    digest = hashlib.sha256()
+    for n in (10, 200, 1600):
+        for s in range(2):
+            for g in (
+                gen_partial_2tree(n, 0.6, s),
+                gen_partial_2tree(n, 1.0, s),
+                gen_chordal_omega3(n, s),
+            ):
+                td = reduce_width2(g)
+                order = degeneracy_order(g)
+                h, merge_map, alpha_h = merge_same_colored(
+                    g, td, random_proper_coloring(g, order, 3, s)
+                )
+                for part in (td, mcs_order(g), order, h, merge_map, alpha_h):
+                    digest.update(json.dumps(part.to_json()).encode())
+    assert digest.hexdigest() == DECOMPOSITION_DIGEST
 
 
 def test_pipeline_replays_and_validates_once(monkeypatch):

@@ -110,6 +110,13 @@ def test_bad_input_is_one_error_line(tmp_path, capsys):
     _write(seq3, {"start": {"k": 5, "colors": [1, 2, 1]}, "steps": [[0, 3]]})
     _write(short, {"order": [0, 1]})
     _write(dup, {"order": [0, 0, 1]})
+    no_colors = tmp_path / "no_colors.json"
+    no_edges = tmp_path / "no_edges.json"
+    not_json = tmp_path / "not_json.json"
+    _write(no_colors, {"k": 2})
+    _write(no_edges, {"n": 2})
+    not_json.write_text("{not json")
+    missing = str(tmp_path / "missing.json")
     recolor3 = ("recolor", "--graph", str(path3), "--alpha", str(a3), "--beta", str(b3))
     audit3 = ("audit", "--graph", str(path3), "--seq", str(seq3))
     for argv in (
@@ -120,6 +127,15 @@ def test_bad_input_is_one_error_line(tmp_path, capsys):
         recolor3 + ("--peo", str(dup), "--out", str(tmp_path / "out.json")),
         audit3 + ("--peo", str(short)),
         audit3 + ("--peo", str(dup)),
+        ("check", "--graph", str(g), "--coloring", str(no_colors)),
+        ("check", "--graph", str(no_edges), "--coloring", str(c)),
+        ("check", "--graph", str(not_json), "--coloring", str(c)),
+        ("check", "--graph", missing, "--coloring", str(c)),
+        ("check", "--graph", str(path3), "--seq", str(seq3), "--expect-final", missing),
+        ("pipeline", "--graph", str(path3), "--alpha", str(a3), "--beta", missing,
+         "--out", str(tmp_path / "out.json")),
+        ("bench", "--family", "chordal-omega3", "--sizes", "a,b",
+         "--out", str(tmp_path / "bench.csv")),
     ):
         assert run(*argv) == 1
         err = capsys.readouterr().err

@@ -109,8 +109,11 @@ def test_reduce_width2_k3_single_bag():
 
 
 def test_reduce_width2_k4_rejected():
-    with pytest.raises(NotWidth2):
-        reduce_width2(K4)
+    # with a pendant path 3-4-5-6, the path eliminates first and K4 still stalls
+    k4_path = Graph.from_edges(7, K4.edges() + [(3, 4), (4, 5), (5, 6)])
+    for g in (K4, k4_path):
+        with pytest.raises(NotWidth2, match="degree at least 3"):
+            reduce_width2(g)
 
 
 def test_reduce_width2_c5_three_bags():
@@ -129,7 +132,7 @@ def test_reduce_width2_valid_on_partial_2trees(n, seed, tenths):
 
 def test_validator_catches_missing_edge():
     td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),))
-    with pytest.raises(InvalidDecomposition):
+    with pytest.raises(InvalidDecomposition, match=r"^edge \(0, 2\) is in no bag$"):
         validate_decomposition(K3, td)
 
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from recolor import (
     Coloring,
+    EliminationOrdering,
     Graph,
     InvalidColoring,
     InvalidInput,
@@ -155,6 +156,12 @@ def test_greedy_coloring_uses_three_colors_on_chordal():
     col = greedy_coloring(g, mcs_order(g))
     assert col.k <= 3
     assert is_proper(g, col)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (0, 1)])
+def test_greedy_coloring_rejects_wrong_length_ordering(order):
+    with pytest.raises(InvalidInput, match=f"ordering has {len(order)} vertices"):
+        greedy_coloring(P3, EliminationOrdering(order))
 
 
 def test_graph_json_round_trip():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from recolor import (
     AuditViolation,
-    Block,
     Coloring,
     EliminationOrdering,
     Graph,
@@ -14,13 +13,10 @@ from recolor import (
     ImproperStep,
     InvalidIndex,
     NoOpStep,
-    PatternQuery,
     RecoloringSequence,
-    Run,
     audit_best_choice,
     best_choice_recoloring,
     caused_by,
-    find_patterns,
     gen_chordal_omega3,
     greedy_coloring,
     mcs_order,
@@ -91,50 +87,6 @@ def test_restrict_counts_partition_total():
     b = greedy_coloring(g, peo)
     s = best_choice_recoloring(g, peo, a, b, 5)
     assert sum(len(restrict(s, {v})) for v in range(g.n)) == len(s.steps)
-
-
-def test_find_patterns_fixed_overlapping():
-    u, w, v = 0, 1, 2
-    trace = [u, w, v, u, w, v, u]
-    assert find_patterns(trace, PatternQuery((u, w, v, u))) == [0, 3]
-
-
-def test_find_patterns_absent():
-    u, v = 0, 1
-    assert find_patterns([u, v, u], PatternQuery((v, v))) == []
-
-
-def test_find_patterns_block():
-    u, w, v = 0, 1, 2
-    trace = [u, w, v, u, w, v]
-    assert find_patterns(trace, PatternQuery((Block((u, w, v), 2),))) == [0]
-
-
-def test_find_patterns_run_is_maximal():
-    v, w = 0, 1
-    trace = [w, v, v, v, w]
-    assert find_patterns(trace, PatternQuery((Run(v, 2),))) == [1]
-    assert find_patterns(trace, PatternQuery((Run(v, 4),))) == []
-    assert find_patterns(trace, PatternQuery((w, Run(v, 1), w))) == [0]
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.lists(st.integers(0, 3), max_size=12),
-    st.lists(st.integers(0, 3), min_size=1, max_size=4),
-)
-def test_find_patterns_fixed_matches_naive_scan(trace, pattern):
-    got = find_patterns(trace, PatternQuery(tuple(pattern)))
-    assert got == helpers.naive_fixed_pattern_indices(trace, pattern)
-
-
-def test_pattern_query_validation():
-    with pytest.raises(ValueError):
-        PatternQuery(())
-    with pytest.raises(ValueError):
-        PatternQuery((Run(0, 0),))
-    with pytest.raises(ValueError):
-        PatternQuery((Block((), 1),))
 
 
 def test_caused_by_next_out_neighbor_step():
