@@ -1,6 +1,6 @@
 """Recoloring transformations between proper colorings of treewidth-2 graphs."""
 
-from .bestchoice import best_choice_recoloring, local_best_choice_extend
+from .bestchoice import best_choice_recoloring
 from .chordalize import (
     MergeMap,
     PER_VERTEX_CHORDAL_BOUND,

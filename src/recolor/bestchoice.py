@@ -40,70 +40,6 @@ def _choose_color(valid: list[int], future_colors: list[int], target: int) -> in
     return max(valid, key=lambda c: (first_at[c], -c))
 
 
-def _extend(
-    steps: list[tuple[int, int]],
-    start_colors,
-    u: int,
-    neighbors,
-    alpha_u: int,
-    beta_u: int,
-    k: int,
-) -> list[tuple[int, int]]:
-    """Splice recolorings of u into a sequence that never touches u.
-
-    `neighbors` are u's neighbors within the already-processed subgraph; the
-    existing steps only recolor processed vertices.
-    """
-    cur = list(start_colors)
-    cur[u] = alpha_u
-    nbrs = list(neighbors)
-    nbrset = set(nbrs)
-    future_colors = [c for v, c in steps if v in nbrset]
-
-    out: list[tuple[int, int]] = []
-    fut = 0
-    for v, c in steps:
-        if v in nbrset:
-            if c == cur[u]:
-                forbidden = {cur[u]} | {cur[w] for w in nbrs}
-                valid = [x for x in range(1, k + 1) if x not in forbidden]
-                choice = _choose_color(valid, future_colors[fut:], beta_u)
-                out.append((u, choice))
-                cur[u] = choice
-            fut += 1
-        out.append((v, c))
-        cur[v] = c
-    if cur[u] != beta_u:
-        out.append((u, beta_u))
-    return out
-
-
-def local_best_choice_extend(
-    g: Graph,
-    u: int,
-    alpha_u: int,
-    beta_u: int,
-    seq: RecoloringSequence,
-) -> RecoloringSequence:
-    """Extend a valid sequence on g minus u to one on g, recoloring u lazily.
-
-    u moves only when a neighbor is about to take its current color, plus one
-    final step to reach beta_u if needed. The result starts from seq's start
-    with u set to alpha_u and is verified before being returned.
-    """
-    if any(v == u for v, _ in seq.steps):
-        raise InvalidInput(f"sequence already recolors vertex {u}")
-    k = seq.start.k
-    steps = _extend(
-        list(seq.steps), seq.start.colors, u, g.adjacency[u], alpha_u, beta_u, k
-    )
-    colors = list(seq.start.colors)
-    colors[u] = alpha_u
-    result = RecoloringSequence(Coloring(k, tuple(colors)), tuple(steps))
-    verify_sequence(g, result)
-    return result
-
-
 def best_choice_recoloring(
     g: Graph,
     peo: EliminationOrdering,
@@ -142,9 +78,54 @@ def _best_choice(
     """best_choice_recoloring without checking its inputs or replaying its output.
 
     `later` is later_neighbors(g, peo): each u is spliced in against the
-    neighbors already processed, which are exactly those after it.
+    neighbors already processed, which are exactly those after it. Steps are
+    nodes (vertex, color) of one doubly linked list whose node 0 marks the end,
+    and trace[u] lists the nodes of u and of later[u] in sequence order.
+
+    u only needs the steps of later[u], in order. Let a be the vertex of
+    later[u] processed last. later[u] is a clique, so every other member of
+    it lies in later[a]; a vertex's steps are fixed once it is processed, and
+    an insertion never reorders existing nodes. So trace[a] filtered to
+    later[u] is exactly the run of steps u is spliced against.
     """
-    steps: list[tuple[int, int]] = []
-    for u in reversed(peo.order):
-        steps = _extend(steps, alpha.colors, u, later[u], alpha.colors[u], beta.colors[u], k)
+    vert, col, prv, nxt = [-1], [0], [0], [0]
+
+    def insert(v: int, c: int, before: int) -> int:
+        node = len(vert)
+        vert.append(v)
+        col.append(c)
+        prv.append(prv[before])
+        nxt.append(before)
+        nxt[prv[before]] = node
+        prv[before] = node
+        return node
+
+    rank = [0] * len(peo.order)
+    trace: list[list[int]] = [[] for _ in peo.order]
+    for i, u in enumerate(reversed(peo.order)):
+        nbrs = later[u]
+        view = []
+        if nbrs:
+            a = max(nbrs, key=rank.__getitem__)
+            view = [s for s in trace[a] if vert[s] in nbrs]
+        upcoming = [col[s] for s in view]
+        cur = {w: alpha.colors[w] for w in nbrs}
+        cur_u, beta_u = alpha.colors[u], beta.colors[u]
+        for j, s in enumerate(view):
+            if upcoming[j] == cur_u:
+                forbidden = {cur_u, *cur.values()}
+                valid = [x for x in range(1, k + 1) if x not in forbidden]
+                cur_u = _choose_color(valid, upcoming[j:], beta_u)
+                trace[u].append(insert(u, cur_u, s))
+            trace[u].append(s)
+            cur[vert[s]] = upcoming[j]
+        if cur_u != beta_u:
+            trace[u].append(insert(u, beta_u, 0))
+        rank[u] = i
+
+    steps = []
+    s = nxt[0]
+    while s:
+        steps.append((vert[s], col[s]))
+        s = nxt[s]
     return RecoloringSequence(Coloring(k, alpha.colors), tuple(steps))

@@ -29,6 +29,7 @@ from .errors import (
     InvalidInput,
     LiftFailure,
     NoOpStep,
+    _json_loader,
 )
 from .graphs import Coloring, Graph, greedy_coloring, require_proper
 from .sequences import (
@@ -61,6 +62,7 @@ class MergeMap:
         }
 
     @staticmethod
+    @_json_loader
     def from_json(obj: dict) -> "MergeMap":
         return MergeMap(
             tuple(int(x) for x in obj["to_merged"]),

@@ -45,7 +45,7 @@ def _read(path: str, cls):
     try:
         with open(path) as handle:
             return cls.from_json(json.load(handle))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, InvalidInput) as exc:
         raise InvalidInput(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -20,7 +20,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InvalidDecomposition, InvalidInput, NotPEO, NotWidth2
+from .errors import InvalidDecomposition, InvalidInput, NotPEO, NotWidth2, _json_loader
 from .graphs import Graph, _require_ordering_of
 
 
@@ -41,6 +41,7 @@ class TreeDecomposition:
         }
 
     @staticmethod
+    @_json_loader
     def from_json(obj: dict) -> "TreeDecomposition":
         return TreeDecomposition(
             tuple(frozenset(int(v) for v in bag) for bag in obj["bags"]),
@@ -68,6 +69,7 @@ class EliminationOrdering:
         return {"order": list(self.order)}
 
     @staticmethod
+    @_json_loader
     def from_json(obj: dict) -> "EliminationOrdering":
         return EliminationOrdering(tuple(int(v) for v in obj["order"]))
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from functools import wraps
+
 
 class RecolorError(Exception):
     """Base class for all errors raised by this package."""
@@ -83,3 +85,22 @@ class AuditViolation(RecolorError):
         self.rule = rule
         self.index = index
         self.detail = detail
+
+
+def _json_loader(load):
+    """Make a from_json raise InvalidInput for a malformed dict.
+
+    A missing key, a value of the wrong shape or a non-integer where an
+    integer belongs surfaces as KeyError, TypeError, ValueError or (for an
+    infinite float) OverflowError inside the loader; each becomes InvalidInput
+    naming the loader.
+    """
+
+    @wraps(load)
+    def checked(obj):
+        try:
+            return load(obj)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInput(f"{load.__qualname__}: {type(exc).__name__}: {exc}") from exc
+
+    return checked

@@ -28,7 +28,7 @@ from .graphs import (
     random_proper_coloring,
 )
 from .oracle import DEFAULT_STATE_CAP, bfs_distance
-from .sequences import audit_best_choice, verify_sequence
+from .sequences import audit_best_choice
 
 CSV_SCHEMA_VERSION = 1
 
@@ -152,9 +152,6 @@ def _run_instance(
                     rec.detail = report.violations[0].detail
             else:
                 seq = pipeline_theorem(g, src, dst)
-            final = verify_sequence(g, seq)
-            if final.colors != dst.colors:
-                rec.status = "wrong-endpoint"
             _measure(rec, seq)
             if config.cross_check and k**g.n <= config.state_cap:
                 d = bfs_distance(g, k, src, dst, config.state_cap)

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import InvalidColoring, InvalidInput, InvalidSize, NotEnoughColors
+from .errors import InvalidColoring, InvalidInput, InvalidSize, NotEnoughColors, _json_loader
 
 if TYPE_CHECKING:
     from .decomposition import EliminationOrdering
@@ -58,6 +58,7 @@ class Graph:
         return {"n": self.n, "edges": [[u, v] for u, v in self.edges()]}
 
     @staticmethod
+    @_json_loader
     def from_json(obj: dict) -> "Graph":
         return Graph.from_edges(int(obj["n"]), [(int(u), int(v)) for u, v in obj["edges"]])
 
@@ -78,6 +79,7 @@ class Coloring:
         return {"k": self.k, "colors": list(self.colors)}
 
     @staticmethod
+    @_json_loader
     def from_json(obj: dict) -> "Coloring":
         return Coloring(int(obj["k"]), tuple(int(c) for c in obj["colors"]))
 

@@ -23,8 +23,10 @@ from .errors import (
     ImproperStep,
     InvalidColoring,
     InvalidIndex,
+    InvalidInput,
     NoOpStep,
     OmegaTooLarge,
+    _json_loader,
 )
 from .graphs import Coloring, Graph, is_proper
 
@@ -41,6 +43,7 @@ class RecoloringSequence:
         return {"start": self.start.to_json(), "steps": [[v, c] for v, c in self.steps]}
 
     @staticmethod
+    @_json_loader
     def from_json(obj: dict) -> "RecoloringSequence":
         return RecoloringSequence(
             Coloring.from_json(obj["start"]),
@@ -95,12 +98,12 @@ def restrict(seq: RecoloringSequence, vertices: Iterable[int]) -> list[tuple[int
 def concatenate(parts: list[RecoloringSequence]) -> RecoloringSequence:
     """Chain sequences whose endpoints match up."""
     if not parts:
-        raise ValueError("nothing to concatenate")
+        raise InvalidInput("nothing to concatenate")
     steps: list[tuple[int, int]] = []
     cur = list(parts[0].start.colors)
     for part in parts:
         if list(part.start.colors) != cur:
-            raise ValueError("segment does not start where the previous one ended")
+            raise InvalidInput("segment does not start where the previous one ended")
         steps.extend(part.steps)
         for v, c in part.steps:
             cur[v] = c

@@ -1,6 +1,7 @@
 import csv
 
-from recolor import ExperimentConfig, Graph, run_experiments, write_csv
+from recolor import ExperimentConfig, Graph, run_experiments, verify_sequence, write_csv
+from recolor import bestchoice, chordalize, experiments
 from recolor.experiments import CSV_COLUMNS, has_violations
 
 
@@ -40,6 +41,25 @@ def test_partial_2tree_family():
     records = run_experiments(config)
     assert len(records) == 6
     assert all(rec.status == "ok" for rec in records)
+
+
+def test_one_replay_per_batch_instance(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return verify_sequence(*args)
+
+    # raising=False: a module that does not import verify_sequence gets the
+    # counter anyway, so a replay added there is counted too
+    for module in (bestchoice, chordalize, experiments):
+        monkeypatch.setattr(module, "verify_sequence", counting, raising=False)
+    config = ExperimentConfig(
+        family="partial-2tree", sizes=(10,), seeds=(0,), cross_check=False
+    )
+    records = run_experiments(config)
+    assert [rec.status for rec in records] == ["ok", "ok"]
+    assert len(calls) == 2  # one pipeline_theorem replay per direction
 
 
 def test_injected_k4_recorded_not_fatal():

@@ -12,11 +12,16 @@ from recolor import (
     ImproperStart,
     ImproperStep,
     InvalidIndex,
+    InvalidInput,
+    MergeMap,
     NoOpStep,
+    RecolorError,
     RecoloringSequence,
+    TreeDecomposition,
     audit_best_choice,
     best_choice_recoloring,
     caused_by,
+    concatenate,
     gen_chordal_omega3,
     greedy_coloring,
     mcs_order,
@@ -170,6 +175,55 @@ def test_audit_flags_early_alternation():
 def test_sequence_json_round_trip():
     s = seq_of(3, (1, 2), [(0, 3), (1, 1)])
     assert RecoloringSequence.from_json(s.to_json()) == s
+
+
+def test_concatenate_rejects_empty_and_mismatched_segments():
+    with pytest.raises(InvalidInput, match="nothing to concatenate"):
+        concatenate([])
+    first = seq_of(3, (1, 2), [(0, 3)])
+    with pytest.raises(InvalidInput, match="does not start where"):
+        concatenate([first, seq_of(3, (1, 2), [(1, 1)])])
+
+
+LOADERS = (
+    Graph.from_json,
+    Coloring.from_json,
+    TreeDecomposition.from_json,
+    EliminationOrdering.from_json,
+    RecoloringSequence.from_json,
+    MergeMap.from_json,
+)
+LOADER_KEYS = (
+    "n", "edges", "k", "colors", "bags", "tree_edges", "order", "start", "steps",
+    "to_merged", "classes",
+)
+# Integers stay small and strings are never long digit runs, so Graph never
+# allocates a huge n; the floats include the ones int() cannot convert.
+JSON_LIKE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 8)
+    | st.floats(-8, 8)
+    | st.sampled_from([float("inf"), float("-inf"), float("nan")])
+    | st.sampled_from(LOADER_KEYS + ("", "2", "x")),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(LOADER_KEYS), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LOADERS), JSON_LIKE)
+def test_loaders_return_or_raise_recolor_error(load, obj):
+    try:
+        load(obj)
+    except RecolorError:
+        pass
+
+
+def test_loader_error_names_loader_and_key():
+    with pytest.raises(InvalidInput, match="Coloring.from_json: KeyError: 'colors'"):
+        Coloring.from_json({"k": 2})
 
 
 @settings(max_examples=20, deadline=None)
