@@ -27,6 +27,8 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        if n < 0:
+            raise InvalidInput(f"vertex count must be >= 0, got {n}")
         sets: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

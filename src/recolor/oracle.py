@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .errors import TooLarge
+from .errors import InvalidInput, TooLarge
 from .graphs import Coloring, Graph, require_proper
 
 DEFAULT_STATE_CAP = 2_000_000
@@ -27,6 +27,8 @@ def encode_coloring(coloring: Coloring, k: int) -> int:
 
 
 def decode_state(code: int, n: int, k: int) -> Coloring:
+    if n < 0 or k < 1 or not 0 <= code < k**n:
+        raise InvalidInput(f"state {code} is not a code for n={n} vertices and k={k} colors")
     colors = []
     for _ in range(n):
         colors.append(code % k + 1)
@@ -34,9 +36,13 @@ def decode_state(code: int, n: int, k: int) -> Coloring:
     return Coloring(k, tuple(colors))
 
 
-def _guard(g: Graph, k: int, state_cap: int) -> None:
+def _proper_states(g: Graph, k: int, state_cap: int) -> np.ndarray:
+    """Properness mask over all k^n packed states, after checking k and the cap."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise InvalidInput(f"k must be an integer >= 1, got {k!r}")
     if k**g.n > state_cap:
         raise TooLarge(f"{k}^{g.n} states exceed the cap of {state_cap}")
+    return _kernels.proper_mask(g.n, k, g.edges())
 
 
 def bfs_distance(
@@ -47,14 +53,13 @@ def bfs_distance(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> int | None:
     """Fewest single-vertex recolorings from alpha to beta, None if unreachable."""
-    _guard(g, k, state_cap)
+    mask = _proper_states(g, k, state_cap)
     require_proper(g, alpha, k, "alpha")
     require_proper(g, beta, k, "beta")
     start = encode_coloring(alpha, k)
     goal = encode_coloring(beta, k)
     if start == goal:
         return 0
-    mask = _kernels.proper_mask(g.n, k, g.edges())
     dist = _kernels.bfs_levels(start, mask, g.n, k)
     d = int(dist[goal])
     return None if d < 0 else d
@@ -62,8 +67,7 @@ def bfs_distance(
 
 def reconfig_connected(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """True iff every proper k-coloring is reachable from every other."""
-    _guard(g, k, state_cap)
-    mask = _kernels.proper_mask(g.n, k, g.edges())
+    mask = _proper_states(g, k, state_cap)
     total = int(mask.sum())
     if total <= 1:
         return True
@@ -77,8 +81,7 @@ def reconfig_diameter(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> i
 
     Runs one search per proper state, so keep instances very small.
     """
-    _guard(g, k, state_cap)
-    mask = _kernels.proper_mask(g.n, k, g.edges())
+    mask = _proper_states(g, k, state_cap)
     sources = np.flatnonzero(mask)
     total = int(sources.size)
     if total == 0:

@@ -122,6 +122,8 @@ def test_bad_input_is_one_error_line(tmp_path, capsys):
     for argv in (
         ("oracle", "distance", "--graph", str(g), "--k", "3"),
         ("oracle", "distance", "--graph", str(g), "--alpha", str(c)),
+        ("oracle", "connected", "--graph", str(g), "--k", "0"),
+        ("oracle", "diameter", "--graph", str(g), "--k", "-1"),
         ("check", "--graph", str(bad), "--coloring", str(c)),
         recolor3 + ("--peo", str(short), "--out", str(tmp_path / "out.json")),
         recolor3 + ("--peo", str(dup), "--out", str(tmp_path / "out.json")),

@@ -51,9 +51,11 @@ def test_coloring_rejects_out_of_range():
 
 
 def test_graph_rejects_self_loop():
-    for edge in ((0, 0), (0, 5)):
+    for n, edges in ((2, [(0, 0)]), (2, [(0, 5)]), (-1, [])):
         with pytest.raises(InvalidInput):
-            Graph.from_edges(2, [edge])
+            Graph.from_edges(n, edges)
+    with pytest.raises(InvalidInput):
+        Graph.from_json({"n": -1, "edges": []})
 
 
 def test_gen_2tree_base_is_triangle():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +7,7 @@ from recolor import (
     Coloring,
     Graph,
     InvalidColoring,
+    InvalidInput,
     TooLarge,
     bfs_distance,
     decode_state,
@@ -19,6 +21,7 @@ from recolor import (
     reconfig_connected,
     reconfig_diameter,
 )
+from recolor import _kernels
 
 import helpers
 
@@ -145,3 +148,61 @@ def test_distance_never_exceeds_pipeline_length(n, seed):
     d = bfs_distance(g, 5, a, b)
     assert d is not None
     assert d <= len(seq.steps)
+
+
+def _code(colors, k):
+    return sum((c - 1) * k**v for v, c in enumerate(colors))
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 6))
+    if n < 3 or draw(st.booleans()):
+        return Graph.from_edges(n, [])
+    keep = draw(st.sampled_from((0.4, 0.7, 1.0)))
+    return gen_partial_2tree(n, keep, draw(st.integers(0, 10**5)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_graphs(), st.integers(1, 5), st.integers(0, 10**5))
+def test_kernels_match_brute_force(g, k, pick):
+    mask = _kernels.proper_mask(g.n, k, g.edges())
+    proper = helpers.proper_colorings(g, k)
+    want = np.zeros(k**g.n, dtype=bool)
+    want[[_code(c, k) for c in proper]] = True
+    assert mask.dtype == np.bool_ and mask.shape == (k**g.n,)
+    assert np.array_equal(mask, want)
+    if not proper:
+        return
+    src = proper[pick % len(proper)]
+    dist = _kernels.bfs_levels(_code(src, k), mask, g.n, k)
+    want = np.full(k**g.n, -1, dtype=np.int32)
+    for colors, d in helpers.naive_all_distances(g, k, src).items():
+        want[_code(colors, k)] = d
+    assert dist.dtype == np.int32 and np.array_equal(dist, want)
+
+
+@pytest.mark.parametrize("k", [0, -1, True])
+def test_oracle_rejects_bad_k(k):
+    a = Coloring(3, (1, 2, 1))
+    with pytest.raises(InvalidInput):
+        bfs_distance(P3, k, a, a)
+    with pytest.raises(InvalidInput):
+        reconfig_connected(P3, k)
+    with pytest.raises(InvalidInput):
+        reconfig_diameter(P3, k)
+
+
+def test_decode_state_rejects_bad_arguments():
+    for code, n, k in ((0, -1, 5), (-1, 3, 0), (-1, 3, 5), (10**9, 3, 5), (125, 3, 5)):
+        with pytest.raises(InvalidInput):
+            decode_state(code, n, k)
+    assert decode_state(124, 3, 5).colors == (5, 5, 5)
+
+
+def test_one_color_on_more_vertices_than_numpy_axes():
+    # k = 1 keeps 70 vertices at one state, past numpy's limit of 64 axes
+    g = Graph.from_edges(70, [])
+    assert reconfig_connected(g, 1)
+    assert reconfig_diameter(g, 1) == 0
+    assert _kernels.proper_mask(70, 1, [(3, 69)]).tolist() == [False]
