@@ -28,7 +28,6 @@ from .errors import (
     ImproperStep,
     InvalidColoring,
     InvalidDecomposition,
-    InvalidIndex,
     InvalidInput,
     InvalidSize,
     LiftFailure,
@@ -70,11 +69,9 @@ from .sequences import (
     AuditReport,
     RecoloringSequence,
     audit_best_choice,
-    caused_by,
     concatenate,
     restrict,
     reverse_sequence,
-    saved_steps,
     verify_sequence,
 )
 

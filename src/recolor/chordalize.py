@@ -130,6 +130,17 @@ def lift_sequence(
     Each merged step becomes one step per class member, ascending. The result
     is verified on g; failure means the inputs violated the merge contract.
     """
+    size = len(merge_map.classes)
+    if len(merge_map.to_merged) != g.n or len(seq_h.start.colors) != size:
+        raise LiftFailure(
+            f"merge map of {len(merge_map.to_merged)} vertices onto {size} classes "
+            f"does not fit a {g.n}-vertex graph and a "
+            f"{len(seq_h.start.colors)}-vertex merged sequence"
+        )
+    outside = [m for m in merge_map.to_merged if not 0 <= m < size]
+    outside += [m for m, _ in seq_h.steps if not 0 <= m < size]
+    if outside:
+        raise LiftFailure(f"merged vertex {outside[0]} is not one of {size} classes")
     lifted = _lift(seq_h, merge_map, g.n)
     try:
         verify_sequence(g, lifted)

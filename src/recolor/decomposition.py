@@ -5,20 +5,22 @@ after v in this ordering" (the out-neighborhood N+(v)). The ordering checks
 here, the greedy recoloring in `bestchoice` and the audit in `sequences` all
 read the table it returns instead of recomputing positions.
 
-Every choice here is lowest index first: among the vertices or bags that
-qualify, take the one with the smallest key and, on a tie, the smallest
-index. Each such choice pops a `heapq` of `(key, index)` entries. An item
-is pushed again whenever its key, or whether it qualifies, changes, so a
-popped entry whose key no longer matches, or whose item no longer
-qualifies, is stale and skipped. No loop rescans all vertices or bags to
-make a choice.
+Every choice here is lowest index first: among the vertices that qualify,
+take the one with the smallest key and, on a tie, the smallest index. Each
+such choice pops a `heapq`. A vertex is pushed again whenever its key, or
+whether it qualifies, changes, so a popped entry whose key no longer
+matches, or whose vertex no longer qualifies, is stale and skipped. No loop
+rescans all vertices to make a choice.
+
+`reduce_width2` reads its tree straight off the elimination: it keeps the
+inclusion-maximal elimination bags and folds each other bag into a child
+bag that holds it, comparing each bag only with its parent.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InvalidDecomposition, InvalidInput, NotPEO, NotWidth2, _json_loader
 from .graphs import Graph, _require_ordering_of
@@ -218,53 +220,6 @@ def validate_decomposition(g: Graph, td: TreeDecomposition, width: int = 2) -> N
             raise InvalidDecomposition(f"edge ({u}, {v}) is in no bag")
 
 
-def _prune_subset_bags(
-    bags: list[set[int]], tree_edges: list[tuple[int, int]]
-) -> tuple[tuple[frozenset[int], ...], tuple[tuple[int, int], ...]]:
-    """Contract tree edges whose endpoint bags are nested; keeps the tree valid.
-
-    Always contracts the lowest-index bag that is a subset of a tree
-    neighbour into its lowest-index such neighbour. Only a contraction
-    changes adjacency, and only that of the contracted bag's neighbours, so
-    those are the bags pushed again.
-    """
-    adj: list[set[int]] = [set() for _ in bags]
-    for i, j in tree_edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    alive = [True] * len(bags)
-    heap = list(range(len(bags)))
-    while heap:
-        i = heapq.heappop(heap)
-        # a contracted bag has no neighbours left, so it never qualifies again
-        into = min((j for j in adj[i] if bags[i] <= bags[j]), default=None)
-        if into is None:
-            continue
-        for x in adj[i]:
-            if x != into:
-                adj[x].discard(i)
-                adj[x].add(into)
-                adj[into].add(x)
-            heapq.heappush(heap, x)
-        adj[into].discard(i)
-        adj[i] = set()
-        alive[i] = False
-    index = {}
-    new_bags = []
-    for i, bag in enumerate(bags):
-        if alive[i]:
-            index[i] = len(new_bags)
-            new_bags.append(frozenset(bag))
-    new_edges = sorted(
-        {
-            (min(index[i], index[j]), max(index[i], index[j]))
-            for i in index
-            for j in adj[i]
-        }
-    )
-    return tuple(new_bags), tuple(new_edges)
-
-
 def reduce_width2(g: Graph) -> TreeDecomposition:
     """Width-<=2 tree decomposition via degree-<=2 elimination.
 
@@ -272,6 +227,12 @@ def reduce_width2(g: Graph) -> TreeDecomposition:
     the two neighbors of a degree-2 vertex when missing) and records the bag
     {v} + N(v) at elimination time. Stalling with all degrees >= 3 proves the
     treewidth exceeds 2.
+
+    Numbered from the last elimination back, bag i hangs below the bag of its
+    neighbour eliminated first, and bag 0 roots the tree. A bag's own vertex
+    lies only in the bags below it, so a bag inside another lies inside one of
+    its children; it is folded into the lowest-index such child. The result
+    keeps the inclusion-maximal bags in index order, joined by the folded tree.
     """
     adj = g.neighbor_sets()
     # degrees never rise, so each vertex enters the heap once, on reaching 2
@@ -298,22 +259,27 @@ def reduce_width2(g: Graph) -> TreeDecomposition:
     if not elim:
         return TreeDecomposition((frozenset(),), ())
 
-    bags: list[set[int]] = []
-    tree_edges: list[tuple[int, int]] = []
-    # each subset of at most 2 vertices of a bag -> the first bag holding it
-    first_holding: dict[tuple[int, ...], int] = {}
-    for v, nb in reversed(elim):
-        bag = set(nb) | {v}
-        if bags:
-            # the neighbors were eliminated later, so some existing bag holds them all
-            parent = first_holding.get(tuple(nb))
-            if parent is None:
-                raise AssertionError(f"no bag contains {nb}")
-            tree_edges.append((parent, len(bags)))
-        for r in range(3):
-            for sub in combinations(sorted(bag), r):
-                first_holding.setdefault(sub, len(bags))
-        bags.append(bag)
-
-    pruned_bags, pruned_edges = _prune_subset_bags(bags, tree_edges)
-    return TreeDecomposition(pruned_bags, pruned_edges)
+    order = elim[::-1]
+    index = [0] * g.n
+    for i, (v, _) in enumerate(order):
+        index[v] = i
+    bags = [frozenset((v, *nb)) for v, nb in order]
+    # the neighbour eliminated first still held the others, so its bag holds
+    # nb; bags with no neighbours hang below bag 0, which is its own parent
+    parent = [max((index[u] for u in nb), default=0) for _, nb in order]
+    # children come after their parent, so walking down sees every child of
+    # a bag, folded as far as it goes, before the bag itself
+    into = list(range(len(bags)))
+    for i in range(len(bags) - 1, -1, -1):
+        into[i] = into[into[i]]
+        if i and bags[parent[i]] <= bags[i]:
+            into[parent[i]] = i
+    kept = [i for i in range(len(bags)) if into[i] == i]
+    rank = {i: r for r, i in enumerate(kept)}
+    node = [rank[j] for j in into]
+    edges = {
+        (min(node[i], node[p]), max(node[i], node[p]))
+        for i, p in enumerate(parent)
+        if node[i] != node[p]
+    }
+    return TreeDecomposition(tuple(bags[i] for i in kept), tuple(sorted(edges)))

@@ -44,10 +44,6 @@ class LiftFailure(RecolorError):
     which means a precondition on the inputs was violated."""
 
 
-class InvalidIndex(RecolorError):
-    """A step index is out of range for the sequence."""
-
-
 class NoValidColor(RecolorError):
     """No color choice keeps the coloring proper (signals a caller bug)."""
 

@@ -18,7 +18,7 @@ from typing import Optional
 from .bestchoice import best_choice_recoloring
 from .chordalize import pipeline_theorem
 from .decomposition import degeneracy_order, mcs_order
-from .errors import RecolorError
+from .errors import InvalidInput, RecolorError
 from .graphs import (
     Graph,
     gen_2tree,
@@ -106,9 +106,7 @@ def _build_graph(config: ExperimentConfig, n: int, seed: int) -> Graph:
         return gen_chordal_omega3(n, seed)
     if config.family == "2tree":
         return gen_2tree(n, seed)
-    if config.family == "partial-2tree":
-        return gen_partial_2tree(n, config.keep_prob, seed)
-    raise ValueError(f"unknown family {config.family!r}")
+    return gen_partial_2tree(n, config.keep_prob, seed)
 
 
 def _measure(record: ExperimentRecord, seq) -> None:
@@ -173,6 +171,8 @@ def _job(args) -> list[ExperimentRecord]:
 
 
 def run_experiments(config: ExperimentConfig) -> list[ExperimentRecord]:
+    if config.family not in FAMILIES + ("explicit",):
+        raise InvalidInput(f"unknown family {config.family!r}")
     jobs = []
     records: list[ExperimentRecord] = []
     if config.family == "explicit":

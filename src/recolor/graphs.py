@@ -142,6 +142,8 @@ def gen_partial_2tree(n: int, keep_prob: float, seed: int) -> Graph:
     """
     if n < 3:
         raise InvalidSize(f"a partial 2-tree needs at least 3 vertices, got {n}")
+    if not 0 <= keep_prob <= 1:
+        raise InvalidInput(f"keep_prob must lie in [0, 1], got {keep_prob}")
     rng = random.Random(seed)
     base = _build_2tree(n, rng)
     kept = [e for e in base.edges() if rng.random() < keep_prob]

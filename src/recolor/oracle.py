@@ -42,6 +42,8 @@ def _proper_states(g: Graph, k: int, state_cap: int) -> np.ndarray:
         raise InvalidInput(f"k must be an integer >= 1, got {k!r}")
     if k**g.n > state_cap:
         raise TooLarge(f"{k}^{g.n} states exceed the cap of {state_cap}")
+    if k**g.n > np.iinfo(np.intp).max:
+        raise TooLarge(f"{k}^{g.n} states exceed numpy's largest array index")
     return _kernels.proper_mask(g.n, k, g.edges())
 
 
@@ -71,7 +73,7 @@ def reconfig_connected(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> 
     total = int(mask.sum())
     if total <= 1:
         return True
-    start = int(np.flatnonzero(mask)[0])
+    start = int(np.argmax(mask))
     dist = _kernels.bfs_levels(start, mask, g.n, k)
     return int((dist >= 0).sum()) == total
 

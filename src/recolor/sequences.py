@@ -5,10 +5,9 @@ step must change its vertex's color and every intermediate coloring must stay
 proper; `verify_sequence` enforces both. The audit checks the structural
 properties that every greedily built sequence from `bestchoice` satisfies:
 no immediate re-recoloring, a per-vertex count bound driven by saved steps,
-and color distinctness around tight alternation patterns. The audit,
-`saved_steps` and `caused_by` read each vertex's out-neighbors N+(v) from one
-`later_neighbors` table per call, and reject an ordering that gives any
-vertex more than two of them.
+and color distinctness around tight alternation patterns. The audit reads
+each vertex's out-neighbors N+(v) from one `later_neighbors` table per call,
+and rejects an ordering that gives any vertex more than two of them.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .errors import (
     ImproperStart,
     ImproperStep,
     InvalidColoring,
-    InvalidIndex,
     InvalidInput,
     NoOpStep,
     OmegaTooLarge,
@@ -110,17 +108,6 @@ def concatenate(parts: list[RecoloringSequence]) -> RecoloringSequence:
     return RecoloringSequence(parts[0].start, tuple(steps))
 
 
-def _replay_records(g: Graph, seq: RecoloringSequence) -> list[tuple[int, int, int]]:
-    """(vertex, old_color, new_color) per step, after validating the sequence."""
-    verify_sequence(g, seq)
-    cur = list(seq.start.colors)
-    records = []
-    for v, c in seq.steps:
-        records.append((v, cur[v], c))
-        cur[v] = c
-    return records
-
-
 def _out_neighbors(g: Graph, peo: EliminationOrdering) -> tuple[tuple[int, ...], ...]:
     """later_neighbors(g, peo), after checking no vertex has more than two."""
     outs = later_neighbors(g, peo)
@@ -128,24 +115,6 @@ def _out_neighbors(g: Graph, peo: EliminationOrdering) -> tuple[tuple[int, ...],
         if len(later) > 2:
             raise OmegaTooLarge(f"vertex {v} has {len(later)} later neighbors")
     return outs
-
-
-def caused_by(
-    seq: RecoloringSequence, peo: EliminationOrdering, g: Graph, step_index: int
-) -> Optional[int]:
-    """The out-neighbor recolored by the first later step touching N+(v), if any.
-
-    For sequences produced by the greedy extension, that step takes the color
-    the vertex just vacated, except possibly after its final step.
-    """
-    if not (0 <= step_index < len(seq.steps)):
-        raise InvalidIndex(f"step index {step_index} out of range")
-    v = seq.steps[step_index][0]
-    outs = set(_out_neighbors(g, peo)[v])
-    for w, _ in seq.steps[step_index + 1 :]:
-        if w in outs:
-            return w
-    return None
 
 
 def _saved_positions(trace: list[int], v: int) -> list[int]:
@@ -170,15 +139,6 @@ def _saved_positions(trace: list[int], v: int) -> list[int]:
         if untouched_before or untouched_after or two_clear:
             saved.append(i)
     return saved
-
-
-def saved_steps(
-    seq: RecoloringSequence, peo: EliminationOrdering, g: Graph, v: int
-) -> list[int]:
-    """Saved positions for v, as indices into restrict(seq, N+[v])."""
-    closed = set(_out_neighbors(g, peo)[v]) | {v}
-    trace = [w for w, _ in seq.steps if w in closed]
-    return _saved_positions(trace, v)
 
 
 RULE_REPEAT = "repeat-pattern"
@@ -247,7 +207,8 @@ def audit_best_choice(
     violations are collected into the report.
     """
     outs = _out_neighbors(g, peo)
-    records = _replay_records(g, seq)
+    verify_sequence(g, seq)
+    steps = seq.steps
     n = g.n
 
     # restricted step indices per closed out-neighborhood
@@ -257,12 +218,12 @@ def audit_best_choice(
         for w in outs[v]:
             member_of[w].append(v)
     restricted: list[list[int]] = [[] for _ in range(n)]
-    for t, (x, _, _) in enumerate(records):
+    for t, (x, _) in enumerate(steps):
         for v in member_of[x]:
             restricted[v].append(t)
 
     counts = [0] * n
-    for x, _, _ in records:
+    for x, _ in steps:
         counts[x] += 1
 
     violations: list[AuditViolationRecord] = []
@@ -276,7 +237,7 @@ def audit_best_choice(
     out_step_counts = [0] * n
     for v in range(n):
         idxs = restricted[v]
-        trace = [records[t][0] for t in idxs]
+        trace = [steps[t][0] for t in idxs]
         ell = len(trace)
 
         for i in range(ell - 1):
@@ -313,16 +274,19 @@ def audit_best_choice(
 
         if len(outs[v]) == 2:
             v_positions = [i for i, x in enumerate(trace) if x == v]
-            for p, q in zip(v_positions, v_positions[1:]):
+            for j, (p, q) in enumerate(zip(v_positions, v_positions[1:])):
                 between = trace[p + 1 : q]
                 if (
                     len(between) >= 2
                     and between[0] != between[1]
                     and all(x == between[1] for x in between[1:])
                 ):
-                    before = records[idxs[p]][1]
-                    mid = records[idxs[p]][2]
-                    after = records[idxs[q]][2]
+                    # v's color before step p was set by its previous step
+                    before = (
+                        steps[idxs[v_positions[j - 1]]][1] if j else seq.start.colors[v]
+                    )
+                    mid = steps[idxs[p]][1]
+                    after = steps[idxs[q]][1]
                     if len({before, mid, after}) != 3:
                         report(
                             v,

@@ -14,7 +14,6 @@ from recolor import (
     NoValidColor,
     audit_best_choice,
     best_choice_recoloring,
-    caused_by,
     gen_chordal_omega3,
     greedy_coloring,
     later_neighbors,
@@ -168,6 +167,7 @@ def test_insertions_are_caused_with_vacated_color():
     a = random_proper_coloring(g, peo, 5, 3)
     b = greedy_coloring(g, peo)
     seq = best_choice_recoloring(g, peo, a, b, 5)
+    later = later_neighbors(g, peo)
 
     cur = list(a.colors)
     last_step_of = {}
@@ -176,13 +176,10 @@ def test_insertions_are_caused_with_vacated_color():
     for t, (v, c) in enumerate(seq.steps):
         old = cur[v]
         if t != last_step_of[v]:
-            w = caused_by(seq, peo, g, t)
-            assert w is not None
-            nxt = next(
-                (s, col) for s, col in seq.steps[t + 1 :] if s in {w}
-            )  # first step of w after t
-            # the causing step takes the color v just vacated
-            assert nxt == (w, old)
+            # the causing step is the first later step touching N+(v), and it
+            # takes the color v just vacated
+            cause = next((s, col) for s, col in seq.steps[t + 1 :] if s in later[v])
+            assert cause[1] == old
         cur[v] = c
 
 

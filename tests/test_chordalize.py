@@ -149,6 +149,26 @@ def test_lift_failure_on_broken_map():
         lift_sequence(seq_h, merge_map, K3)
 
 
+def test_lift_failure_on_map_for_another_graph():
+    merge_map = MergeMap((0, 1, 0), ((0, 2), (1,)))
+    seq_h = RecoloringSequence(Coloring(5, (1, 2)), ((0, 3),))
+    k2 = Graph.from_edges(2, [(0, 1)])
+    with pytest.raises(LiftFailure, match="does not fit"):
+        lift_sequence(seq_h, merge_map, Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+    with pytest.raises(LiftFailure, match="does not fit"):
+        lift_sequence(RecoloringSequence(Coloring(5, (1, 2, 1)), ()), merge_map, P3)
+    with pytest.raises(LiftFailure, match="merged vertex 5 is not"):
+        lift_sequence(seq_h, MergeMap((0, 5), ((0,), (1,))), k2)
+
+
+def test_lift_failure_on_step_outside_classes():
+    merge_map = MergeMap((0, 1, 0), ((0, 2), (1,)))
+    for m in (2, -1):
+        seq_h = RecoloringSequence(Coloring(5, (1, 2)), ((0, 3), (m, 4)))
+        with pytest.raises(LiftFailure, match=f"merged vertex {m} "):
+            lift_sequence(seq_h, merge_map, P3)
+
+
 def test_two_phase_single_vertex_noop():
     g = Graph.from_edges(1, [])
     seq = two_phase_transform(g, Coloring(3, (3,)), Coloring(3, (3,)), 2, 5)

@@ -138,10 +138,22 @@ def test_bad_input_is_one_error_line(tmp_path, capsys):
          "--out", str(tmp_path / "out.json")),
         ("bench", "--family", "chordal-omega3", "--sizes", "a,b",
          "--out", str(tmp_path / "bench.csv")),
+        ("gen", "--family", "partial-2tree", "--n", "10", "--keep-prob", "2",
+         "--out", str(tmp_path / "gen.json")),
     ):
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidInput: ") and err.count("\n") == 1
+
+    # 5^30 states pass this cap but exceed numpy's largest array index
+    edgeless30 = tmp_path / "edgeless30.json"
+    _write(edgeless30, {"n": 30, "edges": []})
+    assert run(
+        "oracle", "connected", "--graph", str(edgeless30),
+        "--state-cap", "1000000000000000000000",
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: TooLarge: ") and err.count("\n") == 1
 
 
 def test_audit_exit_code_on_violation(tmp_path):

@@ -130,6 +130,44 @@ def test_reduce_width2_valid_on_partial_2trees(n, seed, tenths):
     validate_decomposition(g, td)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(3, 25), st.integers(0, 10), st.integers(0, 10**6)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, 4),
+    st.integers(0, 10**6),
+)
+def test_reduce_width2_keeps_only_maximal_bags(parts, isolated, seed):
+    # relabelled disjoint union of partial 2-trees plus isolated vertices
+    edges, n = [], 0
+    for size, tenths, part_seed in parts:
+        part = gen_partial_2tree(size, tenths / 10, part_seed)
+        edges += [(u + n, v + n) for u, v in part.edges()]
+        n += size
+    n += isolated
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    td = reduce_width2(g)
+    validate_decomposition(g, td)
+    for i, a in enumerate(td.bags):
+        assert not any(a <= b for j, b in enumerate(td.bags) if j != i)
+
+
+def test_reduce_width2_relabelled_fan():
+    # hub 4 joined to every vertex of the path 6-0-3-7-1-5-2, which the
+    # digest corpus never covers: its graphs are not relabelled
+    path = [6, 0, 3, 7, 1, 5, 2]
+    fan = Graph.from_edges(8, [(4, v) for v in path] + list(zip(path, path[1:])))
+    assert reduce_width2(fan).to_json() == {
+        "bags": [[3, 4, 7], [0, 3, 4], [0, 4, 6], [1, 4, 7], [1, 4, 5], [2, 4, 5]],
+        "tree_edges": [[0, 1], [0, 3], [1, 2], [3, 4], [4, 5]],
+    }
+
+
 def test_validator_catches_missing_edge():
     td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),))
     with pytest.raises(InvalidDecomposition, match=r"^edge \(0, 2\) is in no bag$"):

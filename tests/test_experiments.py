@@ -1,6 +1,15 @@
 import csv
 
-from recolor import ExperimentConfig, Graph, run_experiments, verify_sequence, write_csv
+import pytest
+
+from recolor import (
+    ExperimentConfig,
+    Graph,
+    InvalidInput,
+    run_experiments,
+    verify_sequence,
+    write_csv,
+)
 from recolor import bestchoice, chordalize, experiments
 from recolor.experiments import CSV_COLUMNS, has_violations
 
@@ -60,6 +69,12 @@ def test_one_replay_per_batch_instance(monkeypatch):
     records = run_experiments(config)
     assert [rec.status for rec in records] == ["ok", "ok"]
     assert len(calls) == 2  # one pipeline_theorem replay per direction
+
+
+def test_unknown_family_rejected_up_front():
+    config = ExperimentConfig(family="3tree", sizes=(8,), seeds=(0,))
+    with pytest.raises(InvalidInput, match="unknown family '3tree'"):
+        run_experiments(config)
 
 
 def test_injected_k4_recorded_not_fatal():

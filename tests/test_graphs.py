@@ -99,6 +99,12 @@ def test_gen_partial_2tree_keep_none():
     assert g.num_edges() == 0 and g.n == 10
 
 
+@pytest.mark.parametrize("keep_prob", [2.0, -0.1, float("nan")])
+def test_gen_partial_2tree_rejects_bad_keep_prob(keep_prob):
+    with pytest.raises(InvalidInput, match="keep_prob"):
+        gen_partial_2tree(10, keep_prob, 5)
+
+
 def test_gen_partial_2tree_accepted_by_reduction():
     from recolor import reduce_width2, validate_decomposition
 

@@ -193,6 +193,19 @@ def test_oracle_rejects_bad_k(k):
         reconfig_diameter(P3, k)
 
 
+def test_oracle_rejects_states_beyond_numpy_indexing():
+    # 5^30 states fit under the cap but not in one numpy array
+    g = Graph.from_edges(30, [])
+    a = Coloring(5, (1,) * 30)
+    cap = 10**21
+    with pytest.raises(TooLarge, match=r"5\^30 states exceed numpy"):
+        bfs_distance(g, 5, a, a, cap)
+    with pytest.raises(TooLarge, match=r"5\^30 states exceed numpy"):
+        reconfig_connected(g, 5, cap)
+    with pytest.raises(TooLarge, match=r"5\^30 states exceed numpy"):
+        reconfig_diameter(g, 5, cap)
+
+
 def test_decode_state_rejects_bad_arguments():
     for code, n, k in ((0, -1, 5), (-1, 3, 0), (-1, 3, 5), (10**9, 3, 5), (125, 3, 5)):
         with pytest.raises(InvalidInput):

@@ -11,7 +11,6 @@ from recolor import (
     Graph,
     ImproperStart,
     ImproperStep,
-    InvalidIndex,
     InvalidInput,
     MergeMap,
     NoOpStep,
@@ -20,7 +19,6 @@ from recolor import (
     TreeDecomposition,
     audit_best_choice,
     best_choice_recoloring,
-    caused_by,
     concatenate,
     gen_chordal_omega3,
     greedy_coloring,
@@ -28,7 +26,6 @@ from recolor import (
     random_proper_coloring,
     restrict,
     reverse_sequence,
-    saved_steps,
     verify_sequence,
 )
 
@@ -94,45 +91,23 @@ def test_restrict_counts_partition_total():
     assert sum(len(restrict(s, {v})) for v in range(g.n)) == len(s.steps)
 
 
-def test_caused_by_next_out_neighbor_step():
-    s = seq_of(3, (1, 2), [(0, 3), (1, 1), (0, 2)])
-    assert caused_by(s, PEO01, K2, 0) == 1
-
-
-def test_caused_by_none_after_last_step():
-    s = seq_of(3, (1, 2), [(0, 3), (1, 1), (0, 2)])
-    assert caused_by(s, PEO01, K2, 2) is None
-
-
-def test_caused_by_none_for_peo_last_vertex():
-    s = seq_of(3, (1, 2), [(1, 3), (0, 2)])
-    assert caused_by(s, PEO01, K2, 0) is None
-
-
-def test_caused_by_bad_index():
-    s = seq_of(3, (1, 2), [])
-    with pytest.raises(InvalidIndex):
-        caused_by(s, PEO01, K2, 0)
-
-
 def test_saved_steps_all_saved_when_vertex_untouched():
     # v=0 never recolored: every out-neighbor step is saved
     s = seq_of(5, (1, 2), [(1, 3), (1, 4), (1, 5)])
-    assert saved_steps(s, PEO01, K2, 0) == [0, 1, 2]
+    assert audit_best_choice(s, PEO01, K2, strict=False).saved[0] == 3
 
 
 def test_saved_steps_trace_v_w_w_w():
     # restricted trace v,w,w,w: w-steps saved via the no-later-step rule,
     # the last one also via the two-clear-predecessors rule
     s = seq_of(5, (1, 2), [(0, 3), (1, 4), (1, 5), (1, 2)])
-    assert saved_steps(s, PEO01, K2, 0) == [1, 2, 3]
+    assert audit_best_choice(s, PEO01, K2, strict=False).saved[0] == 3
 
 
 def test_saved_steps_alternation_never_saved():
     # restricted trace v,w,v,w,v
     s = seq_of(5, (1, 2), [(0, 3), (1, 4), (0, 1), (1, 5), (0, 2)])
-    verify_sequence(K2, s)
-    assert saved_steps(s, PEO01, K2, 0) == []
+    assert audit_best_choice(s, PEO01, K2, strict=False).saved[0] == 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -143,8 +118,9 @@ def test_saved_steps_matches_definition_oracle(n, seed):
     a = random_proper_coloring(g, peo, 5, seed + 1)
     b = greedy_coloring(g, peo)
     s = best_choice_recoloring(g, peo, a, b, 5)
+    report = audit_best_choice(s, peo, g)
     for v in range(g.n):
-        assert saved_steps(s, peo, g, v) == helpers.saved_positions_oracle(s, peo, g, v)
+        assert report.saved[v] == len(helpers.saved_positions_oracle(s, peo, g, v))
 
 
 def test_audit_empty_sequence_clean():
