@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -212,3 +215,63 @@ def test_reverse_of_generated_sequences(n, seed):
     s = best_choice_recoloring(g, peo, a, b, 5)
     back = reverse_sequence(s)
     assert verify_sequence(g, back).colors == a.colors
+
+
+def _random_walk(g, start, length, rng):
+    """A valid sequence of up to `length` random proper recolorings from start."""
+    cur = list(start.colors)
+    steps = []
+    for _ in range(length):
+        v = rng.randrange(g.n)
+        free = [
+            c
+            for c in range(1, start.k + 1)
+            if c != cur[v] and all(cur[w] != c for w in g.adjacency[v])
+        ]
+        if free:
+            cur[v] = rng.choice(free)
+            steps.append((v, cur[v]))
+    return RecoloringSequence(start, tuple(steps))
+
+
+def _audit_corpus():
+    """(sequence, ordering, graph) triples: best-choice outputs, which pass the
+    audit, and random walks, which are valid but break its rules."""
+    rng = random.Random(8)
+    for n in range(1, 41):
+        g = gen_chordal_omega3(n, n)
+        peo = mcs_order(g)
+        a = random_proper_coloring(g, peo, 5, n + 1)
+        b = random_proper_coloring(g, peo, 5, n + 2)
+        yield best_choice_recoloring(g, peo, a, b, 5), peo, g
+        for k in (5, 6):
+            start = random_proper_coloring(g, peo, k, n + k)
+            yield _random_walk(g, start, 4 * n, rng), peo, g
+    for n in range(2, 5):
+        for seed in range(8):
+            g = gen_chordal_omega3(n, seed)
+            peo = mcs_order(g)
+            start = random_proper_coloring(g, peo, 5, seed)
+            for length in range(13):
+                yield _random_walk(g, start, length, rng), peo, g
+
+
+# SHA-256 of every report (strict=False) and strict=True message on the corpus
+# above; a change to any count, saved total, violation or message breaks it.
+AUDIT_DIGEST = "174e78107ff17996b681f51ee032c9328514e14af198c7c8e396f1c8ab06567c"
+
+
+def test_audit_reports_match_recorded_digest():
+    digest = hashlib.sha256()
+    rules = Counter()
+    for seq, peo, g in _audit_corpus():
+        report = audit_best_choice(seq, peo, g, strict=False)
+        rules.update(v.rule for v in report.violations)
+        digest.update(json.dumps(report.to_json()).encode())
+        try:
+            audit_best_choice(seq, peo, g)
+            digest.update(b"clean")
+        except AuditViolation as err:
+            digest.update(str(err).encode())
+    assert set(rules) == {"repeat-pattern", "count-bound", "color-distinctness"}
+    assert digest.hexdigest() == AUDIT_DIGEST
