@@ -82,6 +82,9 @@ class AuditViolation(RecolorError):
         self.index = index
         self.detail = detail
 
+    def to_json(self) -> dict:
+        return {"vertex": self.vertex, "rule": self.rule, "index": self.index, "detail": self.detail}
+
 
 def _json_loader(load):
     """Make a from_json raise InvalidInput for a malformed dict.

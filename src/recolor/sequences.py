@@ -8,11 +8,18 @@ no immediate re-recoloring, a per-vertex count bound driven by saved steps,
 and color distinctness around tight alternation patterns. The audit reads
 each vertex's out-neighbors N+(v) from one `later_neighbors` table per call,
 and rejects an ordering that gives any vertex more than two of them.
+
+Every audit rule is read off the gaps between consecutive steps of v in its
+restriction, the steps of v and N+(v) in sequence order. An out-neighbor step
+is saved unless it is one of the first two after a step of v that is not v's
+last step: of the g out-neighbor steps between two consecutive steps of v,
+min(g, 2) are unsaved, and every other out-neighbor step is saved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Iterable, Optional
 
 from .decomposition import EliminationOrdering, later_neighbors
@@ -117,49 +124,9 @@ def _out_neighbors(g: Graph, peo: EliminationOrdering) -> tuple[tuple[int, ...],
     return outs
 
 
-def _saved_positions(trace: list[int], v: int) -> list[int]:
-    """Indices of the restricted trace that are saved for v.
-
-    A position recoloring an out-neighbor is saved when v is untouched up to
-    it, untouched after it, or the two immediately preceding restricted steps
-    both avoid v (both must exist).
-    """
-    first_v = next((i for i, x in enumerate(trace) if x == v), None)
-    last_v = None
-    for i, x in enumerate(trace):
-        if x == v:
-            last_v = i
-    saved = []
-    for i, x in enumerate(trace):
-        if x == v:
-            continue
-        untouched_before = first_v is None or i < first_v
-        untouched_after = last_v is None or i > last_v
-        two_clear = i >= 2 and trace[i - 1] != v and trace[i - 2] != v
-        if untouched_before or untouched_after or two_clear:
-            saved.append(i)
-    return saved
-
-
 RULE_REPEAT = "repeat-pattern"
 RULE_BOUND = "count-bound"
 RULE_DISTINCT = "color-distinctness"
-
-
-@dataclass(frozen=True)
-class AuditViolationRecord:
-    vertex: int
-    rule: str
-    index: Optional[int]
-    detail: str
-
-    def to_json(self) -> dict:
-        return {
-            "vertex": self.vertex,
-            "rule": self.rule,
-            "index": self.index,
-            "detail": self.detail,
-        }
 
 
 @dataclass(frozen=True)
@@ -169,7 +136,7 @@ class AuditReport:
     counts: tuple[int, ...]
     saved: tuple[int, ...]
     out_steps: tuple[int, ...]
-    violations: tuple[AuditViolationRecord, ...] = field(default=())
+    violations: tuple[AuditViolation, ...] = field(default=())
 
     @property
     def clean(self) -> bool:
@@ -211,56 +178,47 @@ def audit_best_choice(
     steps = seq.steps
     n = g.n
 
-    # restricted step indices per closed out-neighborhood
-    member_of: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        member_of[v].append(v)
-        for w in outs[v]:
-            member_of[w].append(v)
-    restricted: list[list[int]] = [[] for _ in range(n)]
+    at: list[list[int]] = [[] for _ in range(n)]
     for t, (x, _) in enumerate(steps):
-        for v in member_of[x]:
-            restricted[v].append(t)
+        at[x].append(t)
+    counts = [len(ts) for ts in at]
 
-    counts = [0] * n
-    for x, _ in steps:
-        counts[x] += 1
-
-    violations: list[AuditViolationRecord] = []
+    violations: list[AuditViolation] = []
 
     def report(vertex: int, rule: str, index: Optional[int], detail: str):
+        violation = AuditViolation(vertex, rule, index, detail)
         if strict:
-            raise AuditViolation(vertex, rule, index, detail)
-        violations.append(AuditViolationRecord(vertex, rule, index, detail))
+            raise violation
+        violations.append(violation)
 
     saved_counts = [0] * n
     out_step_counts = [0] * n
     for v in range(n):
-        idxs = restricted[v]
+        idxs = sorted(at[v] + [t for w in outs[v] for t in at[w]])
         trace = [steps[t][0] for t in idxs]
         ell = len(trace)
+        # consecutive positions (p, q) of v in the restriction
+        pairs = list(pairwise(i for i, x in enumerate(trace) if x == v))
 
-        for i in range(ell - 1):
-            if trace[i] == v and trace[i + 1] == v:
+        for p, q in pairs:
+            if q == p + 1:
                 report(
                     v,
                     RULE_REPEAT,
-                    idxs[i + 1],
+                    idxs[q],
                     "vertex recolored twice in a row within its closed out-neighborhood",
                 )
-        for i in range(ell - 2):
-            if trace[i] == v and trace[i + 1] != v and trace[i + 2] == v:
-                if i != ell - 3:
-                    report(
-                        v,
-                        RULE_REPEAT,
-                        idxs[i + 2],
-                        "alternation v,w,v occurs before the end of the restriction",
-                    )
+        for p, q in pairs:
+            if q == p + 2 and p != ell - 3:
+                report(
+                    v,
+                    RULE_REPEAT,
+                    idxs[q],
+                    "alternation v,w,v occurs before the end of the restriction",
+                )
 
-        saved = _saved_positions(trace, v)
-        r = len(saved)
-        m = sum(counts[w] for w in outs[v])
+        m = ell - counts[v]
+        r = m - sum(min(q - p - 1, 2) for p, q in pairs)
         saved_counts[v] = r
         out_step_counts[v] = m
         # counts[v] <= 1 + ceil((m - r)/2), scaled by 2 to stay in integers
@@ -273,20 +231,16 @@ def audit_best_choice(
             )
 
         if len(outs[v]) == 2:
-            v_positions = [i for i, x in enumerate(trace) if x == v]
-            for j, (p, q) in enumerate(zip(v_positions, v_positions[1:])):
+            colors = [seq.start.colors[v]] + [steps[t][1] for t in at[v]]
+            for j, (p, q) in enumerate(pairs):
                 between = trace[p + 1 : q]
                 if (
                     len(between) >= 2
                     and between[0] != between[1]
                     and all(x == between[1] for x in between[1:])
                 ):
-                    # v's color before step p was set by its previous step
-                    before = (
-                        steps[idxs[v_positions[j - 1]]][1] if j else seq.start.colors[v]
-                    )
-                    mid = steps[idxs[p]][1]
-                    after = steps[idxs[q]][1]
+                    # v's colors before, between and after its steps at p and q
+                    before, mid, after = colors[j : j + 3]
                     if len({before, mid, after}) != 3:
                         report(
                             v,
