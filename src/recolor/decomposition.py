@@ -182,36 +182,29 @@ def validate_decomposition(g: Graph, td: TreeDecomposition, width: int = 2) -> N
             raise InvalidDecomposition(f"bad tree edge ({i}, {j})")
         nbrs[i].append(j)
         nbrs[j].append(i)
-    seen = [False] * nodes
+    parent = [-1] * nodes
+    parent[0] = 0
     stack = [0]
-    seen[0] = True
     while stack:
         x = stack.pop()
         for y in nbrs[x]:
-            if not seen[y]:
-                seen[y] = True
+            if parent[y] < 0:
+                parent[y] = x
                 stack.append(y)
-    if not all(seen):
+    if min(parent) < 0:
         raise InvalidDecomposition("tree is not connected")
 
-    # every vertex appears, and its set of nodes induces a subtree
-    holding: list[list[int]] = [[] for _ in range(g.n)]
+    # a vertex's bags form a subtree iff exactly one of them (its top) is the
+    # root or hangs below a bag without the vertex
+    tops = [0] * g.n
     for idx, bag in enumerate(td.bags):
         for v in bag:
-            holding[v].append(idx)
-    for v in range(g.n):
-        if not holding[v]:
+            if idx == 0 or v not in td.bags[parent[idx]]:
+                tops[v] += 1
+    for v, top in enumerate(tops):
+        if top == 0:
             raise InvalidDecomposition(f"vertex {v} is in no bag")
-        members = set(holding[v])
-        reach = {holding[v][0]}
-        stack = [holding[v][0]]
-        while stack:
-            x = stack.pop()
-            for y in nbrs[x]:
-                if y in members and y not in reach:
-                    reach.add(y)
-                    stack.append(y)
-        if reach != members:
+        if top > 1:
             raise InvalidDecomposition(f"bags containing vertex {v} are not connected")
 
     covered = {(u, v) for bag in td.bags for u in bag for v in bag if u < v}

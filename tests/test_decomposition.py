@@ -184,6 +184,29 @@ def test_validator_catches_disconnected_vertex_set():
         validate_decomposition(K3, td)
 
 
+def test_validator_names_vertex_with_disconnected_bags():
+    # path 0-1-2-3 rooted at bag 0: vertex 3 tops bags 1 and 3, not bag 2
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    td = TreeDecomposition(
+        (frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({2}), frozenset({2, 3})),
+        ((0, 1), (1, 2), (2, 3)),
+    )
+    with pytest.raises(
+        InvalidDecomposition, match=r"^bags containing vertex 3 are not connected$"
+    ):
+        validate_decomposition(path, td)
+
+
+def test_validator_names_first_vertex_in_no_bag():
+    # vertex 1 is in no bag; vertex 2's bags are not connected, but 1 comes first
+    g = Graph.from_edges(4, [])
+    td = TreeDecomposition(
+        (frozenset({0, 2}), frozenset({3}), frozenset({2})), ((0, 1), (1, 2))
+    )
+    with pytest.raises(InvalidDecomposition, match=r"^vertex 1 is in no bag$"):
+        validate_decomposition(g, td)
+
+
 def test_validator_catches_oversized_bag():
     td = TreeDecomposition((frozenset({0, 1, 2, 3}),), ())
     with pytest.raises(InvalidDecomposition):
