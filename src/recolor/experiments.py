@@ -3,7 +3,9 @@
 Each instance is transformed in both directions; sequences are verified,
 audited where the direct greedy algorithm was used, and cross-checked
 against the exhaustive search when the state space fits under the cap.
-Per-instance failures are recorded as rows, not raised.
+Per-instance failures are recorded as rows, not raised. Every graph is built
+before any instance runs, so a generator's rejection of the requested sizes
+or parameters raises before the batch does any work.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import csv
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .bestchoice import best_choice_recoloring
@@ -31,23 +33,6 @@ from .oracle import DEFAULT_STATE_CAP, bfs_distance
 from .sequences import audit_best_choice
 
 CSV_SCHEMA_VERSION = 1
-
-CSV_COLUMNS = [
-    "schema_version",
-    "family",
-    "instance_id",
-    "n",
-    "k",
-    "seed",
-    "direction",
-    "status",
-    "seq_len",
-    "max_per_vertex",
-    "saved_total",
-    "bfs_distance",
-    "runtime_sec",
-    "detail",
-]
 
 FAMILIES = ("chordal-omega3", "2tree", "partial-2tree")
 
@@ -83,22 +68,12 @@ class ExperimentRecord:
     detail: str = ""
 
     def row(self) -> list:
-        return [
-            CSV_SCHEMA_VERSION,
-            self.family,
-            self.instance_id,
-            self.n,
-            self.k,
-            self.seed,
-            self.direction,
-            self.status,
-            "" if self.seq_len is None else self.seq_len,
-            "" if self.max_per_vertex is None else self.max_per_vertex,
-            "" if self.saved_total is None else self.saved_total,
-            "" if self.bfs_distance is None else self.bfs_distance,
-            f"{self.runtime_sec:.6f}",
-            self.detail,
-        ]
+        cells = {f.name: getattr(self, f.name) for f in fields(self)}
+        cells["runtime_sec"] = f"{self.runtime_sec:.6f}"
+        return [CSV_SCHEMA_VERSION] + ["" if x is None else x for x in cells.values()]
+
+
+CSV_COLUMNS = ["schema_version"] + [f.name for f in fields(ExperimentRecord)]
 
 
 def _build_graph(config: ExperimentConfig, n: int, seed: int) -> Graph:
@@ -181,22 +156,7 @@ def run_experiments(config: ExperimentConfig) -> list[ExperimentRecord]:
     else:
         for n in config.sizes:
             for seed in config.seeds:
-                try:
-                    g = _build_graph(config, n, seed)
-                except RecolorError as exc:
-                    records.append(
-                        ExperimentRecord(
-                            family=config.family,
-                            instance_id=f"{config.family}-n{n}-s{seed}",
-                            n=n,
-                            k=config.k,
-                            seed=seed,
-                            direction="forward",
-                            status=type(exc).__name__,
-                            detail=str(exc),
-                        )
-                    )
-                    continue
+                g = _build_graph(config, n, seed)
                 jobs.append((config, f"{config.family}-n{n}-s{seed}", g, seed))
 
     if config.jobs > 1:

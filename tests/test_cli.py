@@ -181,6 +181,19 @@ def test_bench_writes_csv(tmp_path):
     assert rows[0][0] == "schema_version"
 
 
+def test_bench_rejects_bad_generator_request(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    for args, error in (
+        (("--family", "2tree", "--sizes", "2", "--seeds", "1"), "InvalidSize"),
+        (("--family", "partial-2tree", "--sizes", "6", "--keep-prob", "2"), "InvalidInput"),
+    ):
+        assert run("bench", *args, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {error}: ") and captured.err.count("\n") == 1
+        assert "violations found" not in captured.out + captured.err
+        assert not out.exists()
+
+
 def test_gen_rejects_bad_size(tmp_path):
     out = tmp_path / "g.json"
     assert run("gen", "--family", "2tree", "--n", "2", "--out", str(out)) == 1
