@@ -17,6 +17,10 @@ from .errors import InvalidColoring, InvalidInput, InvalidSize, NotEnoughColors,
 if TYPE_CHECKING:
     from .decomposition import EliminationOrdering
 
+# Largest n a JSON graph may declare, about ten times the largest n measured
+# here; checked before anything is allocated. Graph.from_edges takes any n.
+MAX_JSON_VERTICES = 10**6
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -62,7 +66,10 @@ class Graph:
     @staticmethod
     @_json_loader
     def from_json(obj: dict) -> "Graph":
-        return Graph.from_edges(int(obj["n"]), [(int(u), int(v)) for u, v in obj["edges"]])
+        n = int(obj["n"])
+        if n > MAX_JSON_VERTICES:
+            raise InvalidInput(f"graph declares {n} vertices, above {MAX_JSON_VERTICES}")
+        return Graph.from_edges(n, [(int(u), int(v)) for u, v in obj["edges"]])
 
 
 @dataclass(frozen=True)

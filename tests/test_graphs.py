@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +58,13 @@ def test_graph_rejects_self_loop():
             Graph.from_edges(n, edges)
     with pytest.raises(InvalidInput):
         Graph.from_json({"n": -1, "edges": []})
+
+
+def test_graph_json_rejects_huge_n_before_allocating():
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput, match=r"declares 1000000000 vertices, above 1000000"):
+        Graph.from_json({"n": 10**9, "edges": []})
+    assert time.perf_counter() - start < 1.0
 
 
 def test_gen_2tree_base_is_triangle():
