@@ -27,12 +27,33 @@ def proper_mask(n: int, k: int, edges) -> np.ndarray:
     return mask
 
 
+def _rewrites(frontier: np.ndarray, n: int, k: int):
+    """Every code one digit away from a frontier code, or equal to it.
+
+    Yields one array per (vertex, colour) batch, n*k batches in all; each
+    rewrites the vertex's digit of every frontier code to that colour.
+    """
+    for pv in k ** np.arange(n, dtype=np.int64):
+        base = frontier - ((frontier // pv) % k) * pv
+        for d in range(k):
+            yield base + d * pv
+
+
+def _union(parts: list) -> np.ndarray:
+    """Sorted union of the batches of one level.
+
+    One batch can reach a state from several frontier states, so sort and drop
+    repeats (numpy 2.4's np.unique took about 20 times as long).
+    """
+    codes = np.sort(np.concatenate(parts))
+    return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+
+
 def bfs_levels(start: int, proper: np.ndarray, n: int, k: int) -> np.ndarray:
     """BFS over proper states reachable from `start` by single-digit changes.
 
     Returns the distance to every state, -1 where unreachable.
     """
-    pows = k ** np.arange(n, dtype=np.int64)
     dist = np.full(proper.shape[0], -1, dtype=np.int32)
     dist[start] = 0
     # proper and not yet reached: one gather per (vertex, colour) batch, and a
@@ -44,19 +65,54 @@ def bfs_levels(start: int, proper: np.ndarray, n: int, k: int) -> np.ndarray:
     while True:
         level += 1
         parts = []
-        for v in range(n):
-            pv = pows[v]
-            base = frontier - ((frontier // pv) % k) * pv
-            for d in range(k):
-                cand = base + d * pv
-                cand = cand[fresh[cand]]
-                if cand.size:
-                    fresh[cand] = False
-                    parts.append(cand)
+        for cand in _rewrites(frontier, n, k):
+            cand = cand[fresh[cand]]
+            if cand.size:
+                fresh[cand] = False
+                parts.append(cand)
         if not parts:
             return dist
-        # one batch can reach a state from several frontier states; sort and
-        # drop repeats (numpy 2.4's np.unique took about 20 times as long)
-        frontier = np.sort(np.concatenate(parts))
-        frontier = frontier[np.concatenate(([True], frontier[1:] != frontier[:-1]))]
+        frontier = _union(parts)
         dist[frontier] = level
+
+
+def bfs_meet(start: int, goal: int, proper: np.ndarray, n: int, k: int) -> int | None:
+    """Distance from `start` to `goal` over proper states, None if unreachable.
+
+    Grows a ball around each endpoint one whole level at a time, always the
+    side with the smaller frontier, and stops at the first candidate the other
+    side has reached. One int8 `mark` array holds -1 for improper states, 0 for
+    unseen ones, 1 for states reached from `start` and 2 for states reached
+    from `goal`.
+
+    Exactness: let the balls have radii a and b. Before each expansion they
+    are disjoint, so the distance is more than a + b (a shortest path would
+    have a state within a of `start` and within b of `goal`). Growing one side
+    from level a to a + 1 and meeting a state of the other ball proves the
+    distance is at most a + b + 1, so the first meeting gives it exactly. A
+    level that reaches nothing new means that side's whole component has been
+    searched without touching the other endpoint.
+    """
+    if start == goal:
+        return 0
+    mark = proper.view(np.int8) - 1
+    mark[start] = 1
+    mark[goal] = 2
+    fronts = {1: np.array([start], dtype=np.int64), 2: np.array([goal], dtype=np.int64)}
+    depth = {1: 0, 2: 0}
+    while True:
+        side = 1 if fronts[1].size <= fronts[2].size else 2
+        other = 3 - side
+        parts = []
+        for cand in _rewrites(fronts[side], n, k):
+            seen = mark[cand]
+            if (seen == other).any():
+                return depth[1] + depth[2] + 1
+            cand = cand[seen == 0]
+            if cand.size:
+                mark[cand] = side
+                parts.append(cand)
+        if not parts:
+            return None
+        fronts[side] = _union(parts)
+        depth[side] += 1

@@ -4,6 +4,11 @@ States are proper colorings; two states are adjacent when they differ on
 exactly one vertex. Everything here enumerates the full state space, so a
 cap guards against accidental blow-ups. Intended for small instances used to
 cross-validate the constructive transformations.
+
+`bfs_distance` needs one distance, so it grows a ball around each endpoint
+and stops where the two balls meet (`_kernels.bfs_meet`). `reconfig_connected`
+and `reconfig_diameter` need every distance from a source and run full
+searches (`_kernels.bfs_levels`).
 """
 
 from __future__ import annotations
@@ -58,13 +63,7 @@ def bfs_distance(
     mask = _proper_states(g, k, state_cap)
     require_proper(g, alpha, k, "alpha")
     require_proper(g, beta, k, "beta")
-    start = encode_coloring(alpha, k)
-    goal = encode_coloring(beta, k)
-    if start == goal:
-        return 0
-    dist = _kernels.bfs_levels(start, mask, g.n, k)
-    d = int(dist[goal])
-    return None if d < 0 else d
+    return _kernels.bfs_meet(encode_coloring(alpha, k), encode_coloring(beta, k), mask, g.n, k)
 
 
 def reconfig_connected(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> bool:
@@ -81,13 +80,20 @@ def reconfig_connected(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> 
 def reconfig_diameter(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> int | None:
     """Largest pairwise distance between proper k-colorings; None if disconnected.
 
-    Runs one search per proper state, so keep instances very small.
+    Every permutation of the colours is an automorphism of the state graph, so
+    all states of one orbit have the same eccentricity. One search runs per
+    orbit, from its state whose colours first appear in the order 1, 2, 3, ...
+    (digit[v] <= max(digit[:v]) + 1); a disconnected space is caught by the
+    first. Keep instances very small.
     """
     mask = _proper_states(g, k, state_cap)
-    sources = np.flatnonzero(mask)
-    total = int(sources.size)
+    codes = np.flatnonzero(mask)
+    total = int(codes.size)
     if total == 0:
         return None
+    digits = (codes[:, None] // k ** np.arange(g.n, dtype=np.int64)) % k
+    top = np.maximum.accumulate(digits, axis=1)
+    sources = codes[(np.diff(top, axis=1, prepend=-1) <= 1).all(axis=1)]
     best = 0
     for src in sources:
         dist = _kernels.bfs_levels(int(src), mask, g.n, k)

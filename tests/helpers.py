@@ -67,6 +67,18 @@ def naive_all_distances(g: Graph, k: int, source):
     return dist
 
 
+def naive_diameter(g: Graph, k: int):
+    """Largest all-pairs distance by one dict BFS per proper coloring; None if disconnected."""
+    states = proper_colorings(g, k)
+    best = 0 if states else None
+    for src in states:
+        dist = naive_all_distances(g, k, src)
+        if len(dist) != len(states):
+            return None
+        best = max(best, max(dist.values()))
+    return best
+
+
 def brute_is_chordal(g: Graph) -> bool:
     """No vertex subset of size >= 4 induces a cycle. Exponential; n <= 10."""
     adj = g.neighbor_sets()

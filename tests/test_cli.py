@@ -62,14 +62,20 @@ def test_check_flags_improper_coloring(tmp_path):
     assert run("check", "--graph", str(g), "--coloring", str(c)) == 1
 
 
-def test_pipeline_and_oracle(tmp_path):
+def test_pipeline_and_oracle(tmp_path, capsys):
     g = tmp_path / "g.json"
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     seq = tmp_path / "seq.json"
+    k3 = tmp_path / "k3.json"
+    rainbow = tmp_path / "rainbow.json"
+    shifted = tmp_path / "shifted.json"
     _write(g, {"n": 3, "edges": [[0, 1], [1, 2]]})
     _write(a, {"k": 5, "colors": [1, 2, 1]})
     _write(b, {"k": 5, "colors": [2, 1, 2]})
+    _write(k3, {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]})
+    _write(rainbow, {"k": 3, "colors": [1, 2, 3]})
+    _write(shifted, {"k": 3, "colors": [2, 3, 1]})
     assert run(
         "pipeline", "--graph", str(g), "--alpha", str(a), "--beta", str(b),
         "--out", str(seq),
@@ -83,6 +89,21 @@ def test_pipeline_and_oracle(tmp_path):
     ) == 0
     assert run("oracle", "connected", "--graph", str(g), "--k", "3") == 0
     assert run("oracle", "diameter", "--graph", str(g), "--k", "3") == 0
+    # rainbow colorings of K3 at k = 3 are frozen
+    for argv in (
+        ("distance", "--graph", str(k3), "--k", "3", "--alpha", str(rainbow),
+         "--beta", str(shifted)),
+        ("distance", "--graph", str(k3), "--k", "3", "--alpha", str(rainbow),
+         "--beta", str(rainbow)),
+        ("connected", "--graph", str(k3), "--k", "3"),
+        ("diameter", "--graph", str(k3), "--k", "3"),
+        ("diameter", "--graph", str(k3), "--k", "4"),
+    ):
+        assert run("oracle", *argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-8:] == [
+        "4", "connected", "4", "unreachable", "0", "disconnected", "disconnected", "4",
+    ]
 
 
 def test_oracle_too_large_is_an_error(tmp_path):

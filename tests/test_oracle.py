@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from recolor import (
@@ -110,15 +110,7 @@ def test_diameter_disconnected_is_none():
 
 
 def test_diameter_matches_independent_all_pairs():
-    got = reconfig_diameter(P3, 3)
-    best = 0
-    for src in helpers.proper_colorings(P3, 3):
-        dist = helpers.naive_all_distances(P3, 3, src)
-        if len(dist) != len(helpers.proper_colorings(P3, 3)):
-            best = None
-            break
-        best = max(best, max(dist.values()))
-    assert got == best
+    assert reconfig_diameter(P3, 3) == helpers.naive_diameter(P3, 3)
 
 
 def test_diameter_small_instance_k4_vs_k5():
@@ -180,6 +172,33 @@ def test_kernels_match_brute_force(g, k, pick):
     for colors, d in helpers.naive_all_distances(g, k, src).items():
         want[_code(colors, k)] = d
     assert dist.dtype == np.int32 and np.array_equal(dist, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(), st.integers(1, 5), st.integers(0, 10**5), st.integers(0, 10**5))
+@example(K3, 3, 0, 1)
+@example(K3, 3, 2, 2)
+@example(P3, 2, 0, 1)
+@example(Graph.from_edges(0, []), 1, 0, 0)
+def test_distance_matches_full_bfs_and_naive_search(g, k, pick_a, pick_b):
+    proper = helpers.proper_colorings(g, k)
+    if not proper:
+        return
+    a, b = proper[pick_a % len(proper)], proper[pick_b % len(proper)]
+    got = bfs_distance(g, k, Coloring(k, a), Coloring(k, b))
+    mask = _kernels.proper_mask(g.n, k, g.edges())
+    full = int(_kernels.bfs_levels(_code(a, k), mask, g.n, k)[_code(b, k)])
+    assert got == (None if full < 0 else full) == helpers.naive_bfs_distance(g, k, a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_graphs(), st.integers(1, 4))
+@example(K3, 3)
+@example(P3, 2)
+@example(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]), 4)
+def test_diameter_matches_naive_all_pairs(g, k):
+    assume(k**g.n <= 1024)
+    assert reconfig_diameter(g, k) == helpers.naive_diameter(g, k)
 
 
 @pytest.mark.parametrize("k", [0, -1, True])
