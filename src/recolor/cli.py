@@ -23,6 +23,7 @@ from .errors import InvalidInput, RecolorError
 from .experiments import (
     ExperimentConfig,
     FAMILIES,
+    _build_graph,
     has_violations,
     run_experiments,
     write_csv,
@@ -30,9 +31,6 @@ from .experiments import (
 from .graphs import (
     Coloring,
     Graph,
-    gen_2tree,
-    gen_chordal_omega3,
-    gen_partial_2tree,
     is_proper,
     random_proper_coloring,
 )
@@ -56,12 +54,7 @@ def _dump(path: str, obj: dict) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "2tree":
-        g = gen_2tree(args.n, args.seed)
-    elif args.family == "partial-2tree":
-        g = gen_partial_2tree(args.n, args.keep_prob, args.seed)
-    else:
-        g = gen_chordal_omega3(args.n, args.seed)
+    g = _build_graph(args.family, args.n, args.keep_prob, args.seed)
     _dump(args.out, g.to_json())
     if args.coloring_out:
         order = mcs_order(g)

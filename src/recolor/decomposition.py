@@ -76,27 +76,34 @@ class EliminationOrdering:
         return EliminationOrdering(tuple(int(v) for v in obj["order"]))
 
 
+def _pop_order(g: Graph, key: list[int]) -> list[int]:
+    """Vertices by repeatedly popping the smallest key (lowest index on ties);
+    each pop lowers the key of every unpopped neighbour by one."""
+    popped = [False] * g.n
+    order: list[int] = []
+    heap = [(k, v) for v, k in enumerate(key)]
+    heapq.heapify(heap)
+    while heap:
+        k, best = heapq.heappop(heap)
+        if popped[best] or k != key[best]:
+            continue
+        popped[best] = True
+        order.append(best)
+        for u in g.adjacency[best]:
+            if not popped[u]:
+                key[u] -= 1
+                heapq.heappush(heap, (key[u], u))
+    return order
+
+
 def mcs_order(g: Graph) -> EliminationOrdering:
     """Reverse of a maximum cardinality search visit order.
 
     For a chordal graph the result is a perfect elimination ordering. Ties
     are broken toward the lowest vertex index so the output is reproducible.
+    Keys start at 0, so each pop is a vertex with the most visited neighbours.
     """
-    weight = [0] * g.n
-    visited = [False] * g.n
-    visit: list[int] = []
-    heap = [(0, v) for v in range(g.n)]
-    while heap:
-        key, best = heapq.heappop(heap)
-        if visited[best] or -key != weight[best]:
-            continue
-        visited[best] = True
-        visit.append(best)
-        for u in g.adjacency[best]:
-            if not visited[u]:
-                weight[u] += 1
-                heapq.heappush(heap, (-weight[u], u))
-    return EliminationOrdering(tuple(reversed(visit)))
+    return EliminationOrdering(tuple(reversed(_pop_order(g, [0] * g.n))))
 
 
 def later_neighbors(g: Graph, peo: EliminationOrdering) -> tuple[tuple[int, ...], ...]:
@@ -143,32 +150,17 @@ def degeneracy_order(g: Graph) -> EliminationOrdering:
 
     Every vertex has at most d later neighbors, where d is the degeneracy.
     """
-    degree = [len(a) for a in g.adjacency]
-    alive = [True] * g.n
-    order = []
-    heap = [(d, v) for v, d in enumerate(degree)]
-    heapq.heapify(heap)
-    while heap:
-        key, best = heapq.heappop(heap)
-        if not alive[best] or key != degree[best]:
-            continue
-        alive[best] = False
-        order.append(best)
-        for u in g.adjacency[best]:
-            if alive[u]:
-                degree[u] -= 1
-                heapq.heappush(heap, (degree[u], u))
-    return EliminationOrdering(tuple(order))
+    return EliminationOrdering(tuple(_pop_order(g, [len(a) for a in g.adjacency])))
 
 
-def validate_decomposition(g: Graph, td: TreeDecomposition, width: int = 2) -> None:
-    """Raise InvalidDecomposition unless td is a width-<=width decomposition of g."""
+def validate_decomposition(g: Graph, td: TreeDecomposition) -> None:
+    """Raise InvalidDecomposition unless td is a width-<=2 decomposition of g."""
     nodes = len(td.bags)
     if nodes == 0:
         raise InvalidDecomposition("decomposition has no nodes")
     for bag in td.bags:
-        if len(bag) > width + 1:
-            raise InvalidDecomposition(f"bag {sorted(bag)} exceeds size {width + 1}")
+        if len(bag) > 3:
+            raise InvalidDecomposition(f"bag {sorted(bag)} exceeds size 3")
         for v in bag:
             if not (0 <= v < g.n):
                 raise InvalidDecomposition(f"bag vertex {v} out of range")

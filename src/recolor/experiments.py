@@ -3,9 +3,12 @@
 Each instance is transformed in both directions; sequences are verified,
 audited where the direct greedy algorithm was used, and cross-checked
 against the exhaustive search when the state space fits under the cap.
-Per-instance failures are recorded as rows, not raised. Every graph is built
-before any instance runs, so a generator's rejection of the requested sizes
-or parameters raises before the batch does any work.
+A request the library rejects (a generator's InvalidSize or InvalidInput, an
+InvalidInput or InvalidColoring for the requested k, a TooLarge state space)
+stops the batch with that error; a failure on a valid request is recorded as
+a row. Every graph is built before any instance runs, so a generator's
+rejection of the requested sizes or parameters raises before the batch does
+any work.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ import csv
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import partial
 from typing import Optional
 
 from .bestchoice import best_choice_recoloring
 from .chordalize import pipeline_theorem
 from .decomposition import degeneracy_order, mcs_order
-from .errors import InvalidInput, RecolorError
+from .errors import InvalidInput, RecolorError, TooLarge
 from .graphs import (
     Graph,
     gen_2tree,
@@ -47,8 +51,6 @@ class ExperimentConfig:
     state_cap: int = DEFAULT_STATE_CAP
     cross_check: bool = True
     jobs: int = 1
-    # optional explicit instances (id, graph), used with family="explicit"
-    instances: tuple[tuple[str, Graph], ...] = field(default=())
 
 
 @dataclass
@@ -76,12 +78,12 @@ class ExperimentRecord:
 CSV_COLUMNS = ["schema_version"] + [f.name for f in fields(ExperimentRecord)]
 
 
-def _build_graph(config: ExperimentConfig, n: int, seed: int) -> Graph:
-    if config.family == "chordal-omega3":
+def _build_graph(family: str, n: int, keep_prob: float, seed: int) -> Graph:
+    if family == "chordal-omega3":
         return gen_chordal_omega3(n, seed)
-    if config.family == "2tree":
+    if family == "2tree":
         return gen_2tree(n, seed)
-    return gen_partial_2tree(n, config.keep_prob, seed)
+    return gen_partial_2tree(n, keep_prob, seed)
 
 
 def _measure(record: ExperimentRecord, seq) -> None:
@@ -132,6 +134,8 @@ def _run_instance(
                 if d is None or d > len(seq.steps):
                     rec.status = "oracle-mismatch"
                     rec.detail = f"bfs distance {d} vs sequence length {len(seq.steps)}"
+        except (InvalidInput, TooLarge):
+            raise
         except RecolorError as exc:
             rec.status = type(exc).__name__
             rec.detail = str(exc)
@@ -140,39 +144,28 @@ def _run_instance(
     return records
 
 
-def _job(args) -> list[ExperimentRecord]:
-    config, instance_id, g, seed = args
-    return _run_instance(config, instance_id, g, seed)
-
-
 def run_experiments(config: ExperimentConfig) -> list[ExperimentRecord]:
-    if config.family not in FAMILIES + ("explicit",):
+    if config.family not in FAMILIES:
         raise InvalidInput(f"unknown family {config.family!r}")
-    jobs = []
-    records: list[ExperimentRecord] = []
-    if config.family == "explicit":
-        for idx, (instance_id, g) in enumerate(config.instances):
-            jobs.append((config, instance_id, g, idx))
-    else:
-        for n in config.sizes:
-            for seed in config.seeds:
-                g = _build_graph(config, n, seed)
-                jobs.append((config, f"{config.family}-n{n}-s{seed}", g, seed))
+    ids, graphs, seeds = [], [], []
+    for n in config.sizes:
+        for seed in config.seeds:
+            graphs.append(_build_graph(config.family, n, config.keep_prob, seed))
+            ids.append(f"{config.family}-n{n}-s{seed}")
+            seeds.append(seed)
 
+    run = partial(_run_instance, config)
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for chunk in pool.map(_job, jobs):
-                records.extend(chunk)
+            chunks = list(pool.map(run, ids, graphs, seeds))
     else:
-        for args in jobs:
-            records.extend(_job(args))
-    return records
+        chunks = map(run, ids, graphs, seeds)
+    return [rec for chunk in chunks for rec in chunk]
 
 
 def has_violations(records: list[ExperimentRecord]) -> bool:
-    """True when any record reflects a broken guarantee (not a rejected input)."""
-    benign = {"ok", "NotWidth2", "TooLarge"}
-    return any(rec.status not in benign for rec in records)
+    """True when any record reflects a broken guarantee."""
+    return any(rec.status != "ok" for rec in records)
 
 
 def write_csv(path: str, records: list[ExperimentRecord]) -> None:

@@ -209,6 +209,8 @@ def test_pipeline_round_trip_same_endpoints():
     alpha = random_proper_coloring(g, degeneracy_order(g), 5, 0)
     seq = pipeline_theorem(g, alpha, alpha)
     assert verify_sequence(g, seq).colors == alpha.colors
+    empty = Coloring(5, ())
+    assert pipeline_theorem(Graph.from_edges(0, []), empty, empty).steps == ()
 
 
 def test_pipeline_rejects_k4():

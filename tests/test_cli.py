@@ -54,12 +54,29 @@ def test_gen_check_decompose_recolor_audit_flow(tmp_path):
     assert set(merged) == {"graph", "merge_map", "coloring"}
 
 
-def test_check_flags_improper_coloring(tmp_path):
+def test_check_flags_improper_coloring(tmp_path, capsys):
     g = tmp_path / "g.json"
     c = tmp_path / "c.json"
+    seq = tmp_path / "seq.json"
     _write(g, {"n": 2, "edges": [[0, 1]]})
     _write(c, {"k": 2, "colors": [1, 1]})
     assert run("check", "--graph", str(g), "--coloring", str(c)) == 1
+    assert capsys.readouterr().out == "improper\n"
+
+    _write(seq, {"start": {"k": 3, "colors": [1, 2]}, "steps": [[0, 2]]})
+    assert run("check", "--graph", str(g), "--seq", str(seq)) == 1
+    assert capsys.readouterr().out == "invalid: step 0: vertex 0 -> 2 collides with neighbor 1\n"
+
+    # the sequence ends at [3, 2], not at its start [1, 2]
+    _write(seq, {"start": {"k": 3, "colors": [1, 2]}, "steps": [[0, 3]]})
+    _write(c, {"k": 3, "colors": [1, 2]})
+    assert run("check", "--graph", str(g), "--seq", str(seq), "--expect-final", str(c)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "valid sequence of 1 steps", "final coloring does not match the expected one",
+    ]
+
+    assert run("decompose", "--graph", str(g)) == 2
+    assert capsys.readouterr().err.startswith("nothing to do")
 
 
 def test_pipeline_and_oracle(tmp_path, capsys):
@@ -204,13 +221,24 @@ def test_bench_writes_csv(tmp_path):
 
 def test_bench_rejects_bad_generator_request(tmp_path, capsys):
     out = tmp_path / "bench.csv"
+    # a request the library rejects stops the batch, also under a process pool
+    huge_cap = ("--state-cap", "10000000000000000000000000")
     for args, error in (
-        (("--family", "2tree", "--sizes", "2", "--seeds", "1"), "InvalidSize"),
-        (("--family", "partial-2tree", "--sizes", "6", "--keep-prob", "2"), "InvalidInput"),
+        (("--family", "2tree", "--sizes", "2", "--seeds", "1"), "InvalidSize: "),
+        (("--family", "partial-2tree", "--sizes", "6", "--keep-prob", "2"), "InvalidInput: "),
+        (("--family", "partial-2tree", "--sizes", "8", "--k", "6"), "InvalidColoring: "),
+        (("--family", "chordal-omega3", "--sizes", "30", "--k", "3", "--seeds", "2"),
+         "InvalidInput: need k >= 4, got 3"),
+        (("--family", "partial-2tree", "--sizes", "30", "--seeds", "2", *huge_cap),
+         "TooLarge: "),
+        (("--family", "partial-2tree", "--sizes", "8", "--k", "6", "--jobs", "2"),
+         "InvalidColoring: "),
+        (("--family", "partial-2tree", "--sizes", "30", "--seeds", "2", "--jobs", "2",
+          *huge_cap), "TooLarge: "),
     ):
         assert run("bench", *args, "--out", str(out)) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {error}: ") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {error}") and captured.err.count("\n") == 1
         assert "violations found" not in captured.out + captured.err
         assert not out.exists()
 

@@ -108,6 +108,13 @@ def test_reduce_width2_k3_single_bag():
     assert td.width() == 2
 
 
+def test_reduce_width2_empty_graph_one_empty_bag():
+    empty = Graph.from_edges(0, [])
+    td = reduce_width2(empty)
+    assert td.bags == (frozenset(),) and td.tree_edges == ()
+    validate_decomposition(empty, td)
+
+
 def test_reduce_width2_k4_rejected():
     # with a pendant path 3-4-5-6, the path eliminates first and K4 still stalls
     k4_path = Graph.from_edges(7, K4.edges() + [(3, 4), (4, 5), (5, 6)])
@@ -209,8 +216,26 @@ def test_validator_names_first_vertex_in_no_bag():
 
 def test_validator_catches_oversized_bag():
     td = TreeDecomposition((frozenset({0, 1, 2, 3}),), ())
-    with pytest.raises(InvalidDecomposition):
+    with pytest.raises(InvalidDecomposition, match=r"^bag \[0, 1, 2, 3\] exceeds size 3$"):
         validate_decomposition(K4, td)
+
+
+ALL3 = frozenset({0, 1, 2})
+
+
+@pytest.mark.parametrize(
+    "bags, tree_edges, message",
+    [
+        ((), (), r"^decomposition has no nodes$"),
+        ((frozenset({0, 7}),), (), r"^bag vertex 7 out of range$"),
+        ((ALL3, frozenset({0})), (), r"^tree edge count is not nodes-1$"),
+        ((ALL3, frozenset({0})), ((0, 0),), r"^bad tree edge \(0, 0\)$"),
+        ((ALL3, frozenset({0}), frozenset({1})), ((0, 1), (0, 1)), r"^tree is not connected$"),
+    ],
+)
+def test_validator_names_broken_tree(bags, tree_edges, message):
+    with pytest.raises(InvalidDecomposition, match=message):
+        validate_decomposition(K3, TreeDecomposition(bags, tree_edges))
 
 
 def test_later_neighbors_last_vertex_empty():

@@ -4,8 +4,10 @@ import pytest
 
 from recolor import (
     ExperimentConfig,
-    Graph,
+    ImproperStep,
     InvalidInput,
+    gen_partial_2tree,
+    pipeline_theorem,
     run_experiments,
     verify_sequence,
     write_csv,
@@ -72,25 +74,32 @@ def test_one_replay_per_batch_instance(monkeypatch):
 
 
 def test_unknown_family_rejected_up_front():
-    config = ExperimentConfig(family="3tree", sizes=(8,), seeds=(0,))
-    with pytest.raises(InvalidInput, match="unknown family '3tree'"):
-        run_experiments(config)
+    for family in ("3tree", "explicit"):
+        config = ExperimentConfig(family=family, sizes=(8,), seeds=(0,))
+        with pytest.raises(InvalidInput, match=f"unknown family '{family}'"):
+            run_experiments(config)
 
 
-def test_injected_k4_recorded_not_fatal():
-    k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+def test_failure_on_valid_request_is_a_row(monkeypatch):
+    bad = gen_partial_2tree(10, 0.6, 1)
+
+    def failing_on_bad(g, alpha, beta):
+        if g == bad:
+            raise ImproperStep(0, "injected")
+        return pipeline_theorem(g, alpha, beta)
+
+    monkeypatch.setattr(experiments, "pipeline_theorem", failing_on_bad)
     config = ExperimentConfig(
-        family="explicit",
-        sizes=(),
-        seeds=(),
-        cross_check=False,
-        instances=(("injected-k4", k4),),
+        family="partial-2tree", sizes=(10,), seeds=(0, 1, 2), cross_check=False
     )
     records = run_experiments(config)
-    assert len(records) == 2
-    assert all(rec.status == "NotWidth2" for rec in records)
-    # rejected inputs are recorded but do not count as violations
-    assert not has_violations(records)
+    assert [(rec.seed, rec.status) for rec in records] == [
+        (0, "ok"), (0, "ok"),
+        (1, "ImproperStep"), (1, "ImproperStep"),
+        (2, "ok"), (2, "ok"),
+    ]
+    assert records[2].detail == "step 0: injected"
+    assert has_violations(records)
 
 
 def test_parallel_jobs_match_serial():

@@ -14,6 +14,7 @@ from recolor import (
     Graph,
     ImproperStart,
     ImproperStep,
+    InvalidColoring,
     InvalidInput,
     MergeMap,
     NoOpStep,
@@ -63,6 +64,15 @@ def test_verify_rejects_noop():
     s = seq_of(3, (1, 2), [(1, 2)])
     with pytest.raises(NoOpStep):
         verify_sequence(K2, s)
+
+
+def test_verify_rejects_step_out_of_range():
+    for step, message in (
+        ((5, 1), r"^step 0 recolors unknown vertex 5$"),
+        ((0, 4), r"^step 0 uses color 4 outside 1\.\.3$"),
+    ):
+        with pytest.raises(InvalidColoring, match=message):
+            verify_sequence(K2, seq_of(3, (1, 2), [step]))
 
 
 def test_verify_rejects_improper_start():
