@@ -7,6 +7,14 @@ lift back by expanding each merged step over its class. The pipeline chains
 two such reductions (one per endpoint coloring) through a palette-rotation
 bridge between 3-colorings, giving a transformation between any two proper
 5-colorings that recolors every vertex a bounded number of times.
+
+The pipeline never builds the merged graph h. The decomposition's tree, with
+each bag mapped to merge classes, is a clique tree of h. Ordering the classes
+by decreasing depth of their top bag (the one nearest bag 0) is a perfect
+elimination ordering of h: a later neighbor of x shares a bag with x and has
+a top no deeper than x's, so it lies in x's top bag. The later-neighbor table
+and the greedy 3-coloring are read off those top bags (`_tree_order`). The
+bridge moves only the vertices whose two 3-colorings differ.
 """
 
 from __future__ import annotations
@@ -16,9 +24,9 @@ from itertools import combinations
 
 from .bestchoice import _best_choice
 from .decomposition import (
+    EliminationOrdering,
     TreeDecomposition,
-    later_neighbors,
-    mcs_order,
+    _validate_decomposition,
     reduce_width2,
     validate_decomposition,
 )
@@ -31,7 +39,7 @@ from .errors import (
     NoOpStep,
     _json_loader,
 )
-from .graphs import Coloring, Graph, greedy_coloring, require_proper
+from .graphs import Coloring, Graph, _greedy, require_proper
 from .sequences import (
     RecoloringSequence,
     concatenate,
@@ -86,7 +94,19 @@ def merge_same_colored(
 def _merge(
     g: Graph, td: TreeDecomposition, alpha: Coloring
 ) -> tuple[Graph, MergeMap, Coloring]:
-    """merge_same_colored without checking its inputs.
+    """merge_same_colored without checking its inputs."""
+    merge_map, alpha_h = _merge_classes(g, td, alpha)
+    to_merged = merge_map.to_merged
+    edges = set()
+    for bag in td.bags:
+        edges.update(combinations({to_merged[v] for v in bag}, 2))
+    return Graph.from_edges(len(merge_map.classes), edges), merge_map, alpha_h
+
+
+def _merge_classes(
+    g: Graph, td: TreeDecomposition, alpha: Coloring
+) -> tuple[MergeMap, Coloring]:
+    """The merge map and inherited coloring of merge_same_colored, without h.
 
     The classes are the connected components of "same color, shared bag" in
     td. Merging two classes only renames them inside bags that already held
@@ -113,13 +133,40 @@ def _merge(
     classes: list[list[int]] = [[] for _ in index]
     for v, m in enumerate(to_merged):
         classes[m].append(v)
-
-    edges = set()
-    for bag in td.bags:
-        edges.update(combinations({to_merged[v] for v in bag}, 2))
-    h = Graph.from_edges(len(classes), edges)
     alpha_h = Coloring(alpha.k, tuple(alpha.colors[c[0]] for c in classes))
-    return h, MergeMap(to_merged, tuple(map(tuple, classes))), alpha_h
+    return MergeMap(to_merged, tuple(map(tuple, classes))), alpha_h
+
+
+def _tree_order(
+    td: TreeDecomposition, depth: list[int], top: list[int], merge_map: MergeMap
+) -> tuple[EliminationOrdering, tuple[tuple[int, ...], ...]]:
+    """The tree order of the merge classes and its later-neighbor table.
+
+    `depth` and `top` are what _validate_decomposition returns for td. A
+    class's bags form a subtree, so its top bag is the member top nearest bag
+    0. Classes go by decreasing depth of their top bag, ties to the lowest
+    index; by the argument in the module docstring this is a perfect
+    elimination ordering of h, and later[x] is the classes of x's top bag
+    that come after x, a clique of at most 2.
+    """
+    to_merged = merge_map.to_merged
+    size = len(merge_map.classes)
+    tops = [-1] * size
+    for v, x in enumerate(to_merged):
+        t = top[v]
+        if tops[x] < 0 or depth[t] < depth[tops[x]]:
+            tops[x] = t
+    key = [-depth[t] for t in tops]
+    order = sorted(range(size), key=key.__getitem__)
+    pos = [0] * size
+    for i, x in enumerate(order):
+        pos[x] = i
+    later = []
+    for x, t in enumerate(tops):
+        p = pos[x]
+        mapped = {to_merged[v] for v in td.bags[t]}
+        later.append(tuple(sorted([y for y in mapped if pos[y] > p])))
+    return EliminationOrdering(tuple(order)), tuple(later)
 
 
 def lift_sequence(
@@ -167,10 +214,11 @@ def two_phase_transform(
 ) -> RecoloringSequence:
     """Transform between two (d+1)-colorings, recoloring every vertex at most twice.
 
-    First the source color classes 1..d rotate out to spare colors d+2..2d+1,
-    then class d+1 and finally the parked classes move straight to their
-    target colors. Steps that would not change a color are omitted. Requires
-    k >= 2d+1.
+    Only vertices whose source and target colors differ move. First those of
+    source classes 1..d rotate out to spare colors d+2..2d+1, then those of
+    class d+1 and finally the parked ones move straight to their target
+    colors. A vertex that stays already holds its target color, so the
+    target's properness covers it at every step. Requires k >= 2d+1.
     """
     if k < 2 * d + 1:
         raise InvalidInput(f"need k >= {2 * d + 1}, got {k}")
@@ -189,15 +237,15 @@ def _two_phase(
     """two_phase_transform without checking its inputs or replaying its output."""
     classes: list[list[int]] = [[] for _ in range(d + 2)]
     for v in range(n):
-        classes[gamma_s.colors[v]].append(v)
+        if gamma_s.colors[v] != gamma_t.colors[v]:
+            classes[gamma_s.colors[v]].append(v)
 
     steps: list[tuple[int, int]] = []
     for i in range(1, d + 1):
         for v in classes[i]:
             steps.append((v, d + 1 + i))
     for v in classes[d + 1]:
-        if gamma_t.colors[v] != d + 1:
-            steps.append((v, gamma_t.colors[v]))
+        steps.append((v, gamma_t.colors[v]))
     for i in range(1, d + 1):
         for v in classes[i]:
             steps.append((v, gamma_t.colors[v]))
@@ -206,16 +254,22 @@ def _two_phase(
 
 
 def _toward_3coloring(
-    g: Graph, td: TreeDecomposition, coloring: Coloring
+    g: Graph,
+    td: TreeDecomposition,
+    tree: tuple[list[int], list[int]],
+    coloring: Coloring,
 ) -> tuple[RecoloringSequence, Coloring]:
-    """Sequence on g from `coloring` to a 3-coloring, via the merged graph."""
-    h, merge_map, col_h = _merge(g, td, coloring)
-    peo = mcs_order(h)
-    target = greedy_coloring(h, peo)
-    seq_h = _best_choice(peo, later_neighbors(h, peo), col_h, target, k=5)
+    """Sequence on g from `coloring` to a 3-coloring, via the merge classes.
+
+    `tree` is _validate_decomposition(g, td). The greedy 3-coloring of the
+    merged graph reads only the later-neighbor table of the tree order.
+    """
+    merge_map, col_h = _merge_classes(g, td, coloring)
+    peo, later = _tree_order(td, *tree, merge_map)
+    target = _greedy(peo.order, later)
+    seq_h = _best_choice(peo, later, col_h, Coloring(3, target), k=5)
     lifted = _lift(seq_h, merge_map, g.n)
-    final = Coloring(5, tuple(target.colors[merge_map.to_merged[v]] for v in range(g.n)))
-    return lifted, final
+    return lifted, Coloring(5, tuple(target[m] for m in merge_map.to_merged))
 
 
 def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSequence:
@@ -232,9 +286,9 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
             raise InvalidColoring(f"{name} is a {coloring.k}-coloring, not a 5-coloring")
         require_proper(g, coloring, 5, name)
     td = reduce_width2(g)
-    validate_decomposition(g, td)
-    seq_a, gamma_1 = _toward_3coloring(g, td, alpha)
-    seq_b, gamma_2 = _toward_3coloring(g, td, beta)
+    tree = _validate_decomposition(g, td)
+    seq_a, gamma_1 = _toward_3coloring(g, td, tree, alpha)
+    seq_b, gamma_2 = _toward_3coloring(g, td, tree, beta)
     bridge = _two_phase(g.n, gamma_1, gamma_2, d=2, k=5)
     whole = concatenate([seq_a, bridge, reverse_sequence(seq_b)])
     final = verify_sequence(g, whole)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bestchoice import best_choice_recoloring
@@ -45,6 +46,20 @@ def _read(path: str, cls):
             return cls.from_json(json.load(handle))
     except (OSError, ValueError, InvalidInput) as exc:
         raise InvalidInput(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
+
+
+class _OutPath(str):
+    """Path of an output file; main checks its directory before any work starts."""
+
+
+def _require_out_dirs(args) -> None:
+    for value in vars(args).values():
+        if isinstance(value, _OutPath):
+            directory = os.path.dirname(value) or "."
+            if not os.path.isdir(directory):
+                raise InvalidInput(f"cannot write {value}: no directory {directory}")
+            if os.path.isdir(value):
+                raise InvalidInput(f"cannot write {value}: it is a directory")
 
 
 def _dump(path: str, obj: dict) -> None:
@@ -212,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--keep-prob", type=float, default=0.6)
-    p.add_argument("--out", required=True)
-    p.add_argument("--coloring-out", help="also write a random proper coloring")
+    p.add_argument("--out", required=True, type=_OutPath)
+    p.add_argument("--coloring-out", type=_OutPath, help="also write a random proper coloring")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--coloring-seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen)
@@ -228,15 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="tree decomposition and elimination ordering")
     p.add_argument("--graph", required=True)
-    p.add_argument("--td", help="output path for the width-2 tree decomposition")
-    p.add_argument("--peo", help="output path for the elimination ordering")
+    p.add_argument("--td", type=_OutPath, help="output path for the width-2 tree decomposition")
+    p.add_argument("--peo", type=_OutPath, help="output path for the elimination ordering")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("reduce", help="merge same-colored bag vertices, fill cliques")
     p.add_argument("--graph", required=True)
     p.add_argument("--td", required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_OutPath)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("recolor", help="greedy bounded recoloring on a chordal graph")
@@ -245,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_OutPath)
     p.add_argument("--trace", action="store_true", help="print one line per step")
     p.set_defaults(func=_cmd_recolor)
 
@@ -253,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_OutPath)
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("oracle", help="exhaustive state-space search")
@@ -269,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--peo", required=True)
     p.add_argument("--seq", required=True)
-    p.add_argument("--json-out", help="write the full report as JSON")
+    p.add_argument("--json-out", type=_OutPath, help="write the full report as JSON")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("bench", help="run experiment batches, write CSV")
@@ -281,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--no-cross-check", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_OutPath)
     p.set_defaults(func=_cmd_bench)
 
     return parser
@@ -290,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _require_out_dirs(args)
         return args.func(args)
     except RecolorError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,9 +1,11 @@
 """Treewidth-2 decomposition, chordality, and elimination orderings.
 
 `later_neighbors` is the one place that answers "which neighbors of v come
-after v in this ordering" (the out-neighborhood N+(v)). The ordering checks
-here, the greedy recoloring in `bestchoice` and the audit in `sequences` all
-read the table it returns instead of recomputing positions.
+after v in this ordering" (the out-neighborhood N+(v)) for a graph in hand.
+The ordering checks here, the greedy recoloring in `bestchoice` and the audit
+in `sequences` all read the table it returns instead of recomputing
+positions. The pipeline never builds its merged graph, so it reads that
+graph's table off the tree decomposition instead (`chordalize._tree_order`).
 
 Every choice here is lowest index first: among the vertices that qualify,
 take the one with the smallest key and, on a tie, the smallest index. Each
@@ -155,6 +157,17 @@ def degeneracy_order(g: Graph) -> EliminationOrdering:
 
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> None:
     """Raise InvalidDecomposition unless td is a width-<=2 decomposition of g."""
+    _validate_decomposition(g, td)
+
+
+def _validate_decomposition(
+    g: Graph, td: TreeDecomposition
+) -> tuple[list[int], list[int]]:
+    """validate_decomposition, returning what its walk from bag 0 finds.
+
+    The result is each bag's depth below bag 0 and each vertex's top bag, the
+    one of its bags nearest bag 0.
+    """
     nodes = len(td.bags)
     if nodes == 0:
         raise InvalidDecomposition("decomposition has no nodes")
@@ -176,33 +189,37 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> None:
         nbrs[j].append(i)
     parent = [-1] * nodes
     parent[0] = 0
+    depth = [0] * nodes
     stack = [0]
     while stack:
         x = stack.pop()
         for y in nbrs[x]:
             if parent[y] < 0:
                 parent[y] = x
+                depth[y] = depth[x] + 1
                 stack.append(y)
     if min(parent) < 0:
         raise InvalidDecomposition("tree is not connected")
 
     # a vertex's bags form a subtree iff exactly one of them (its top) is the
-    # root or hangs below a bag without the vertex
-    tops = [0] * g.n
+    # root or hangs below a bag without the vertex; -1 marks no top yet and
+    # -2 a second one
+    top = [-1] * g.n
     for idx, bag in enumerate(td.bags):
         for v in bag:
             if idx == 0 or v not in td.bags[parent[idx]]:
-                tops[v] += 1
-    for v, top in enumerate(tops):
-        if top == 0:
+                top[v] = idx if top[v] == -1 else -2
+    for v, t in enumerate(top):
+        if t == -1:
             raise InvalidDecomposition(f"vertex {v} is in no bag")
-        if top > 1:
+        if t == -2:
             raise InvalidDecomposition(f"bags containing vertex {v} are not connected")
 
     covered = {(u, v) for bag in td.bags for u in bag for v in bag if u < v}
     for u, v in g.edges():
         if (u, v) not in covered:
             raise InvalidDecomposition(f"edge ({u}, {v}) is in no bag")
+    return depth, top
 
 
 def reduce_width2(g: Graph) -> TreeDecomposition:

@@ -147,6 +147,10 @@ def _run_instance(
 def run_experiments(config: ExperimentConfig) -> list[ExperimentRecord]:
     if config.family not in FAMILIES:
         raise InvalidInput(f"unknown family {config.family!r}")
+    if not (config.sizes and config.seeds):
+        raise InvalidInput("no sizes or no seeds: the batch would check nothing")
+    if config.state_cap < 1:
+        raise InvalidInput(f"state cap must be at least 1, got {config.state_cap}")
     ids, graphs, seeds = [], [], []
     for n in config.sizes:
         for seed in config.seeds:

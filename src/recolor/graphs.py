@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvalidColoring, InvalidInput, InvalidSize, NotEnoughColors, _json_loader
 
@@ -219,11 +219,21 @@ def greedy_coloring(g: Graph, order: EliminationOrdering) -> Coloring:
     never needs more than 3.
     """
     _require_ordering_of(g, order)
-    colors = [0] * g.n
-    for v in reversed(order.order):
-        used = {colors[w] for w in g.adjacency[v] if colors[w]}
+    colors = _greedy(order.order, g.adjacency)
+    return Coloring(max(colors, default=1), tuple(colors))
+
+
+def _greedy(order: Sequence[int], nbrs: Sequence[Iterable[int]]) -> tuple[int, ...]:
+    """Smallest-available colors along the reverse of `order`, avoiding nbrs[v].
+
+    nbrs may list every neighbor or only those after v in the order: a
+    neighbor not yet colored holds 0, which no color equals.
+    """
+    colors = [0] * len(nbrs)
+    for v in reversed(order):
+        used = {colors[w] for w in nbrs[v]}
         c = 1
         while c in used:
             c += 1
         colors[v] = c
-    return Coloring(max(colors, default=1), tuple(colors))
+    return tuple(colors)

@@ -45,6 +45,8 @@ def _proper_states(g: Graph, k: int, state_cap: int) -> np.ndarray:
     """Properness mask over all k^n packed states, after checking k and the cap."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise InvalidInput(f"k must be an integer >= 1, got {k!r}")
+    if state_cap < 1:
+        raise InvalidInput(f"state cap must be at least 1, got {state_cap}")
     if k**g.n > state_cap:
         raise TooLarge(f"{k}^{g.n} states exceed the cap of {state_cap}")
     if k**g.n > np.iinfo(np.intp).max:

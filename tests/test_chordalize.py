@@ -23,7 +23,9 @@ from recolor import (
     gen_partial_2tree,
     greedy_coloring,
     is_chordal,
+    is_perfect_elimination,
     is_proper,
+    later_neighbors,
     lift_sequence,
     mcs_order,
     merge_same_colored,
@@ -34,7 +36,9 @@ from recolor import (
     two_phase_transform,
     verify_sequence,
 )
-from recolor import bestchoice, chordalize
+from recolor import bestchoice, chordalize, decomposition, graphs
+from recolor.decomposition import _validate_decomposition
+from recolor.graphs import _greedy
 from recolor.chordalize import PER_VERTEX_PIPELINE_BOUND
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -181,6 +185,13 @@ def test_two_phase_k3_exact_steps():
     assert verify_sequence(K3, seq).colors == (2, 3, 1)
 
 
+def test_pipeline_isolated_vertices_take_one_step_each():
+    # both endpoints merge to the 3-coloring (1, 1, 1), so the bridge is empty
+    g = Graph.from_edges(3, [])
+    seq = pipeline_theorem(g, Coloring(5, (1, 1, 1)), Coloring(5, (2, 2, 2)))
+    assert len(seq.steps) == 3
+
+
 def test_two_phase_rejects_small_k():
     with pytest.raises(InvalidInput):
         two_phase_transform(K3, Coloring(3, (1, 2, 3)), Coloring(3, (2, 3, 1)), 2, 4)
@@ -202,6 +213,8 @@ def test_two_phase_at_most_two_steps_per_vertex(n, seed):
     assert verify_sequence(g, seq).colors == gt.colors
     for v in range(g.n):
         assert len(restrict(seq, {v})) <= 2
+    # a vertex whose two colors agree is never parked
+    assert {v for v, _ in seq.steps} == {v for v in range(g.n) if gs.colors[v] != gt.colors[v]}
 
 
 def test_pipeline_round_trip_same_endpoints():
@@ -255,6 +268,40 @@ def test_pipeline_random_instances(n, seed, tenths):
     assert max(len(restrict(seq, {v})) for v in range(g.n)) <= PER_VERTEX_PIPELINE_BOUND
 
 
+def _assert_tree_order_reads_merged_graph(g, coloring):
+    """The tree order, its later table and its greedy target match h's."""
+    td = reduce_width2(g)
+    tree = _validate_decomposition(g, td)
+    h, merge_map, _ = merge_same_colored(g, td, coloring)
+    peo, later = chordalize._tree_order(td, *tree, merge_map)
+    assert is_perfect_elimination(h, peo)
+    assert later == later_neighbors(h, peo)
+    assert _greedy(peo.order, later) == greedy_coloring(h, peo).colors
+
+
+def test_tree_order_on_digest_corpus():
+    for n in (3, 10, 50, 200):
+        for s in range(10):
+            g = gen_partial_2tree(n, 0.6, s)
+            order = degeneracy_order(g)
+            for seed in (2 * s + 1, 2 * s + 2):
+                _assert_tree_order_reads_merged_graph(
+                    g, random_proper_coloring(g, order, 5, seed)
+                )
+            h = gen_chordal_omega3(n, s)
+            _assert_tree_order_reads_merged_graph(
+                h, random_proper_coloring(h, mcs_order(h), 5, s)
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 120), st.integers(0, 10**6), st.integers(0, 10), st.integers(3, 5))
+def test_tree_order_on_partial_2trees(n, seed, tenths, k):
+    g = gen_partial_2tree(n, tenths / 10, seed)
+    coloring = random_proper_coloring(g, degeneracy_order(g), k, seed + 1)
+    _assert_tree_order_reads_merged_graph(g, coloring)
+
+
 def test_merge_map_json_round_trip():
     merge_map = MergeMap((0, 1, 0), ((0, 2), (1,)))
     assert MergeMap.from_json(merge_map.to_json()) == merge_map
@@ -262,7 +309,7 @@ def test_merge_map_json_round_trip():
 
 # SHA-256 of the fixed-seed outputs below; a change to any produced sequence
 # breaks it. Refresh it only with a stated and measured change of outputs.
-CORPUS_DIGEST = "97828712a9926d96d7436b3db3af6e064cf9dc237199f195fb6123c417fa09ef"
+CORPUS_DIGEST = "a164574d9f90dd058c97ec3e3d8e17d964a897b5c35bf8c361561f86dc9d7a8a"
 
 
 def test_outputs_match_recorded_digest():
@@ -306,7 +353,16 @@ def test_decomposition_outputs_match_recorded_digest():
 
 
 def test_pipeline_replays_and_validates_once(monkeypatch):
-    calls = {"verify_sequence": 0, "validate_decomposition": 0}
+    g = gen_partial_2tree(400, 0.6, 1)
+    order = degeneracy_order(g)
+    alpha = random_proper_coloring(g, order, 5, 1)
+    beta = random_proper_coloring(g, order, 5, 2)
+    # the pipeline also builds no merged graph, so none of the last four runs
+    calls = dict.fromkeys(
+        ("verify_sequence", "validate_decomposition", "from_edges", "mcs_order",
+         "later_neighbors", "greedy_coloring"),
+        0,
+    )
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -321,12 +377,15 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
         )
     monkeypatch.setattr(
         chordalize,
-        "validate_decomposition",
-        counting("validate_decomposition", chordalize.validate_decomposition),
+        "_validate_decomposition",
+        counting("validate_decomposition", chordalize._validate_decomposition),
     )
-    g = gen_partial_2tree(400, 0.6, 1)
-    order = degeneracy_order(g)
-    alpha = random_proper_coloring(g, order, 5, 1)
-    beta = random_proper_coloring(g, order, 5, 2)
+    monkeypatch.setattr(
+        Graph, "from_edges", staticmethod(counting("from_edges", Graph.from_edges))
+    )
+    for module in (chordalize, bestchoice, decomposition, graphs):
+        for name in ("mcs_order", "later_neighbors", "greedy_coloring"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     pipeline_theorem(g, alpha, beta)
-    assert calls == {"verify_sequence": 1, "validate_decomposition": 1}
+    assert calls == {**dict.fromkeys(calls, 0), "verify_sequence": 1, "validate_decomposition": 1}

@@ -246,3 +246,47 @@ def test_bench_rejects_bad_generator_request(tmp_path, capsys):
 def test_gen_rejects_bad_size(tmp_path):
     out = tmp_path / "g.json"
     assert run("gen", "--family", "2tree", "--n", "2", "--out", str(out)) == 1
+
+
+def test_out_in_missing_directory_is_one_error_line(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    _write(g, {"n": 3, "edges": [[0, 1], [1, 2]]})
+    _write(a, {"k": 5, "colors": [1, 2, 1]})
+    _write(b, {"k": 5, "colors": [2, 1, 2]})
+    missing = tmp_path / "missing"
+    for argv in (
+        ("bench", "--family", "partial-2tree", "--sizes", "6", "--seeds", "1",
+         "--out", str(missing / "bench.csv")),
+        ("gen", "--family", "2tree", "--n", "5", "--out", str(missing / "g.json")),
+        ("gen", "--family", "2tree", "--n", "5", "--out", str(tmp_path / "g5.json"),
+         "--coloring-out", str(missing / "c.json")),
+        ("pipeline", "--graph", str(g), "--alpha", str(a), "--beta", str(b),
+         "--out", str(missing / "seq.json")),
+        ("decompose", "--graph", str(g), "--td", str(tmp_path)),
+    ):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidInput: cannot write ") and err.count("\n") == 1
+    # the directory is checked before any work, so no file was written
+    assert not (tmp_path / "g5.json").exists()
+
+
+def test_batch_that_checks_nothing_is_rejected(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    g = tmp_path / "g.json"
+    _write(g, {"n": 3, "edges": [[0, 1], [1, 2]]})
+    bench = ("bench", "--family", "partial-2tree", "--sizes", "6", "--out", str(out))
+    for argv in (
+        bench + ("--seeds", "0"),
+        bench + ("--seeds", "-2"),
+        bench + ("--state-cap", "0"),
+        bench + ("--state-cap", "-5"),
+        ("oracle", "connected", "--graph", str(g), "--state-cap", "-5"),
+        ("oracle", "diameter", "--graph", str(g), "--state-cap", "0"),
+    ):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidInput: ") and err.count("\n") == 1
+        assert not out.exists()
