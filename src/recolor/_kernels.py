@@ -2,6 +2,12 @@
 
 Colorings are packed as base-k integers (digit of vertex v = color-1, weight
 k^v), so in C order the digit of vertex v is axis n-1-v of a `(k,)*n` array.
+
+Three searches run over the proper states. `reach_count` only counts a
+component, and does it densely, closing the reached set along one axis at a
+time. `bfs_levels` (every distance from one source) and `bfs_meet` (one
+distance) are sparse frontier searches that rewrite one digit of each
+frontier code per (vertex, colour) batch.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ def _union(parts: list) -> np.ndarray:
 def bfs_levels(start: int, proper: np.ndarray, n: int, k: int) -> np.ndarray:
     """BFS over proper states reachable from `start` by single-digit changes.
 
-    Returns the distance to every state, -1 where unreachable.
+    Returns the distance to every state, -1 where unreachable, as int32: four
+    bytes per state, so a caller that only needs the count uses `reach_count`.
     """
     dist = np.full(proper.shape[0], -1, dtype=np.int32)
     dist[start] = 0
@@ -74,6 +81,59 @@ def bfs_levels(start: int, proper: np.ndarray, n: int, k: int) -> np.ndarray:
             return dist
         frontier = _union(parts)
         dist[frontier] = level
+
+
+def _close_lines(reached, proper, line, outer: int, k: int, inner: int) -> None:
+    """Add every proper state on a line through a reached state, along one axis.
+
+    Both flat arrays are viewed as `(outer, k, inner)` with the digit in the
+    middle; `line` is scratch of outer*inner entries.
+    """
+    view = reached.reshape(outer, k, inner)
+    hit = line.reshape(outer, inner)
+    np.logical_or.reduce(view, axis=1, out=hit)
+    np.logical_and(hit[:, None, :], proper.reshape(outer, k, inner), out=view)
+
+
+def reach_count(start: int, proper: np.ndarray, n: int, k: int) -> int:
+    """Number of proper states reachable from the proper `start` by single-digit changes.
+
+    States that differ only in vertex v's digit are pairwise adjacent, so the
+    proper states on one line along axis v form a clique: once one is reached,
+    all are. A sweep closes the reached set along every axis in turn, ORing a
+    line's k slices and ANDing the result, broadcast, with `proper`. Every
+    state it adds is one move from a reached state, and a sweep that adds
+    nothing leaves the set closed under moves, so sweeps repeat until one adds
+    nothing or every proper state is reached; the count is exact.
+
+    An axis is cheap to sweep when its slices are long runs: the high
+    ceil(n/2) digits are swept in the natural `(k^hi, k^lo)` layout, and the
+    low floor(n/2) digits in a transposed `(k^lo, k^hi)` copy, where they are
+    outermost. The transposed `proper` is built once, and the reached set is
+    copied between layouts into preallocated arrays, with no temporary.
+    """
+    lo, hi = n // 2, n - n // 2
+    total = int(np.count_nonzero(proper))
+    reached = np.zeros_like(proper)
+    reached[start] = True
+    grid = reached.reshape(k**hi, k**lo)
+    flipped = np.empty((k**lo, k**hi), dtype=np.bool_)
+    flat = flipped.reshape(-1)
+    flat_proper = np.ascontiguousarray(proper.reshape(k**hi, k**lo).T).reshape(-1)
+    line = np.empty(k ** max(n - 1, 0), dtype=np.bool_)
+    count = 1
+    while count < total:
+        for v in range(lo, n):
+            _close_lines(reached, proper, line, k ** (n - 1 - v), k, k**v)
+        np.copyto(flipped, grid.T)
+        for v in range(lo):
+            _close_lines(flat, flat_proper, line, k ** (lo - 1 - v), k, k ** (hi + v))
+        np.copyto(grid, flipped.T)
+        grown = int(np.count_nonzero(reached))
+        if grown == count:
+            break
+        count = grown
+    return count
 
 
 def bfs_meet(start: int, goal: int, proper: np.ndarray, n: int, k: int) -> int | None:

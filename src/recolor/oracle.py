@@ -7,8 +7,11 @@ cross-validate the constructive transformations.
 
 `bfs_distance` needs one distance, so it grows a ball around each endpoint
 and stops where the two balls meet (`_kernels.bfs_meet`). `reconfig_connected`
-and `reconfig_diameter` need every distance from a source and run full
-searches (`_kernels.bfs_levels`).
+needs no distance, only the size of one component: the proper states that
+differ in one vertex's colour form a clique, so `_kernels.reach_count` closes
+the reached set line by line on a dense mask and never calls `bfs_levels`.
+`reconfig_diameter` needs every distance from a source and runs full searches
+(`_kernels.bfs_levels`).
 """
 
 from __future__ import annotations
@@ -71,12 +74,10 @@ def bfs_distance(
 def reconfig_connected(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """True iff every proper k-coloring is reachable from every other."""
     mask = _proper_states(g, k, state_cap)
-    total = int(mask.sum())
+    total = int(np.count_nonzero(mask))
     if total <= 1:
         return True
-    start = int(np.argmax(mask))
-    dist = _kernels.bfs_levels(start, mask, g.n, k)
-    return int((dist >= 0).sum()) == total
+    return _kernels.reach_count(int(np.argmax(mask)), mask, g.n, k) == total
 
 
 def reconfig_diameter(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> int | None:

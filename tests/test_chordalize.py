@@ -1,8 +1,10 @@
 import hashlib
 import json
+import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recolor import (
@@ -266,6 +268,37 @@ def test_pipeline_random_instances(n, seed, tenths):
     seq = pipeline_theorem(g, alpha, beta)
     assert verify_sequence(g, seq).colors == beta.colors
     assert max(len(restrict(seq, {v})) for v in range(g.n)) <= PER_VERTEX_PIPELINE_BOUND
+
+
+@st.composite
+def width2_unions(draw):
+    """A disjoint union of partial 2-trees and isolated vertices, relabelled at random."""
+    parts = draw(st.lists(st.integers(3, 700), max_size=3))
+    isolated = draw(st.integers(0, 100))
+    seed = draw(st.integers(0, 10**6))
+    n = sum(parts) + isolated
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    edges, base = [], 0
+    for i, size in enumerate(parts):
+        part = gen_partial_2tree(size, 0.3 + 0.3 * i, seed + i)
+        edges += [(label[base + u], label[base + v]) for u, v in part.edges()]
+        base += size
+    return Graph.from_edges(n, edges), seed
+
+
+@settings(max_examples=12, deadline=None)
+@given(width2_unions())
+@example((Graph.from_edges(0, []), 0))
+def test_pipeline_on_disjoint_unions(instance):
+    g, seed = instance
+    order = degeneracy_order(g)
+    alpha = random_proper_coloring(g, order, 5, seed + 1)
+    beta = random_proper_coloring(g, order, 5, seed + 2)
+    seq = pipeline_theorem(g, alpha, beta)
+    assert verify_sequence(g, seq).colors == beta.colors
+    moves = Counter(v for v, _ in seq.steps)
+    assert max(moves.values(), default=0) <= PER_VERTEX_PIPELINE_BOUND
 
 
 def _assert_tree_order_reads_merged_graph(g, coloring):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -172,6 +174,43 @@ def test_kernels_match_brute_force(g, k, pick):
     for colors, d in helpers.naive_all_distances(g, k, src).items():
         want[_code(colors, k)] = d
     assert dist.dtype == np.int32 and np.array_equal(dist, want)
+
+
+P5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(), st.integers(1, 5), st.integers(0, 10**5))
+@example(K3, 3, 0)  # frozen: each proper state reaches only itself
+@example(P3, 2, 0)
+@example(Graph.from_edges(0, []), 3, 0)
+@example(Graph.from_edges(1, []), 3, 0)
+@example(P5, 3, 7)  # odd n: the high digits outnumber the low ones
+def test_reach_count_matches_naive_component(g, k, pick):
+    proper = helpers.proper_colorings(g, k)
+    if not proper:
+        assert reconfig_connected(g, k)
+        return
+    src = proper[pick % len(proper)]
+    mask = _kernels.proper_mask(g.n, k, g.edges())
+    reach = helpers.naive_all_distances(g, k, src)
+    assert _kernels.reach_count(_code(src, k), mask, g.n, k) == len(reach)
+    assert reconfig_connected(g, k) == (len(reach) == len(proper))
+
+
+def test_reconfig_connected_peak_below_five_bytes_per_state():
+    # proper_mask, the reached set, their transposed copies and one line
+    # buffer: about 4.2 bytes per state, where an int32 distance array alone
+    # would take 4
+    for s in range(5):
+        g = gen_partial_2tree(8, 0.7, s)
+        tracemalloc.start()
+        try:
+            assert reconfig_connected(g, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 5**8, (s, peak / 5**8)
 
 
 @settings(max_examples=100, deadline=None)
