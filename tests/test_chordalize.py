@@ -363,6 +363,29 @@ def test_outputs_match_recorded_digest():
     assert digest.hexdigest() == CORPUS_DIGEST
 
 
+# The same outputs at the benchmark's n = 1600, where CORPUS_DIGEST stops at
+# n = 200: the width-2 tree, the pipeline, and best-choice on chordal graphs.
+LARGE_CORPUS_DIGEST = "da1039a199552485c4a0692db833b8103c1d16029888ca038124017fd5e618be"
+
+
+def test_large_outputs_match_recorded_digest():
+    digest = hashlib.sha256()
+    for s in range(3):
+        g = gen_partial_2tree(1600, 0.6, s)
+        order = degeneracy_order(g)
+        alpha = random_proper_coloring(g, order, 5, 2 * s + 1)
+        beta = random_proper_coloring(g, order, 5, 2 * s + 2)
+        digest.update(json.dumps(reduce_width2(g).to_json()).encode())
+        digest.update(json.dumps(pipeline_theorem(g, alpha, beta).to_json()).encode())
+
+        h = gen_chordal_omega3(1600, s)
+        peo = mcs_order(h)
+        alpha = random_proper_coloring(h, peo, 5, s)
+        seq = best_choice_recoloring(h, peo, alpha, greedy_coloring(h, peo), 5)
+        digest.update(json.dumps(seq.to_json()).encode())
+    assert digest.hexdigest() == LARGE_CORPUS_DIGEST
+
+
 DECOMPOSITION_DIGEST = "fe6d04174b3fe291cdecdc7924180fd3390cce430c4bcea6c06132c2fef5c721"
 
 
