@@ -11,6 +11,8 @@ most 3 and five colors this recolors every vertex a bounded number of times.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .decomposition import EliminationOrdering, _later_form_cliques, later_neighbors
 from .errors import InvalidInput, NoValidColor
 from .graphs import Coloring, Graph, require_proper
@@ -61,7 +63,10 @@ def best_choice_recoloring(
     if k < 2 + max_out:
         raise InvalidInput(f"need k >= {2 + max_out}, got {k}")
 
-    seq = _best_choice(peo, later, alpha, beta, k)
+    seq = RecoloringSequence(
+        Coloring(k, alpha.colors),
+        tuple(_best_choice(peo.order, later, alpha.colors, beta.colors, k)),
+    )
     final = verify_sequence(g, seq)
     if final.colors != beta.colors:
         raise AssertionError("sequence does not end at the target coloring")
@@ -69,58 +74,81 @@ def best_choice_recoloring(
 
 
 def _best_choice(
-    peo: EliminationOrdering,
-    later: tuple[tuple[int, ...], ...],
-    alpha: Coloring,
-    beta: Coloring,
+    order: Sequence[int],
+    later: Sequence[tuple[int, ...]],
+    alpha: Sequence[int],
+    beta: Sequence[int],
     k: int,
-) -> RecoloringSequence:
-    """best_choice_recoloring without checking its inputs or replaying its output.
+) -> list[tuple[int, int]]:
+    """best_choice_recoloring's steps, without checking its inputs or replaying them.
 
-    `later` is later_neighbors(g, peo): each u is spliced in against the
-    neighbors already processed, which are exactly those after it. Steps are
-    nodes (vertex, color) of one doubly linked list whose node 0 marks the end,
-    and trace[u] lists the nodes of u and of later[u] in sequence order.
+    `later` is the later-neighbor table of `order`, with at most two entries
+    per vertex, and `alpha` and `beta` are the endpoint colors. Each u is
+    spliced in against the neighbors already processed, which are exactly
+    those after it. Steps are nodes (vertex, color) of one doubly linked list
+    whose node 0 marks the end, and trace[u] lists the nodes of u and of
+    later[u] in sequence order.
 
     u only needs the steps of later[u], in order. Let a be the vertex of
     later[u] processed last. later[u] is a clique, so every other member of
     it lies in later[a]; a vertex's steps are fixed once it is processed, and
     an insertion never reorders existing nodes. So trace[a] filtered to
-    later[u] is exactly the run of steps u is spliced against.
+    later[u] is exactly the run of steps u is spliced against. When u's color
+    never comes up in that run, u moves only at the end and trace[u] is the run.
     """
     vert, col, prv, nxt = [-1], [0], [0], [0]
-
-    def insert(v: int, c: int, before: int) -> int:
-        node = len(vert)
-        vert.append(v)
-        col.append(c)
-        prv.append(prv[before])
-        nxt.append(before)
-        nxt[prv[before]] = node
-        prv[before] = node
-        return node
-
-    rank = [0] * len(peo.order)
-    trace: list[list[int]] = [[] for _ in peo.order]
-    for i, u in enumerate(reversed(peo.order)):
+    palette = range(1, k + 1)
+    rank = [0] * len(order)
+    trace: list[list[int]] = [[]] * len(order)
+    for i, u in enumerate(reversed(order)):
         nbrs = later[u]
-        view = []
-        if nbrs:
-            a = max(nbrs, key=rank.__getitem__)
-            view = [s for s in trace[a] if vert[s] in nbrs]
-        upcoming = [col[s] for s in view]
-        cur = {w: alpha.colors[w] for w in nbrs}
-        cur_u, beta_u = alpha.colors[u], beta.colors[u]
-        for j, s in enumerate(view):
-            if upcoming[j] == cur_u:
-                forbidden = {cur_u, *cur.values()}
-                valid = [x for x in range(1, k + 1) if x not in forbidden]
-                cur_u = _choose_color(valid, upcoming[j:], beta_u)
-                trace[u].append(insert(u, cur_u, s))
-            trace[u].append(s)
-            cur[vert[s]] = upcoming[j]
-        if cur_u != beta_u:
-            trace[u].append(insert(u, beta_u, 0))
+        cur_u = alpha[u]
+        if not nbrs:
+            mine = []
+        else:
+            if len(nbrs) == 1:
+                x = nbrs[0]
+                view = [s for s in trace[x] if vert[s] == x]
+            elif len(nbrs) == 2:
+                x, y = nbrs
+                a = x if rank[x] > rank[y] else y
+                view = [s for s in trace[a] if vert[s] == x or vert[s] == y]
+            else:
+                a = max(nbrs, key=rank.__getitem__)
+                view = [s for s in trace[a] if vert[s] in nbrs]
+            upcoming = [col[s] for s in view]
+            if cur_u not in upcoming:
+                mine = view
+            else:
+                mine = []
+                cur = {w: alpha[w] for w in nbrs}
+                for j, s in enumerate(view):
+                    if upcoming[j] == cur_u:
+                        forbidden = {cur_u, *cur.values()}
+                        valid = [c for c in palette if c not in forbidden]
+                        cur_u = _choose_color(valid, upcoming[j:], beta[u])
+                        # a node of u just before s
+                        node = len(vert)
+                        vert.append(u)
+                        col.append(cur_u)
+                        p = prv[s]
+                        prv.append(p)
+                        nxt.append(s)
+                        nxt[p] = prv[s] = node
+                        mine.append(node)
+                    mine.append(s)
+                    cur[vert[s]] = upcoming[j]
+        if cur_u != beta[u]:
+            # a node of u at the end
+            node = len(vert)
+            vert.append(u)
+            col.append(beta[u])
+            p = prv[0]
+            prv.append(p)
+            nxt.append(0)
+            nxt[p] = prv[0] = node
+            mine.append(node)
+        trace[u] = mine
         rank[u] = i
 
     steps = []
@@ -128,4 +156,4 @@ def _best_choice(
     while s:
         steps.append((vert[s], col[s]))
         s = nxt[s]
-    return RecoloringSequence(Coloring(k, alpha.colors), tuple(steps))
+    return steps

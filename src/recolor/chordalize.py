@@ -15,16 +15,24 @@ elimination ordering of h: a later neighbor of x shares a bag with x and has
 a top no deeper than x's, so it lies in x's top bag. The later-neighbor table
 and the greedy 3-coloring are read off those top bags (`_tree_order`). The
 bridge moves only the vertices whose two 3-colorings differ.
+
+The private cores (`_merge_classes`, `_tree_order`, `_lift`, `_two_phase`
+and `bestchoice._best_choice`) pass plain lists and tuples to each other and
+check nothing. Validated dataclasses (`Coloring`, `MergeMap`,
+`RecoloringSequence`) are built only at the public entry points, each of
+which checks its inputs, runs the cores and replays its result once.
+`pipeline_theorem` wraps its three segments in sequences only to chain them
+with `concatenate` and replay the whole once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Collection, Sequence
 
 from .bestchoice import _best_choice
 from .decomposition import (
-    EliminationOrdering,
     TreeDecomposition,
     _validate_decomposition,
     reduce_width2,
@@ -88,85 +96,113 @@ def merge_same_colored(
     """
     validate_decomposition(g, td)
     require_proper(g, alpha, alpha.k, "alpha")
-    return _merge(g, td, alpha)
-
-
-def _merge(
-    g: Graph, td: TreeDecomposition, alpha: Coloring
-) -> tuple[Graph, MergeMap, Coloring]:
-    """merge_same_colored without checking its inputs."""
-    merge_map, alpha_h = _merge_classes(g, td, alpha)
-    to_merged = merge_map.to_merged
+    to_merged, classes, colors_h = _merge_classes(g.n, td.bags, alpha.colors)
     edges = set()
     for bag in td.bags:
         edges.update(combinations({to_merged[v] for v in bag}, 2))
-    return Graph.from_edges(len(merge_map.classes), edges), merge_map, alpha_h
+    return (
+        Graph.from_edges(len(classes), edges),
+        MergeMap(tuple(to_merged), tuple(map(tuple, classes))),
+        Coloring(alpha.k, tuple(colors_h)),
+    )
 
 
 def _merge_classes(
-    g: Graph, td: TreeDecomposition, alpha: Coloring
-) -> tuple[MergeMap, Coloring]:
-    """The merge map and inherited coloring of merge_same_colored, without h.
+    n: int, bags: Sequence[Collection[int]], colors: Sequence[int]
+) -> tuple[list[int], list[list[int]], list[int]]:
+    """The merge map and inherited colors of merge_same_colored, without h.
 
-    The classes are the connected components of "same color, shared bag" in
-    td. Merging two classes only renames them inside bags that already held
-    one of them, so merging until no bag repeats a color, in any order,
-    joins exactly these components.
+    Returns to_merged, the classes (ascending, numbered in the order of their
+    smallest members) and each class's color. The classes are the connected
+    components of "same color, shared bag" in a decomposition whose bags hold
+    at most 3 vertices. Merging two classes only renames them inside bags
+    that already held one of them, so merging until no bag repeats a color,
+    in any order, joins exactly these components.
     """
-    root = list(range(g.n))
+    # root[v] <= v, and a component's root is its smallest member
+    root = list(range(n))
 
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
+    def union(a: int, b: int) -> None:
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a < b:
+            root[b] = a
+        else:
+            root[a] = b
 
-    for bag in td.bags:
-        for a, b in combinations(bag, 2):
-            if alpha.colors[a] == alpha.colors[b]:
-                ra, rb = find(a), find(b)
-                root[max(ra, rb)] = min(ra, rb)
+    for bag in bags:
+        if len(bag) == 3:
+            a, b, c = bag
+            ca, cb, cc = colors[a], colors[b], colors[c]
+            if ca == cb:
+                union(a, b)
+            if ca == cc:
+                union(a, c)
+            if cb == cc:
+                union(b, c)
+        elif len(bag) == 2:
+            a, b = bag
+            if colors[a] == colors[b]:
+                union(a, b)
 
-    # classes are numbered in the order of their smallest members
-    index: dict[int, int] = {}
-    to_merged = tuple(index.setdefault(find(v), len(index)) for v in range(g.n))
-    classes: list[list[int]] = [[] for _ in index]
-    for v, m in enumerate(to_merged):
-        classes[m].append(v)
-    alpha_h = Coloring(alpha.k, tuple(alpha.colors[c[0]] for c in classes))
-    return MergeMap(to_merged, tuple(map(tuple, classes))), alpha_h
+    # root[v] < v lies in v's class and was numbered first
+    to_merged = [0] * n
+    classes: list[list[int]] = []
+    for v, r in enumerate(root):
+        if r == v:
+            to_merged[v] = len(classes)
+            classes.append([v])
+        else:
+            to_merged[v] = m = to_merged[r]
+            classes[m].append(v)
+    return to_merged, classes, [colors[c[0]] for c in classes]
 
 
 def _tree_order(
-    td: TreeDecomposition, depth: list[int], top: list[int], merge_map: MergeMap
-) -> tuple[EliminationOrdering, tuple[tuple[int, ...], ...]]:
+    bags: Sequence[Collection[int]],
+    depth: list[int],
+    top: list[int],
+    to_merged: list[int],
+    classes: list[list[int]],
+) -> tuple[list[int], list[tuple[int, ...]]]:
     """The tree order of the merge classes and its later-neighbor table.
 
-    `depth` and `top` are what _validate_decomposition returns for td. A
-    class's bags form a subtree, so its top bag is the member top nearest bag
-    0. Classes go by decreasing depth of their top bag, ties to the lowest
-    index; by the argument in the module docstring this is a perfect
-    elimination ordering of h, and later[x] is the classes of x's top bag
-    that come after x, a clique of at most 2.
+    `depth` and `top` are what _validate_decomposition returns for the
+    decomposition with these bags. A class's bags form a subtree, so its top
+    bag is the member top nearest bag 0. Classes go by decreasing depth of
+    their top bag, ties to the lowest index; by the argument in the module
+    docstring this is a perfect elimination ordering of h, and later[x] is
+    the ascending classes of x's top bag that come after x, a clique of at
+    most 2.
     """
-    to_merged = merge_map.to_merged
-    size = len(merge_map.classes)
-    tops = [-1] * size
-    for v, x in enumerate(to_merged):
-        t = top[v]
-        if tops[x] < 0 or depth[t] < depth[tops[x]]:
-            tops[x] = t
-    key = [-depth[t] for t in tops]
-    order = sorted(range(size), key=key.__getitem__)
-    pos = [0] * size
+    tops = []
+    for c in classes:
+        t = top[c[0]]
+        for v in c[1:]:
+            if depth[top[v]] < depth[t]:
+                t = top[v]
+        tops.append(t)
+    # a counting sort by decreasing depth, each depth in index order
+    by_depth: list[list[int]] = [[] for _ in range(max(depth, default=0) + 1)]
+    for x, t in enumerate(tops):
+        by_depth[depth[t]].append(x)
+    order = [x for level in reversed(by_depth) for x in level]
+    pos = [0] * len(order)
     for i, x in enumerate(order):
         pos[x] = i
     later = []
     for x, t in enumerate(tops):
         p = pos[x]
-        mapped = {to_merged[v] for v in td.bags[t]}
-        later.append(tuple(sorted([y for y in mapped if pos[y] > p])))
-    return EliminationOrdering(tuple(order)), tuple(later)
+        ys = []
+        for v in bags[t]:
+            y = to_merged[v]
+            if pos[y] > p and y not in ys:
+                ys.append(y)
+        ys.sort()
+        later.append(tuple(ys))
+    return order, later
 
 
 def lift_sequence(
@@ -188,7 +224,11 @@ def lift_sequence(
     outside += [m for m, _ in seq_h.steps if not 0 <= m < size]
     if outside:
         raise LiftFailure(f"merged vertex {outside[0]} is not one of {size} classes")
-    lifted = _lift(seq_h, merge_map, g.n)
+    colors_h = seq_h.start.colors
+    lifted = RecoloringSequence(
+        Coloring(seq_h.start.k, tuple([colors_h[m] for m in merge_map.to_merged])),
+        tuple(_lift(seq_h.steps, merge_map.classes)),
+    )
     try:
         verify_sequence(g, lifted)
     except (ImproperStart, ImproperStep, NoOpStep, InvalidColoring) as exc:
@@ -196,17 +236,11 @@ def lift_sequence(
     return lifted
 
 
-def _lift(seq_h: RecoloringSequence, merge_map: MergeMap, n: int) -> RecoloringSequence:
-    """lift_sequence without replaying its output."""
-    start = Coloring(
-        seq_h.start.k,
-        tuple(seq_h.start.colors[merge_map.to_merged[v]] for v in range(n)),
-    )
-    steps: list[tuple[int, int]] = []
-    for m, c in seq_h.steps:
-        for v in merge_map.classes[m]:
-            steps.append((v, c))
-    return RecoloringSequence(start, tuple(steps))
+def _lift(
+    steps_h: Sequence[tuple[int, int]], classes: Sequence[Sequence[int]]
+) -> list[tuple[int, int]]:
+    """lift_sequence's steps, without checking or replaying them."""
+    return [(v, c) for m, c in steps_h for v in classes[m]]
 
 
 def two_phase_transform(
@@ -224,7 +258,10 @@ def two_phase_transform(
         raise InvalidInput(f"need k >= {2 * d + 1}, got {k}")
     require_proper(g, gamma_s, d + 1, "source")
     require_proper(g, gamma_t, d + 1, "target")
-    seq = _two_phase(g.n, gamma_s, gamma_t, d, k)
+    seq = RecoloringSequence(
+        Coloring(k, gamma_s.colors),
+        tuple(_two_phase(gamma_s.colors, gamma_t.colors, d)),
+    )
     final = verify_sequence(g, seq)
     if final.colors != gamma_t.colors:
         raise AssertionError("two-phase transform missed its target")
@@ -232,44 +269,41 @@ def two_phase_transform(
 
 
 def _two_phase(
-    n: int, gamma_s: Coloring, gamma_t: Coloring, d: int, k: int
-) -> RecoloringSequence:
-    """two_phase_transform without checking its inputs or replaying its output."""
+    source: Sequence[int], target: Sequence[int], d: int
+) -> list[tuple[int, int]]:
+    """two_phase_transform's steps, without checking its inputs or replaying them."""
     classes: list[list[int]] = [[] for _ in range(d + 2)]
-    for v in range(n):
-        if gamma_s.colors[v] != gamma_t.colors[v]:
-            classes[gamma_s.colors[v]].append(v)
+    for v, (s, t) in enumerate(zip(source, target)):
+        if s != t:
+            classes[s].append(v)
 
     steps: list[tuple[int, int]] = []
     for i in range(1, d + 1):
-        for v in classes[i]:
-            steps.append((v, d + 1 + i))
-    for v in classes[d + 1]:
-        steps.append((v, gamma_t.colors[v]))
+        steps += [(v, d + 1 + i) for v in classes[i]]
+    steps += [(v, target[v]) for v in classes[d + 1]]
     for i in range(1, d + 1):
-        for v in classes[i]:
-            steps.append((v, gamma_t.colors[v]))
-
-    return RecoloringSequence(Coloring(k, gamma_s.colors), tuple(steps))
+        steps += [(v, target[v]) for v in classes[i]]
+    return steps
 
 
 def _toward_3coloring(
-    g: Graph,
-    td: TreeDecomposition,
-    tree: tuple[list[int], list[int]],
-    coloring: Coloring,
-) -> tuple[RecoloringSequence, Coloring]:
-    """Sequence on g from `coloring` to a 3-coloring, via the merge classes.
+    n: int,
+    bags: Sequence[Collection[int]],
+    depth: list[int],
+    top: list[int],
+    colors: Sequence[int],
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """Steps on g from the 5-coloring `colors` to a 3-coloring, and that 3-coloring.
 
-    `tree` is _validate_decomposition(g, td). The greedy 3-coloring of the
-    merged graph reads only the later-neighbor table of the tree order.
+    `depth` and `top` are what _validate_decomposition returns for the
+    decomposition with these bags. The greedy 3-coloring of the merged graph
+    reads only the later-neighbor table of the tree order.
     """
-    merge_map, col_h = _merge_classes(g, td, coloring)
-    peo, later = _tree_order(td, *tree, merge_map)
-    target = _greedy(peo.order, later)
-    seq_h = _best_choice(peo, later, col_h, Coloring(3, target), k=5)
-    lifted = _lift(seq_h, merge_map, g.n)
-    return lifted, Coloring(5, tuple(target[m] for m in merge_map.to_merged))
+    to_merged, classes, colors_h = _merge_classes(n, bags, colors)
+    order, later = _tree_order(bags, depth, top, to_merged, classes)
+    target = _greedy(order, later)
+    steps_h = _best_choice(order, later, colors_h, target, 5)
+    return _lift(steps_h, classes), [target[m] for m in to_merged]
 
 
 def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSequence:
@@ -286,11 +320,17 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
             raise InvalidColoring(f"{name} is a {coloring.k}-coloring, not a 5-coloring")
         require_proper(g, coloring, 5, name)
     td = reduce_width2(g)
-    tree = _validate_decomposition(g, td)
-    seq_a, gamma_1 = _toward_3coloring(g, td, tree, alpha)
-    seq_b, gamma_2 = _toward_3coloring(g, td, tree, beta)
-    bridge = _two_phase(g.n, gamma_1, gamma_2, d=2, k=5)
-    whole = concatenate([seq_a, bridge, reverse_sequence(seq_b)])
+    depth, top = _validate_decomposition(g, td)
+    steps_a, gamma_1 = _toward_3coloring(g.n, td.bags, depth, top, alpha.colors)
+    steps_b, gamma_2 = _toward_3coloring(g.n, td.bags, depth, top, beta.colors)
+    bridge = _two_phase(gamma_1, gamma_2, d=2)
+    whole = concatenate(
+        [
+            RecoloringSequence(alpha, tuple(steps_a)),
+            RecoloringSequence(Coloring(5, tuple(gamma_1)), tuple(bridge)),
+            reverse_sequence(RecoloringSequence(beta, tuple(steps_b))),
+        ]
+    )
     final = verify_sequence(g, whole)
     if final.colors != beta.colors:
         raise AssertionError("pipeline does not end at beta")

@@ -204,10 +204,12 @@ def _validate_decomposition(
     # a vertex's bags form a subtree iff exactly one of them (its top) is the
     # root or hangs below a bag without the vertex; -1 marks no top yet and
     # -2 a second one
+    bags = td.bags
     top = [-1] * g.n
-    for idx, bag in enumerate(td.bags):
+    for idx, bag in enumerate(bags):
+        up = bags[parent[idx]] if idx else ()
         for v in bag:
-            if idx == 0 or v not in td.bags[parent[idx]]:
+            if v not in up:
                 top[v] = idx if top[v] == -1 else -2
     for v, t in enumerate(top):
         if t == -1:
@@ -215,10 +217,14 @@ def _validate_decomposition(
         if t == -2:
             raise InvalidDecomposition(f"bags containing vertex {v} are not connected")
 
-    covered = {(u, v) for bag in td.bags for u in bag for v in bag if u < v}
-    for u, v in g.edges():
-        if (u, v) not in covered:
-            raise InvalidDecomposition(f"edge ({u}, {v}) is in no bag")
+    # The bags of u and of v are subtrees, so the bags holding both, if any,
+    # are a subtree whose top is top[u] or top[v]: its parent lies in both
+    # subtrees unless it is the top of one. Edges go in g.edges() order.
+    for u, nbrs in enumerate(g.adjacency):
+        up = bags[top[u]]
+        for v in nbrs:
+            if v > u and v not in up and u not in bags[top[v]]:
+                raise InvalidDecomposition(f"edge ({u}, {v}) is in no bag")
     return depth, top
 
 
@@ -268,7 +274,13 @@ def reduce_width2(g: Graph) -> TreeDecomposition:
     bags = [frozenset((v, *nb)) for v, nb in order]
     # the neighbour eliminated first still held the others, so its bag holds
     # nb; bags with no neighbours hang below bag 0, which is its own parent
-    parent = [max((index[u] for u in nb), default=0) for _, nb in order]
+    parent = [0] * len(order)
+    for i, (_, nb) in enumerate(order):
+        if len(nb) == 2:
+            a, b = index[nb[0]], index[nb[1]]
+            parent[i] = a if a > b else b
+        elif nb:
+            parent[i] = index[nb[0]]
     # children come after their parent, so walking down sees every child of
     # a bag, folded as far as it goes, before the bag itself
     into = list(range(len(bags)))
@@ -277,11 +289,15 @@ def reduce_width2(g: Graph) -> TreeDecomposition:
         if i and bags[parent[i]] <= bags[i]:
             into[parent[i]] = i
     kept = [i for i in range(len(bags)) if into[i] == i]
-    rank = {i: r for r, i in enumerate(kept)}
+    rank = [0] * len(bags)
+    for r, i in enumerate(kept):
+        rank[i] = r
     node = [rank[j] for j in into]
-    edges = {
-        (min(node[i], node[p]), max(node[i], node[p]))
-        for i, p in enumerate(parent)
-        if node[i] != node[p]
-    }
+    edges = set()
+    for i, p in enumerate(parent):
+        a, b = node[i], node[p]
+        if a < b:
+            edges.add((a, b))
+        elif b < a:
+            edges.add((b, a))
     return TreeDecomposition(tuple(bags[i] for i in kept), tuple(sorted(edges)))

@@ -230,8 +230,9 @@ def _greedy(order: Sequence[int], nbrs: Sequence[Iterable[int]]) -> tuple[int, .
     neighbor not yet colored holds 0, which no color equals.
     """
     colors = [0] * len(nbrs)
+    color_of = colors.__getitem__
     for v in reversed(order):
-        used = {colors[w] for w in nbrs[v]}
+        used = set(map(color_of, nbrs[v]))
         c = 1
         while c in used:
             c += 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from recolor import (
     Coloring,
+    EliminationOrdering,
     Graph,
     InvalidColoring,
     InvalidDecomposition,
@@ -304,12 +305,16 @@ def test_pipeline_on_disjoint_unions(instance):
 def _assert_tree_order_reads_merged_graph(g, coloring):
     """The tree order, its later table and its greedy target match h's."""
     td = reduce_width2(g)
-    tree = _validate_decomposition(g, td)
-    h, merge_map, _ = merge_same_colored(g, td, coloring)
-    peo, later = chordalize._tree_order(td, *tree, merge_map)
+    depth, top = _validate_decomposition(g, td)
+    h, merge_map, coloring_h = merge_same_colored(g, td, coloring)
+    to_merged, classes, colors_h = chordalize._merge_classes(g.n, td.bags, coloring.colors)
+    assert MergeMap(tuple(to_merged), tuple(map(tuple, classes))) == merge_map
+    assert tuple(colors_h) == coloring_h.colors
+    order, later = chordalize._tree_order(td.bags, depth, top, to_merged, classes)
+    peo = EliminationOrdering(tuple(order))
     assert is_perfect_elimination(h, peo)
-    assert later == later_neighbors(h, peo)
-    assert _greedy(peo.order, later) == greedy_coloring(h, peo).colors
+    assert tuple(later) == later_neighbors(h, peo)
+    assert _greedy(order, later) == greedy_coloring(h, peo).colors
 
 
 def test_tree_order_on_digest_corpus():
@@ -413,10 +418,11 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
     order = degeneracy_order(g)
     alpha = random_proper_coloring(g, order, 5, 1)
     beta = random_proper_coloring(g, order, 5, 2)
-    # the pipeline also builds no merged graph, so none of the last four runs
+    # the pipeline also builds no merged graph, so none of the next four runs,
+    # and its stages pass plain lists, so it builds no merge map or ordering
     calls = dict.fromkeys(
         ("verify_sequence", "validate_decomposition", "from_edges", "mcs_order",
-         "later_neighbors", "greedy_coloring"),
+         "later_neighbors", "greedy_coloring", "MergeMap", "EliminationOrdering"),
         0,
     )
 
@@ -443,5 +449,7 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
         for name in ("mcs_order", "later_neighbors", "greedy_coloring"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for cls in (MergeMap, EliminationOrdering):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
     pipeline_theorem(g, alpha, beta)
     assert calls == {**dict.fromkeys(calls, 0), "verify_sequence": 1, "validate_decomposition": 1}
