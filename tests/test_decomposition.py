@@ -181,6 +181,25 @@ def test_validator_catches_missing_edge():
         validate_decomposition(K3, td)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 40), st.integers(0, 10**6), st.integers(0, 4))
+def test_validator_edge_cover_matches_definition(n, seed, extra):
+    # a valid decomposition of g, checked against g plus a few random edges
+    g = gen_partial_2tree(n, 0.6, seed)
+    td = reduce_width2(g)
+    rng = random.Random(seed)
+    added = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(extra)]
+    wider = Graph.from_edges(n, g.edges() + added)
+    covered = {(u, v) for bag in td.bags for u in bag for v in bag if u < v}
+    missing = [e for e in wider.edges() if e not in covered]
+    if missing:
+        u, v = missing[0]
+        with pytest.raises(InvalidDecomposition, match=rf"^edge \({u}, {v}\) is in no bag$"):
+            validate_decomposition(wider, td)
+    else:
+        validate_decomposition(wider, td)
+
+
 def test_validator_catches_disconnected_vertex_set():
     td = TreeDecomposition(
         (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})),
