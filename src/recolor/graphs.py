@@ -80,9 +80,12 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        for c in self.colors:
-            if not (1 <= c <= self.k):
-                raise InvalidColoring(f"color {c} outside 1..{self.k}")
+        # set() is one C pass, and a coloring has few distinct colors; the
+        # loop runs only to name the first color out of range
+        if not all(1 <= c <= self.k for c in set(self.colors)):
+            for c in self.colors:
+                if not (1 <= c <= self.k):
+                    raise InvalidColoring(f"color {c} outside 1..{self.k}")
 
     def to_json(self) -> dict:
         return {"k": self.k, "colors": list(self.colors)}

@@ -50,6 +50,11 @@ def test_is_proper_length_mismatch():
 def test_coloring_rejects_out_of_range():
     with pytest.raises(InvalidColoring):
         Coloring(2, (1, 3))
+    # the message names the first color out of range, and a NaN is out of range
+    for colors, bad in (((1, 6, 0), "6"), ((1, 0, 6), "0"), ((2, float("nan")), "nan")):
+        with pytest.raises(InvalidColoring, match=rf"^color {bad} outside 1\.\.5$"):
+            Coloring(5, colors)
+    assert Coloring(5, ()).colors == ()
 
 
 def test_graph_rejects_self_loop():
