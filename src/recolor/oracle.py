@@ -90,17 +90,34 @@ def reconfig_diameter(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> i
     first. Keep instances very small.
     """
     mask = _proper_states(g, k, state_cap)
-    codes = np.flatnonzero(mask)
-    total = int(codes.size)
+    total = int(np.count_nonzero(mask))
     if total == 0:
         return None
-    digits = (codes[:, None] // k ** np.arange(g.n, dtype=np.int64)) % k
-    top = np.maximum.accumulate(digits, axis=1)
-    sources = codes[(np.diff(top, axis=1, prepend=-1) <= 1).all(axis=1)]
     best = 0
-    for src in sources:
+    for src in _orbit_sources(mask, g.n, k):
         dist = _kernels.bfs_levels(int(src), mask, g.n, k)
         if int((dist >= 0).sum()) != total:
             return None
         best = max(best, int(dist.max()))
     return best
+
+
+def _orbit_sources(mask: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The proper codes whose colours first appear in the order 1, 2, 3, ...
+
+    That is digit[v] <= max(digit[:v]) + 1 for every v, one code per orbit of
+    the colour permutations. The rule is tested one digit at a time against
+    a running maximum, which stays below n for every code still kept and so
+    fits int8: with the codes and one digit buffer, about 20 bytes per proper
+    state.
+    """
+    codes = np.flatnonzero(mask)
+    keep = np.ones(codes.size, dtype=np.bool_)
+    top = np.full(codes.size, -1, dtype=np.int8)
+    digit = np.empty_like(codes)
+    for v in range(n):
+        np.floor_divide(codes, k**v, out=digit)
+        np.remainder(digit, k, out=digit)
+        keep &= digit <= top + 1
+        np.maximum(top, digit, out=top, where=keep)
+    return codes[keep]

@@ -23,7 +23,7 @@ from recolor import (
     reconfig_connected,
     reconfig_diameter,
 )
-from recolor import _kernels
+from recolor import _kernels, oracle
 
 import helpers
 
@@ -211,6 +211,35 @@ def test_reconfig_connected_peak_below_five_bytes_per_state():
         finally:
             tracemalloc.stop()
         assert peak < 5 * 5**8, (s, peak / 5**8)
+
+
+def _first_appearance(code, n, k):
+    """True iff the colours of `code` first appear in the order 1, 2, 3, ..."""
+    top = -1
+    for v in range(n):
+        digit = code // k**v % k
+        if digit > top + 1:
+            return False
+        top = max(top, digit)
+    return True
+
+
+def test_orbit_sources_peak_below_32_bytes_per_proper_state():
+    # the codes and one digit buffer (int64), the running maximum (int8) and
+    # the keep-mask: about 25 bytes per proper state, where the (states, n)
+    # int64 digit, running-maximum and difference arrays took about 247
+    g = gen_partial_2tree(7, 0.7, 0)
+    mask = _kernels.proper_mask(g.n, 5, g.edges())
+    proper = int(np.count_nonzero(mask))
+    tracemalloc.start()
+    try:
+        sources = oracle._orbit_sources(mask, g.n, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * proper, peak / proper
+    want = [c for c in np.flatnonzero(mask).tolist() if _first_appearance(c, g.n, 5)]
+    assert sources.tolist() == want
 
 
 @settings(max_examples=100, deadline=None)
