@@ -40,11 +40,14 @@ from .sequences import RecoloringSequence, audit_best_choice, verify_sequence
 
 
 def _read(path: str, cls):
-    """cls.from_json of the JSON file at path; any unreadable file is InvalidInput."""
+    """cls.from_json of the JSON file at path; any unreadable file is InvalidInput.
+
+    The json decoder raises RecursionError on deeply nested text.
+    """
     try:
         with open(path) as handle:
             return cls.from_json(json.load(handle))
-    except (OSError, ValueError, InvalidInput) as exc:
+    except (OSError, ValueError, RecursionError, InvalidInput) as exc:
         raise InvalidInput(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -55,6 +58,8 @@ class _OutPath(str):
 def _require_out_dirs(args) -> None:
     for value in vars(args).values():
         if isinstance(value, _OutPath):
+            if not value:
+                raise InvalidInput("cannot write to an empty path")
             directory = os.path.dirname(value) or "."
             if not os.path.isdir(directory):
                 raise InvalidInput(f"cannot write {value}: no directory {directory}")

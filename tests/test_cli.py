@@ -1,6 +1,12 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from recolor import Coloring, Graph, mcs_order, pipeline_theorem, reduce_width2
 from recolor.cli import main
 
 
@@ -290,3 +296,125 @@ def test_batch_that_checks_nothing_is_rejected(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidInput: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+# A small width-2 instance and its valid files; the fuzz below mixes them
+# with corrupt ones and with flag values drawn from a small alphabet.
+_G = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])
+_A = Coloring(5, (1, 2, 3, 1, 2))
+_B = Coloring(5, (2, 3, 1, 2, 3))
+FILES = {
+    "g": json.dumps(_G.to_json()),
+    "a": json.dumps(_A.to_json()),
+    "b": json.dumps(_B.to_json()),
+    "td": json.dumps(reduce_width2(_G).to_json()),
+    "peo": json.dumps(mcs_order(_G).to_json()),
+    "seq": json.dumps(pipeline_theorem(_G, _A, _B).to_json()),
+    "k4": json.dumps({"n": 4, "edges": [[i, j] for i in range(4) for j in range(i + 1, 4)]}),
+    "text": "{not json",
+    "empty": "",
+    "list": "[]",
+    "null": "null",
+    "deep": "[" * 100_000,
+    "edge_out_of_range": '{"n": 5, "edges": [[0, 9]]}',
+    "huge_n": '{"n": 1e400, "edges": []}',
+    "improper": '{"k": 5, "colors": [1, 1, 1, 1, 1]}',
+    "short": '{"k": 5, "colors": [1, 2]}',
+    "nan_color": '{"k": 5, "colors": [NaN, 1, 2, 3, 4]}',
+    "k0": '{"k": 0, "colors": []}',
+    "dup_order": '{"order": [0, 0, 1, 2, 3]}',
+    "big_bag": '{"bags": [[0, 1, 2, 3]], "tree_edges": []}',
+    "bad_tree_edge": '{"bags": [[0, 1]], "tree_edges": [[0, 1, 2]]}',
+    "bad_step": json.dumps({"start": _A.to_json(), "steps": [[9, 1]]}),
+    "noop_step": json.dumps({"start": _A.to_json(), "steps": [[0, 1]]}),
+    "bad_start": '{"start": 5, "steps": []}',
+}
+# besides the files: a missing file, the directory itself, a file in a missing
+# directory, a fresh output path and the empty path
+PATHS = tuple(FILES) + ("missing", "dir", "nodir", "new", "")
+VALID = {
+    "--graph": "g", "--alpha": "a", "--beta": "b", "--coloring": "a", "--seq": "seq",
+    "--expect-final": "b", "--td": "td", "--peo": "peo", "--out": "new",
+    "--json-out": "new", "--coloring-out": "new",
+}
+NUMBERS = ("-1", "0", "1", "2", "3", "5", "7", "1.5", "x", "")
+VALUES = {
+    **{flag: PATHS for flag in VALID},
+    **dict.fromkeys(("--n", "--seed", "--k", "--coloring-seed", "--seeds", "--state-cap"), NUMBERS),
+    "--keep-prob": ("0.6", "0", "1", "-1", "nan", "inf", "x"),
+    "--family": ("chordal-omega3", "2tree", "partial-2tree", "tree"),
+    "--sizes": ("3", "3,5", "5,7", "0", "-1", "3,,5", "x", ""),
+}
+SWITCHES = ("--trace", "--no-cross-check")
+COMMANDS = {
+    "gen": ("--family", "--n", "--seed", "--keep-prob", "--out", "--coloring-out", "--k",
+            "--coloring-seed"),
+    "check": ("--graph", "--coloring", "--seq", "--expect-final"),
+    "decompose": ("--graph", "--td", "--peo"),
+    "reduce": ("--graph", "--td", "--alpha", "--out"),
+    "recolor": ("--graph", "--peo", "--alpha", "--beta", "--k", "--out", "--trace"),
+    "pipeline": ("--graph", "--alpha", "--beta", "--out"),
+    "oracle": ("--graph", "--k", "--alpha", "--beta", "--state-cap"),
+    "audit": ("--graph", "--peo", "--seq", "--json-out"),
+    "bench": ("--family", "--sizes", "--seeds", "--k", "--keep-prob", "--state-cap",
+              "--no-cross-check", "--out"),
+    "nope": (),
+}
+LOOSE = ("-h", "--bogus", "distance", "5", "@g", "@missing")
+# exit 1 or 2 without an error line: a verdict the command exists to give
+VERDICTS = ("improper", "invalid: ", "final coloring does not match", '{"vertex": ',
+            "violations found", "nothing to do")
+
+
+def _value(flag):
+    if flag in VALID:
+        return st.one_of(st.just(VALID[flag]), st.sampled_from(VALUES[flag])).map("@".__add__)
+    return st.sampled_from(VALUES[flag])
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    if command == "oracle":
+        argv.append(draw(st.sampled_from(("distance", "connected", "diameter", "radius"))))
+    for flag in COMMANDS[command]:
+        if draw(st.integers(0, 3)):  # usually present
+            argv.append(flag)
+            if flag not in SWITCHES:
+                argv.append(draw(_value(flag)))
+    argv += draw(st.lists(st.sampled_from(LOOSE), max_size=2))
+    return argv
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(cli_argv())
+@example(["check", "--graph", "@deep", "--coloring", "@a"])
+@example(["gen", "--family", "2tree", "--n", "5", "--out", "@"])
+def test_fuzzed_argv_exits_cleanly(tmp_path, capsys, argv):
+    """Every run exits 0, or 1 or 2 with one error line or a verdict; no traceback."""
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    for name, text in FILES.items():
+        (root / f"{name}.json").write_text(text)
+    paths = {"dir": str(root), "nodir": str(root / "nodir" / "x.json"), "": ""}
+    argv = [
+        paths.get(arg[1:], str(root / f"{arg[1:]}.json")) if arg.startswith("@") else arg
+        for arg in argv
+    ]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: exit 2 on a usage error, 0 for -h
+        code = exc.code
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0:
+        assert not errors, (argv, err)
+    elif errors:
+        assert len(errors) == 1, (argv, err)
+    else:
+        assert any(v in out + err for v in VERDICTS), (argv, code, out, err)
