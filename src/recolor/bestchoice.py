@@ -82,10 +82,9 @@ def _best_choice(
 ) -> list[tuple[int, int]]:
     """best_choice_recoloring's steps, without checking its inputs or replaying them.
 
-    `later` is the later-neighbor table of `order`, with at most two entries
-    per vertex, and `alpha` and `beta` are the endpoint colors. Each u is
-    spliced in against the neighbors already processed, which are exactly
-    those after it. Steps are nodes (vertex, color) of one doubly linked list
+    `later` is the later-neighbor table of `order`, and `alpha` and `beta`
+    are the endpoint colors. Each u is spliced in against the neighbors
+    already processed, which are exactly those after it. Steps are nodes (vertex, color) of one doubly linked list
     whose node 0 marks the end, and trace[u] lists the nodes of u and of
     later[u] in sequence order.
 

@@ -107,9 +107,10 @@ def _orbit_sources(mask: np.ndarray, n: int, k: int) -> np.ndarray:
 
     That is digit[v] <= max(digit[:v]) + 1 for every v, one code per orbit of
     the colour permutations. The rule is tested one digit at a time against
-    a running maximum, which stays below n for every code still kept and so
-    fits int8: with the codes and one digit buffer, about 20 bytes per proper
-    state.
+    a running maximum, updated only for codes still kept. Such a code's
+    maximum is below n and k, so below 64 wherever numpy can index the
+    states, and fits int8: with the codes and one int64 digit buffer, the
+    selection peaks at about 25 bytes per proper state.
     """
     codes = np.flatnonzero(mask)
     keep = np.ones(codes.size, dtype=np.bool_)
