@@ -16,30 +16,31 @@ from typing import Sequence
 from .decomposition import EliminationOrdering, _later_form_cliques, later_neighbors
 from .errors import InvalidInput, NoValidColor
 from .graphs import Coloring, Graph, require_proper
-from .sequences import RecoloringSequence, verify_sequence
+from .sequences import RecoloringSequence, _replayed
 
 
-def _choose_color(valid: list[int], future_colors: list[int], target: int) -> int:
-    """Pick a color for a vertex forced to move.
+def _choose_color(forbidden: set[int], future: list[int], target: int, k: int) -> int:
+    """Pick a color in 1..k outside `forbidden` for a vertex forced to move.
 
-    Preference order: the target color if it is valid and never reappears
-    among the upcoming neighbor colors; otherwise the smallest valid color
-    absent from those; otherwise the valid color whose first upcoming
-    occurrence is latest (ties to the smallest color).
+    Preference order: the target color (in 1..k) if it is not among the
+    upcoming neighbor colors `future`; otherwise the smallest color absent
+    from those; otherwise the color whose first upcoming occurrence is
+    latest. Only the last rule lists 1..k, and it runs only when every
+    color up to k is forbidden or upcoming.
     """
+    upcoming = set(future)
+    if target not in forbidden and target not in upcoming:
+        return target
+    c = 1
+    while c in forbidden or c in upcoming:
+        c += 1
+    if c <= k:
+        return c
+    # every valid color is upcoming, so first occurrences never tie
+    valid = [c for c in range(1, k + 1) if c not in forbidden]
     if not valid:
         raise NoValidColor("every color collides with the vertex or a neighbor")
-    upcoming = set(future_colors)
-    if target in valid and target not in upcoming:
-        return target
-    fresh = [c for c in valid if c not in upcoming]
-    if fresh:
-        return min(fresh)
-    first_at = {}
-    for pos, c in enumerate(future_colors):
-        if c not in first_at:
-            first_at[c] = pos
-    return max(valid, key=lambda c: (first_at[c], -c))
+    return max(valid, key=future.index)
 
 
 def best_choice_recoloring(
@@ -63,14 +64,8 @@ def best_choice_recoloring(
     if k < 2 + max_out:
         raise InvalidInput(f"need k >= {2 + max_out}, got {k}")
 
-    seq = RecoloringSequence(
-        Coloring(k, alpha.colors),
-        tuple(_best_choice(peo.order, later, alpha.colors, beta.colors, k)),
-    )
-    final = verify_sequence(g, seq)
-    if final.colors != beta.colors:
-        raise AssertionError("sequence does not end at the target coloring")
-    return seq
+    steps = _best_choice(peo.order, later, alpha.colors, beta.colors, k)
+    return _replayed(g, Coloring(k, alpha.colors), steps, beta.colors)
 
 
 def _best_choice(
@@ -96,7 +91,6 @@ def _best_choice(
     never comes up in that run, u moves only at the end and trace[u] is the run.
     """
     vert, col, prv, nxt = [-1], [0], [0], [0]
-    palette = range(1, k + 1)
     rank = [0] * len(order)
     trace: list[list[int]] = [[]] * len(order)
     for i, u in enumerate(reversed(order)):
@@ -124,8 +118,7 @@ def _best_choice(
                 for j, s in enumerate(view):
                     if upcoming[j] == cur_u:
                         forbidden = {cur_u, *cur.values()}
-                        valid = [c for c in palette if c not in forbidden]
-                        cur_u = _choose_color(valid, upcoming[j:], beta[u])
+                        cur_u = _choose_color(forbidden, upcoming[j:], beta[u], k)
                         # a node of u just before s
                         node = len(vert)
                         vert.append(u)

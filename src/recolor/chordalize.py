@@ -21,8 +21,8 @@ and `bestchoice._best_choice`) pass plain lists and tuples to each other and
 check nothing. Validated dataclasses (`Coloring`, `MergeMap`,
 `RecoloringSequence`) are built only at the public entry points, each of
 which checks its inputs, runs the cores and replays its result once.
-`pipeline_theorem` wraps its three segments in sequences only to chain them
-with `concatenate` and replay the whole once.
+`pipeline_theorem` joins its three parts (alpha to gamma1, the bridge, the
+undone beta half) into one step list, built into one sequence and replayed.
 """
 
 from __future__ import annotations
@@ -48,12 +48,7 @@ from .errors import (
     _json_loader,
 )
 from .graphs import Coloring, Graph, _greedy, require_proper
-from .sequences import (
-    RecoloringSequence,
-    concatenate,
-    reverse_sequence,
-    verify_sequence,
-)
+from .sequences import RecoloringSequence, _replayed, _undo, verify_sequence
 
 PER_VERTEX_CHORDAL_BOUND = 542
 PER_VERTEX_PIPELINE_BOUND = 2 * PER_VERTEX_CHORDAL_BOUND + 2
@@ -258,14 +253,8 @@ def two_phase_transform(
         raise InvalidInput(f"need k >= {2 * d + 1}, got {k}")
     require_proper(g, gamma_s, d + 1, "source")
     require_proper(g, gamma_t, d + 1, "target")
-    seq = RecoloringSequence(
-        Coloring(k, gamma_s.colors),
-        tuple(_two_phase(gamma_s.colors, gamma_t.colors, d)),
-    )
-    final = verify_sequence(g, seq)
-    if final.colors != gamma_t.colors:
-        raise AssertionError("two-phase transform missed its target")
-    return seq
+    steps = _two_phase(gamma_s.colors, gamma_t.colors, d)
+    return _replayed(g, Coloring(k, gamma_s.colors), steps, gamma_t.colors)
 
 
 def _two_phase(
@@ -311,9 +300,10 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
 
     Both endpoints are pushed down to 3-colorings through their own merged
     chordal graphs, the two 3-colorings are bridged with the two-phase
-    rotation, and the second half is replayed in reverse. Every vertex is
-    recolored at most PER_VERTEX_PIPELINE_BOUND times. The whole sequence is
-    replayed once at the end; the stages in between neither check nor replay.
+    rotation, and the second half is undone. Every vertex is recolored at
+    most PER_VERTEX_PIPELINE_BOUND times. The three parts are joined into one
+    step list, replayed once from alpha; the stages in between neither check
+    nor replay.
     """
     for name, coloring in (("alpha", alpha), ("beta", beta)):
         if coloring.k != 5:
@@ -323,15 +313,6 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
     depth, top = _validate_decomposition(g, td)
     steps_a, gamma_1 = _toward_3coloring(g.n, td.bags, depth, top, alpha.colors)
     steps_b, gamma_2 = _toward_3coloring(g.n, td.bags, depth, top, beta.colors)
+    _, back = _undo(beta.colors, steps_b)
     bridge = _two_phase(gamma_1, gamma_2, d=2)
-    whole = concatenate(
-        [
-            RecoloringSequence(alpha, tuple(steps_a)),
-            RecoloringSequence(Coloring(5, tuple(gamma_1)), tuple(bridge)),
-            reverse_sequence(RecoloringSequence(beta, tuple(steps_b))),
-        ]
-    )
-    final = verify_sequence(g, whole)
-    if final.colors != beta.colors:
-        raise AssertionError("pipeline does not end at beta")
-    return whole
+    return _replayed(g, alpha, steps_a + bridge + back, beta.colors)

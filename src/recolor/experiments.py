@@ -14,6 +14,7 @@ any work.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -151,6 +152,8 @@ def run_experiments(config: ExperimentConfig) -> list[ExperimentRecord]:
         raise InvalidInput("no sizes or no seeds: the batch would check nothing")
     if config.state_cap < 1:
         raise InvalidInput(f"state cap must be at least 1, got {config.state_cap}")
+    if config.jobs < 1:
+        raise InvalidInput(f"jobs must be at least 1, got {config.jobs}")
     ids, graphs, seeds = [], [], []
     for n in config.sizes:
         for seed in config.seeds:
@@ -159,8 +162,10 @@ def run_experiments(config: ExperimentConfig) -> list[ExperimentRecord]:
             seeds.append(seed)
 
     run = partial(_run_instance, config)
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # a forked pool starts all its workers at the first submit
+    workers = min(config.jobs, len(ids), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run, ids, graphs, seeds))
     else:
         chunks = map(run, ids, graphs, seeds)

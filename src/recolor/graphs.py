@@ -200,17 +200,22 @@ def random_proper_coloring(
 
     Each vertex gets a uniformly random color among those unused by its
     already-colored neighbors. Works whenever k exceeds the number of later
-    neighbors of every vertex along the ordering.
+    neighbors of every vertex along the ordering. The draw is the one
+    `rng.choice` makes from the list of free colors, without the list.
     """
     _require_ordering_of(g, peo)
     rng = random.Random(seed)
     colors = [0] * g.n
     for v in reversed(peo.order):
-        used = {colors[w] for w in g.adjacency[v] if colors[w]}
-        avail = [c for c in range(1, k + 1) if c not in used]
-        if not avail:
+        used = sorted({colors[w] for w in g.adjacency[v] if colors[w]})
+        if len(used) >= k:
             raise NotEnoughColors(f"no color left for vertex {v} with k={k}")
-        colors[v] = rng.choice(avail)
+        # the i-th free color, counting from 0: step over the used ones up to it
+        c = rng.randrange(k - len(used)) + 1
+        for u in used:
+            if u <= c:
+                c += 1
+        colors[v] = c
     return Coloring(k, tuple(colors))
 
 

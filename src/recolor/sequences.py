@@ -80,18 +80,32 @@ def verify_sequence(g: Graph, seq: RecoloringSequence) -> Coloring:
     return Coloring(k, tuple(cur))
 
 
+def _replayed(g: Graph, start: Coloring, steps: list, end: tuple) -> RecoloringSequence:
+    """The sequence of `steps` from `start`, after one replay shows it ends at `end`."""
+    seq = RecoloringSequence(start, tuple(steps))
+    if verify_sequence(g, seq).colors != end:
+        raise AssertionError("sequence does not end at the target coloring")
+    return seq
+
+
+def _undo(colors: Iterable[int], steps: Iterable[tuple[int, int]]) -> tuple[tuple, list]:
+    """The colors `steps` reach from `colors`, and the steps that lead back."""
+    cur = list(colors)
+    back = []
+    for v, c in steps:
+        back.append((v, cur[v]))
+        cur[v] = c
+    return tuple(cur), back[::-1]
+
+
 def reverse_sequence(seq: RecoloringSequence) -> RecoloringSequence:
     """Undo a valid sequence: replay backwards, restoring pre-step colors.
 
     Valid whenever the input is valid, since single-vertex recoloring moves
     are symmetric.
     """
-    cur = list(seq.start.colors)
-    undo = []
-    for v, c in seq.steps:
-        undo.append((v, cur[v]))
-        cur[v] = c
-    return RecoloringSequence(Coloring(seq.start.k, tuple(cur)), tuple(reversed(undo)))
+    end, back = _undo(seq.start.colors, seq.steps)
+    return RecoloringSequence(Coloring(seq.start.k, end), tuple(back))
 
 
 def restrict(seq: RecoloringSequence, vertices: Iterable[int]) -> list[tuple[int, int]]:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately written from the definitions, not by calling
-back into the code paths under test.
+back into the code paths under test. `serial_pool` stands in for a process
+pool, so that a test of `--jobs` starts no processes.
 """
 
 from collections import deque
@@ -68,14 +69,34 @@ def naive_all_distances(g: Graph, k: int, source):
 
 
 def naive_diameter(g: Graph, k: int):
-    """Largest all-pairs distance by one dict BFS per proper coloring; None if disconnected."""
+    """Largest all-pairs distance by one BFS per proper coloring; None if disconnected.
+
+    The proper colorings are numbered and each one's neighbor list is built
+    once, so every BFS walks lists of integers.
+    """
     states = proper_colorings(g, k)
-    best = 0 if states else None
-    for src in states:
-        dist = naive_all_distances(g, k, src)
-        if len(dist) != len(states):
+    if not states:
+        return None
+    index = {s: i for i, s in enumerate(states)}
+    nbrs = [[index[t] for t in _neighbors_in_reconfig(g, k, s)] for s in states]
+    best = 0
+    for src in range(len(states)):
+        dist = [-1] * len(states)
+        dist[src] = 0
+        frontier = [src]
+        level = 0
+        while frontier:
+            level += 1
+            nxt = []
+            for x in frontier:
+                for y in nbrs[x]:
+                    if dist[y] < 0:
+                        dist[y] = level
+                        nxt.append(y)
+            frontier = nxt
+        if -1 in dist:
             return None
-        best = max(best, max(dist.values()))
+        best = max(best, level - 1)
     return best
 
 
@@ -141,3 +162,22 @@ def saved_positions_oracle(seq, peo, g, v):
         if cond_a or cond_b or cond_c:
             saved.append(ridx)
     return saved
+
+
+def serial_pool(workers: list):
+    """A ProcessPoolExecutor stand-in: records max_workers, maps in this process."""
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    return SerialPool

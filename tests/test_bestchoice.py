@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from recolor import (
     spanning_subgraph,
     verify_sequence,
 )
+from recolor import bestchoice
 from recolor.bestchoice import _choose_color
 from recolor.chordalize import PER_VERTEX_CHORDAL_BOUND
 from recolor.sequences import RecoloringSequence
@@ -32,21 +35,102 @@ K2 = Graph.from_edges(2, [(0, 1)])
 
 def test_best_choice_rule1_target_wins():
     # valid = {3,4,5}, future colors 2,3; target 5 is valid and fresh
-    assert _choose_color([3, 4, 5], [2, 3], target=5) == 5
+    assert _choose_color({1, 2}, [2, 3], target=5, k=5) == 5
 
 
 def test_best_choice_rule2_smallest_fresh():
     # valid = {3,4}, target 1 is burned in the future; both 3 and 4 fresh
-    assert _choose_color([3, 4], [1, 2, 5], target=1) == 3
+    assert _choose_color({1, 2, 5}, [1, 2, 5], target=1, k=5) == 3
 
 
 def test_best_choice_rule3_latest_first_occurrence():
-    assert _choose_color([2, 3], [3, 1, 1, 3, 2, 1, 2], target=1) == 2
+    assert _choose_color({1}, [3, 1, 1, 3, 2, 1, 2], target=1, k=3) == 2
 
 
 def test_best_choice_no_valid_color():
     with pytest.raises(NoValidColor):
-        _choose_color([], [], target=2)
+        _choose_color({1, 2}, [], target=2, k=2)
+
+
+def _old_choose_color(forbidden, future, target, k):
+    """The rule over an explicit list of valid colors, as first written."""
+    valid = [c for c in range(1, k + 1) if c not in forbidden]
+    if not valid:
+        raise NoValidColor("every color collides with the vertex or a neighbor")
+    upcoming = set(future)
+    if target in valid and target not in upcoming:
+        return target
+    fresh = [c for c in valid if c not in upcoming]
+    if fresh:
+        return min(fresh)
+    first_at = {}
+    for pos, c in enumerate(future):
+        if c not in first_at:
+            first_at[c] = pos
+    return max(valid, key=lambda c: (first_at[c], -c))
+
+
+def _pick(rule, *args):
+    try:
+        return rule(*args)
+    except NoValidColor:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda k: st.tuples(
+            st.sets(st.integers(1, k), max_size=4),
+            st.lists(st.integers(1, k), max_size=12),
+            st.integers(1, k),
+            st.just(k),
+        )
+    )
+)
+def test_choose_color_matches_listing_rule(args):
+    assert _pick(_choose_color, *args) == _pick(_old_choose_color, *args)
+
+
+def test_choose_color_matches_listing_rule_on_instances(monkeypatch):
+    # every forced move of best_choice_recoloring, k = 5..12, on random chordal
+    # instances and on 3-trees, whose vertices have three later neighbors
+    picks = []
+
+    def both(forbidden, future, target, k):
+        got = _choose_color(forbidden, future, target, k)
+        assert got == _old_choose_color(forbidden, future, target, k)
+        picks.append(len(forbidden | set(future)) >= k)
+        return got
+
+    monkeypatch.setattr(bestchoice, "_choose_color", both)
+    for k in range(5, 13):
+        for s in range(3):
+            for g in (gen_chordal_omega3(200, s), _three_tree(200, s)):
+                peo = mcs_order(g)
+                alpha = random_proper_coloring(g, peo, k, s + k)
+                beta = random_proper_coloring(g, peo, k, s + 2 * k)
+                best_choice_recoloring(g, peo, alpha, beta, k)
+    # both the first two rules and the last, where every color up to k is
+    # forbidden or upcoming, ran
+    assert any(picks) and not all(picks)
+
+
+def test_choose_color_cost_does_not_grow_with_k():
+    g = gen_chordal_omega3(40, 3)
+    peo = mcs_order(g)
+    alpha = random_proper_coloring(g, peo, 5, 1)
+    beta = greedy_coloring(g, peo)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        seq = best_choice_recoloring(g, peo, alpha, beta, 10**9)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verify_sequence(g, seq).colors == beta.colors
+    assert elapsed < 1 and peak < 10**6, (elapsed, peak)
 
 
 def _k2_steps(alpha, beta):

@@ -11,16 +11,19 @@ from recolor import (
     Coloring,
     EliminationOrdering,
     Graph,
+    ImproperStep,
     InvalidColoring,
     InvalidDecomposition,
     InvalidInput,
     LiftFailure,
     MergeMap,
     NotWidth2,
+    NoOpStep,
     RecoloringSequence,
     TreeDecomposition,
     best_choice_recoloring,
     clique_number_chordal,
+    concatenate,
     degeneracy_order,
     gen_chordal_omega3,
     gen_partial_2tree,
@@ -36,10 +39,11 @@ from recolor import (
     random_proper_coloring,
     reduce_width2,
     restrict,
+    reverse_sequence,
     two_phase_transform,
     verify_sequence,
 )
-from recolor import bestchoice, chordalize, decomposition, graphs
+from recolor import bestchoice, chordalize, decomposition, graphs, sequences
 from recolor.decomposition import _validate_decomposition
 from recolor.graphs import _greedy
 from recolor.chordalize import PER_VERTEX_PIPELINE_BOUND
@@ -81,6 +85,18 @@ def test_merge_path_endpoints():
     assert merge_map.classes == ((0, 2), (1,))
     assert alpha_h.colors == (1, 2)
     _merge_invariants(P3, alpha, h, merge_map, alpha_h)
+
+
+def test_merge_two_vertex_bag():
+    # a user decomposition whose only bag holds two same-colored vertices
+    g = Graph.from_edges(2, [])
+    td = TreeDecomposition((frozenset({0, 1}),), ())
+    alpha = Coloring(1, (1, 1))
+    h, merge_map, alpha_h = merge_same_colored(g, td, alpha)
+    assert h == Graph.from_edges(1, [])
+    assert merge_map.classes == ((0, 1),) and merge_map.to_merged == (0, 0)
+    assert alpha_h.colors == (1,)
+    _merge_invariants(g, alpha, h, merge_map, alpha_h)
 
 
 def test_merge_chains_across_bags():
@@ -419,10 +435,12 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
     alpha = random_proper_coloring(g, order, 5, 1)
     beta = random_proper_coloring(g, order, 5, 2)
     # the pipeline also builds no merged graph, so none of the next four runs,
-    # and its stages pass plain lists, so it builds no merge map or ordering
+    # its stages pass plain lists, so it builds no merge map or ordering, and
+    # it joins its three parts into one step list, so it builds one sequence
     calls = dict.fromkeys(
         ("verify_sequence", "validate_decomposition", "from_edges", "mcs_order",
-         "later_neighbors", "greedy_coloring", "MergeMap", "EliminationOrdering"),
+         "later_neighbors", "greedy_coloring", "MergeMap", "EliminationOrdering",
+         "concatenate", "reverse_sequence", "RecoloringSequence"),
         0,
     )
 
@@ -433,10 +451,15 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
 
         return wrapper
 
-    for module in (chordalize, bestchoice):
-        monkeypatch.setattr(
-            module, "verify_sequence", counting("verify_sequence", verify_sequence)
-        )
+    # raising=False: a module that does not import a name gets the counter
+    # anyway, so a call added there is counted too
+    for module in (chordalize, bestchoice, sequences):
+        for name, fn in (
+            ("verify_sequence", verify_sequence),
+            ("concatenate", concatenate),
+            ("reverse_sequence", reverse_sequence),
+        ):
+            monkeypatch.setattr(module, name, counting(name, fn), raising=False)
     monkeypatch.setattr(
         chordalize,
         "_validate_decomposition",
@@ -449,7 +472,37 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
         for name in ("mcs_order", "later_neighbors", "greedy_coloring"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    for cls in (MergeMap, EliminationOrdering):
+    for cls in (MergeMap, EliminationOrdering, RecoloringSequence):
         monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
     pipeline_theorem(g, alpha, beta)
-    assert calls == {**dict.fromkeys(calls, 0), "verify_sequence": 1, "validate_decomposition": 1}
+    assert calls == {
+        **dict.fromkeys(calls, 0),
+        "verify_sequence": 1,
+        "validate_decomposition": 1,
+        "RecoloringSequence": 1,
+    }
+
+
+@pytest.mark.parametrize(
+    "seed, error", [(0, AssertionError), (2, ImproperStep), (6, NoOpStep)]
+)
+def test_pipeline_raises_when_a_segment_misses_its_end(monkeypatch, seed, error):
+    # a bridge that stops one step short leaves the undone beta half starting
+    # from the wrong coloring. The one replay from alpha catches it: the end
+    # misses beta, or a step collides or changes nothing. (On other instances
+    # the half's first step on that vertex repairs it, and the replay accepts
+    # a valid alpha-to-beta sequence.)
+    g = gen_partial_2tree(400, 0.6, seed)
+    order = degeneracy_order(g)
+    alpha = random_proper_coloring(g, order, 5, 1)
+    beta = random_proper_coloring(g, order, 5, 2)
+    bridge = chordalize._two_phase
+
+    def short_bridge(source, target, d):
+        steps = bridge(source, target, d)
+        assert steps
+        return steps[:-1]
+
+    monkeypatch.setattr(chordalize, "_two_phase", short_bridge)
+    with pytest.raises(error):
+        pipeline_theorem(g, alpha, beta)

@@ -6,7 +6,16 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from recolor import Coloring, Graph, mcs_order, pipeline_theorem, reduce_width2
+import helpers
+from recolor import (
+    Coloring,
+    Graph,
+    ImproperStep,
+    experiments,
+    mcs_order,
+    pipeline_theorem,
+    reduce_width2,
+)
 from recolor.cli import main
 
 
@@ -225,6 +234,24 @@ def test_bench_writes_csv(tmp_path):
     assert rows[0][0] == "schema_version"
 
 
+def test_bench_reports_violations(tmp_path, capsys, monkeypatch):
+    def failing(g, alpha, beta):
+        raise ImproperStep(0, "injected")
+
+    monkeypatch.setattr(experiments, "pipeline_theorem", failing)
+    out = tmp_path / "bench.csv"
+    assert run(
+        "bench", "--family", "partial-2tree", "--sizes", "5", "--seeds", "2",
+        "--no-cross-check", "--out", str(out),
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote 4 records to {out}\n"
+    assert captured.err == "violations found\n"
+    with open(out) as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["status"] for row in rows] == ["ImproperStep"] * 4
+
+
 def test_bench_rejects_bad_generator_request(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     # a request the library rejects stops the batch, also under a process pool
@@ -289,6 +316,8 @@ def test_batch_that_checks_nothing_is_rejected(tmp_path, capsys):
         bench + ("--seeds", "-2"),
         bench + ("--state-cap", "0"),
         bench + ("--state-cap", "-5"),
+        bench + ("--jobs", "0"),
+        bench + ("--jobs", "-3"),
         ("oracle", "connected", "--graph", str(g), "--state-cap", "-5"),
         ("oracle", "diameter", "--graph", str(g), "--state-cap", "0"),
     ):
@@ -340,7 +369,10 @@ VALID = {
 NUMBERS = ("-1", "0", "1", "2", "3", "5", "7", "1.5", "x", "")
 VALUES = {
     **{flag: PATHS for flag in VALID},
-    **dict.fromkeys(("--n", "--seed", "--k", "--coloring-seed", "--seeds", "--state-cap"), NUMBERS),
+    **dict.fromkeys(
+        ("--n", "--seed", "--k", "--coloring-seed", "--seeds", "--state-cap", "--jobs"),
+        NUMBERS,
+    ),
     "--keep-prob": ("0.6", "0", "1", "-1", "nan", "inf", "x"),
     "--family": ("chordal-omega3", "2tree", "partial-2tree", "tree"),
     "--sizes": ("3", "3,5", "5,7", "0", "-1", "3,,5", "x", ""),
@@ -357,7 +389,7 @@ COMMANDS = {
     "oracle": ("--graph", "--k", "--alpha", "--beta", "--state-cap"),
     "audit": ("--graph", "--peo", "--seq", "--json-out"),
     "bench": ("--family", "--sizes", "--seeds", "--k", "--keep-prob", "--state-cap",
-              "--no-cross-check", "--out"),
+              "--no-cross-check", "--jobs", "--out"),
     "nope": (),
 }
 LOOSE = ("-h", "--bogus", "distance", "5", "@g", "@missing")
@@ -395,8 +427,10 @@ def cli_argv(draw):
 @given(cli_argv())
 @example(["check", "--graph", "@deep", "--coloring", "@a"])
 @example(["gen", "--family", "2tree", "--n", "5", "--out", "@"])
-def test_fuzzed_argv_exits_cleanly(tmp_path, capsys, argv):
+def test_fuzzed_argv_exits_cleanly(tmp_path, capsys, monkeypatch, argv):
     """Every run exits 0, or 1 or 2 with one error line or a verdict; no traceback."""
+    # a bench with --jobs maps its instances in this process
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", helpers.serial_pool([]))
     root = Path(tempfile.mkdtemp(dir=tmp_path))
     for name, text in FILES.items():
         (root / f"{name}.json").write_text(text)

@@ -83,6 +83,11 @@ def test_clique_number_edgeless():
     assert clique_number_chordal(g, mcs_order(g)) == 1
 
 
+def test_clique_number_empty_graph():
+    g = Graph.from_edges(0, [])
+    assert clique_number_chordal(g, mcs_order(g)) == 0
+
+
 def test_clique_number_matches_brute_force():
     g = gen_chordal_omega3(40, 5)
     got = clique_number_chordal(g, mcs_order(g))

@@ -2,7 +2,10 @@ import csv
 
 import pytest
 
+import helpers
 from recolor import (
+    AuditReport,
+    AuditViolation,
     ExperimentConfig,
     ImproperStep,
     InvalidInput,
@@ -12,7 +15,7 @@ from recolor import (
     verify_sequence,
     write_csv,
 )
-from recolor import bestchoice, chordalize, experiments
+from recolor import bestchoice, chordalize, experiments, sequences
 from recolor.experiments import CSV_COLUMNS, has_violations
 
 
@@ -63,7 +66,7 @@ def test_one_replay_per_batch_instance(monkeypatch):
 
     # raising=False: a module that does not import verify_sequence gets the
     # counter anyway, so a replay added there is counted too
-    for module in (bestchoice, chordalize, experiments):
+    for module in (bestchoice, chordalize, experiments, sequences):
         monkeypatch.setattr(module, "verify_sequence", counting, raising=False)
     config = ExperimentConfig(
         family="partial-2tree", sizes=(10,), seeds=(0,), cross_check=False
@@ -113,3 +116,55 @@ def test_parallel_jobs_match_serial():
         )
     )
     assert [r.row()[:11] for r in serial] == [r.row()[:11] for r in parallel]
+
+
+def test_jobs_bounded_by_instances_and_cpus(monkeypatch):
+    workers = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", helpers.serial_pool(workers))
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    base = dict(family="chordal-omega3", sizes=(6,), cross_check=False)
+    # jobs=1: in this process, seeds 0..5 in order
+    serial = run_experiments(ExperimentConfig(seeds=tuple(range(6)), **base))
+    serial = [r.row()[:11] for r in serial]
+    assert workers == []
+    for jobs, seeds, want in (
+        (100_000, (0, 1, 2), [3]),  # one worker per instance at most
+        (100_000, tuple(range(6)), [4]),  # one per CPU at most
+        (2, (0, 1, 2), [2]),
+        (5, (0,), []),  # one instance runs in this process
+    ):
+        workers.clear()
+        records = run_experiments(ExperimentConfig(seeds=seeds, jobs=jobs, **base))
+        assert workers == want
+        assert [r.row()[:11] for r in records] == serial[: 2 * len(seeds)]
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    workers.clear()
+    run_experiments(ExperimentConfig(seeds=(0, 1), jobs=8, **base))
+    assert workers == []
+
+
+def test_audit_violation_is_a_row(monkeypatch):
+    def dirty(seq, peo, g, strict=True):
+        violation = AuditViolation(0, "count-bound", None, "injected")
+        return AuditReport((0,) * g.n, (0,) * g.n, (0,) * g.n, (violation,))
+
+    monkeypatch.setattr(experiments, "audit_best_choice", dirty)
+    config = ExperimentConfig(
+        family="chordal-omega3", sizes=(6,), seeds=(0,), cross_check=False
+    )
+    records = run_experiments(config)
+    assert [(r.status, r.detail) for r in records] == [("audit-violation", "injected")] * 2
+    assert has_violations(records)
+
+
+@pytest.mark.parametrize("distance", [None, 10**6])
+def test_oracle_mismatch_is_a_row(monkeypatch, distance):
+    # unreachable, or a shortest sequence longer than the one built
+    monkeypatch.setattr(experiments, "bfs_distance", lambda *args: distance)
+    config = ExperimentConfig(family="partial-2tree", sizes=(4,), seeds=(0,))
+    records = run_experiments(config)
+    assert [r.status for r in records] == ["oracle-mismatch"] * 2
+    assert all(r.bfs_distance == distance for r in records)
+    length = records[0].seq_len
+    assert records[0].detail == f"bfs distance {distance} vs sequence length {length}"
+    assert has_violations(records)

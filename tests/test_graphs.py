@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -12,6 +13,7 @@ from recolor import (
     InvalidInput,
     InvalidSize,
     NotEnoughColors,
+    degeneracy_order,
     gen_2tree,
     gen_chordal_omega3,
     gen_partial_2tree,
@@ -104,6 +106,11 @@ def test_gen_2tree_properties(n, seed):
     assert is_chordal(g)
 
 
+def test_gen_partial_2tree_too_small():
+    with pytest.raises(InvalidSize, match="at least 3 vertices, got 2"):
+        gen_partial_2tree(2, 0.6, 0)
+
+
 def test_gen_partial_2tree_keep_all():
     assert gen_partial_2tree(12, 1.0, 5) == gen_2tree(12, 5)
 
@@ -171,6 +178,41 @@ def test_random_proper_coloring_always_proper(n, gseed, cseed):
     g = gen_chordal_omega3(n, gseed)
     for k in (3, 4, 5):
         assert is_proper(g, random_proper_coloring(g, mcs_order(g), k, cseed))
+
+
+def _listing_coloring(g, peo, k, seed):
+    """random_proper_coloring over an explicit list of free colors, as first written."""
+    rng = random.Random(seed)
+    colors = [0] * g.n
+    for v in reversed(peo.order):
+        used = {colors[w] for w in g.adjacency[v] if colors[w]}
+        avail = [c for c in range(1, k + 1) if c not in used]
+        if not avail:
+            return None
+        colors[v] = rng.choice(avail)
+    return tuple(colors)
+
+
+def test_random_proper_coloring_matches_listing_rule():
+    for s in range(4):
+        for g in (gen_chordal_omega3(30, s), gen_2tree(12, s), gen_partial_2tree(20, 0.6, s)):
+            for order in (mcs_order(g), degeneracy_order(g)):
+                for k in range(1, 13):
+                    for seed in range(3):
+                        try:
+                            got = random_proper_coloring(g, order, k, seed).colors
+                        except NotEnoughColors:
+                            got = None
+                        assert got == _listing_coloring(g, order, k, seed), (s, k, seed)
+
+
+def test_random_proper_coloring_cost_does_not_grow_with_k():
+    g = gen_chordal_omega3(40, 3)
+    peo = mcs_order(g)
+    t0 = time.perf_counter()
+    col = random_proper_coloring(g, peo, 10**9, 1)
+    assert time.perf_counter() - t0 < 0.1
+    assert is_proper(g, col)
 
 
 def test_greedy_coloring_uses_three_colors_on_chordal():
