@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .decomposition import EliminationOrdering, _later_form_cliques, later_neighbors
 from .errors import InvalidInput, NoValidColor
-from .graphs import Coloring, Graph, require_proper
+from .graphs import Coloring, Graph, _require_int, require_proper
 from .sequences import RecoloringSequence, _replayed
 
 
@@ -55,14 +55,12 @@ def best_choice_recoloring(
     Requires a perfect elimination ordering and k at least 2 plus the largest
     number of later neighbors of any vertex, so a valid color always exists.
     """
-    require_proper(g, alpha, k, "alpha")
-    require_proper(g, beta, k, "beta")
     later = later_neighbors(g, peo)
     if not _later_form_cliques(g, later):
         raise InvalidInput("ordering is not a perfect elimination ordering")
-    max_out = max(map(len, later), default=0)
-    if k < 2 + max_out:
-        raise InvalidInput(f"need k >= {2 + max_out}, got {k}")
+    _require_int("k", k, 2 + max(map(len, later), default=0))
+    require_proper(g, alpha, k, "alpha")
+    require_proper(g, beta, k, "beta")
 
     steps = _best_choice(peo.order, later, alpha.colors, beta.colors, k)
     return _replayed(g, Coloring(k, alpha.colors), steps, beta.colors)

@@ -27,27 +27,22 @@ undone beta half) into one step list, built into one sequence and replayed.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, Sequence
 
 from .bestchoice import _best_choice
-from .decomposition import (
-    TreeDecomposition,
-    _validate_decomposition,
-    reduce_width2,
-    validate_decomposition,
-)
+from .decomposition import TreeDecomposition, reduce_width2, validate_decomposition
 from .errors import (
     ImproperStart,
     ImproperStep,
     InvalidColoring,
-    InvalidInput,
     LiftFailure,
     NoOpStep,
     _json_loader,
 )
-from .graphs import Coloring, Graph, _greedy, require_proper
+from .graphs import Coloring, Graph, _greedy, _require_int, require_proper
 from .sequences import RecoloringSequence, _replayed, _undo, verify_sequence
 
 PER_VERTEX_CHORDAL_BOUND = 542
@@ -164,7 +159,7 @@ def _tree_order(
 ) -> tuple[list[int], list[tuple[int, ...]]]:
     """The tree order of the merge classes and its later-neighbor table.
 
-    `depth` and `top` are what _validate_decomposition returns for the
+    `depth` and `top` are what validate_decomposition returns for the
     decomposition with these bags. A class's bags form a subtree, so its top
     bag is the member top nearest bag 0. Classes go by decreasing depth of
     their top bag, ties to the lowest index; by the argument in the module
@@ -249,8 +244,8 @@ def two_phase_transform(
     colors. A vertex that stays already holds its target color, so the
     target's properness covers it at every step. Requires k >= 2d+1.
     """
-    if k < 2 * d + 1:
-        raise InvalidInput(f"need k >= {2 * d + 1}, got {k}")
+    _require_int("d", d, 0)
+    _require_int("k", k, 2 * d + 1)
     require_proper(g, gamma_s, d + 1, "source")
     require_proper(g, gamma_t, d + 1, "target")
     steps = _two_phase(gamma_s.colors, gamma_t.colors, d)
@@ -260,18 +255,19 @@ def two_phase_transform(
 def _two_phase(
     source: Sequence[int], target: Sequence[int], d: int
 ) -> list[tuple[int, int]]:
-    """two_phase_transform's steps, without checking its inputs or replaying them."""
-    classes: list[list[int]] = [[] for _ in range(d + 2)]
+    """two_phase_transform's steps, without checking its inputs or replaying them.
+
+    Only the source classes of moving vertices are listed, so the cost does
+    not depend on d.
+    """
+    moving: defaultdict[int, list[int]] = defaultdict(list)
     for v, (s, t) in enumerate(zip(source, target)):
         if s != t:
-            classes[s].append(v)
-
-    steps: list[tuple[int, int]] = []
-    for i in range(1, d + 1):
-        steps += [(v, d + 1 + i) for v in classes[i]]
-    steps += [(v, target[v]) for v in classes[d + 1]]
-    for i in range(1, d + 1):
-        steps += [(v, target[v]) for v in classes[i]]
+            moving[s].append(v)
+    parked = sorted(c for c in moving if c <= d)
+    steps = [(v, d + 1 + c) for c in parked for v in moving[c]]
+    steps += [(v, target[v]) for v in moving.get(d + 1, ())]
+    steps += [(v, target[v]) for c in parked for v in moving[c]]
     return steps
 
 
@@ -284,7 +280,7 @@ def _toward_3coloring(
 ) -> tuple[list[tuple[int, int]], list[int]]:
     """Steps on g from the 5-coloring `colors` to a 3-coloring, and that 3-coloring.
 
-    `depth` and `top` are what _validate_decomposition returns for the
+    `depth` and `top` are what validate_decomposition returns for the
     decomposition with these bags. The greedy 3-coloring of the merged graph
     reads only the later-neighbor table of the tree order.
     """
@@ -310,7 +306,7 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
             raise InvalidColoring(f"{name} is a {coloring.k}-coloring, not a 5-coloring")
         require_proper(g, coloring, 5, name)
     td = reduce_width2(g)
-    depth, top = _validate_decomposition(g, td)
+    depth, top = validate_decomposition(g, td)
     steps_a, gamma_1 = _toward_3coloring(g.n, td.bags, depth, top, alpha.colors)
     steps_b, gamma_2 = _toward_3coloring(g.n, td.bags, depth, top, beta.colors)
     _, back = _undo(beta.colors, steps_b)

@@ -155,18 +155,13 @@ def degeneracy_order(g: Graph) -> EliminationOrdering:
     return EliminationOrdering(tuple(_pop_order(g, [len(a) for a in g.adjacency])))
 
 
-def validate_decomposition(g: Graph, td: TreeDecomposition) -> None:
-    """Raise InvalidDecomposition unless td is a width-<=2 decomposition of g."""
-    _validate_decomposition(g, td)
-
-
-def _validate_decomposition(
+def validate_decomposition(
     g: Graph, td: TreeDecomposition
 ) -> tuple[list[int], list[int]]:
-    """validate_decomposition, returning what its walk from bag 0 finds.
+    """Raise InvalidDecomposition unless td is a width-<=2 decomposition of g.
 
-    The result is each bag's depth below bag 0 and each vertex's top bag, the
-    one of its bags nearest bag 0.
+    Returns what the walk from bag 0 finds: each bag's depth below bag 0 and
+    each vertex's top bag, the one of its bags nearest bag 0.
     """
     nodes = len(td.bags)
     if nodes == 0:

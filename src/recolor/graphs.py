@@ -111,6 +111,14 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
     return True
 
 
+def _require_int(name: str, value: object, bound: int) -> None:
+    """Raise InvalidInput unless `value` is an int (not a bool) of at least `bound`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if value < bound:
+        raise InvalidInput(f"need {name} >= {bound}, got {value}")
+
+
 def require_proper(g: Graph, coloring: Coloring, max_color: int, name: str) -> None:
     """Raise InvalidColoring unless `coloring` is a proper coloring of g in 1..max_color."""
     if not is_proper(g, coloring):
@@ -127,21 +135,22 @@ def spanning_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     )
 
 
-def _build_2tree(n: int, rng: random.Random) -> Graph:
+def _2tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Edges (u, v), u < v, none repeated, of a random 2-tree on n >= 3 vertices."""
     # start from a triangle, then repeatedly glue a new vertex onto a random edge
     edges = [(0, 1), (0, 2), (1, 2)]
     for v in range(3, n):
         a, b = edges[rng.randrange(len(edges))]
         edges.append((a, v))
         edges.append((b, v))
-    return Graph.from_edges(n, edges)
+    return edges
 
 
 def gen_2tree(n: int, seed: int) -> Graph:
     """Random 2-tree on n >= 3 vertices; always has 2n-3 edges and is chordal."""
     if n < 3:
         raise InvalidSize(f"a 2-tree needs at least 3 vertices, got {n}")
-    return _build_2tree(n, random.Random(seed))
+    return Graph.from_edges(n, _2tree_edges(n, random.Random(seed)))
 
 
 def gen_partial_2tree(n: int, keep_prob: float, seed: int) -> Graph:
@@ -155,9 +164,9 @@ def gen_partial_2tree(n: int, keep_prob: float, seed: int) -> Graph:
     if not 0 <= keep_prob <= 1:
         raise InvalidInput(f"keep_prob must lie in [0, 1], got {keep_prob}")
     rng = random.Random(seed)
-    base = _build_2tree(n, rng)
-    kept = [e for e in base.edges() if rng.random() < keep_prob]
-    return Graph.from_edges(n, kept)
+    # sorted, the edges are in gen_2tree(n, seed).edges() order
+    edges = sorted(_2tree_edges(n, rng))
+    return Graph.from_edges(n, [e for e in edges if rng.random() < keep_prob])
 
 
 def gen_chordal_omega3(n: int, seed: int) -> Graph:
@@ -203,6 +212,7 @@ def random_proper_coloring(
     neighbors of every vertex along the ordering. The draw is the one
     `rng.choice` makes from the list of free colors, without the list.
     """
+    _require_int("k", k, 1)
     _require_ordering_of(g, peo)
     rng = random.Random(seed)
     colors = [0] * g.n

@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidInput, TooLarge
-from .graphs import Coloring, Graph, require_proper
+from .errors import InvalidColoring, InvalidInput, TooLarge
+from .graphs import Coloring, Graph, _require_int, require_proper
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -29,6 +29,8 @@ def encode_coloring(coloring: Coloring, k: int) -> int:
     code = 0
     weight = 1
     for c in coloring.colors:
+        if c > k:
+            raise InvalidColoring(f"color {c} outside 1..{k}")
         code += (c - 1) * weight
         weight *= k
     return code
@@ -46,8 +48,7 @@ def decode_state(code: int, n: int, k: int) -> Coloring:
 
 def _proper_states(g: Graph, k: int, state_cap: int) -> np.ndarray:
     """Properness mask over all k^n packed states, after checking k and the cap."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InvalidInput(f"k must be an integer >= 1, got {k!r}")
+    _require_int("k", k, 1)
     if state_cap < 1:
         raise InvalidInput(f"state cap must be at least 1, got {state_cap}")
     if k**g.n > state_cap:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import pairwise
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .decomposition import EliminationOrdering, later_neighbors
 from .errors import (
@@ -88,6 +88,16 @@ def _replayed(g: Graph, start: Coloring, steps: list, end: tuple) -> RecoloringS
     return seq
 
 
+def _require_known_vertices(
+    steps: Iterable[tuple[int, int]], n: int, first: int = 0
+) -> None:
+    """Raise InvalidColoring, as verify_sequence does, at the first step whose
+    vertex lies outside 0..n-1. Steps are numbered from `first`."""
+    for i, (v, _) in enumerate(steps, first):
+        if not 0 <= v < n:
+            raise InvalidColoring(f"step {i} recolors unknown vertex {v}")
+
+
 def _undo(colors: Iterable[int], steps: Iterable[tuple[int, int]]) -> tuple[tuple, list]:
     """The colors `steps` reach from `colors`, and the steps that lead back."""
     cur = list(colors)
@@ -104,6 +114,7 @@ def reverse_sequence(seq: RecoloringSequence) -> RecoloringSequence:
     Valid whenever the input is valid, since single-vertex recoloring moves
     are symmetric.
     """
+    _require_known_vertices(seq.steps, len(seq.start.colors))
     end, back = _undo(seq.start.colors, seq.steps)
     return RecoloringSequence(Coloring(seq.start.k, end), tuple(back))
 
@@ -123,19 +134,11 @@ def concatenate(parts: list[RecoloringSequence]) -> RecoloringSequence:
     for part in parts:
         if list(part.start.colors) != cur:
             raise InvalidInput("segment does not start where the previous one ended")
+        _require_known_vertices(part.steps, len(cur), len(steps))
         steps.extend(part.steps)
         for v, c in part.steps:
             cur[v] = c
     return RecoloringSequence(parts[0].start, tuple(steps))
-
-
-def _out_neighbors(g: Graph, peo: EliminationOrdering) -> tuple[tuple[int, ...], ...]:
-    """later_neighbors(g, peo), after checking no vertex has more than two."""
-    outs = later_neighbors(g, peo)
-    for v, later in enumerate(outs):
-        if len(later) > 2:
-            raise OmegaTooLarge(f"vertex {v} has {len(later)} later neighbors")
-    return outs
 
 
 RULE_REPEAT = "repeat-pattern"
@@ -184,10 +187,13 @@ def audit_best_choice(
        out-neighbors, v's colors before, between and after are pairwise
        distinct.
 
-    With strict=True the first violation raises AuditViolation; otherwise all
-    violations are collected into the report.
+    All violations are collected into the report; with strict=True the first
+    of them is raised instead.
     """
-    outs = _out_neighbors(g, peo)
+    outs = later_neighbors(g, peo)
+    for v, later in enumerate(outs):
+        if len(later) > 2:
+            raise OmegaTooLarge(f"vertex {v} has {len(later)} later neighbors")
     verify_sequence(g, seq)
     steps = seq.steps
     n = g.n
@@ -198,13 +204,6 @@ def audit_best_choice(
     counts = [len(ts) for ts in at]
 
     violations: list[AuditViolation] = []
-
-    def report(vertex: int, rule: str, index: Optional[int], detail: str):
-        violation = AuditViolation(vertex, rule, index, detail)
-        if strict:
-            raise violation
-        violations.append(violation)
-
     saved_counts = [0] * n
     out_step_counts = [0] * n
     for v in range(n):
@@ -216,20 +215,12 @@ def audit_best_choice(
 
         for p, q in pairs:
             if q == p + 1:
-                report(
-                    v,
-                    RULE_REPEAT,
-                    idxs[q],
-                    "vertex recolored twice in a row within its closed out-neighborhood",
-                )
+                detail = "vertex recolored twice in a row within its closed out-neighborhood"
+                violations.append(AuditViolation(v, RULE_REPEAT, idxs[q], detail))
         for p, q in pairs:
             if q == p + 2 and p != ell - 3:
-                report(
-                    v,
-                    RULE_REPEAT,
-                    idxs[q],
-                    "alternation v,w,v occurs before the end of the restriction",
-                )
+                detail = "alternation v,w,v occurs before the end of the restriction"
+                violations.append(AuditViolation(v, RULE_REPEAT, idxs[q], detail))
 
         m = ell - counts[v]
         r = m - sum(min(q - p - 1, 2) for p, q in pairs)
@@ -237,12 +228,8 @@ def audit_best_choice(
         out_step_counts[v] = m
         # counts[v] <= 1 + ceil((m - r)/2), scaled by 2 to stay in integers
         if 2 * counts[v] > 2 + (m - r) + ((m - r) % 2):
-            report(
-                v,
-                RULE_BOUND,
-                None,
-                f"count {counts[v]} exceeds 1 + ceil(({m} - {r})/2)",
-            )
+            detail = f"count {counts[v]} exceeds 1 + ceil(({m} - {r})/2)"
+            violations.append(AuditViolation(v, RULE_BOUND, None, detail))
 
         if len(outs[v]) == 2:
             colors = [seq.start.colors[v]] + [steps[t][1] for t in at[v]]
@@ -256,14 +243,13 @@ def audit_best_choice(
                     # v's colors before, between and after its steps at p and q
                     before, mid, after = colors[j : j + 3]
                     if len({before, mid, after}) != 3:
-                        report(
-                            v,
-                            RULE_DISTINCT,
-                            idxs[q],
-                            f"colors around alternation not distinct: "
-                            f"{before}, {mid}, {after}",
+                        detail = (
+                            f"colors around alternation not distinct: {before}, {mid}, {after}"
                         )
+                        violations.append(AuditViolation(v, RULE_DISTINCT, idxs[q], detail))
 
+    if strict and violations:
+        raise violations[0]
     return AuditReport(
         tuple(counts), tuple(saved_counts), tuple(out_step_counts), tuple(violations)
     )

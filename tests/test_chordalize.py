@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -25,6 +27,7 @@ from recolor import (
     clique_number_chordal,
     concatenate,
     degeneracy_order,
+    gen_2tree,
     gen_chordal_omega3,
     gen_partial_2tree,
     greedy_coloring,
@@ -41,10 +44,10 @@ from recolor import (
     restrict,
     reverse_sequence,
     two_phase_transform,
+    validate_decomposition,
     verify_sequence,
 )
 from recolor import bestchoice, chordalize, decomposition, graphs, sequences
-from recolor.decomposition import _validate_decomposition
 from recolor.graphs import _greedy
 from recolor.chordalize import PER_VERTEX_PIPELINE_BOUND
 
@@ -236,6 +239,49 @@ def test_two_phase_at_most_two_steps_per_vertex(n, seed):
     assert {v for v, _ in seq.steps} == {v for v in range(g.n) if gs.colors[v] != gt.colors[v]}
 
 
+def _old_two_phase(source, target, d):
+    """The bridge as it was: one bucket per colour 0..d+1, walked in full."""
+    classes = [[] for _ in range(d + 2)]
+    for v, (s, t) in enumerate(zip(source, target)):
+        if s != t:
+            classes[s].append(v)
+    steps = []
+    for i in range(1, d + 1):
+        steps += [(v, d + 1 + i) for v in classes[i]]
+    steps += [(v, target[v]) for v in classes[d + 1]]
+    for i in range(1, d + 1):
+        steps += [(v, target[v]) for v in classes[i]]
+    return steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 40), st.integers(0, 10**6))
+def test_two_phase_steps_match_bucket_rule(d, n, seed):
+    rng = random.Random(seed)
+    source = [rng.randint(1, d + 1) for _ in range(n)]
+    target = [rng.randint(1, d + 1) for _ in range(n)]
+    assert chordalize._two_phase(source, target, d) == _old_two_phase(source, target, d)
+
+
+def test_two_phase_cost_does_not_grow_with_d():
+    g = gen_2tree(6, 1)
+    gs = greedy_coloring(g, mcs_order(g))
+    # the colours turned one place, so every vertex moves
+    gt = Coloring(3, tuple(c % 3 + 1 for c in gs.colors))
+    d = 10**6
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        seq = two_phase_transform(g, gs, gt, d, 2 * d + 1)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seq) == 2 * g.n
+    assert verify_sequence(g, seq).colors == gt.colors
+    assert elapsed < 0.1 and peak < 10**6, (elapsed, peak)
+
+
 def test_pipeline_round_trip_same_endpoints():
     g = gen_partial_2tree(40, 0.6, 9)
     alpha = random_proper_coloring(g, degeneracy_order(g), 5, 0)
@@ -321,7 +367,7 @@ def test_pipeline_on_disjoint_unions(instance):
 def _assert_tree_order_reads_merged_graph(g, coloring):
     """The tree order, its later table and its greedy target match h's."""
     td = reduce_width2(g)
-    depth, top = _validate_decomposition(g, td)
+    depth, top = validate_decomposition(g, td)
     h, merge_map, coloring_h = merge_same_colored(g, td, coloring)
     to_merged, classes, colors_h = chordalize._merge_classes(g.n, td.bags, coloring.colors)
     assert MergeMap(tuple(to_merged), tuple(map(tuple, classes))) == merge_map
@@ -462,8 +508,8 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
             monkeypatch.setattr(module, name, counting(name, fn), raising=False)
     monkeypatch.setattr(
         chordalize,
-        "_validate_decomposition",
-        counting("validate_decomposition", chordalize._validate_decomposition),
+        "validate_decomposition",
+        counting("validate_decomposition", chordalize.validate_decomposition),
     )
     monkeypatch.setattr(
         Graph, "from_edges", staticmethod(counting("from_edges", Graph.from_edges))

@@ -13,6 +13,8 @@ from recolor import (
     InvalidInput,
     InvalidSize,
     NotEnoughColors,
+    best_choice_recoloring,
+    bfs_distance,
     degeneracy_order,
     gen_2tree,
     gen_chordal_omega3,
@@ -22,7 +24,10 @@ from recolor import (
     is_proper,
     mcs_order,
     random_proper_coloring,
+    reconfig_connected,
+    reconfig_diameter,
     spanning_subgraph,
+    two_phase_transform,
 )
 
 import helpers
@@ -139,6 +144,32 @@ def test_gen_chordal_single_vertex():
     assert g.n == 1 and g.num_edges() == 0
 
 
+def test_gen_chordal_rejects_no_vertices():
+    with pytest.raises(InvalidSize, match="at least 1 vertex, got 0"):
+        gen_chordal_omega3(0, 4)
+
+
+def _old_partial_2tree(n, keep_prob, seed):
+    """gen_partial_2tree as it was: the whole 2-tree built, then its edges filtered."""
+    rng = random.Random(seed)
+    edges = [(0, 1), (0, 2), (1, 2)]
+    for v in range(3, n):
+        a, b = edges[rng.randrange(len(edges))]
+        edges += [(a, v), (b, v)]
+    base = Graph.from_edges(n, edges)
+    assert base == gen_2tree(n, seed)
+    return Graph.from_edges(n, [e for e in base.edges() if rng.random() < keep_prob])
+
+
+@pytest.mark.parametrize("n", [3, 4, 10, 200])
+def test_gen_partial_2tree_matches_build_then_filter(n):
+    for keep_prob in (0.0, 0.3, 0.6, 0.95, 1.0):
+        for seed in range(6):
+            assert gen_partial_2tree(n, keep_prob, seed) == _old_partial_2tree(
+                n, keep_prob, seed
+            )
+
+
 def test_gen_chordal_can_produce_k3():
     # seed found by search; all-size-2 choices collapse to K3 at n=3
     assert gen_chordal_omega3(3, 4) == K3
@@ -245,3 +276,43 @@ def test_spanning_subgraph_drops_outside_edges():
     sub = spanning_subgraph(K3, {0, 1})
     assert sub.n == 3
     assert sub.edges() == [(0, 1)]
+
+
+def _k3_calls(k):
+    """Every public call that takes an integer parameter, on the triangle."""
+    order = EliminationOrdering((0, 1, 2))
+    rainbow, turned = Coloring(5, (1, 2, 3)), Coloring(5, (2, 3, 1))
+    return {
+        "random_proper_coloring": lambda: random_proper_coloring(K3, order, k, 1),
+        "best_choice_recoloring": lambda: best_choice_recoloring(
+            K3, order, rainbow, turned, k
+        ),
+        "two_phase k": lambda: two_phase_transform(K3, rainbow, turned, 2, k),
+        "two_phase d": lambda: two_phase_transform(K3, rainbow, turned, k, 5),
+        "bfs_distance": lambda: bfs_distance(K3, k, rainbow, turned),
+        "reconfig_connected": lambda: reconfig_connected(K3, k),
+        "reconfig_diameter": lambda: reconfig_diameter(K3, k),
+    }
+
+
+@pytest.mark.parametrize(
+    "call, k, message",
+    [
+        (call, k, rf"^{name} must be an integer, got {k!r}$")
+        for call in _k3_calls(0)
+        for name in ["d" if call == "two_phase d" else "k"]
+        for k in (5.0, 5.5, True, "5", None)
+    ]
+    + [
+        ("random_proper_coloring", 0, r"^need k >= 1, got 0$"),
+        ("best_choice_recoloring", 3, r"^need k >= 4, got 3$"),
+        ("two_phase k", 4, r"^need k >= 5, got 4$"),
+        ("two_phase d", -1, r"^need d >= 0, got -1$"),
+        ("bfs_distance", 0, r"^need k >= 1, got 0$"),
+        ("reconfig_connected", -2, r"^need k >= 1, got -2$"),
+        ("reconfig_diameter", 0, r"^need k >= 1, got 0$"),
+    ],
+)
+def test_integer_parameters_are_checked(call, k, message):
+    with pytest.raises(InvalidInput, match=message):
+        _k3_calls(k)[call]()

@@ -131,6 +131,12 @@ def test_encode_decode_round_trip(n, seed):
     assert decode_state(encode_coloring(col, 5), g.n, 5).colors == col.colors
 
 
+def test_encode_coloring_rejects_colors_above_k():
+    with pytest.raises(InvalidInput, match=r"^color 5 outside 1\.\.3$"):
+        encode_coloring(Coloring(5, (5,)), 3)
+    assert encode_coloring(Coloring(5, (3, 1)), 3) == 2
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(3, 6), st.integers(0, 10**5))
 def test_distance_never_exceeds_pipeline_length(n, seed):

@@ -174,6 +174,30 @@ def test_concatenate_rejects_empty_and_mismatched_segments():
         concatenate([first, seq_of(3, (1, 2), [(1, 1)])])
 
 
+def test_concatenate_chains_valid_segments():
+    g = gen_chordal_omega3(30, 5)
+    rng = random.Random(5)
+    parts = [_random_walk(g, random_proper_coloring(g, mcs_order(g), 5, 5), 20, rng)]
+    for length in (1, 15):
+        parts.append(_random_walk(g, verify_sequence(g, parts[-1]), length, rng))
+    joined = concatenate(parts)
+    assert joined.start == parts[0].start
+    assert len(joined) == sum(map(len, parts)) == len(joined.steps)
+    assert verify_sequence(g, joined) == verify_sequence(g, parts[-1])
+
+
+def test_reverse_and_concatenate_reject_unknown_vertices():
+    message = r"^step {} recolors unknown vertex {}$"
+    for v in (-1, 2, 5):
+        bad = seq_of(5, (1, 2), [(0, 3), (v, 4)])
+        with pytest.raises(InvalidColoring, match=message.format(1, v)):
+            reverse_sequence(bad)
+        # numbered in the joined sequence
+        first = seq_of(5, (1, 2), [(1, 3)])
+        with pytest.raises(InvalidColoring, match=message.format(2, v)):
+            concatenate([first, RecoloringSequence(Coloring(5, (1, 3)), bad.steps)])
+
+
 LOADERS = (
     Graph.from_json,
     Coloring.from_json,
@@ -285,3 +309,20 @@ def test_audit_reports_match_recorded_digest():
             digest.update(str(err).encode())
     assert set(rules) == {"repeat-pattern", "count-bound", "color-distinctness"}
     assert digest.hexdigest() == AUDIT_DIGEST
+
+
+def test_strict_audit_raises_the_first_collected_violation():
+    flagged = 0
+    for seq, peo, g in _audit_corpus():
+        report = audit_best_choice(seq, peo, g, strict=False)
+        if report.clean:
+            assert audit_best_choice(seq, peo, g) == report
+            continue
+        flagged += 1
+        with pytest.raises(AuditViolation) as err:
+            audit_best_choice(seq, peo, g)
+        first = report.violations[0]
+        assert (err.value.vertex, err.value.rule, err.value.index, err.value.detail) == (
+            first.vertex, first.rule, first.index, first.detail
+        )
+    assert flagged
