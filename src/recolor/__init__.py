@@ -13,9 +13,7 @@ from .chordalize import (
 from .decomposition import (
     EliminationOrdering,
     TreeDecomposition,
-    clique_number_chordal,
     degeneracy_order,
-    is_chordal,
     is_perfect_elimination,
     later_neighbors,
     mcs_order,
@@ -34,7 +32,6 @@ from .errors import (
     NoOpStep,
     NoValidColor,
     NotEnoughColors,
-    NotPEO,
     NotWidth2,
     OmegaTooLarge,
     RecolorError,
@@ -55,7 +52,6 @@ from .graphs import (
     greedy_coloring,
     is_proper,
     random_proper_coloring,
-    spanning_subgraph,
 )
 from .oracle import (
     DEFAULT_STATE_CAP,
@@ -69,9 +65,6 @@ from .sequences import (
     AuditReport,
     RecoloringSequence,
     audit_best_choice,
-    concatenate,
-    restrict,
-    reverse_sequence,
     verify_sequence,
 )
 

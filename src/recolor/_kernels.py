@@ -8,11 +8,19 @@ component, and does it densely, closing the reached set along one axis at a
 time. `bfs_levels` (every distance from one source) and `bfs_meet` (one
 distance) are sparse frontier searches that rewrite one digit of each
 frontier code per (vertex, colour) batch.
+
+This is the package's only numpy importer. `oracle` imports it inside each
+call, so numpy loads on the first oracle call and never for the pipeline.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def count(mask: np.ndarray) -> int:
+    """Number of True entries; np.count_nonzero is several times faster than mask.sum()."""
+    return int(np.count_nonzero(mask))
 
 
 def proper_mask(n: int, k: int, edges) -> np.ndarray:
@@ -176,3 +184,25 @@ def bfs_meet(start: int, goal: int, proper: np.ndarray, n: int, k: int) -> int |
             return None
         fronts[side] = _union(parts)
         depth[side] += 1
+
+
+def orbit_sources(mask: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The proper codes whose colours first appear in the order 1, 2, 3, ...
+
+    That is digit[v] <= max(digit[:v]) + 1 for every v, one code per orbit of
+    the colour permutations. The rule is tested one digit at a time against
+    a running maximum, updated only for codes still kept. Such a code's
+    maximum is below n and k, so below 64 wherever numpy can index the
+    states, and fits int8: with the codes and one int64 digit buffer, the
+    selection peaks at about 25 bytes per proper state.
+    """
+    codes = np.flatnonzero(mask)
+    keep = np.ones(codes.size, dtype=np.bool_)
+    top = np.full(codes.size, -1, dtype=np.int8)
+    digit = np.empty_like(codes)
+    for v in range(n):
+        np.floor_divide(codes, k**v, out=digit)
+        np.remainder(digit, k, out=digit)
+        keep &= digit <= top + 1
+        np.maximum(top, digit, out=top, where=keep)
+    return codes[keep]

@@ -40,7 +40,6 @@ from .errors import (
     InvalidColoring,
     LiftFailure,
     NoOpStep,
-    _json_loader,
 )
 from .graphs import Coloring, Graph, _greedy, _require_int, require_proper
 from .sequences import RecoloringSequence, _replayed, _undo, verify_sequence
@@ -66,14 +65,6 @@ class MergeMap:
             "to_merged": list(self.to_merged),
             "classes": [list(c) for c in self.classes],
         }
-
-    @staticmethod
-    @_json_loader
-    def from_json(obj: dict) -> "MergeMap":
-        return MergeMap(
-            tuple(int(x) for x in obj["to_merged"]),
-            tuple(tuple(int(v) for v in c) for c in obj["classes"]),
-        )
 
 
 def merge_same_colored(

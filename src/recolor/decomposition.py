@@ -1,4 +1,4 @@
-"""Treewidth-2 decomposition, chordality, and elimination orderings.
+"""Treewidth-2 decomposition and elimination orderings.
 
 `later_neighbors` is the one place that answers "which neighbors of v come
 after v in this ordering" (the out-neighborhood N+(v)) for a graph in hand.
@@ -24,8 +24,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import InvalidDecomposition, InvalidInput, NotPEO, NotWidth2, _json_loader
-from .graphs import Graph, _require_ordering_of
+from .errors import InvalidDecomposition, InvalidInput, NotWidth2, _json_loader
+from .graphs import Graph, _json_int, _require_ordering_of
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ class TreeDecomposition:
     @_json_loader
     def from_json(obj: dict) -> "TreeDecomposition":
         return TreeDecomposition(
-            tuple(frozenset(int(v) for v in bag) for bag in obj["bags"]),
-            tuple((int(i), int(j)) for i, j in obj["tree_edges"]),
+            tuple(frozenset(map(_json_int, bag)) for bag in obj["bags"]),
+            tuple((_json_int(i), _json_int(j)) for i, j in obj["tree_edges"]),
         )
 
 
@@ -75,7 +75,7 @@ class EliminationOrdering:
     @staticmethod
     @_json_loader
     def from_json(obj: dict) -> "EliminationOrdering":
-        return EliminationOrdering(tuple(int(v) for v in obj["order"]))
+        return EliminationOrdering(tuple(map(_json_int, obj["order"])))
 
 
 def _pop_order(g: Graph, key: list[int]) -> list[int]:
@@ -131,20 +131,6 @@ def _later_form_cliques(g: Graph, later: tuple[tuple[int, ...], ...]) -> bool:
 def is_perfect_elimination(g: Graph, peo: EliminationOrdering) -> bool:
     """Check that every vertex's later neighbors form a clique."""
     return _later_form_cliques(g, later_neighbors(g, peo))
-
-
-def is_chordal(g: Graph) -> bool:
-    return is_perfect_elimination(g, mcs_order(g))
-
-
-def clique_number_chordal(g: Graph, peo: EliminationOrdering) -> int:
-    """Clique number of a chordal graph, read off a perfect elimination ordering."""
-    later = later_neighbors(g, peo)
-    if not _later_form_cliques(g, later):
-        raise NotPEO("ordering is not a perfect elimination ordering of the graph")
-    if g.n == 0:
-        return 0
-    return 1 + max(map(len, later))
 
 
 def degeneracy_order(g: Graph) -> EliminationOrdering:

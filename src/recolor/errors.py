@@ -23,10 +23,6 @@ class NotEnoughColors(RecolorError):
     """No color is available for some vertex during coloring construction."""
 
 
-class NotPEO(RecolorError):
-    """The given ordering is not a perfect elimination ordering."""
-
-
 class NotWidth2(RecolorError):
     """The graph has treewidth greater than 2."""
 
@@ -90,16 +86,15 @@ def _json_loader(load):
     """Make a from_json raise InvalidInput for a malformed dict.
 
     A missing key, a value of the wrong shape or a non-integer where an
-    integer belongs surfaces as KeyError, TypeError, ValueError or (for an
-    infinite float) OverflowError inside the loader; each becomes InvalidInput
-    naming the loader.
+    integer belongs (`graphs._json_int`) surfaces as KeyError, TypeError or
+    ValueError inside the loader; each becomes InvalidInput naming the loader.
     """
 
     @wraps(load)
     def checked(obj):
         try:
             return load(obj)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"{load.__qualname__}: {type(exc).__name__}: {exc}") from exc
 
     return checked

@@ -17,7 +17,6 @@ import csv
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Optional
@@ -28,6 +27,7 @@ from .decomposition import degeneracy_order, mcs_order
 from .errors import InvalidInput, RecolorError, TooLarge
 from .graphs import (
     Graph,
+    _require_int,
     gen_2tree,
     gen_chordal_omega3,
     gen_partial_2tree,
@@ -150,10 +150,8 @@ def run_experiments(config: ExperimentConfig) -> list[ExperimentRecord]:
         raise InvalidInput(f"unknown family {config.family!r}")
     if not (config.sizes and config.seeds):
         raise InvalidInput("no sizes or no seeds: the batch would check nothing")
-    if config.state_cap < 1:
-        raise InvalidInput(f"state cap must be at least 1, got {config.state_cap}")
-    if config.jobs < 1:
-        raise InvalidInput(f"jobs must be at least 1, got {config.jobs}")
+    _require_int("state cap", config.state_cap, 1)
+    _require_int("jobs", config.jobs, 1)
     ids, graphs, seeds = [], [], []
     for n in config.sizes:
         for seed in config.seeds:
@@ -165,6 +163,7 @@ def run_experiments(config: ExperimentConfig) -> list[ExperimentRecord]:
     # a forked pool starts all its workers at the first submit
     workers = min(config.jobs, len(ids), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run, ids, graphs, seeds))
     else:

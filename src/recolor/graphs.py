@@ -31,8 +31,7 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        if n < 0:
-            raise InvalidInput(f"vertex count must be >= 0, got {n}")
+        _require_int("vertex count", n, 0)
         sets: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -50,12 +49,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
     def neighbor_sets(self) -> list[set[int]]:
         """Adjacency as sets, for algorithms doing many membership tests."""
         return [set(a) for a in self.adjacency]
@@ -66,10 +59,10 @@ class Graph:
     @staticmethod
     @_json_loader
     def from_json(obj: dict) -> "Graph":
-        n = int(obj["n"])
+        n = _json_int(obj["n"])
         if n > MAX_JSON_VERTICES:
             raise InvalidInput(f"graph declares {n} vertices, above {MAX_JSON_VERTICES}")
-        return Graph.from_edges(n, [(int(u), int(v)) for u, v in obj["edges"]])
+        return Graph.from_edges(n, [(_json_int(u), _json_int(v)) for u, v in obj["edges"]])
 
 
 @dataclass(frozen=True)
@@ -80,12 +73,12 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        # set() is one C pass, and a coloring has few distinct colors; the
-        # loop runs only to name the first color out of range
-        if not all(1 <= c <= self.k for c in set(self.colors)):
+        # set() is one C pass, and a coloring has few distinct colors; the loop
+        # runs only to name the first color that is not an int (a bool is not) in 1..k
+        if not all(type(c) is int and 1 <= c <= self.k for c in set(self.colors)):
             for c in self.colors:
-                if not (1 <= c <= self.k):
-                    raise InvalidColoring(f"color {c} outside 1..{self.k}")
+                if type(c) is not int or not 1 <= c <= self.k:
+                    raise InvalidColoring(f"color {c!r} outside 1..{self.k}")
 
     def to_json(self) -> dict:
         return {"k": self.k, "colors": list(self.colors)}
@@ -93,7 +86,7 @@ class Coloring:
     @staticmethod
     @_json_loader
     def from_json(obj: dict) -> "Coloring":
-        return Coloring(int(obj["k"]), tuple(int(c) for c in obj["colors"]))
+        return Coloring(_json_int(obj["k"]), tuple(map(_json_int, obj["colors"])))
 
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
@@ -111,12 +104,19 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
     return True
 
 
-def _require_int(name: str, value: object, bound: int) -> None:
-    """Raise InvalidInput unless `value` is an int (not a bool) of at least `bound`."""
+def _require_int(name: str, value: object, bound: int | None = None) -> None:
+    """Raise InvalidInput unless `value` is an int (not a bool), of at least `bound` if given."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    if value < bound:
+    if bound is not None and value < bound:
         raise InvalidInput(f"need {name} >= {bound}, got {value}")
+
+
+def _json_int(value: object) -> int:
+    """`value` if it is a JSON integer; a float, bool or string raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def require_proper(g: Graph, coloring: Coloring, max_color: int, name: str) -> None:
@@ -125,14 +125,6 @@ def require_proper(g: Graph, coloring: Coloring, max_color: int, name: str) -> N
         raise InvalidColoring(f"{name} is not proper")
     if max(coloring.colors, default=1) > max_color:
         raise InvalidColoring(f"{name} uses colors above {max_color}")
-
-
-def spanning_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Same vertex set, keeping only edges with both endpoints in `vertices`."""
-    keep = set(vertices)
-    return Graph.from_edges(
-        g.n, [(u, v) for u, v in g.edges() if u in keep and v in keep]
-    )
 
 
 def _2tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -148,6 +140,7 @@ def _2tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
 
 def gen_2tree(n: int, seed: int) -> Graph:
     """Random 2-tree on n >= 3 vertices; always has 2n-3 edges and is chordal."""
+    _require_int("n", n)
     if n < 3:
         raise InvalidSize(f"a 2-tree needs at least 3 vertices, got {n}")
     return Graph.from_edges(n, _2tree_edges(n, random.Random(seed)))
@@ -159,6 +152,7 @@ def gen_partial_2tree(n: int, keep_prob: float, seed: int) -> Graph:
     keep_prob=1 reproduces gen_2tree(n, seed) exactly. The result always has
     treewidth at most 2.
     """
+    _require_int("n", n)
     if n < 3:
         raise InvalidSize(f"a partial 2-tree needs at least 3 vertices, got {n}")
     if not 0 <= keep_prob <= 1:
@@ -176,6 +170,7 @@ def gen_chordal_omega3(n: int, seed: int) -> Graph:
     clique of size 0, 1 or 2 as its neighborhood, so construction order
     reversed is a perfect elimination ordering.
     """
+    _require_int("n", n)
     if n < 1:
         raise InvalidSize(f"need at least 1 vertex, got {n}")
     rng = random.Random(seed)

@@ -11,14 +11,16 @@ needs no distance, only the size of one component: the proper states that
 differ in one vertex's colour form a clique, so `_kernels.reach_count` closes
 the reached set line by line on a dense mask and never calls `bfs_levels`.
 `reconfig_diameter` needs every distance from a source and runs full searches
-(`_kernels.bfs_levels`).
+(`_kernels.bfs_levels`), one per start `_kernels.orbit_sources` picks.
+
+numpy loads only with `_kernels`, which each function here imports when it
+is called, so `import recolor` and the constructive pipeline never load it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import sys
 
-from . import _kernels
 from .errors import InvalidColoring, InvalidInput, TooLarge
 from .graphs import Coloring, Graph, _require_int, require_proper
 
@@ -46,15 +48,15 @@ def decode_state(code: int, n: int, k: int) -> Coloring:
     return Coloring(k, tuple(colors))
 
 
-def _proper_states(g: Graph, k: int, state_cap: int) -> np.ndarray:
+def _proper_states(g: Graph, k: int, state_cap: int):
     """Properness mask over all k^n packed states, after checking k and the cap."""
     _require_int("k", k, 1)
-    if state_cap < 1:
-        raise InvalidInput(f"state cap must be at least 1, got {state_cap}")
+    _require_int("state cap", state_cap, 1)
     if k**g.n > state_cap:
         raise TooLarge(f"{k}^{g.n} states exceed the cap of {state_cap}")
-    if k**g.n > np.iinfo(np.intp).max:
+    if k**g.n > sys.maxsize:
         raise TooLarge(f"{k}^{g.n} states exceed numpy's largest array index")
+    from . import _kernels
     return _kernels.proper_mask(g.n, k, g.edges())
 
 
@@ -66,6 +68,7 @@ def bfs_distance(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> int | None:
     """Fewest single-vertex recolorings from alpha to beta, None if unreachable."""
+    from . import _kernels
     mask = _proper_states(g, k, state_cap)
     require_proper(g, alpha, k, "alpha")
     require_proper(g, beta, k, "beta")
@@ -74,11 +77,12 @@ def bfs_distance(
 
 def reconfig_connected(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """True iff every proper k-coloring is reachable from every other."""
+    from . import _kernels
     mask = _proper_states(g, k, state_cap)
-    total = int(np.count_nonzero(mask))
+    total = _kernels.count(mask)
     if total <= 1:
         return True
-    return _kernels.reach_count(int(np.argmax(mask)), mask, g.n, k) == total
+    return _kernels.reach_count(int(mask.argmax()), mask, g.n, k) == total
 
 
 def reconfig_diameter(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> int | None:
@@ -90,36 +94,16 @@ def reconfig_diameter(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> i
     (digit[v] <= max(digit[:v]) + 1); a disconnected space is caught by the
     first. Keep instances very small.
     """
+    from . import _kernels
     mask = _proper_states(g, k, state_cap)
-    total = int(np.count_nonzero(mask))
+    total = _kernels.count(mask)
     if total == 0:
         return None
     best = 0
-    for src in _orbit_sources(mask, g.n, k):
+    for src in _kernels.orbit_sources(mask, g.n, k):
         dist = _kernels.bfs_levels(int(src), mask, g.n, k)
         if int((dist >= 0).sum()) != total:
             return None
         best = max(best, int(dist.max()))
     return best
 
-
-def _orbit_sources(mask: np.ndarray, n: int, k: int) -> np.ndarray:
-    """The proper codes whose colours first appear in the order 1, 2, 3, ...
-
-    That is digit[v] <= max(digit[:v]) + 1 for every v, one code per orbit of
-    the colour permutations. The rule is tested one digit at a time against
-    a running maximum, updated only for codes still kept. Such a code's
-    maximum is below n and k, so below 64 wherever numpy can index the
-    states, and fits int8: with the codes and one int64 digit buffer, the
-    selection peaks at about 25 bytes per proper state.
-    """
-    codes = np.flatnonzero(mask)
-    keep = np.ones(codes.size, dtype=np.bool_)
-    top = np.full(codes.size, -1, dtype=np.int8)
-    digit = np.empty_like(codes)
-    for v in range(n):
-        np.floor_divide(codes, k**v, out=digit)
-        np.remainder(digit, k, out=digit)
-        keep &= digit <= top + 1
-        np.maximum(top, digit, out=top, where=keep)
-    return codes[keep]

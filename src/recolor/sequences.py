@@ -1,4 +1,4 @@
-"""Recoloring sequences: replay, restriction, and structural audits.
+"""Recoloring sequences: replay and structural audits.
 
 A sequence is a start coloring plus ordered (vertex, new_color) steps. Every
 step must change its vertex's color and every intermediate coloring must stay
@@ -28,12 +28,11 @@ from .errors import (
     ImproperStart,
     ImproperStep,
     InvalidColoring,
-    InvalidInput,
     NoOpStep,
     OmegaTooLarge,
     _json_loader,
 )
-from .graphs import Coloring, Graph, is_proper
+from .graphs import Coloring, Graph, _json_int, is_proper
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class RecoloringSequence:
     def from_json(obj: dict) -> "RecoloringSequence":
         return RecoloringSequence(
             Coloring.from_json(obj["start"]),
-            tuple((int(v), int(c)) for v, c in obj["steps"]),
+            tuple((_json_int(v), _json_int(c)) for v, c in obj["steps"]),
         )
 
 
@@ -88,16 +87,6 @@ def _replayed(g: Graph, start: Coloring, steps: list, end: tuple) -> RecoloringS
     return seq
 
 
-def _require_known_vertices(
-    steps: Iterable[tuple[int, int]], n: int, first: int = 0
-) -> None:
-    """Raise InvalidColoring, as verify_sequence does, at the first step whose
-    vertex lies outside 0..n-1. Steps are numbered from `first`."""
-    for i, (v, _) in enumerate(steps, first):
-        if not 0 <= v < n:
-            raise InvalidColoring(f"step {i} recolors unknown vertex {v}")
-
-
 def _undo(colors: Iterable[int], steps: Iterable[tuple[int, int]]) -> tuple[tuple, list]:
     """The colors `steps` reach from `colors`, and the steps that lead back."""
     cur = list(colors)
@@ -106,39 +95,6 @@ def _undo(colors: Iterable[int], steps: Iterable[tuple[int, int]]) -> tuple[tupl
         back.append((v, cur[v]))
         cur[v] = c
     return tuple(cur), back[::-1]
-
-
-def reverse_sequence(seq: RecoloringSequence) -> RecoloringSequence:
-    """Undo a valid sequence: replay backwards, restoring pre-step colors.
-
-    Valid whenever the input is valid, since single-vertex recoloring moves
-    are symmetric.
-    """
-    _require_known_vertices(seq.steps, len(seq.start.colors))
-    end, back = _undo(seq.start.colors, seq.steps)
-    return RecoloringSequence(Coloring(seq.start.k, end), tuple(back))
-
-
-def restrict(seq: RecoloringSequence, vertices: Iterable[int]) -> list[tuple[int, int]]:
-    """Steps recoloring a vertex in the given set, order preserved."""
-    keep = set(vertices)
-    return [(v, c) for v, c in seq.steps if v in keep]
-
-
-def concatenate(parts: list[RecoloringSequence]) -> RecoloringSequence:
-    """Chain sequences whose endpoints match up."""
-    if not parts:
-        raise InvalidInput("nothing to concatenate")
-    steps: list[tuple[int, int]] = []
-    cur = list(parts[0].start.colors)
-    for part in parts:
-        if list(part.start.colors) != cur:
-            raise InvalidInput("segment does not start where the previous one ended")
-        _require_known_vertices(part.steps, len(cur), len(steps))
-        steps.extend(part.steps)
-        for v, c in part.steps:
-            cur[v] = c
-    return RecoloringSequence(parts[0].start, tuple(steps))
 
 
 RULE_REPEAT = "repeat-pattern"

@@ -3,6 +3,7 @@ import json
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,6 @@ from recolor import (
     later_neighbors,
     mcs_order,
     random_proper_coloring,
-    restrict,
-    spanning_subgraph,
     verify_sequence,
 )
 from recolor import bestchoice
@@ -226,7 +225,7 @@ def test_recoloring_large_instance_bounded():
     seq = best_choice_recoloring(g, peo, a, b, 5)
     final = verify_sequence(g, seq)
     assert final.colors == b.colors
-    assert max(len(restrict(seq, {v})) for v in range(g.n)) <= PER_VERTEX_CHORDAL_BOUND
+    assert max(Counter(v for v, _ in seq.steps).values()) <= PER_VERTEX_CHORDAL_BOUND
 
 
 def test_closure_on_suffixes():
@@ -239,8 +238,8 @@ def test_closure_on_suffixes():
     seq = best_choice_recoloring(g, peo, a, b, 5)
     for i in range(0, g.n, 7):
         suffix = set(peo.order[i:])
-        sub = spanning_subgraph(g, suffix)
-        part = RecoloringSequence(a, tuple(restrict(seq, suffix)))
+        sub = Graph.from_edges(g.n, [e for e in g.edges() if suffix.issuperset(e)])
+        part = RecoloringSequence(a, tuple(s for s in seq.steps if s[0] in suffix))
         final = verify_sequence(sub, part)
         assert all(final.colors[v] == b.colors[v] for v in suffix)
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import tempfile
@@ -169,6 +170,11 @@ def test_bad_input_is_one_error_line(tmp_path, capsys):
     _write(no_colors, {"k": 2})
     _write(no_edges, {"n": 2})
     not_json.write_text("{not json")
+    # floats where integers belong, which int() would have truncated
+    floats = tmp_path / "floats.json"
+    float_colors = tmp_path / "float_colors.json"
+    _write(floats, {"n": 3.9, "edges": [[0.2, 1.7]]})
+    _write(float_colors, {"k": 5, "colors": [1.5, 2.9, 1]})
     missing = str(tmp_path / "missing.json")
     recolor3 = ("recolor", "--graph", str(path3), "--alpha", str(a3), "--beta", str(b3))
     audit3 = ("audit", "--graph", str(path3), "--seq", str(seq3))
@@ -185,6 +191,8 @@ def test_bad_input_is_one_error_line(tmp_path, capsys):
         ("check", "--graph", str(g), "--coloring", str(no_colors)),
         ("check", "--graph", str(no_edges), "--coloring", str(c)),
         ("check", "--graph", str(not_json), "--coloring", str(c)),
+        ("check", "--graph", str(floats), "--coloring", str(float_colors)),
+        ("check", "--graph", str(path3), "--coloring", str(float_colors)),
         ("check", "--graph", missing, "--coloring", str(c)),
         ("check", "--graph", str(path3), "--seq", str(seq3), "--expect-final", missing),
         ("pipeline", "--graph", str(path3), "--alpha", str(a3), "--beta", missing,
@@ -430,7 +438,7 @@ def cli_argv(draw):
 def test_fuzzed_argv_exits_cleanly(tmp_path, capsys, monkeypatch, argv):
     """Every run exits 0, or 1 or 2 with one error line or a verdict; no traceback."""
     # a bench with --jobs maps its instances in this process
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", helpers.serial_pool([]))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", helpers.serial_pool([]))
     root = Path(tempfile.mkdtemp(dir=tmp_path))
     for name, text in FILES.items():
         (root / f"{name}.json").write_text(text)

@@ -10,17 +10,14 @@ from recolor import (
     Graph,
     InvalidDecomposition,
     InvalidInput,
-    NotPEO,
     NotWidth2,
     OmegaTooLarge,
     RecoloringSequence,
     TreeDecomposition,
-    clique_number_chordal,
     degeneracy_order,
     gen_2tree,
     gen_chordal_omega3,
     gen_partial_2tree,
-    is_chordal,
     audit_best_choice,
     is_perfect_elimination,
     later_neighbors,
@@ -54,43 +51,50 @@ def test_mcs_edgeless_any_order_fine():
     assert is_perfect_elimination(g, mcs_order(g))
 
 
+def _is_chordal(g):
+    return is_perfect_elimination(g, mcs_order(g))
+
+
+def _clique_number(g):
+    """1 + the most later neighbors along mcs_order: the clique number of a
+    chordal graph, whose later-neighbor sets along a PEO are cliques."""
+    return 1 + max(map(len, later_neighbors(g, mcs_order(g))), default=-1)
+
+
 def test_c4_not_chordal():
-    assert not is_perfect_elimination(C4, mcs_order(C4))
-    assert not is_chordal(C4)
+    assert not _is_chordal(C4)
 
 
 def test_k4_chordal():
-    assert is_chordal(K4)
+    assert _is_chordal(K4)
 
 
 def test_2tree_chordal():
-    assert is_chordal(gen_2tree(15, 2))
+    assert _is_chordal(gen_2tree(15, 2))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 10**6), st.integers(1, 9))
 def test_is_chordal_matches_brute_force(n, seed, tenths):
     g = _random_graph(n, tenths / 10, seed)
-    assert is_chordal(g) == helpers.brute_is_chordal(g)
+    assert is_perfect_elimination(g, mcs_order(g)) == helpers.brute_is_chordal(g)
 
 
 def test_clique_number_k3():
-    assert clique_number_chordal(K3, mcs_order(K3)) == 3
+    assert _clique_number(K3) == 3
 
 
 def test_clique_number_edgeless():
-    g = Graph.from_edges(4, [])
-    assert clique_number_chordal(g, mcs_order(g)) == 1
+    assert _clique_number(Graph.from_edges(4, [])) == 1
 
 
 def test_clique_number_empty_graph():
-    g = Graph.from_edges(0, [])
-    assert clique_number_chordal(g, mcs_order(g)) == 0
+    assert _clique_number(Graph.from_edges(0, [])) == 0
 
 
 def test_clique_number_matches_brute_force():
     g = gen_chordal_omega3(40, 5)
-    got = clique_number_chordal(g, mcs_order(g))
+    got = _clique_number(g)
     assert got == helpers.brute_max_clique(g, cap=4)
     assert got <= 3
 
@@ -99,12 +103,12 @@ def test_clique_number_matches_brute_force():
 @given(st.integers(1, 12), st.integers(0, 10**6))
 def test_clique_number_brute_small(n, seed):
     g = gen_chordal_omega3(n, seed)
-    assert clique_number_chordal(g, mcs_order(g)) == helpers.brute_max_clique(g)
+    assert _clique_number(g) == helpers.brute_max_clique(g)
 
 
 def test_clique_number_rejects_non_peo():
-    with pytest.raises(NotPEO):
-        clique_number_chordal(C4, EliminationOrdering((0, 1, 2, 3)))
+    # along this ordering vertex 0's later neighbors 1 and 3 are not adjacent
+    assert not is_perfect_elimination(C4, EliminationOrdering((0, 1, 2, 3)))
 
 
 def test_reduce_width2_k3_single_bag():
@@ -277,7 +281,7 @@ def test_later_neighbors_pairs_adjacent():
     peo = mcs_order(g)
     for outs in later_neighbors(g, peo):
         if len(outs) == 2:
-            assert g.has_edge(outs[0], outs[1])
+            assert outs[1] in g.adjacency[outs[0]]
 
 
 def test_later_neighbors_rejects_wrong_length():

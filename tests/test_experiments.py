@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 
 import pytest
@@ -120,7 +121,9 @@ def test_parallel_jobs_match_serial():
 
 def test_jobs_bounded_by_instances_and_cpus(monkeypatch):
     workers = []
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", helpers.serial_pool(workers))
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", helpers.serial_pool(workers)
+    )
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
     base = dict(family="chordal-omega3", sizes=(6,), cross_check=False)
     # jobs=1: in this process, seeds 0..5 in order

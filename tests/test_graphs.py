@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from recolor import (
     Coloring,
     EliminationOrdering,
+    ExperimentConfig,
     Graph,
     InvalidColoring,
     InvalidInput,
@@ -20,13 +21,13 @@ from recolor import (
     gen_chordal_omega3,
     gen_partial_2tree,
     greedy_coloring,
-    is_chordal,
+    is_perfect_elimination,
     is_proper,
     mcs_order,
     random_proper_coloring,
     reconfig_connected,
     reconfig_diameter,
-    spanning_subgraph,
+    run_experiments,
     two_phase_transform,
 )
 
@@ -57,8 +58,13 @@ def test_is_proper_length_mismatch():
 def test_coloring_rejects_out_of_range():
     with pytest.raises(InvalidColoring):
         Coloring(2, (1, 3))
-    # the message names the first color out of range, and a NaN is out of range
-    for colors, bad in (((1, 6, 0), "6"), ((1, 0, 6), "0"), ((2, float("nan")), "nan")):
+    # the message names the first color out of range, and a NaN is out of
+    # range; a color is an int, so a bool, a float or a string is out of range
+    # even where it equals a color in 1..5
+    for colors, bad in (
+        ((1, 6, 0), "6"), ((1, 0, 6), "0"), ((2, float("nan")), "nan"),
+        ((True, 2), "True"), ((1, 2.0), "2.0"), (("a",), "'a'"), ((2, None), "None"),
+    ):
         with pytest.raises(InvalidColoring, match=rf"^color {bad} outside 1\.\.5$"):
             Coloring(5, colors)
     assert Coloring(5, ()).colors == ()
@@ -86,7 +92,7 @@ def test_gen_2tree_base_is_triangle():
 def test_gen_2tree_n4_is_k4_minus_edge():
     g = gen_2tree(4, 1)
     assert g.num_edges() == 5
-    assert sorted(g.degree(v) for v in range(4)) == [2, 2, 3, 3]
+    assert sorted(map(len, g.adjacency)) == [2, 2, 3, 3]
 
 
 def test_gen_2tree_edge_count_n20():
@@ -108,7 +114,7 @@ def test_gen_2tree_reproducible():
 def test_gen_2tree_properties(n, seed):
     g = gen_2tree(n, seed)
     assert g.num_edges() == 2 * n - 3
-    assert is_chordal(g)
+    assert is_perfect_elimination(g, mcs_order(g))
 
 
 def test_gen_partial_2tree_too_small():
@@ -177,7 +183,7 @@ def test_gen_chordal_can_produce_k3():
 
 def test_gen_chordal_chordal_and_omega_le_3():
     g = gen_chordal_omega3(50, 3)
-    assert is_chordal(g)
+    assert is_perfect_elimination(g, mcs_order(g))
     assert helpers.brute_max_clique(g, cap=4) <= 3
 
 
@@ -272,12 +278,6 @@ def test_coloring_json_round_trip():
     assert Coloring.from_json(col.to_json()) == col
 
 
-def test_spanning_subgraph_drops_outside_edges():
-    sub = spanning_subgraph(K3, {0, 1})
-    assert sub.n == 3
-    assert sub.edges() == [(0, 1)]
-
-
 def _k3_calls(k):
     """Every public call that takes an integer parameter, on the triangle."""
     order = EliminationOrdering((0, 1, 2))
@@ -316,3 +316,34 @@ def _k3_calls(k):
 def test_integer_parameters_are_checked(call, k, message):
     with pytest.raises(InvalidInput, match=message):
         _k3_calls(k)[call]()
+
+
+# Each size or count parameter checked by graphs._require_int, with its name.
+_CHECKED_SIZES = {
+    "gen_2tree": ("n", lambda x: gen_2tree(x, 1)),
+    "gen_partial_2tree": ("n", lambda x: gen_partial_2tree(x, 0.6, 1)),
+    "gen_chordal_omega3": ("n", lambda x: gen_chordal_omega3(x, 1)),
+    "from_edges": ("vertex count", lambda x: Graph.from_edges(x, [])),
+    "run_experiments jobs": (
+        "jobs",
+        lambda x: run_experiments(ExperimentConfig("2tree", (4,), (0,), jobs=x)),
+    ),
+    "run_experiments state_cap": (
+        "state cap",
+        lambda x: run_experiments(ExperimentConfig("2tree", (4,), (0,), state_cap=x)),
+    ),
+    "bfs_distance state_cap": (
+        "state cap",
+        lambda x: bfs_distance(K2, 3, Coloring(3, (1, 2)), Coloring(3, (2, 1)), x),
+    ),
+    "reconfig_connected state_cap": ("state cap", lambda x: reconfig_connected(K2, 3, x)),
+    "reconfig_diameter state_cap": ("state cap", lambda x: reconfig_diameter(K2, 3, x)),
+}
+
+
+@pytest.mark.parametrize("call", _CHECKED_SIZES)
+@pytest.mark.parametrize("value", ["5", 2.5, True])
+def test_sizes_and_counts_must_be_integers(call, value):
+    name, run = _CHECKED_SIZES[call]
+    with pytest.raises(InvalidInput, match=rf"^{name} must be an integer, got {value!r}$"):
+        run(value)

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +28,8 @@ from recolor import (
     reconfig_connected,
     reconfig_diameter,
 )
-from recolor import _kernels, oracle
+import recolor
+from recolor import _kernels
 
 import helpers
 
@@ -239,7 +245,7 @@ def test_orbit_sources_peak_below_32_bytes_per_proper_state():
     proper = int(np.count_nonzero(mask))
     tracemalloc.start()
     try:
-        sources = oracle._orbit_sources(mask, g.n, 5)
+        sources = _kernels.orbit_sources(mask, g.n, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -312,3 +318,47 @@ def test_one_color_on_more_vertices_than_numpy_axes():
     assert reconfig_connected(g, 1)
     assert reconfig_diameter(g, 1) == 0
     assert _kernels.proper_mask(70, 1, [(3, 69)]).tolist() == [False]
+
+
+# The constructive core, then one oracle call, in a fresh interpreter: numpy
+# and the process pool load only for the oracle call.
+CORE_THEN_ORACLE = """
+import json, sys
+import recolor as r
+
+def loaded():
+    return [m for m in ("numpy", "concurrent.futures") if m in sys.modules]
+
+g = r.gen_partial_2tree(60, 0.6, 1)
+order = r.degeneracy_order(g)
+r.pipeline_theorem(g, r.random_proper_coloring(g, order, 5, 1),
+                   r.random_proper_coloring(g, order, 5, 2))
+h = r.gen_chordal_omega3(60, 1)
+peo = r.mcs_order(h)
+seq = r.best_choice_recoloring(h, peo, r.random_proper_coloring(h, peo, 5, 0),
+                               r.greedy_coloring(h, peo), 5)
+r.audit_best_choice(seq, peo, h)
+core = loaded()
+small = r.gen_partial_2tree(6, 0.6, 3)
+order = r.degeneracy_order(small)
+d = r.bfs_distance(small, 5, r.random_proper_coloring(small, order, 5, 1),
+                   r.random_proper_coloring(small, order, 5, 2))
+print(json.dumps([core, d, loaded()]))
+"""
+
+
+def test_core_runs_without_numpy_until_an_oracle_call():
+    src = str(Path(recolor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", CORE_THEN_ORACLE],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    core, distance, after = json.loads(out)
+    assert core == []
+    assert "numpy" in after
+    small = gen_partial_2tree(6, 0.6, 3)
+    order = degeneracy_order(small)
+    alpha = random_proper_coloring(small, order, 5, 1)
+    beta = random_proper_coloring(small, order, 5, 2)
+    assert distance == bfs_distance(small, 5, alpha, beta)

@@ -16,22 +16,19 @@ from recolor import (
     ImproperStep,
     InvalidColoring,
     InvalidInput,
-    MergeMap,
     NoOpStep,
     RecolorError,
     RecoloringSequence,
     TreeDecomposition,
     audit_best_choice,
     best_choice_recoloring,
-    concatenate,
     gen_chordal_omega3,
     greedy_coloring,
     mcs_order,
     random_proper_coloring,
-    restrict,
-    reverse_sequence,
     verify_sequence,
 )
+from recolor.sequences import _undo
 
 import helpers
 
@@ -81,27 +78,17 @@ def test_verify_rejects_improper_start():
         verify_sequence(K2, s)
 
 
+def _reverse(s):
+    """The sequence that undoes s, as the pipeline undoes its beta half."""
+    end, back = _undo(s.start.colors, s.steps)
+    return RecoloringSequence(Coloring(s.start.k, end), tuple(back))
+
+
 def test_reverse_round_trip():
     s = seq_of(3, (1, 2), [(0, 3), (1, 1), (0, 2)])
-    back = reverse_sequence(s)
+    back = _reverse(s)
     assert verify_sequence(K2, back).colors == s.start.colors
     assert back.start.colors == verify_sequence(K2, s).colors
-
-
-def test_restrict_examples():
-    s = seq_of(9, (1,) * 4, [(0, 2), (1, 2), (0, 3), (2, 2)])
-    assert restrict(s, range(4)) == list(s.steps)
-    assert restrict(s, set()) == []
-    assert [v for v, _ in restrict(s, {0, 2})] == [0, 0, 2]
-
-
-def test_restrict_counts_partition_total():
-    g = gen_chordal_omega3(25, 2)
-    peo = mcs_order(g)
-    a = random_proper_coloring(g, peo, 5, 0)
-    b = greedy_coloring(g, peo)
-    s = best_choice_recoloring(g, peo, a, b, 5)
-    assert sum(len(restrict(s, {v})) for v in range(g.n)) == len(s.steps)
 
 
 def test_saved_steps_all_saved_when_vertex_untouched():
@@ -166,52 +153,16 @@ def test_sequence_json_round_trip():
     assert RecoloringSequence.from_json(s.to_json()) == s
 
 
-def test_concatenate_rejects_empty_and_mismatched_segments():
-    with pytest.raises(InvalidInput, match="nothing to concatenate"):
-        concatenate([])
-    first = seq_of(3, (1, 2), [(0, 3)])
-    with pytest.raises(InvalidInput, match="does not start where"):
-        concatenate([first, seq_of(3, (1, 2), [(1, 1)])])
-
-
-def test_concatenate_chains_valid_segments():
-    g = gen_chordal_omega3(30, 5)
-    rng = random.Random(5)
-    parts = [_random_walk(g, random_proper_coloring(g, mcs_order(g), 5, 5), 20, rng)]
-    for length in (1, 15):
-        parts.append(_random_walk(g, verify_sequence(g, parts[-1]), length, rng))
-    joined = concatenate(parts)
-    assert joined.start == parts[0].start
-    assert len(joined) == sum(map(len, parts)) == len(joined.steps)
-    assert verify_sequence(g, joined) == verify_sequence(g, parts[-1])
-
-
-def test_reverse_and_concatenate_reject_unknown_vertices():
-    message = r"^step {} recolors unknown vertex {}$"
-    for v in (-1, 2, 5):
-        bad = seq_of(5, (1, 2), [(0, 3), (v, 4)])
-        with pytest.raises(InvalidColoring, match=message.format(1, v)):
-            reverse_sequence(bad)
-        # numbered in the joined sequence
-        first = seq_of(5, (1, 2), [(1, 3)])
-        with pytest.raises(InvalidColoring, match=message.format(2, v)):
-            concatenate([first, RecoloringSequence(Coloring(5, (1, 3)), bad.steps)])
-
-
 LOADERS = (
     Graph.from_json,
     Coloring.from_json,
     TreeDecomposition.from_json,
     EliminationOrdering.from_json,
     RecoloringSequence.from_json,
-    MergeMap.from_json,
 )
-LOADER_KEYS = (
-    "n", "edges", "k", "colors", "bags", "tree_edges", "order", "start", "steps",
-    "to_merged", "classes",
-)
-# Integers stay small and strings are never long digit runs, so Graph never
-# allocates a huge n; the floats include the ones int() cannot convert.
+LOADER_KEYS = ("n", "edges", "k", "colors", "bags", "tree_edges", "order", "start", "steps")
+# Integers stay small, so Graph never allocates a huge n; the floats include
+# infinities and NaN.
 JSON_LIKE = st.recursive(
     st.none()
     | st.booleans()
@@ -234,6 +185,28 @@ def test_loaders_return_or_raise_recolor_error(load, obj):
         pass
 
 
+@pytest.mark.parametrize(
+    "load, obj",
+    [
+        (Graph.from_json, {"n": 3.9, "edges": []}),
+        (Graph.from_json, {"n": 3, "edges": [[0.2, 1.7]]}),
+        (Graph.from_json, {"n": True, "edges": []}),
+        (Coloring.from_json, {"k": 5, "colors": [1.5, 2.9, 1]}),
+        (Coloring.from_json, {"k": 5.0, "colors": [1]}),
+        (Coloring.from_json, {"k": 5, "colors": [True, 2]}),
+        (Coloring.from_json, {"k": 5, "colors": ["1"]}),
+        (TreeDecomposition.from_json, {"bags": [[0, 1.0]], "tree_edges": []}),
+        (TreeDecomposition.from_json, {"bags": [[0], [1]], "tree_edges": [[0, True]]}),
+        (EliminationOrdering.from_json, {"order": [1, 0.0]}),
+        (RecoloringSequence.from_json, {"start": {"k": 5, "colors": [1]}, "steps": [[0.0, 2]]}),
+        (RecoloringSequence.from_json, {"start": {"k": 5, "colors": [1]}, "steps": [[0, 2.5]]}),
+    ],
+)
+def test_loaders_reject_floats_and_booleans(load, obj):
+    with pytest.raises(InvalidInput, match="expected an integer"):
+        load(obj)
+
+
 def test_loader_error_names_loader_and_key():
     with pytest.raises(InvalidInput, match="Coloring.from_json: KeyError: 'colors'"):
         Coloring.from_json({"k": 2})
@@ -247,8 +220,7 @@ def test_reverse_of_generated_sequences(n, seed):
     a = random_proper_coloring(g, peo, 5, seed + 3)
     b = random_proper_coloring(g, peo, 5, seed + 4)
     s = best_choice_recoloring(g, peo, a, b, 5)
-    back = reverse_sequence(s)
-    assert verify_sequence(g, back).colors == a.colors
+    assert verify_sequence(g, _reverse(s)).colors == a.colors
 
 
 def _random_walk(g, start, length, rng):
