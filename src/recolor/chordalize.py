@@ -8,17 +8,25 @@ two such reductions (one per endpoint coloring) through a palette-rotation
 bridge between 3-colorings, giving a transformation between any two proper
 5-colorings that recolors every vertex a bounded number of times.
 
-The pipeline never builds the merged graph h. The decomposition's tree, with
-each bag mapped to merge classes, is a clique tree of h. Ordering the classes
-by decreasing depth of their top bag (the one nearest bag 0) is a perfect
-elimination ordering of h: a later neighbor of x shares a bag with x and has
-a top no deeper than x's, so it lies in x's top bag. The later-neighbor table
-and the greedy 3-coloring are read off those top bags (`_tree_order`). The
-bridge moves only the vertices whose two 3-colorings differ.
+The pipeline builds neither the merged graph h nor a tree decomposition. It
+merges over the bags {v} + N(v) of the degree-<=2 elimination of g
+(`decomposition._eliminate`). `reduce_width2` keeps the inclusion-maximal
+ones, so the classes and h are those of `merge_same_colored`. A class is
+eliminated with its last member w, and its later neighbors in h are the
+other classes of w's bag (`_elimination_order`). That order is a perfect
+elimination ordering of h. Hang each bag below the bag of its neighbor
+eliminated first. Each vertex's elimination bags form a subtree topped by its
+own bag, and a class's members are linked through shared bags, so a class's
+bags form a subtree topped by its last member's bag. The subtrees of two
+adjacent classes meet in a subtree topped by the earlier class's top bag, so
+the later class has a member in that bag. Each later set has at most 2
+classes, because |N(w)| <= 2, and it is a clique because the bag is filled.
+The greedy 3-coloring reads only those sets. The bridge moves only the
+vertices whose two 3-colorings differ.
 
-The private cores (`_merge_classes`, `_tree_order`, `_lift`, `_two_phase`
-and `bestchoice._best_choice`) pass plain lists and tuples to each other and
-check nothing. Validated dataclasses (`Coloring`, `MergeMap`,
+The private cores (`_merge_classes`, `_elimination_order`, `_lift`,
+`_two_phase` and `bestchoice._best_choice`) pass plain lists and tuples to
+each other and check nothing. Validated dataclasses (`Coloring`, `MergeMap`,
 `RecoloringSequence`) are built only at the public entry points, each of
 which checks its inputs, runs the cores and replays its result once.
 `pipeline_theorem` joins its three parts (alpha to gamma1, the bridge, the
@@ -33,7 +41,7 @@ from itertools import combinations
 from typing import Collection, Sequence
 
 from .bestchoice import _best_choice
-from .decomposition import TreeDecomposition, reduce_width2, validate_decomposition
+from .decomposition import TreeDecomposition, _eliminate, validate_decomposition
 from .errors import (
     ImproperStart,
     ImproperStep,
@@ -141,48 +149,32 @@ def _merge_classes(
     return to_merged, classes, [colors[c[0]] for c in classes]
 
 
-def _tree_order(
-    bags: Sequence[Collection[int]],
-    depth: list[int],
-    top: list[int],
-    to_merged: list[int],
-    classes: list[list[int]],
+def _elimination_order(
+    elim: Sequence[tuple[int, Sequence[int]]], to_merged: list[int], size: int
 ) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The tree order of the merge classes and its later-neighbor table.
+    """The elimination order of the `size` merge classes and its later-neighbor table.
 
-    `depth` and `top` are what validate_decomposition returns for the
-    decomposition with these bags. A class's bags form a subtree, so its top
-    bag is the member top nearest bag 0. Classes go by decreasing depth of
-    their top bag, ties to the lowest index; by the argument in the module
-    docstring this is a perfect elimination ordering of h, and later[x] is
-    the ascending classes of x's top bag that come after x, a clique of at
-    most 2.
+    `elim` is the degree-<=2 elimination the classes were merged over. A class
+    goes where its last member w is eliminated, and later[x] is the ascending,
+    distinct classes of w's neighbors then. By the argument in the module
+    docstring this is a perfect elimination ordering of h.
     """
-    tops = []
-    for c in classes:
-        t = top[c[0]]
-        for v in c[1:]:
-            if depth[top[v]] < depth[t]:
-                t = top[v]
-        tops.append(t)
-    # a counting sort by decreasing depth, each depth in index order
-    by_depth: list[list[int]] = [[] for _ in range(max(depth, default=0) + 1)]
-    for x, t in enumerate(tops):
-        by_depth[depth[t]].append(x)
-    order = [x for level in reversed(by_depth) for x in level]
-    pos = [0] * len(order)
-    for i, x in enumerate(order):
-        pos[x] = i
-    later = []
-    for x, t in enumerate(tops):
-        p = pos[x]
-        ys = []
-        for v in bags[t]:
-            y = to_merged[v]
-            if pos[y] > p and y not in ys:
-                ys.append(y)
-        ys.sort()
-        later.append(tuple(ys))
+    order = []
+    later: list[tuple[int, ...]] = [()] * size
+    seen = [False] * size
+    # walking back, a class is met first at its last member, and the classes
+    # of that member's neighbors were all met before it
+    for w, nb in reversed(elim):
+        x = to_merged[w]
+        if not seen[x]:
+            seen[x] = True
+            order.append(x)
+            if len(nb) == 2:
+                a, b = to_merged[nb[0]], to_merged[nb[1]]
+                later[x] = (a, b) if a < b else (b, a) if b < a else (a,)
+            elif nb:
+                later[x] = (to_merged[nb[0]],)
+    order.reverse()
     return order, later
 
 
@@ -263,20 +255,18 @@ def _two_phase(
 
 
 def _toward_3coloring(
-    n: int,
+    elim: Sequence[tuple[int, Sequence[int]]],
     bags: Sequence[Collection[int]],
-    depth: list[int],
-    top: list[int],
     colors: Sequence[int],
 ) -> tuple[list[tuple[int, int]], list[int]]:
     """Steps on g from the 5-coloring `colors` to a 3-coloring, and that 3-coloring.
 
-    `depth` and `top` are what validate_decomposition returns for the
-    decomposition with these bags. The greedy 3-coloring of the merged graph
-    reads only the later-neighbor table of the tree order.
+    `elim` is the degree-<=2 elimination of g and `bags` its elimination bags.
+    The greedy 3-coloring of the merged graph reads only the later-neighbor
+    table of the elimination order.
     """
-    to_merged, classes, colors_h = _merge_classes(n, bags, colors)
-    order, later = _tree_order(bags, depth, top, to_merged, classes)
+    to_merged, classes, colors_h = _merge_classes(len(elim), bags, colors)
+    order, later = _elimination_order(elim, to_merged, len(classes))
     target = _greedy(order, later)
     steps_h = _best_choice(order, later, colors_h, target, 5)
     return _lift(steps_h, classes), [target[m] for m in to_merged]
@@ -296,10 +286,10 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
         if coloring.k != 5:
             raise InvalidColoring(f"{name} is a {coloring.k}-coloring, not a 5-coloring")
         require_proper(g, coloring, 5, name)
-    td = reduce_width2(g)
-    depth, top = validate_decomposition(g, td)
-    steps_a, gamma_1 = _toward_3coloring(g.n, td.bags, depth, top, alpha.colors)
-    steps_b, gamma_2 = _toward_3coloring(g.n, td.bags, depth, top, beta.colors)
+    elim = _eliminate(g)
+    bags = [(v, *nb) for v, nb in elim]
+    steps_a, gamma_1 = _toward_3coloring(elim, bags, alpha.colors)
+    steps_b, gamma_2 = _toward_3coloring(elim, bags, beta.colors)
     _, back = _undo(beta.colors, steps_b)
     bridge = _two_phase(gamma_1, gamma_2, d=2)
     return _replayed(g, alpha, steps_a + bridge + back, beta.colors)

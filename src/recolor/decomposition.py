@@ -5,7 +5,7 @@ after v in this ordering" (the out-neighborhood N+(v)) for a graph in hand.
 The ordering checks here, the greedy recoloring in `bestchoice` and the audit
 in `sequences` all read the table it returns instead of recomputing
 positions. The pipeline never builds its merged graph, so it reads that
-graph's table off the tree decomposition instead (`chordalize._tree_order`).
+graph's table off the elimination instead (`chordalize._elimination_order`).
 
 Every choice here is lowest index first: among the vertices that qualify,
 take the one with the smallest key and, on a tie, the smallest index. Each
@@ -14,9 +14,10 @@ whether it qualifies, changes, so a popped entry whose key no longer
 matches, or whose vertex no longer qualifies, is stale and skipped. No loop
 rescans all vertices to make a choice.
 
-`reduce_width2` reads its tree straight off the elimination: it keeps the
-inclusion-maximal elimination bags and folds each other bag into a child
-bag that holds it, comparing each bag only with its parent.
+`_eliminate` removes one vertex of degree at most 2 at a time; the pipeline
+reads only its elimination bags {v} + N(v). `reduce_width2` builds its tree
+straight off the same elimination: it keeps the inclusion-maximal bags and
+folds each other bag into a child bag that holds it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import InvalidDecomposition, InvalidInput, NotWidth2, _json_loader
-from .graphs import Graph, _json_int, _require_ordering_of
+from .graphs import Graph, _json_int, _require_ints, _require_ordering_of
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,7 @@ class EliminationOrdering:
     order: tuple[int, ...]
 
     def __post_init__(self):
+        _require_ints("ordering entry", self.order)
         if sorted(self.order) != list(range(len(self.order))):
             raise InvalidInput("ordering is not a permutation of 0..n-1")
 
@@ -141,14 +143,8 @@ def degeneracy_order(g: Graph) -> EliminationOrdering:
     return EliminationOrdering(tuple(_pop_order(g, [len(a) for a in g.adjacency])))
 
 
-def validate_decomposition(
-    g: Graph, td: TreeDecomposition
-) -> tuple[list[int], list[int]]:
-    """Raise InvalidDecomposition unless td is a width-<=2 decomposition of g.
-
-    Returns what the walk from bag 0 finds: each bag's depth below bag 0 and
-    each vertex's top bag, the one of its bags nearest bag 0.
-    """
+def validate_decomposition(g: Graph, td: TreeDecomposition) -> None:
+    """Raise InvalidDecomposition unless td is a width-<=2 decomposition of g."""
     nodes = len(td.bags)
     if nodes == 0:
         raise InvalidDecomposition("decomposition has no nodes")
@@ -170,14 +166,12 @@ def validate_decomposition(
         nbrs[j].append(i)
     parent = [-1] * nodes
     parent[0] = 0
-    depth = [0] * nodes
     stack = [0]
     while stack:
         x = stack.pop()
         for y in nbrs[x]:
             if parent[y] < 0:
                 parent[y] = x
-                depth[y] = depth[x] + 1
                 stack.append(y)
     if min(parent) < 0:
         raise InvalidDecomposition("tree is not connected")
@@ -206,22 +200,14 @@ def validate_decomposition(
         for v in nbrs:
             if v > u and v not in up and u not in bags[top[v]]:
                 raise InvalidDecomposition(f"edge ({u}, {v}) is in no bag")
-    return depth, top
 
 
-def reduce_width2(g: Graph) -> TreeDecomposition:
-    """Width-<=2 tree decomposition via degree-<=2 elimination.
+def _eliminate(g: Graph) -> list[tuple[int, list[int]]]:
+    """(v, sorted N(v)) for each v in the order the degree-<=2 elimination removes it.
 
-    Repeatedly removes a vertex of degree at most 2 (adding the edge between
-    the two neighbors of a degree-2 vertex when missing) and records the bag
-    {v} + N(v) at elimination time. Stalling with all degrees >= 3 proves the
-    treewidth exceeds 2.
-
-    Numbered from the last elimination back, bag i hangs below the bag of its
-    neighbour eliminated first, and bag 0 roots the tree. A bag's own vertex
-    lies only in the bags below it, so a bag inside another lies inside one of
-    its children; it is folded into the lowest-index such child. The result
-    keeps the inclusion-maximal bags in index order, joined by the folded tree.
+    Each step removes the lowest-index vertex of degree at most 2 and joins
+    its two neighbors when they are not adjacent, so the bag {v} + N(v) is
+    filled. Stalling with all degrees >= 3 raises NotWidth2: treewidth > 2.
     """
     adj = g.neighbor_sets()
     # degrees never rise, so each vertex enters the heap once, on reaching 2
@@ -244,7 +230,19 @@ def reduce_width2(g: Graph) -> TreeDecomposition:
         elim.append((v, nb))
     if len(elim) < g.n:
         raise NotWidth2("all remaining vertices have degree at least 3")
+    return elim
 
+
+def reduce_width2(g: Graph) -> TreeDecomposition:
+    """Width-<=2 tree decomposition built from the elimination bags {v} + N(v).
+
+    Numbered from the last elimination back, bag i hangs below the bag of its
+    neighbour eliminated first, and bag 0 roots the tree. A bag's own vertex
+    lies only in the bags below it, so a bag inside another lies inside one of
+    its children; it is folded into the lowest-index such child. The result
+    keeps the inclusion-maximal bags in index order, joined by the folded tree.
+    """
+    elim = _eliminate(g)
     if not elim:
         return TreeDecomposition((frozenset(),), ())
 
@@ -255,13 +253,7 @@ def reduce_width2(g: Graph) -> TreeDecomposition:
     bags = [frozenset((v, *nb)) for v, nb in order]
     # the neighbour eliminated first still held the others, so its bag holds
     # nb; bags with no neighbours hang below bag 0, which is its own parent
-    parent = [0] * len(order)
-    for i, (_, nb) in enumerate(order):
-        if len(nb) == 2:
-            a, b = index[nb[0]], index[nb[1]]
-            parent[i] = a if a > b else b
-        elif nb:
-            parent[i] = index[nb[0]]
+    parent = [max((index[u] for u in nb), default=0) for _, nb in order]
     # children come after their parent, so walking down sees every child of
     # a bag, folded as far as it goes, before the bag itself
     into = list(range(len(bags)))
@@ -274,11 +266,6 @@ def reduce_width2(g: Graph) -> TreeDecomposition:
     for r, i in enumerate(kept):
         rank[i] = r
     node = [rank[j] for j in into]
-    edges = set()
-    for i, p in enumerate(parent):
-        a, b = node[i], node[p]
-        if a < b:
-            edges.add((a, b))
-        elif b < a:
-            edges.add((b, a))
-    return TreeDecomposition(tuple(bags[i] for i in kept), tuple(sorted(edges)))
+    pairs = {tuple(sorted((node[i], node[p]))) for i, p in enumerate(parent)}
+    edges = sorted((a, b) for a, b in pairs if a != b)
+    return TreeDecomposition(tuple(bags[i] for i in kept), tuple(edges))

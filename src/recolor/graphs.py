@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvalidColoring, InvalidInput, InvalidSize, NotEnoughColors, _json_loader
@@ -32,6 +33,8 @@ class Graph:
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         _require_int("vertex count", n, 0)
+        edges = list(edges)
+        _require_ints("edge endpoint", list(chain.from_iterable(edges)))
         sets: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -73,12 +76,15 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        # set() is one C pass, and a coloring has few distinct colors; the loop
-        # runs only to name the first color that is not an int (a bool is not) in 1..k
-        if not all(type(c) is int and 1 <= c <= self.k for c in set(self.colors)):
-            for c in self.colors:
-                if type(c) is not int or not 1 <= c <= self.k:
-                    raise InvalidColoring(f"color {c!r} outside 1..{self.k}")
+        _require_int("k", self.k, 1)
+        # one C pass over the colors' types, then, once all are ints (a bool is
+        # not), one over their few distinct values; the loop runs only to name
+        # the first color that is not an int in 1..k
+        k, colors = self.k, self.colors
+        if not (set(map(type, colors)) <= {int} and all(1 <= c <= k for c in set(colors))):
+            for c in colors:
+                if type(c) is not int or not 1 <= c <= k:
+                    raise InvalidColoring(f"color {c!r} outside 1..{k}")
 
     def to_json(self) -> dict:
         return {"k": self.k, "colors": list(self.colors)}
@@ -112,6 +118,13 @@ def _require_int(name: str, value: object, bound: int | None = None) -> None:
         raise InvalidInput(f"need {name} >= {bound}, got {value}")
 
 
+def _require_ints(name: str, values: Sequence[object]) -> None:
+    """Raise InvalidInput unless every value is an int (not a bool), in one C pass."""
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise InvalidInput(f"{name} must be an integer, got {bad!r}")
+
+
 def _json_int(value: object) -> int:
     """`value` if it is a JSON integer; a float, bool or string raises TypeError."""
     if type(value) is not int:
@@ -141,6 +154,7 @@ def _2tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
 def gen_2tree(n: int, seed: int) -> Graph:
     """Random 2-tree on n >= 3 vertices; always has 2n-3 edges and is chordal."""
     _require_int("n", n)
+    _require_int("seed", seed)
     if n < 3:
         raise InvalidSize(f"a 2-tree needs at least 3 vertices, got {n}")
     return Graph.from_edges(n, _2tree_edges(n, random.Random(seed)))
@@ -153,8 +167,11 @@ def gen_partial_2tree(n: int, keep_prob: float, seed: int) -> Graph:
     treewidth at most 2.
     """
     _require_int("n", n)
+    _require_int("seed", seed)
     if n < 3:
         raise InvalidSize(f"a partial 2-tree needs at least 3 vertices, got {n}")
+    if not isinstance(keep_prob, (int, float)) or isinstance(keep_prob, bool):
+        raise InvalidInput(f"keep_prob must be a number, got {keep_prob!r}")
     if not 0 <= keep_prob <= 1:
         raise InvalidInput(f"keep_prob must lie in [0, 1], got {keep_prob}")
     rng = random.Random(seed)
@@ -171,6 +188,7 @@ def gen_chordal_omega3(n: int, seed: int) -> Graph:
     reversed is a perfect elimination ordering.
     """
     _require_int("n", n)
+    _require_int("seed", seed)
     if n < 1:
         raise InvalidSize(f"need at least 1 vertex, got {n}")
     rng = random.Random(seed)
@@ -208,6 +226,7 @@ def random_proper_coloring(
     `rng.choice` makes from the list of free colors, without the list.
     """
     _require_int("k", k, 1)
+    _require_int("seed", seed)
     _require_ordering_of(g, peo)
     rng = random.Random(seed)
     colors = [0] * g.n

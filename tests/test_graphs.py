@@ -68,6 +68,26 @@ def test_coloring_rejects_out_of_range():
         with pytest.raises(InvalidColoring, match=rf"^color {bad} outside 1\.\.5$"):
             Coloring(5, colors)
     assert Coloring(5, ()).colors == ()
+    # k is an int of at least 1, and a colour that hashes like one in 1..k but
+    # is no int, or cannot be hashed, is still named
+    with pytest.raises(InvalidInput, match=r"^k must be an integer, got 'a'$"):
+        Coloring("a", (1,))
+    with pytest.raises(InvalidInput, match=r"^need k >= 1, got 0$"):
+        Coloring(0, ())
+    with pytest.raises(InvalidColoring, match=r"^color True outside 1\.\.5$"):
+        Coloring(5, (1, True))
+    with pytest.raises(InvalidColoring, match=r"^color \[1\] outside 1\.\.5$"):
+        Coloring(5, ([1],))
+
+
+@pytest.mark.parametrize("bad", [True, "1", 1.0, None])
+def test_vertex_lists_reject_non_integers(bad):
+    # a bool would be stored as a vertex and break the JSON round trip, and a
+    # string would fail a comparison deep inside
+    with pytest.raises(InvalidInput, match=rf"^edge endpoint must be an integer, got {bad!r}$"):
+        Graph.from_edges(3, [(0, 2), (0, bad)])
+    with pytest.raises(InvalidInput, match=rf"^ordering entry must be an integer, got {bad!r}$"):
+        EliminationOrdering((bad, 0))
 
 
 def test_graph_rejects_self_loop():
@@ -323,6 +343,17 @@ _CHECKED_SIZES = {
     "gen_2tree": ("n", lambda x: gen_2tree(x, 1)),
     "gen_partial_2tree": ("n", lambda x: gen_partial_2tree(x, 0.6, 1)),
     "gen_chordal_omega3": ("n", lambda x: gen_chordal_omega3(x, 1)),
+    "gen_2tree seed": ("seed", lambda x: gen_2tree(5, x)),
+    "gen_partial_2tree seed": ("seed", lambda x: gen_partial_2tree(5, 0.6, x)),
+    "gen_chordal_omega3 seed": ("seed", lambda x: gen_chordal_omega3(5, x)),
+    "random_proper_coloring seed": (
+        "seed",
+        lambda x: random_proper_coloring(K3, EliminationOrdering((0, 1, 2)), 5, x),
+    ),
+    "run_experiments seeds": (
+        "seed",
+        lambda x: run_experiments(ExperimentConfig("2tree", (4,), (x,))),
+    ),
     "from_edges": ("vertex count", lambda x: Graph.from_edges(x, [])),
     "run_experiments jobs": (
         "jobs",
@@ -347,3 +378,11 @@ def test_sizes_and_counts_must_be_integers(call, value):
     name, run = _CHECKED_SIZES[call]
     with pytest.raises(InvalidInput, match=rf"^{name} must be an integer, got {value!r}$"):
         run(value)
+
+
+@pytest.mark.parametrize("keep_prob", ["0.5", True, None, [0.5]])
+def test_keep_prob_must_be_a_number(keep_prob):
+    with pytest.raises(InvalidInput, match=r"^keep_prob must be a number, got "):
+        gen_partial_2tree(10, keep_prob, 1)
+    # an int is a number: keep_prob 1 keeps every edge of the 2-tree
+    assert gen_partial_2tree(10, 1, 1) == gen_2tree(10, 1)
