@@ -23,7 +23,9 @@ folds each other bag into a child bag that holds it.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InvalidDecomposition, InvalidInput, NotWidth2, _json_loader
 from .graphs import Graph, _json_int, _require_ints, _require_ordering_of
@@ -114,19 +116,25 @@ def later_neighbors(g: Graph, peo: EliminationOrdering) -> tuple[tuple[int, ...]
     """For each vertex v, the ascending tuple of its neighbors after v in peo."""
     _require_ordering_of(g, peo)
     pos = peo.positions()
-    return tuple(
-        tuple(w for w in g.adjacency[v] if pos[w] > pos[v]) for v in range(g.n)
-    )
+    return tuple([tuple([w for w in nbrs if pos[w] > p]) for nbrs, p in zip(g.adjacency, pos)])
 
 
 def _later_form_cliques(g: Graph, later: tuple[tuple[int, ...], ...]) -> bool:
-    """True iff every entry of a later_neighbors table is a clique of g."""
-    adj = g.neighbor_sets()
+    """True iff every entry of a later_neighbors table is a clique of g.
+
+    Only entries of two or more vertices can fail. Each pair is looked up by
+    bisection in the sorted adjacency tuple, so a hub of high degree costs
+    a logarithmic factor per lookup, not a set of its neighbours.
+    """
+    adj = g.adjacency
     for outs in later:
-        for i in range(len(outs)):
-            for j in range(i + 1, len(outs)):
-                if outs[j] not in adj[outs[i]]:
-                    return False
+        if len(outs) > 1:
+            for i, u in enumerate(outs):
+                nbrs = adj[u]
+                for w in outs[i + 1 :]:
+                    j = bisect_left(nbrs, w)
+                    if j == len(nbrs) or nbrs[j] != w:
+                        return False
     return True
 
 
@@ -148,6 +156,8 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> None:
     nodes = len(td.bags)
     if nodes == 0:
         raise InvalidDecomposition("decomposition has no nodes")
+    _require_ints("bag entry", list(chain.from_iterable(td.bags)))
+    _require_ints("tree edge endpoint", list(chain.from_iterable(td.tree_edges)))
     for bag in td.bags:
         if len(bag) > 3:
             raise InvalidDecomposition(f"bag {sorted(bag)} exceeds size 3")

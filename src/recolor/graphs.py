@@ -34,15 +34,20 @@ class Graph:
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         _require_int("vertex count", n, 0)
         edges = list(edges)
-        _require_ints("edge endpoint", list(chain.from_iterable(edges)))
         sets: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidInput(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise InvalidInput(f"self-loop at vertex {u}")
-            sets[u].add(v)
-            sets[v].add(u)
+        # an edge that is not a pair fails to flatten or to unpack; only then
+        # are the edges scanned again, to name it
+        try:
+            _require_ints("edge endpoint", list(chain.from_iterable(edges)))
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InvalidInput(f"edge ({u}, {v}) out of range for n={n}")
+                if u == v:
+                    raise InvalidInput(f"self-loop at vertex {u}")
+                sets[u].add(v)
+                sets[v].add(u)
+        except (TypeError, ValueError):
+            raise _malformed_edge(edges) from None
         return Graph(n, tuple(tuple(sorted(s)) for s in sets))
 
     def edges(self) -> list[tuple[int, int]]:
@@ -108,6 +113,16 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
             if v > u and cols[v] == cu:
                 return False
     return True
+
+
+def _malformed_edge(edges: list) -> InvalidInput:
+    """The error naming the first edge that does not unpack into two endpoints."""
+    for edge in edges:
+        try:
+            _, _ = edge
+        except (TypeError, ValueError):
+            return InvalidInput(f"edge {edge!r} is not a pair of vertices")
+    return InvalidInput("every edge must be a pair of vertices")
 
 
 def _require_int(name: str, value: object, bound: int | None = None) -> None:

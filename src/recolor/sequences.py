@@ -14,6 +14,11 @@ restriction, the steps of v and N+(v) in sequence order. An out-neighbor step
 is saved unless it is one of the first two after a step of v that is not v's
 last step: of the g out-neighbor steps between two consecutive steps of v,
 min(g, 2) are unsaved, and every other out-neighbor step is saved.
+
+So a vertex with fewer than two steps has no gap: every out-neighbor step is
+saved and no rule can fire. The audit builds restrictions only for the
+vertices with at least two steps, and reads the others' totals off the
+per-vertex step counts.
 """
 
 from __future__ import annotations
@@ -143,13 +148,17 @@ def audit_best_choice(
        out-neighbors, v's colors before, between and after are pairwise
        distinct.
 
+    A vertex with fewer than two steps has no two consecutive steps, so all
+    three rules hold for it and every one of its m out-neighbor steps is
+    saved; only vertices with at least two steps get a restriction built.
+
     All violations are collected into the report; with strict=True the first
     of them is raised instead.
     """
     outs = later_neighbors(g, peo)
-    for v, later in enumerate(outs):
-        if len(later) > 2:
-            raise OmegaTooLarge(f"vertex {v} has {len(later)} later neighbors")
+    if max(map(len, outs), default=0) > 2:
+        v = next(v for v, later in enumerate(outs) if len(later) > 2)
+        raise OmegaTooLarge(f"vertex {v} has {len(outs[v])} later neighbors")
     verify_sequence(g, seq)
     steps = seq.steps
     n = g.n
@@ -157,12 +166,13 @@ def audit_best_choice(
     at: list[list[int]] = [[] for _ in range(n)]
     for t, (x, _) in enumerate(steps):
         at[x].append(t)
-    counts = [len(ts) for ts in at]
+    counts = list(map(len, at))
+    # all out-neighbor steps count as saved until v's own gaps say otherwise
+    out_step_counts = [sum(map(counts.__getitem__, later)) for later in outs]
+    saved_counts = out_step_counts.copy()
 
     violations: list[AuditViolation] = []
-    saved_counts = [0] * n
-    out_step_counts = [0] * n
-    for v in range(n):
+    for v in [v for v, c in enumerate(counts) if c > 1]:
         idxs = sorted(at[v] + [t for w in outs[v] for t in at[w]])
         trace = [steps[t][0] for t in idxs]
         ell = len(trace)
@@ -178,10 +188,9 @@ def audit_best_choice(
                 detail = "alternation v,w,v occurs before the end of the restriction"
                 violations.append(AuditViolation(v, RULE_REPEAT, idxs[q], detail))
 
-        m = ell - counts[v]
+        m = out_step_counts[v]
         r = m - sum(min(q - p - 1, 2) for p, q in pairs)
         saved_counts[v] = r
-        out_step_counts[v] = m
         # counts[v] <= 1 + ceil((m - r)/2), scaled by 2 to stay in integers
         if 2 * counts[v] > 2 + (m - r) + ((m - r) % 2):
             detail = f"count {counts[v]} exceeds 1 + ceil(({m} - {r})/2)"

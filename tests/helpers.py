@@ -6,9 +6,10 @@ pool, so that a test of `--jobs` starts no processes.
 """
 
 from collections import deque
-from itertools import combinations, product
+from itertools import combinations, pairwise, product
 
-from recolor import Graph
+from recolor import AuditReport, AuditViolation, Graph, OmegaTooLarge, verify_sequence
+from recolor.sequences import RULE_BOUND, RULE_DISTINCT, RULE_REPEAT
 
 
 def proper_colorings(g: Graph, k: int):
@@ -162,6 +163,78 @@ def saved_positions_oracle(seq, peo, g, v):
         if cond_a or cond_b or cond_c:
             saved.append(ridx)
     return saved
+
+
+def audit_reference(seq, peo, g, strict=True):
+    """audit_best_choice as one loop over every vertex, its table from positions.
+
+    Every vertex builds its restriction, trace and pairs, whether or not it
+    has two steps of its own; the library skips those with fewer.
+    """
+    pos = peo.positions()
+    outs = [tuple(w for w in g.adjacency[v] if pos[w] > pos[v]) for v in range(g.n)]
+    for v, later in enumerate(outs):
+        if len(later) > 2:
+            raise OmegaTooLarge(f"vertex {v} has {len(later)} later neighbors")
+    verify_sequence(g, seq)
+    steps = seq.steps
+    n = g.n
+
+    at: list[list[int]] = [[] for _ in range(n)]
+    for t, (x, _) in enumerate(steps):
+        at[x].append(t)
+    counts = [len(ts) for ts in at]
+
+    violations: list[AuditViolation] = []
+    saved_counts = [0] * n
+    out_step_counts = [0] * n
+    for v in range(n):
+        idxs = sorted(at[v] + [t for w in outs[v] for t in at[w]])
+        trace = [steps[t][0] for t in idxs]
+        ell = len(trace)
+        # consecutive positions (p, q) of v in the restriction
+        pairs = list(pairwise(i for i, x in enumerate(trace) if x == v))
+
+        for p, q in pairs:
+            if q == p + 1:
+                detail = "vertex recolored twice in a row within its closed out-neighborhood"
+                violations.append(AuditViolation(v, RULE_REPEAT, idxs[q], detail))
+        for p, q in pairs:
+            if q == p + 2 and p != ell - 3:
+                detail = "alternation v,w,v occurs before the end of the restriction"
+                violations.append(AuditViolation(v, RULE_REPEAT, idxs[q], detail))
+
+        m = ell - counts[v]
+        r = m - sum(min(q - p - 1, 2) for p, q in pairs)
+        saved_counts[v] = r
+        out_step_counts[v] = m
+        # counts[v] <= 1 + ceil((m - r)/2), scaled by 2 to stay in integers
+        if 2 * counts[v] > 2 + (m - r) + ((m - r) % 2):
+            detail = f"count {counts[v]} exceeds 1 + ceil(({m} - {r})/2)"
+            violations.append(AuditViolation(v, RULE_BOUND, None, detail))
+
+        if len(outs[v]) == 2:
+            colors = [seq.start.colors[v]] + [steps[t][1] for t in at[v]]
+            for j, (p, q) in enumerate(pairs):
+                between = trace[p + 1 : q]
+                if (
+                    len(between) >= 2
+                    and between[0] != between[1]
+                    and all(x == between[1] for x in between[1:])
+                ):
+                    # v's colors before, between and after its steps at p and q
+                    before, mid, after = colors[j : j + 3]
+                    if len({before, mid, after}) != 3:
+                        detail = (
+                            f"colors around alternation not distinct: {before}, {mid}, {after}"
+                        )
+                        violations.append(AuditViolation(v, RULE_DISTINCT, idxs[q], detail))
+
+    if strict and violations:
+        raise violations[0]
+    return AuditReport(
+        tuple(counts), tuple(saved_counts), tuple(out_step_counts), tuple(violations)
+    )
 
 
 def serial_pool(workers: list):

@@ -19,6 +19,7 @@ from recolor import (
     best_choice_recoloring,
     gen_chordal_omega3,
     greedy_coloring,
+    is_perfect_elimination,
     later_neighbors,
     mcs_order,
     random_proper_coloring,
@@ -196,6 +197,31 @@ def test_recoloring_rejects_non_peo():
             Coloring(5, (2, 1, 2, 1)),
             5,
         )
+
+
+def _fan(n: int, missing: int | None = None) -> Graph:
+    """Hub 0 joined to every vertex of the path 1..n-1, except to `missing`."""
+    spokes = [(0, v) for v in range(1, n) if v != missing]
+    return Graph.from_edges(n, spokes + [(v, v + 1) for v in range(1, n - 1)])
+
+
+def test_perfect_elimination_on_a_fan_with_a_hub():
+    # the hub comes last, so every path vertex's later neighbours are its
+    # successor and the hub, looked up in the hub's long adjacency tuple
+    n = 20000
+    fan = _fan(n)
+    peo = EliminationOrdering(tuple(range(1, n)) + (0,))
+    assert is_perfect_elimination(fan, peo)
+    assert is_perfect_elimination(fan, mcs_order(fan))
+    a = random_proper_coloring(fan, peo, 5, 1)
+    b = greedy_coloring(fan, peo)
+    assert verify_sequence(fan, best_choice_recoloring(fan, peo, a, b, 5)).colors == b.colors
+
+    # without the chord (0, 10), vertex 9's later neighbours 10 and 0 are not adjacent
+    broken = _fan(n, missing=10)
+    assert not is_perfect_elimination(broken, peo)
+    with pytest.raises(InvalidInput, match="not a perfect elimination ordering"):
+        best_choice_recoloring(broken, peo, a, greedy_coloring(broken, peo), 5)
 
 
 def test_one_positions_pass_per_public_call(monkeypatch):

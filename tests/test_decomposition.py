@@ -266,6 +266,21 @@ def test_validator_names_broken_tree(bags, tree_edges, message):
         validate_decomposition(K3, TreeDecomposition(bags, tree_edges))
 
 
+@pytest.mark.parametrize(
+    "bags, tree_edges, message",
+    [
+        ((frozenset({"a"}),), (), r"^bag entry must be an integer, got 'a'$"),
+        # True == 1, so without the type check this passes as a bag of K3
+        ((frozenset({0, True, 2}),), (), r"^bag entry must be an integer, got True$"),
+        ((ALL3, frozenset({0})), ((0, 1.0),), r"^tree edge endpoint must be an integer, got 1\.0$"),
+        ((ALL3, frozenset({0})), ((True, 0),), r"^tree edge endpoint must be an integer, got True$"),
+    ],
+)
+def test_validator_rejects_non_integer_entries(bags, tree_edges, message):
+    with pytest.raises(InvalidInput, match=message):
+        validate_decomposition(K3, TreeDecomposition(bags, tree_edges))
+
+
 def test_later_neighbors_last_vertex_empty():
     peo = mcs_order(K3)
     assert later_neighbors(K3, peo)[peo.order[-1]] == ()

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -88,6 +89,12 @@ def test_vertex_lists_reject_non_integers(bad):
         Graph.from_edges(3, [(0, 2), (0, bad)])
     with pytest.raises(InvalidInput, match=rf"^ordering entry must be an integer, got {bad!r}$"):
         EliminationOrdering((bad, 0))
+
+
+@pytest.mark.parametrize("edge", [(0, 1, 2), 5, (0,), None])
+def test_from_edges_names_an_edge_that_is_not_a_pair(edge):
+    with pytest.raises(InvalidInput, match=rf"^edge {re.escape(repr(edge))} is not a pair of vertices$"):
+        Graph.from_edges(3, [(0, 1), edge])
 
 
 def test_graph_rejects_self_loop():

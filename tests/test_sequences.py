@@ -283,6 +283,50 @@ def test_audit_reports_match_recorded_digest():
     assert digest.hexdigest() == AUDIT_DIGEST
 
 
+def _large_audit_corpus():
+    """Best-choice sequences at benchmark size, with the chordal benchmark's
+    endpoints: alpha random and beta greedy along mcs_order."""
+    for seed in (1, 2, 3):
+        g = gen_chordal_omega3(1600, seed)
+        peo = mcs_order(g)
+        a = random_proper_coloring(g, peo, 5, seed * 2 + 1)
+        b = greedy_coloring(g, peo)
+        yield best_choice_recoloring(g, peo, a, b, 5), peo, g
+
+
+# SHA-256 of every report (strict=False) on the corpus above.
+LARGE_AUDIT_DIGEST = "1b4bdda5de5bea7351889261c3f05b08aca04828ac3ae67b70232b446bf2fe04"
+
+
+def test_large_audit_reports_match_recorded_digest():
+    digest = hashlib.sha256()
+    for seq, peo, g in _large_audit_corpus():
+        digest.update(json.dumps(audit_best_choice(seq, peo, g, strict=False).to_json()).encode())
+    assert digest.hexdigest() == LARGE_AUDIT_DIGEST
+
+
+def _strict_outcome(audit, seq, peo, g):
+    try:
+        return audit(seq, peo, g).to_json()
+    except AuditViolation as err:
+        return str(err), err.to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(5, 6), st.integers(0, 90), st.integers(0, 10**6))
+def test_audit_matches_every_vertex_reference(n, k, length, seed):
+    # walks of up to 3n steps leave vertices with no step, one step and more
+    g = gen_chordal_omega3(n, seed)
+    peo = mcs_order(g)
+    start = random_proper_coloring(g, peo, k, seed + 1)
+    seq = _random_walk(g, start, min(length, 3 * n), random.Random(seed))
+    report = audit_best_choice(seq, peo, g, strict=False)
+    assert report.to_json() == helpers.audit_reference(seq, peo, g, strict=False).to_json()
+    assert _strict_outcome(audit_best_choice, seq, peo, g) == _strict_outcome(
+        helpers.audit_reference, seq, peo, g
+    )
+
+
 def test_strict_audit_raises_the_first_collected_violation():
     flagged = 0
     for seq, peo, g in _audit_corpus():
