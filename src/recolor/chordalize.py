@@ -21,8 +21,9 @@ bags form a subtree topped by its last member's bag. The subtrees of two
 adjacent classes meet in a subtree topped by the earlier class's top bag, so
 the later class has a member in that bag. Each later set has at most 2
 classes, because |N(w)| <= 2, and it is a clique because the bag is filled.
-The greedy 3-coloring reads only those sets. The bridge moves only the
-vertices whose two 3-colorings differ.
+The greedy 3-coloring reads only those sets, so the walk that finds the order
+colors each class when it first meets it. The bridge moves only the vertices
+whose two 3-colorings differ.
 
 The private cores (`_merge_classes`, `_elimination_order`, `_lift`,
 `_two_phase` and `bestchoice._best_choice`) pass plain lists and tuples to
@@ -49,7 +50,7 @@ from .errors import (
     LiftFailure,
     NoOpStep,
 )
-from .graphs import Coloring, Graph, _greedy, _require_int, require_proper
+from .graphs import Coloring, Graph, _require_int, require_proper
 from .sequences import RecoloringSequence, _replayed, _undo, verify_sequence
 
 PER_VERTEX_CHORDAL_BOUND = 542
@@ -150,32 +151,34 @@ def _merge_classes(
 
 
 def _elimination_order(
-    elim: Sequence[tuple[int, Sequence[int]]], to_merged: list[int], size: int
-) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The elimination order of the `size` merge classes and its later-neighbor table.
+    elim: Sequence[Sequence[int]], to_merged: list[int], size: int
+) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
+    """The `size` merge classes' elimination order, later-neighbor table and greedy colors.
 
     `elim` is the degree-<=2 elimination the classes were merged over. A class
     goes where its last member w is eliminated, and later[x] is the ascending,
     distinct classes of w's neighbors then. By the argument in the module
-    docstring this is a perfect elimination ordering of h.
+    docstring this is a perfect elimination ordering of h. target[x] is the
+    smallest color that no class of later[x] holds.
     """
     order = []
     later: list[tuple[int, ...]] = [()] * size
-    seen = [False] * size
+    target = [0] * size
     # walking back, a class is met first at its last member, and the classes
-    # of that member's neighbors were all met before it
-    for w, nb in reversed(elim):
-        x = to_merged[w]
-        if not seen[x]:
-            seen[x] = True
+    # of that member's neighbors were all met and colored before it
+    for bag in reversed(elim):
+        x = to_merged[bag[0]]
+        if not target[x]:
             order.append(x)
-            if len(nb) == 2:
-                a, b = to_merged[nb[0]], to_merged[nb[1]]
+            if len(bag) == 1:
+                target[x] = 1
+            else:
+                a, b = to_merged[bag[1]], to_merged[bag[-1]]
                 later[x] = (a, b) if a < b else (b, a) if b < a else (a,)
-            elif nb:
-                later[x] = (to_merged[nb[0]],)
+                # two later classes are adjacent in h: two distinct colors of 1..3
+                target[x] = 6 - target[a] - target[b] if a != b else 2 if target[a] == 1 else 1
     order.reverse()
-    return order, later
+    return order, later, target
 
 
 def lift_sequence(
@@ -255,19 +258,16 @@ def _two_phase(
 
 
 def _toward_3coloring(
-    elim: Sequence[tuple[int, Sequence[int]]],
-    bags: Sequence[Collection[int]],
-    colors: Sequence[int],
+    elim: Sequence[Sequence[int]], colors: Sequence[int]
 ) -> tuple[list[tuple[int, int]], list[int]]:
     """Steps on g from the 5-coloring `colors` to a 3-coloring, and that 3-coloring.
 
-    `elim` is the degree-<=2 elimination of g and `bags` its elimination bags.
-    The greedy 3-coloring of the merged graph reads only the later-neighbor
-    table of the elimination order.
+    `elim` is the degree-<=2 elimination of g, read as its elimination bags.
+    The greedy 3-coloring of the merged graph is assigned in the same
+    backward walk that finds the classes' elimination order.
     """
-    to_merged, classes, colors_h = _merge_classes(len(elim), bags, colors)
-    order, later = _elimination_order(elim, to_merged, len(classes))
-    target = _greedy(order, later)
+    to_merged, classes, colors_h = _merge_classes(len(elim), elim, colors)
+    order, later, target = _elimination_order(elim, to_merged, len(classes))
     steps_h = _best_choice(order, later, colors_h, target, 5)
     return _lift(steps_h, classes), [target[m] for m in to_merged]
 
@@ -287,9 +287,8 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
             raise InvalidColoring(f"{name} is a {coloring.k}-coloring, not a 5-coloring")
         require_proper(g, coloring, 5, name)
     elim = _eliminate(g)
-    bags = [(v, *nb) for v, nb in elim]
-    steps_a, gamma_1 = _toward_3coloring(elim, bags, alpha.colors)
-    steps_b, gamma_2 = _toward_3coloring(elim, bags, beta.colors)
+    steps_a, gamma_1 = _toward_3coloring(elim, alpha.colors)
+    steps_b, gamma_2 = _toward_3coloring(elim, beta.colors)
     _, back = _undo(beta.colors, steps_b)
     bridge = _two_phase(gamma_1, gamma_2, d=2)
     return _replayed(g, alpha, steps_a + bridge + back, beta.colors)

@@ -14,16 +14,17 @@ whether it qualifies, changes, so a popped entry whose key no longer
 matches, or whose vertex no longer qualifies, is stale and skipped. No loop
 rescans all vertices to make a choice.
 
-`_eliminate` removes one vertex of degree at most 2 at a time; the pipeline
-reads only its elimination bags {v} + N(v). `reduce_width2` builds its tree
-straight off the same elimination: it keeps the inclusion-maximal bags and
-folds each other bag into a child bag that holds it.
+`_eliminate` removes one vertex of degree at most 2 at a time and returns
+its bags (v, *sorted N(v)), all the pipeline reads. `reduce_width2` builds
+its tree straight off them: it keeps the inclusion-maximal bags and folds
+each other bag into a child bag that holds it.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
+from collections.abc import Collection
 from dataclasses import dataclass
 from itertools import chain
 
@@ -156,24 +157,35 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> None:
     nodes = len(td.bags)
     if nodes == 0:
         raise InvalidDecomposition("decomposition has no nodes")
-    _require_ints("bag entry", list(chain.from_iterable(td.bags)))
-    _require_ints("tree edge endpoint", list(chain.from_iterable(td.tree_edges)))
-    for bag in td.bags:
-        if len(bag) > 3:
-            raise InvalidDecomposition(f"bag {sorted(bag)} exceeds size 3")
-        for v in bag:
-            if not (0 <= v < g.n):
-                raise InvalidDecomposition(f"bag vertex {v} out of range")
+    # a bag that is not a collection, or a tree edge that is not a pair, fails
+    # to flatten, size or unpack; only then are the entries scanned, to name it
+    try:
+        _require_ints("bag entry", list(chain.from_iterable(td.bags)))
+        _require_ints("tree edge endpoint", list(chain.from_iterable(td.tree_edges)))
+        for bag in td.bags:
+            if len(bag) > 3:
+                raise InvalidDecomposition(f"bag {sorted(bag)} exceeds size 3")
+            for v in bag:
+                if not (0 <= v < g.n):
+                    raise InvalidDecomposition(f"bag vertex {v} out of range")
 
-    # the tree_edges must form a tree over the nodes
-    if len(td.tree_edges) != nodes - 1:
-        raise InvalidDecomposition("tree edge count is not nodes-1")
-    nbrs: list[list[int]] = [[] for _ in range(nodes)]
-    for i, j in td.tree_edges:
-        if not (0 <= i < nodes and 0 <= j < nodes) or i == j:
-            raise InvalidDecomposition(f"bad tree edge ({i}, {j})")
-        nbrs[i].append(j)
-        nbrs[j].append(i)
+        # the tree_edges must form a tree over the nodes
+        if len(td.tree_edges) != nodes - 1:
+            raise InvalidDecomposition("tree edge count is not nodes-1")
+        nbrs: list[list[int]] = [[] for _ in range(nodes)]
+        for i, j in td.tree_edges:
+            if not (0 <= i < nodes and 0 <= j < nodes) or i == j:
+                raise InvalidDecomposition(f"bad tree edge ({i}, {j})")
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    except (TypeError, ValueError):
+        for bag in td.bags:
+            if not isinstance(bag, Collection):
+                raise InvalidDecomposition(f"bag {bag!r} is not a set of vertices") from None
+        for edge in td.tree_edges:
+            if not isinstance(edge, Collection) or len(edge) != 2:
+                raise InvalidDecomposition(f"tree edge {edge!r} is not a pair of nodes") from None
+        raise
     parent = [-1] * nodes
     parent[0] = 0
     stack = [0]
@@ -212,32 +224,47 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> None:
                 raise InvalidDecomposition(f"edge ({u}, {v}) is in no bag")
 
 
-def _eliminate(g: Graph) -> list[tuple[int, list[int]]]:
-    """(v, sorted N(v)) for each v in the order the degree-<=2 elimination removes it.
+def _eliminate(g: Graph) -> list[tuple[int, ...]]:
+    """The bag (v, *sorted N(v)) of each v, in the order the degree-<=2 elimination removes it.
 
     Each step removes the lowest-index vertex of degree at most 2 and joins
-    its two neighbors when they are not adjacent, so the bag {v} + N(v) is
-    filled. Stalling with all degrees >= 3 raises NotWidth2: treewidth > 2.
+    its two neighbors when they are not adjacent, so the bag is filled.
+    Stalling with all degrees >= 3 raises NotWidth2: treewidth > 2.
     """
-    adj = g.neighbor_sets()
+    adj = list(map(set, g.adjacency))
     # degrees never rise, so each vertex enters the heap once, on reaching 2
-    heap = [v for v in range(g.n) if len(adj[v]) <= 2]
-    elim: list[tuple[int, list[int]]] = []
+    heap = [v for v, nb in enumerate(adj) if len(nb) <= 2]
+    pop, push = heapq.heappop, heapq.heappush
+    elim: list[tuple[int, ...]] = []
     while heap:
-        v = heapq.heappop(heap)
-        nb = sorted(adj[v])
-        for u in nb:
-            adj[u].discard(v)
-        # a new fill edge keeps both degrees; otherwise each neighbor lost one
-        if len(nb) == 2 and nb[1] not in adj[nb[0]]:
+        v = pop(heap)
+        nb = adj[v]
+        if len(nb) == 2:
             a, b = nb
-            adj[a].add(b)
-            adj[b].add(a)
+            if b < a:
+                a, b = b, a
+            adj_a, adj_b = adj[a], adj[b]
+            adj_a.remove(v)
+            adj_b.remove(v)
+            # a new fill edge keeps both degrees; otherwise each lost one
+            if b in adj_a:
+                if len(adj_a) == 2:
+                    push(heap, a)
+                if len(adj_b) == 2:
+                    push(heap, b)
+            else:
+                adj_a.add(b)
+                adj_b.add(a)
+            elim.append((v, a, b))
+        elif nb:
+            (a,) = nb
+            adj_a = adj[a]
+            adj_a.remove(v)
+            if len(adj_a) == 2:
+                push(heap, a)
+            elim.append((v, a))
         else:
-            for u in nb:
-                if len(adj[u]) == 2:
-                    heapq.heappush(heap, u)
-        elim.append((v, nb))
+            elim.append((v,))
     if len(elim) < g.n:
         raise NotWidth2("all remaining vertices have degree at least 3")
     return elim
@@ -257,13 +284,11 @@ def reduce_width2(g: Graph) -> TreeDecomposition:
         return TreeDecomposition((frozenset(),), ())
 
     order = elim[::-1]
-    index = [0] * g.n
-    for i, (v, _) in enumerate(order):
-        index[v] = i
-    bags = [frozenset((v, *nb)) for v, nb in order]
+    index = {bag[0]: i for i, bag in enumerate(order)}
+    bags = list(map(frozenset, order))
     # the neighbour eliminated first still held the others, so its bag holds
-    # nb; bags with no neighbours hang below bag 0, which is its own parent
-    parent = [max((index[u] for u in nb), default=0) for _, nb in order]
+    # them; bags with no neighbours hang below bag 0, which is its own parent
+    parent = [max((index[u] for u in bag[1:]), default=0) for bag in order]
     # children come after their parent, so walking down sees every child of
     # a bag, folded as far as it goes, before the bag itself
     into = list(range(len(bags)))

@@ -57,10 +57,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 
-    def neighbor_sets(self) -> list[set[int]]:
-        """Adjacency as sets, for algorithms doing many membership tests."""
-        return [set(a) for a in self.adjacency]
-
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [[u, v] for u, v in self.edges()]}
 
@@ -273,8 +269,7 @@ def greedy_coloring(g: Graph, order: EliminationOrdering) -> Coloring:
 def _greedy(order: Sequence[int], nbrs: Sequence[Iterable[int]]) -> tuple[int, ...]:
     """Smallest-available colors along the reverse of `order`, avoiding nbrs[v].
 
-    nbrs may list every neighbor or only those after v in the order: a
-    neighbor not yet colored holds 0, which no color equals.
+    A neighbor not yet colored holds 0, which no color equals.
     """
     colors = [0] * len(nbrs)
     color_of = colors.__getitem__

@@ -5,10 +5,11 @@ back into the code paths under test. `serial_pool` stands in for a process
 pool, so that a test of `--jobs` starts no processes.
 """
 
+import heapq
 from collections import deque
 from itertools import combinations, pairwise, product
 
-from recolor import AuditReport, AuditViolation, Graph, OmegaTooLarge, verify_sequence
+from recolor import AuditReport, AuditViolation, Graph, NotWidth2, OmegaTooLarge, verify_sequence
 from recolor.sequences import RULE_BOUND, RULE_DISTINCT, RULE_REPEAT
 
 
@@ -101,9 +102,41 @@ def naive_diameter(g: Graph, k: int):
     return best
 
 
+def eliminate_reference(g: Graph) -> list[tuple[int, list[int]]]:
+    """(v, sorted N(v)) for each v in the order the degree-<=2 elimination removes it.
+
+    The plain form of `decomposition._eliminate`, which must return the same
+    bags as (v, *nb) tuples. Each step removes the lowest-index vertex of
+    degree at most 2 and joins its two neighbors when they are not adjacent;
+    stalling with all degrees >= 3 raises NotWidth2.
+    """
+    adj = [set(a) for a in g.adjacency]
+    # degrees never rise, so each vertex enters the heap once, on reaching 2
+    heap = [v for v in range(g.n) if len(adj[v]) <= 2]
+    elim: list[tuple[int, list[int]]] = []
+    while heap:
+        v = heapq.heappop(heap)
+        nb = sorted(adj[v])
+        for u in nb:
+            adj[u].discard(v)
+        # a new fill edge keeps both degrees; otherwise each neighbor lost one
+        if len(nb) == 2 and nb[1] not in adj[nb[0]]:
+            a, b = nb
+            adj[a].add(b)
+            adj[b].add(a)
+        else:
+            for u in nb:
+                if len(adj[u]) == 2:
+                    heapq.heappush(heap, u)
+        elim.append((v, nb))
+    if len(elim) < g.n:
+        raise NotWidth2("all remaining vertices have degree at least 3")
+    return elim
+
+
 def brute_is_chordal(g: Graph) -> bool:
     """No vertex subset of size >= 4 induces a cycle. Exponential; n <= 10."""
-    adj = g.neighbor_sets()
+    adj = [set(a) for a in g.adjacency]
     for size in range(4, g.n + 1):
         for subset in combinations(range(g.n), size):
             inside = set(subset)
@@ -130,7 +163,7 @@ def brute_max_clique(g: Graph, cap: int | None = None) -> int:
     With cap=c the result is min(omega, c): enough to certify omega <= c-1
     or to compare exact values known to be below the cap.
     """
-    adj = g.neighbor_sets()
+    adj = [set(a) for a in g.adjacency]
     best = 1 if g.n else 0
     top = g.n if cap is None else min(cap, g.n)
     for size in range(2, top + 1):

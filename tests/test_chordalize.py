@@ -42,7 +42,6 @@ from recolor import (
     verify_sequence,
 )
 from recolor import bestchoice, chordalize, decomposition, graphs, sequences
-from recolor.graphs import _greedy
 from recolor.chordalize import PER_VERTEX_PIPELINE_BOUND
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -363,15 +362,14 @@ def _assert_elimination_order_reads_merged_graph(g, coloring):
     the elimination order, its later table and its greedy target match h's."""
     h, merge_map, coloring_h = merge_same_colored(g, reduce_width2(g), coloring)
     elim = decomposition._eliminate(g)
-    bags = [(v, *nb) for v, nb in elim]
-    to_merged, classes, colors_h = chordalize._merge_classes(g.n, bags, coloring.colors)
+    to_merged, classes, colors_h = chordalize._merge_classes(g.n, elim, coloring.colors)
     assert MergeMap(tuple(to_merged), tuple(map(tuple, classes))) == merge_map
     assert tuple(colors_h) == coloring_h.colors
-    order, later = chordalize._elimination_order(elim, to_merged, len(classes))
+    order, later, target = chordalize._elimination_order(elim, to_merged, len(classes))
     peo = EliminationOrdering(tuple(order))
     assert is_perfect_elimination(h, peo)
     assert tuple(later) == later_neighbors(h, peo)
-    assert _greedy(order, later) == greedy_coloring(h, peo).colors
+    assert tuple(target) == greedy_coloring(h, peo).colors
 
 
 def test_elimination_order_on_digest_corpus():

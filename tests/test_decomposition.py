@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recolor import (
@@ -25,6 +25,7 @@ from recolor import (
     reduce_width2,
     validate_decomposition,
 )
+from recolor import decomposition
 
 import helpers
 
@@ -184,6 +185,50 @@ def test_reduce_width2_relabelled_fan():
     }
 
 
+@st.composite
+def elimination_inputs(draw):
+    """(graph, whether it holds a K4), over the elimination's cases, relabelled.
+
+    Partial 2-trees across keep probabilities, chordal graphs of clique number
+    <= 3, a fan whose hub meets every vertex, disjoint unions with isolated
+    vertices, and partial 2-trees with a K4 added on four of their vertices.
+    """
+    family = draw(st.sampled_from(["partial-2tree", "chordal", "fan", "union", "k4"]))
+    n = draw(st.integers(4, 60))
+    seed = draw(st.integers(0, 10**6))
+    if family == "chordal":
+        edges = gen_chordal_omega3(n, seed).edges()
+    elif family == "fan":
+        edges = [(0, v) for v in range(1, n)] + [(v, v + 1) for v in range(1, n - 1)]
+    else:
+        edges = gen_partial_2tree(n, draw(st.integers(0, 10)) / 10, seed).edges()
+    if family == "union":
+        other = gen_partial_2tree(n, 0.7, seed + 1).edges()
+        edges += [(u + n, v + n) for u, v in other]
+        n = 2 * n + draw(st.integers(1, 5))
+    elif family == "k4":
+        quad = sorted(random.Random(seed).sample(range(n), 4))
+        edges = sorted(set(edges) | {(u, v) for u in quad for v in quad if u < v})
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges]), family == "k4"
+
+
+@settings(max_examples=120, deadline=None)
+@given(elimination_inputs())
+@example((Graph.from_edges(0, []), False))
+@example((K4, True))
+def test_eliminate_matches_reference(instance):
+    g, has_k4 = instance
+    if has_k4:
+        for eliminate in (helpers.eliminate_reference, decomposition._eliminate):
+            with pytest.raises(NotWidth2, match="^all remaining vertices have degree at least 3$"):
+                eliminate(g)
+    else:
+        expected = [(v, *nb) for v, nb in helpers.eliminate_reference(g)]
+        assert decomposition._eliminate(g) == expected
+
+
 def test_validator_catches_missing_edge():
     td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),))
     with pytest.raises(InvalidDecomposition, match=r"^edge \(0, 2\) is in no bag$"):
@@ -259,6 +304,9 @@ ALL3 = frozenset({0, 1, 2})
         ((ALL3, frozenset({0})), (), r"^tree edge count is not nodes-1$"),
         ((ALL3, frozenset({0})), ((0, 0),), r"^bad tree edge \(0, 0\)$"),
         ((ALL3, frozenset({0}), frozenset({1})), ((0, 1), (0, 1)), r"^tree is not connected$"),
+        ((ALL3, 5), ((0, 1),), r"^bag 5 is not a set of vertices$"),
+        ((ALL3, frozenset({0})), ((0,),), r"^tree edge \(0,\) is not a pair of nodes$"),
+        ((ALL3, frozenset({0})), ((0, 1, 2),), r"^tree edge \(0, 1, 2\) is not a pair of nodes$"),
     ],
 )
 def test_validator_names_broken_tree(bags, tree_edges, message):
