@@ -22,8 +22,14 @@ adjacent classes meet in a subtree topped by the earlier class's top bag, so
 the later class has a member in that bag. Each later set has at most 2
 classes, because |N(w)| <= 2, and it is a clique because the bag is filled.
 The greedy 3-coloring reads only those sets, so the walk that finds the order
-colors each class when it first meets it. The bridge moves only the vertices
-whose two 3-colorings differ.
+colors each class when it first meets it. A class takes its preferred color
+when that color is in 1..3 and no later class holds it, and otherwise the
+smallest color none of them holds; with at most 2 later classes one is always
+free, and the best-choice bound holds for any proper target. The alpha half
+prefers each class's own alpha color and the beta half the first 3-coloring
+at the class's smallest member, so each half moves few vertices and the two
+3-colorings differ on few. The bridge moves only the vertices whose two
+3-colorings differ.
 
 The private cores (`_merge_classes`, `_elimination_order`, `_lift`,
 `_two_phase` and `bestchoice._best_choice`) pass plain lists and tuples to
@@ -31,7 +37,13 @@ each other and check nothing. Validated dataclasses (`Coloring`, `MergeMap`,
 `RecoloringSequence`) are built only at the public entry points, each of
 which checks its inputs, runs the cores and replays its result once.
 `pipeline_theorem` joins its three parts (alpha to gamma1, the bridge, the
-undone beta half) into one step list, built into one sequence and replayed.
+undone beta half) into one step list, compacts it once and replays it once.
+The compaction (`sequences._compact`) drops a vertex's step when no neighbor
+moves before the vertex's next step, and drops that next step too when it
+returns the vertex to its color from before. The neighbors stand still over
+the dropped interval, so the vertex's earlier color stays proper there, and
+the end coloring is unchanged. It only removes steps, so no vertex's count
+rises above the bound.
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ from .errors import (
     NoOpStep,
 )
 from .graphs import Coloring, Graph, _require_int, require_proper
-from .sequences import RecoloringSequence, _replayed, _undo, verify_sequence
+from .sequences import RecoloringSequence, _compact, _replayed, _undo, verify_sequence
 
 PER_VERTEX_CHORDAL_BOUND = 542
 PER_VERTEX_PIPELINE_BOUND = 2 * PER_VERTEX_CHORDAL_BOUND + 2
@@ -151,32 +163,39 @@ def _merge_classes(
 
 
 def _elimination_order(
-    elim: Sequence[Sequence[int]], to_merged: list[int], size: int
+    elim: Sequence[Sequence[int]], to_merged: list[int], prefer: Sequence[int]
 ) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
-    """The `size` merge classes' elimination order, later-neighbor table and greedy colors.
+    """The merge classes' elimination order, later-neighbor table and 3-coloring.
 
-    `elim` is the degree-<=2 elimination the classes were merged over. A class
-    goes where its last member w is eliminated, and later[x] is the ascending,
-    distinct classes of w's neighbors then. By the argument in the module
-    docstring this is a perfect elimination ordering of h. target[x] is the
-    smallest color that no class of later[x] holds.
+    `elim` is the degree-<=2 elimination the classes were merged over, and
+    `prefer` holds one preferred color per class. A class goes where its last
+    member w is eliminated, and later[x] is the ascending, distinct classes of
+    w's neighbors then. By the argument in the module docstring this is a
+    perfect elimination ordering of h. target[x] is prefer[x] when that is in
+    1..3 and no class of later[x] holds it, and otherwise the smallest color
+    that none of them holds.
     """
     order = []
-    later: list[tuple[int, ...]] = [()] * size
-    target = [0] * size
+    later: list[tuple[int, ...]] = [()] * len(prefer)
+    target = [0] * len(prefer)
     # walking back, a class is met first at its last member, and the classes
     # of that member's neighbors were all met and colored before it
     for bag in reversed(elim):
         x = to_merged[bag[0]]
         if not target[x]:
             order.append(x)
+            p = prefer[x]
             if len(bag) == 1:
-                target[x] = 1
+                target[x] = p if 0 < p < 4 else 1
             else:
                 a, b = to_merged[bag[1]], to_merged[bag[-1]]
                 later[x] = (a, b) if a < b else (b, a) if b < a else (a,)
-                # two later classes are adjacent in h: two distinct colors of 1..3
-                target[x] = 6 - target[a] - target[b] if a != b else 2 if target[a] == 1 else 1
+                ta, tb = target[a], target[b]
+                if 0 < p < 4 and p != ta and p != tb:
+                    target[x] = p
+                else:
+                    # two later classes are adjacent in h: two distinct colors of 1..3
+                    target[x] = 6 - ta - tb if a != b else 2 if ta == 1 else 1
     order.reverse()
     return order, later, target
 
@@ -258,16 +277,18 @@ def _two_phase(
 
 
 def _toward_3coloring(
-    elim: Sequence[Sequence[int]], colors: Sequence[int]
+    elim: Sequence[Sequence[int]], colors: Sequence[int], prefer: Sequence[int]
 ) -> tuple[list[tuple[int, int]], list[int]]:
     """Steps on g from the 5-coloring `colors` to a 3-coloring, and that 3-coloring.
 
     `elim` is the degree-<=2 elimination of g, read as its elimination bags.
-    The greedy 3-coloring of the merged graph is assigned in the same
-    backward walk that finds the classes' elimination order.
+    The 3-coloring of the merged graph is assigned in the same backward walk
+    that finds the classes' elimination order, and a class keeps the color
+    `prefer` gives its smallest member wherever it can.
     """
     to_merged, classes, colors_h = _merge_classes(len(elim), elim, colors)
-    order, later, target = _elimination_order(elim, to_merged, len(classes))
+    prefer_h = [prefer[c[0]] for c in classes]
+    order, later, target = _elimination_order(elim, to_merged, prefer_h)
     steps_h = _best_choice(order, later, colors_h, target, 5)
     return _lift(steps_h, classes), [target[m] for m in to_merged]
 
@@ -278,17 +299,20 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
     Both endpoints are pushed down to 3-colorings through their own merged
     chordal graphs, the two 3-colorings are bridged with the two-phase
     rotation, and the second half is undone. Every vertex is recolored at
-    most PER_VERTEX_PIPELINE_BOUND times. The three parts are joined into one
-    step list, replayed once from alpha; the stages in between neither check
-    nor replay.
+    most PER_VERTEX_PIPELINE_BOUND times. The alpha half's 3-coloring stays
+    close to alpha and the beta half's close to the first, so the bridge
+    moves few vertices. The three parts are joined into one step list,
+    compacted once and replayed once from alpha; the stages in between
+    neither check nor replay.
     """
     for name, coloring in (("alpha", alpha), ("beta", beta)):
         if coloring.k != 5:
             raise InvalidColoring(f"{name} is a {coloring.k}-coloring, not a 5-coloring")
         require_proper(g, coloring, 5, name)
     elim = _eliminate(g)
-    steps_a, gamma_1 = _toward_3coloring(elim, alpha.colors)
-    steps_b, gamma_2 = _toward_3coloring(elim, beta.colors)
+    steps_a, gamma_1 = _toward_3coloring(elim, alpha.colors, alpha.colors)
+    steps_b, gamma_2 = _toward_3coloring(elim, beta.colors, gamma_1)
     _, back = _undo(beta.colors, steps_b)
     bridge = _two_phase(gamma_1, gamma_2, d=2)
-    return _replayed(g, alpha, steps_a + bridge + back, beta.colors)
+    steps = _compact(g.adjacency, alpha.colors, steps_a + bridge + back)
+    return _replayed(g, alpha, steps, beta.colors)

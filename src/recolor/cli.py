@@ -86,7 +86,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     g = _read(args.graph, Graph)
-    if args.coloring:
+    if args.coloring is not None:
         col = _read(args.coloring, Coloring)
         ok = is_proper(g, col)
         print("proper" if ok else "improper")
@@ -98,7 +98,7 @@ def _cmd_check(args) -> int:
         print(f"invalid: {exc}")
         return 1
     print(f"valid sequence of {len(seq.steps)} steps")
-    if args.expect_final:
+    if args.expect_final is not None:
         want = _read(args.expect_final, Coloring)
         if final.colors != want.colors:
             print("final coloring does not match the expected one")

@@ -154,6 +154,10 @@ def degeneracy_order(g: Graph) -> EliminationOrdering:
 
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> None:
     """Raise InvalidDecomposition unless td is a width-<=2 decomposition of g."""
+    if not isinstance(td.bags, Collection):
+        raise InvalidDecomposition(f"bags {td.bags!r} are not a collection of bags")
+    if not isinstance(td.tree_edges, Collection):
+        raise InvalidDecomposition(f"tree edges {td.tree_edges!r} are not a collection of pairs")
     nodes = len(td.bags)
     if nodes == 0:
         raise InvalidDecomposition("decomposition has no nodes")

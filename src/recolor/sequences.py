@@ -1,4 +1,4 @@
-"""Recoloring sequences: replay and structural audits.
+"""Recoloring sequences: replay, compaction and structural audits.
 
 A sequence is a start coloring plus ordered (vertex, new_color) steps. Every
 step must change its vertex's color and every intermediate coloring must stay
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import pairwise
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .decomposition import EliminationOrdering, later_neighbors
 from .errors import (
@@ -68,6 +68,11 @@ def verify_sequence(g: Graph, seq: RecoloringSequence) -> Coloring:
     """
     if not is_proper(g, seq.start):
         raise ImproperStart("start coloring is not proper")
+    return _replay(g, seq)
+
+
+def _replay(g: Graph, seq: RecoloringSequence) -> Coloring:
+    """verify_sequence's step loop, for a start coloring already known to be proper."""
     k = seq.start.k
     cur = list(seq.start.colors)
     for i, (v, c) in enumerate(seq.steps):
@@ -85,11 +90,59 @@ def verify_sequence(g: Graph, seq: RecoloringSequence) -> Coloring:
 
 
 def _replayed(g: Graph, start: Coloring, steps: list, end: tuple) -> RecoloringSequence:
-    """The sequence of `steps` from `start`, after one replay shows it ends at `end`."""
+    """The sequence of `steps` from `start`, after one replay shows it ends at `end`.
+
+    Every caller has checked that `start` is proper on g, so only the steps
+    are replayed.
+    """
     seq = RecoloringSequence(start, tuple(steps))
-    if verify_sequence(g, seq).colors != end:
+    if _replay(g, seq).colors != end:
         raise AssertionError("sequence does not end at the target coloring")
     return seq
+
+
+def _compact(
+    adjacency: Sequence[Sequence[int]], start: Sequence[int], steps: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """A valid subsequence of the valid sequence `steps` from `start`, with the same end.
+
+    One pass in order. A vertex's last kept step stays pending until its next
+    step. If no neighbor has had a kept step since the pending one, the
+    pending step is dropped, and the next step is dropped too when it returns
+    the vertex to its color from before the pending step. The neighbors stand
+    still over the dropped interval, so the vertex's earlier color stays
+    proper there, and only non-neighbors move in it, so their steps stay
+    proper. After each input step the kept steps reach the same coloring as
+    the input, so the end coloring is unchanged. The pass reads each step's
+    neighbors once, so it costs the sum of count(v) * deg(v), and it only
+    removes steps, so no vertex's count rises.
+    """
+    # before[v] is v's color before its pending step, or its current color
+    # when it has none. moved[v] is the index of v's last kept step; when both
+    # steps go it keeps the dropped step's index, since resetting it to -1
+    # would let a neighbor drop a step across an earlier step of v that stays
+    before = list(start)
+    pending = [-1] * len(start)
+    moved = [-1] * len(start)
+    kept: list = []
+    for i, step in enumerate(steps):
+        v, c = step
+        p = pending[v]
+        if p >= 0:
+            t = moved[v]
+            for w in adjacency[v]:
+                if moved[w] > t:
+                    before[v] = kept[p][1]
+                    break
+            else:
+                kept[p] = None
+                if c == before[v]:
+                    pending[v] = -1
+                    continue
+        pending[v] = len(kept)
+        moved[v] = i
+        kept.append(step)
+    return list(filter(None, kept))
 
 
 def _undo(colors: Iterable[int], steps: Iterable[tuple[int, int]]) -> tuple[tuple, list]:

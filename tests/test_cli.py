@@ -435,6 +435,7 @@ def cli_argv(draw):
 @given(cli_argv())
 @example(["check", "--graph", "@deep", "--coloring", "@a"])
 @example(["gen", "--family", "2tree", "--n", "5", "--out", "@"])
+@example(["check", "--graph", "@g", "--coloring", "@"])
 def test_fuzzed_argv_exits_cleanly(tmp_path, capsys, monkeypatch, argv):
     """Every run exits 0, or 1 or 2 with one error line or a verdict; no traceback."""
     # a bench with --jobs maps its instances in this process

@@ -307,6 +307,8 @@ ALL3 = frozenset({0, 1, 2})
         ((ALL3, 5), ((0, 1),), r"^bag 5 is not a set of vertices$"),
         ((ALL3, frozenset({0})), ((0,),), r"^tree edge \(0,\) is not a pair of nodes$"),
         ((ALL3, frozenset({0})), ((0, 1, 2),), r"^tree edge \(0, 1, 2\) is not a pair of nodes$"),
+        (5, (), r"^bags 5 are not a collection of bags$"),
+        ((ALL3, frozenset({0})), 5, r"^tree edges 5 are not a collection of pairs$"),
     ],
 )
 def test_validator_names_broken_tree(bags, tree_edges, message):

@@ -13,10 +13,9 @@ from recolor import (
     gen_partial_2tree,
     pipeline_theorem,
     run_experiments,
-    verify_sequence,
     write_csv,
 )
-from recolor import bestchoice, chordalize, experiments, sequences
+from recolor import experiments, sequences
 from recolor.experiments import CSV_COLUMNS, has_violations
 
 
@@ -61,14 +60,14 @@ def test_partial_2tree_family():
 def test_one_replay_per_batch_instance(monkeypatch):
     calls = []
 
+    replay = sequences._replay
+
     def counting(*args):
         calls.append(args)
-        return verify_sequence(*args)
+        return replay(*args)
 
-    # raising=False: a module that does not import verify_sequence gets the
-    # counter anyway, so a replay added there is counted too
-    for module in (bestchoice, chordalize, experiments, sequences):
-        monkeypatch.setattr(module, "verify_sequence", counting, raising=False)
+    # verify_sequence and the builders' private replay both run this loop
+    monkeypatch.setattr(sequences, "_replay", counting)
     config = ExperimentConfig(
         family="partial-2tree", sizes=(10,), seeds=(0,), cross_check=False
     )

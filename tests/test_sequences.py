@@ -22,13 +22,15 @@ from recolor import (
     TreeDecomposition,
     audit_best_choice,
     best_choice_recoloring,
+    degeneracy_order,
     gen_chordal_omega3,
+    gen_partial_2tree,
     greedy_coloring,
     mcs_order,
     random_proper_coloring,
     verify_sequence,
 )
-from recolor.sequences import _undo
+from recolor.sequences import _compact, _undo
 
 import helpers
 
@@ -238,6 +240,54 @@ def _random_walk(g, start, length, rng):
             cur[v] = rng.choice(free)
             steps.append((v, cur[v]))
     return RecoloringSequence(start, tuple(steps))
+
+
+def _assert_compacts(g, seq):
+    """_compact keeps a subsequence that replays from the same start to the same end."""
+    steps = _compact(g.adjacency, seq.start.colors, list(seq.steps))
+    kept = iter(seq.steps)
+    assert all(step in kept for step in steps)
+    assert verify_sequence(g, RecoloringSequence(seq.start, tuple(steps))) == verify_sequence(
+        g, seq
+    )
+    counts = Counter(v for v, _ in seq.steps)
+    assert all(c <= counts[v] for v, c in Counter(v for v, _ in steps).items())
+    return steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.booleans(),
+    st.integers(3, 24),
+    st.integers(4, 6),
+    st.integers(0, 60),
+    st.integers(0, 10**6),
+)
+def test_compact_keeps_random_walks_valid(chordal, n, k, length, seed):
+    if chordal:
+        g = gen_chordal_omega3(n, seed)
+        order = mcs_order(g)
+    else:
+        g = gen_partial_2tree(n, 0.6, seed)
+        order = degeneracy_order(g)
+    start = random_proper_coloring(g, order, k, seed + 1)
+    _assert_compacts(g, _random_walk(g, start, length, random.Random(seed)))
+
+
+def test_compact_drops_a_step_and_its_return():
+    # vertex 1 goes 2 -> 3 -> 2 while vertex 0 stands still: both steps go,
+    # and the return is not kept as a step that changes nothing
+    seq = seq_of(4, (1, 2), [(1, 3), (1, 2)])
+    assert _assert_compacts(K2, seq) == []
+
+
+def test_compact_keeps_last_moved_time_of_dropped_steps():
+    # star centred at 1. Vertex 1's steps 3 and 4 cancel, so both go, but its
+    # step 1 to color 3 stays; vertex 0 must keep its step to 2, which it took
+    # before that step 1, or it would hold color 3 next to vertex 1's 3
+    star = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
+    seq = seq_of(4, (3, 4, 1, 2), [(0, 2), (1, 3), (2, 4), (1, 1), (1, 3), (0, 4)])
+    assert _assert_compacts(star, seq) == [(0, 2), (1, 3), (2, 4), (0, 4)]
 
 
 def _audit_corpus():
