@@ -12,20 +12,16 @@ from .chordalize import (
 )
 from .decomposition import (
     EliminationOrdering,
-    TreeDecomposition,
     degeneracy_order,
     is_perfect_elimination,
     later_neighbors,
     mcs_order,
-    reduce_width2,
-    validate_decomposition,
 )
 from .errors import (
     AuditViolation,
     ImproperStart,
     ImproperStep,
     InvalidColoring,
-    InvalidDecomposition,
     InvalidInput,
     InvalidSize,
     LiftFailure,

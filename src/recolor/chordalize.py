@@ -8,14 +8,17 @@ two such reductions (one per endpoint coloring) through a palette-rotation
 bridge between 3-colorings, giving a transformation between any two proper
 5-colorings that recolors every vertex a bounded number of times.
 
-The pipeline builds neither the merged graph h nor a tree decomposition. It
-merges over the bags {v} + N(v) of the degree-<=2 elimination of g
-(`decomposition._eliminate`). `reduce_width2` keeps the inclusion-maximal
-ones, so the classes and h are those of `merge_same_colored`. A class is
-eliminated with its last member w, and its later neighbors in h are the
-other classes of w's bag (`_elimination_order`). That order is a perfect
-elimination ordering of h. Hang each bag below the bag of its neighbor
-eliminated first. Each vertex's elimination bags form a subtree topped by its
+Both `merge_same_colored` and the pipeline merge over the bags {v} + N(v) of
+the degree-<=2 elimination of g (`decomposition._eliminate`); the pipeline
+does not build the merged graph h. Hang each bag below the bag of its
+neighbor eliminated first: the bags form a width-2 tree decomposition of g,
+the witness the reduction needs. Each bag lies inside an inclusion-maximal
+one, so the smaller bags bring no same-colored pair to merge and no pair to
+fill that the maximal ones lack: merging over all the bags gives the classes
+and h of merging over the maximal ones alone. A class is eliminated
+with its last member w, and its later neighbors in h are the other classes
+of w's bag (`_elimination_order`). That order is a perfect elimination
+ordering of h. Each vertex's elimination bags form a subtree topped by its
 own bag, and a class's members are linked through shared bags, so a class's
 bags form a subtree topped by its last member's bag. The subtrees of two
 adjacent classes meet in a subtree topped by the earlier class's top bag, so
@@ -54,7 +57,7 @@ from itertools import combinations
 from typing import Collection, Sequence
 
 from .bestchoice import _best_choice
-from .decomposition import TreeDecomposition, _eliminate, validate_decomposition
+from .decomposition import _eliminate
 from .errors import (
     ImproperStart,
     ImproperStep,
@@ -62,7 +65,7 @@ from .errors import (
     LiftFailure,
     NoOpStep,
 )
-from .graphs import Coloring, Graph, _require_int, require_proper
+from .graphs import Coloring, Graph, _require_int, _require_ints, require_proper
 from .sequences import RecoloringSequence, _compact, _replayed, _undo, verify_sequence
 
 PER_VERTEX_CHORDAL_BOUND = 542
@@ -88,19 +91,18 @@ class MergeMap:
         }
 
 
-def merge_same_colored(
-    g: Graph, td: TreeDecomposition, alpha: Coloring
-) -> tuple[Graph, MergeMap, Coloring]:
-    """Merge same-colored vertices sharing a bag, then fill bags into cliques.
+def merge_same_colored(g: Graph, alpha: Coloring) -> tuple[Graph, MergeMap, Coloring]:
+    """Merge same-colored vertices sharing an elimination bag, then fill bags into cliques.
 
     Returns the merged-and-filled graph (chordal, clique number <= 3), the
     merge map, and the inherited coloring, which is proper on the result.
+    Raises NotWidth2 if g has treewidth above 2.
     """
-    validate_decomposition(g, td)
     require_proper(g, alpha, alpha.k, "alpha")
-    to_merged, classes, colors_h = _merge_classes(g.n, td.bags, alpha.colors)
+    elim = _eliminate(g)
+    to_merged, classes, colors_h = _merge_classes(g.n, elim, alpha.colors)
     edges = set()
-    for bag in td.bags:
+    for bag in elim:
         edges.update(combinations({to_merged[v] for v in bag}, 2))
     return (
         Graph.from_edges(len(classes), edges),
@@ -116,10 +118,10 @@ def _merge_classes(
 
     Returns to_merged, the classes (ascending, numbered in the order of their
     smallest members) and each class's color. The classes are the connected
-    components of "same color, shared bag" in a decomposition whose bags hold
-    at most 3 vertices. Merging two classes only renames them inside bags
-    that already held one of them, so merging until no bag repeats a color,
-    in any order, joins exactly these components.
+    components of "same color, shared bag" over bags of at most 3 vertices.
+    Merging two classes only renames them inside bags that already held one
+    of them, so merging until no bag repeats a color, in any order, joins
+    exactly these components.
     """
     # root[v] <= v, and a component's root is its smallest member
     root = list(range(n))
@@ -205,24 +207,40 @@ def lift_sequence(
 ) -> RecoloringSequence:
     """Expand a merged-graph sequence back to the original graph.
 
-    Each merged step becomes one step per class member, ascending. The result
-    is verified on g; failure means the inputs violated the merge contract.
+    Each merged step becomes one step per class member, ascending. The map's
+    classes must be exactly the vertex sets that to_merged sends to each
+    class, ascending. The result is verified on g; failure means the inputs
+    violated the merge contract.
     """
-    size = len(merge_map.classes)
-    if len(merge_map.to_merged) != g.n or len(seq_h.start.colors) != size:
+    to_merged, classes = merge_map.to_merged, merge_map.classes
+    try:
+        size = len(classes)
+        _require_ints("merged vertex", to_merged)
+    except TypeError:
+        raise LiftFailure("merge map's to_merged and classes must be sequences") from None
+    if len(to_merged) != g.n or len(seq_h.start.colors) != size:
         raise LiftFailure(
-            f"merge map of {len(merge_map.to_merged)} vertices onto {size} classes "
+            f"merge map of {len(to_merged)} vertices onto {size} classes "
             f"does not fit a {g.n}-vertex graph and a "
             f"{len(seq_h.start.colors)}-vertex merged sequence"
         )
-    outside = [m for m in merge_map.to_merged if not 0 <= m < size]
+    outside = [m for m in to_merged if not 0 <= m < size]
     outside += [m for m, _ in seq_h.steps if not 0 <= m < size]
     if outside:
         raise LiftFailure(f"merged vertex {outside[0]} is not one of {size} classes")
+    inverse: list[list[int]] = [[] for _ in range(size)]
+    for v, m in enumerate(to_merged):
+        inverse[m].append(v)
+    try:
+        inverts = [list(c) for c in classes] == inverse
+    except TypeError:
+        inverts = False
+    if not inverts:
+        raise LiftFailure("merge map classes do not invert to_merged")
     colors_h = seq_h.start.colors
     lifted = RecoloringSequence(
-        Coloring(seq_h.start.k, tuple([colors_h[m] for m in merge_map.to_merged])),
-        tuple(_lift(seq_h.steps, merge_map.classes)),
+        Coloring(seq_h.start.k, tuple([colors_h[m] for m in to_merged])),
+        tuple(_lift(seq_h.steps, inverse)),
     )
     try:
         verify_sequence(g, lifted)

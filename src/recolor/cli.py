@@ -14,12 +14,7 @@ import sys
 
 from .bestchoice import best_choice_recoloring
 from .chordalize import merge_same_colored, pipeline_theorem
-from .decomposition import (
-    EliminationOrdering,
-    TreeDecomposition,
-    mcs_order,
-    reduce_width2,
-)
+from .decomposition import EliminationOrdering, mcs_order
 from .errors import InvalidInput, RecolorError
 from .experiments import (
     ExperimentConfig,
@@ -108,25 +103,15 @@ def _cmd_check(args) -> int:
 
 def _cmd_decompose(args) -> int:
     g = _read(args.graph, Graph)
-    if not args.td and not args.peo:
-        print("nothing to do: pass --td and/or --peo", file=sys.stderr)
-        return 2
-    if args.td:
-        td = reduce_width2(g)
-        _dump(args.td, td.to_json())
-        print(f"wrote width-{td.width()} decomposition with {len(td.bags)} bags")
-    if args.peo:
-        peo = mcs_order(g)
-        _dump(args.peo, peo.to_json())
-        print(f"wrote elimination ordering of {g.n} vertices")
+    _dump(args.peo, mcs_order(g).to_json())
+    print(f"wrote elimination ordering of {g.n} vertices")
     return 0
 
 
 def _cmd_reduce(args) -> int:
     g = _read(args.graph, Graph)
-    td = _read(args.td, TreeDecomposition)
     alpha = _read(args.alpha, Coloring)
-    h, merge_map, alpha_h = merge_same_colored(g, td, alpha)
+    h, merge_map, alpha_h = merge_same_colored(g, alpha)
     _dump(
         args.out,
         {
@@ -246,15 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-final", help="coloring the sequence must end at")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("decompose", help="tree decomposition and elimination ordering")
+    p = sub.add_parser("decompose", help="elimination ordering by maximum cardinality search")
     p.add_argument("--graph", required=True)
-    p.add_argument("--td", type=_OutPath, help="output path for the width-2 tree decomposition")
-    p.add_argument("--peo", type=_OutPath, help="output path for the elimination ordering")
+    p.add_argument("--peo", required=True, type=_OutPath, help="output path for the ordering")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("reduce", help="merge same-colored bag vertices, fill cliques")
     p.add_argument("--graph", required=True)
-    p.add_argument("--td", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--out", required=True, type=_OutPath)
     p.set_defaults(func=_cmd_reduce)

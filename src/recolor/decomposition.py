@@ -1,4 +1,4 @@
-"""Treewidth-2 decomposition and elimination orderings.
+"""Elimination orderings and the degree-<=2 elimination of treewidth-2 graphs.
 
 `later_neighbors` is the one place that answers "which neighbors of v come
 after v in this ordering" (the out-neighborhood N+(v)) for a graph in hand.
@@ -15,46 +15,17 @@ matches, or whose vertex no longer qualifies, is stale and skipped. No loop
 rescans all vertices to make a choice.
 
 `_eliminate` removes one vertex of degree at most 2 at a time and returns
-its bags (v, *sorted N(v)), all the pipeline reads. `reduce_width2` builds
-its tree straight off them: it keeps the inclusion-maximal bags and folds
-each other bag into a child bag that holds it.
+its bags (v, *sorted N(v)): the width-2 witness that `chordalize` merges over.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from collections.abc import Collection
 from dataclasses import dataclass
-from itertools import chain
 
-from .errors import InvalidDecomposition, InvalidInput, NotWidth2, _json_loader
+from .errors import InvalidInput, NotWidth2, _json_loader
 from .graphs import Graph, _json_int, _require_ints, _require_ordering_of
-
-
-@dataclass(frozen=True)
-class TreeDecomposition:
-    """Tree of bags; width 2 means every bag has at most 3 vertices."""
-
-    bags: tuple[frozenset[int], ...]
-    tree_edges: tuple[tuple[int, int], ...]
-
-    def width(self) -> int:
-        return max((len(b) for b in self.bags), default=0) - 1
-
-    def to_json(self) -> dict:
-        return {
-            "bags": [sorted(b) for b in self.bags],
-            "tree_edges": [[i, j] for i, j in self.tree_edges],
-        }
-
-    @staticmethod
-    @_json_loader
-    def from_json(obj: dict) -> "TreeDecomposition":
-        return TreeDecomposition(
-            tuple(frozenset(map(_json_int, bag)) for bag in obj["bags"]),
-            tuple((_json_int(i), _json_int(j)) for i, j in obj["tree_edges"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -152,82 +123,6 @@ def degeneracy_order(g: Graph) -> EliminationOrdering:
     return EliminationOrdering(tuple(_pop_order(g, [len(a) for a in g.adjacency])))
 
 
-def validate_decomposition(g: Graph, td: TreeDecomposition) -> None:
-    """Raise InvalidDecomposition unless td is a width-<=2 decomposition of g."""
-    if not isinstance(td.bags, Collection):
-        raise InvalidDecomposition(f"bags {td.bags!r} are not a collection of bags")
-    if not isinstance(td.tree_edges, Collection):
-        raise InvalidDecomposition(f"tree edges {td.tree_edges!r} are not a collection of pairs")
-    nodes = len(td.bags)
-    if nodes == 0:
-        raise InvalidDecomposition("decomposition has no nodes")
-    # a bag that is not a collection, or a tree edge that is not a pair, fails
-    # to flatten, size or unpack; only then are the entries scanned, to name it
-    try:
-        _require_ints("bag entry", list(chain.from_iterable(td.bags)))
-        _require_ints("tree edge endpoint", list(chain.from_iterable(td.tree_edges)))
-        for bag in td.bags:
-            if len(bag) > 3:
-                raise InvalidDecomposition(f"bag {sorted(bag)} exceeds size 3")
-            for v in bag:
-                if not (0 <= v < g.n):
-                    raise InvalidDecomposition(f"bag vertex {v} out of range")
-
-        # the tree_edges must form a tree over the nodes
-        if len(td.tree_edges) != nodes - 1:
-            raise InvalidDecomposition("tree edge count is not nodes-1")
-        nbrs: list[list[int]] = [[] for _ in range(nodes)]
-        for i, j in td.tree_edges:
-            if not (0 <= i < nodes and 0 <= j < nodes) or i == j:
-                raise InvalidDecomposition(f"bad tree edge ({i}, {j})")
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-    except (TypeError, ValueError):
-        for bag in td.bags:
-            if not isinstance(bag, Collection):
-                raise InvalidDecomposition(f"bag {bag!r} is not a set of vertices") from None
-        for edge in td.tree_edges:
-            if not isinstance(edge, Collection) or len(edge) != 2:
-                raise InvalidDecomposition(f"tree edge {edge!r} is not a pair of nodes") from None
-        raise
-    parent = [-1] * nodes
-    parent[0] = 0
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in nbrs[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                stack.append(y)
-    if min(parent) < 0:
-        raise InvalidDecomposition("tree is not connected")
-
-    # a vertex's bags form a subtree iff exactly one of them (its top) is the
-    # root or hangs below a bag without the vertex; -1 marks no top yet and
-    # -2 a second one
-    bags = td.bags
-    top = [-1] * g.n
-    for idx, bag in enumerate(bags):
-        up = bags[parent[idx]] if idx else ()
-        for v in bag:
-            if v not in up:
-                top[v] = idx if top[v] == -1 else -2
-    for v, t in enumerate(top):
-        if t == -1:
-            raise InvalidDecomposition(f"vertex {v} is in no bag")
-        if t == -2:
-            raise InvalidDecomposition(f"bags containing vertex {v} are not connected")
-
-    # The bags of u and of v are subtrees, so the bags holding both, if any,
-    # are a subtree whose top is top[u] or top[v]: its parent lies in both
-    # subtrees unless it is the top of one. Edges go in g.edges() order.
-    for u, nbrs in enumerate(g.adjacency):
-        up = bags[top[u]]
-        for v in nbrs:
-            if v > u and v not in up and u not in bags[top[v]]:
-                raise InvalidDecomposition(f"edge ({u}, {v}) is in no bag")
-
-
 def _eliminate(g: Graph) -> list[tuple[int, ...]]:
     """The bag (v, *sorted N(v)) of each v, in the order the degree-<=2 elimination removes it.
 
@@ -273,38 +168,3 @@ def _eliminate(g: Graph) -> list[tuple[int, ...]]:
         raise NotWidth2("all remaining vertices have degree at least 3")
     return elim
 
-
-def reduce_width2(g: Graph) -> TreeDecomposition:
-    """Width-<=2 tree decomposition built from the elimination bags {v} + N(v).
-
-    Numbered from the last elimination back, bag i hangs below the bag of its
-    neighbour eliminated first, and bag 0 roots the tree. A bag's own vertex
-    lies only in the bags below it, so a bag inside another lies inside one of
-    its children; it is folded into the lowest-index such child. The result
-    keeps the inclusion-maximal bags in index order, joined by the folded tree.
-    """
-    elim = _eliminate(g)
-    if not elim:
-        return TreeDecomposition((frozenset(),), ())
-
-    order = elim[::-1]
-    index = {bag[0]: i for i, bag in enumerate(order)}
-    bags = list(map(frozenset, order))
-    # the neighbour eliminated first still held the others, so its bag holds
-    # them; bags with no neighbours hang below bag 0, which is its own parent
-    parent = [max((index[u] for u in bag[1:]), default=0) for bag in order]
-    # children come after their parent, so walking down sees every child of
-    # a bag, folded as far as it goes, before the bag itself
-    into = list(range(len(bags)))
-    for i in range(len(bags) - 1, -1, -1):
-        into[i] = into[into[i]]
-        if i and bags[parent[i]] <= bags[i]:
-            into[parent[i]] = i
-    kept = [i for i in range(len(bags)) if into[i] == i]
-    rank = [0] * len(bags)
-    for r, i in enumerate(kept):
-        rank[i] = r
-    node = [rank[j] for j in into]
-    pairs = {tuple(sorted((node[i], node[p]))) for i, p in enumerate(parent)}
-    edges = sorted((a, b) for a, b in pairs if a != b)
-    return TreeDecomposition(tuple(bags[i] for i in kept), tuple(edges))

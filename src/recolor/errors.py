@@ -31,10 +31,6 @@ class OmegaTooLarge(RecolorError):
     """A vertex has more than 2 later neighbors along the ordering."""
 
 
-class InvalidDecomposition(RecolorError):
-    """A tree decomposition fails one of its structural invariants."""
-
-
 class LiftFailure(RecolorError):
     """Expanding a merged-graph sequence produced an invalid sequence,
     which means a precondition on the inputs was violated."""

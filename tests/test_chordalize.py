@@ -15,14 +15,12 @@ from recolor import (
     Graph,
     ImproperStep,
     InvalidColoring,
-    InvalidDecomposition,
     InvalidInput,
     LiftFailure,
     MergeMap,
     NotWidth2,
     NoOpStep,
     RecoloringSequence,
-    TreeDecomposition,
     best_choice_recoloring,
     degeneracy_order,
     gen_2tree,
@@ -37,7 +35,6 @@ from recolor import (
     merge_same_colored,
     pipeline_theorem,
     random_proper_coloring,
-    reduce_width2,
     two_phase_transform,
     verify_sequence,
 )
@@ -47,28 +44,31 @@ from recolor.chordalize import PER_VERTEX_PIPELINE_BOUND
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-BAG_ALL = TreeDecomposition((frozenset({0, 1, 2}),), ())
+# the path 1-0-2: vertex 0 goes first, so its bag (0, 1, 2) joins the ends
+CHERRY = Graph.from_edges(3, [(0, 1), (0, 2)])
 
 
 def _merge_invariants(g, alpha, h, merge_map, alpha_h):
+    """Each class is one color of alpha and independent in g, every edge of g
+    is an edge of h between two classes, alpha_h is proper on h, and h is
+    chordal with at most 2 later neighbors along mcs_order."""
     peo = mcs_order(h)
     assert is_perfect_elimination(h, peo)
     assert max(map(len, later_neighbors(h, peo)), default=0) <= 2
     assert is_proper(h, alpha_h)
-    for cls in merge_map.classes:
-        # independent in g and uniformly colored in alpha
-        assert len({alpha.colors[v] for v in cls}) == 1
-        for a in cls:
-            for b in cls:
-                if a != b:
-                    assert b not in g.adjacency[a]
-    for v, m in enumerate(merge_map.to_merged):
-        assert v in merge_map.classes[m]
+    to_merged = merge_map.to_merged
+    for m, cls in enumerate(merge_map.classes):
+        assert [to_merged[v] for v in cls] == [m] * len(cls)
+        assert {alpha.colors[v] for v in cls} == {alpha_h.colors[m]}
+    assert sorted(v for cls in merge_map.classes for v in cls) == list(range(g.n))
+    for u, v in g.edges():
+        assert to_merged[u] != to_merged[v]
+        assert to_merged[v] in h.adjacency[to_merged[u]]
 
 
 def test_merge_identity_on_rainbow_triangle():
     alpha = Coloring(3, (1, 2, 3))
-    h, merge_map, alpha_h = merge_same_colored(K3, BAG_ALL, alpha)
+    h, merge_map, alpha_h = merge_same_colored(K3, alpha)
     assert h == K3
     assert merge_map.to_merged == (0, 1, 2)
     assert merge_map.classes == ((0,), (1,), (2,))
@@ -76,65 +76,63 @@ def test_merge_identity_on_rainbow_triangle():
 
 
 def test_merge_path_endpoints():
-    alpha = Coloring(2, (1, 2, 1))
-    h, merge_map, alpha_h = merge_same_colored(P3, BAG_ALL, alpha)
+    alpha = Coloring(2, (2, 1, 1))
+    h, merge_map, alpha_h = merge_same_colored(CHERRY, alpha)
     assert h == Graph.from_edges(2, [(0, 1)])
-    assert merge_map.classes == ((0, 2), (1,))
-    assert alpha_h.colors == (1, 2)
-    _merge_invariants(P3, alpha, h, merge_map, alpha_h)
+    assert merge_map.classes == ((0,), (1, 2))
+    assert alpha_h.colors == (2, 1)
+    _merge_invariants(CHERRY, alpha, h, merge_map, alpha_h)
 
 
 def test_merge_two_vertex_bag():
-    # a user decomposition whose only bag holds two same-colored vertices
-    g = Graph.from_edges(2, [])
-    td = TreeDecomposition((frozenset({0, 1}),), ())
-    alpha = Coloring(1, (1, 1))
-    h, merge_map, alpha_h = merge_same_colored(g, td, alpha)
-    assert h == Graph.from_edges(1, [])
-    assert merge_map.classes == ((0, 1),) and merge_map.to_merged == (0, 0)
-    assert alpha_h.colors == (1,)
+    # a two-vertex bag holds an edge of g, so a proper coloring never merges it;
+    # isolated vertices share no bag, so they stay apart whatever their colors
+    g = Graph.from_edges(4, [(0, 1)])
+    alpha = Coloring(2, (1, 2, 1, 1))
+    h, merge_map, alpha_h = merge_same_colored(g, alpha)
+    assert h == g
+    assert merge_map.classes == ((0,), (1,), (2,), (3,)) and merge_map.to_merged == (0, 1, 2, 3)
+    assert alpha_h.colors == alpha.colors
     _merge_invariants(g, alpha, h, merge_map, alpha_h)
 
 
 def test_merge_chains_across_bags():
-    # 0 and 2 share the first bag, 2 and 4 the second: one class of three
-    p5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    td = TreeDecomposition((frozenset({0, 1, 2}), frozenset({2, 3, 4})), ((0, 1),))
-    alpha = Coloring(2, (1, 2, 1, 2, 1))
-    h, merge_map, alpha_h = merge_same_colored(p5, td, alpha)
-    assert merge_map.classes == ((0, 2, 4), (1,), (3,))
-    assert merge_map.to_merged == (0, 1, 0, 2, 0)
-    assert h.edges() == [(0, 1), (0, 2)]
-    assert alpha_h.colors == (1, 2, 2)
+    # the path 2-0-3-1-4: the bags (0, 2, 3) and (1, 3, 4) chain 2, 3 and 4
+    # into one class
+    p5 = Graph.from_edges(5, [(0, 2), (0, 3), (1, 3), (1, 4)])
+    alpha = Coloring(2, (2, 2, 1, 1, 1))
+    h, merge_map, alpha_h = merge_same_colored(p5, alpha)
+    assert merge_map.classes == ((0,), (1,), (2, 3, 4))
+    assert merge_map.to_merged == (0, 1, 2, 2, 2)
+    assert h.edges() == [(0, 2), (1, 2)]
+    assert alpha_h.colors == (2, 2, 1)
     _merge_invariants(p5, alpha, h, merge_map, alpha_h)
 
 
 def test_merge_injective_alpha_fills_bags():
     # colors distinct inside the bag: no merging, but the bag becomes a clique
     alpha = Coloring(3, (1, 2, 3))
-    h, merge_map, _ = merge_same_colored(P3, BAG_ALL, alpha)
+    h, merge_map, _ = merge_same_colored(CHERRY, alpha)
     assert merge_map.to_merged == (0, 1, 2)
     assert h == K3
 
 
-def test_merge_rejects_bad_decomposition():
-    td = TreeDecomposition((frozenset({0, 1}),), ())
-    with pytest.raises(InvalidDecomposition):
-        merge_same_colored(K3, td, Coloring(3, (1, 2, 3)))
+def test_merge_rejects_k4():
+    with pytest.raises(NotWidth2, match="^all remaining vertices have degree at least 3$"):
+        merge_same_colored(K4, Coloring(4, (1, 2, 3, 4)))
 
 
 def test_merge_rejects_improper_coloring():
     with pytest.raises(InvalidColoring):
-        merge_same_colored(K3, BAG_ALL, Coloring(3, (1, 1, 2)))
+        merge_same_colored(K3, Coloring(3, (1, 1, 2)))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(3, 60), st.integers(0, 10**6), st.integers(3, 10))
 def test_merge_invariants_random(n, seed, tenths):
     g = gen_partial_2tree(n, tenths / 10, seed)
-    td = reduce_width2(g)
     alpha = random_proper_coloring(g, degeneracy_order(g), 5, seed + 1)
-    h, merge_map, alpha_h = merge_same_colored(g, td, alpha)
+    h, merge_map, alpha_h = merge_same_colored(g, alpha)
     _merge_invariants(g, alpha, h, merge_map, alpha_h)
 
 
@@ -187,6 +185,25 @@ def test_lift_failure_on_step_outside_classes():
         seq_h = RecoloringSequence(Coloring(5, (1, 2)), ((0, 3), (m, 4)))
         with pytest.raises(LiftFailure, match=f"merged vertex {m} "):
             lift_sequence(seq_h, merge_map, P3)
+
+
+@pytest.mark.parametrize(
+    "to_merged, classes",
+    [
+        ((0, 1, 0), ((0, "a"), (1,))),
+        ((0, 1, 0), (5, (1,))),
+        ((0.0, 1, 0), ((0, 2), (1,))),
+        (None, ((0, 2), (1,))),
+        # True == 1, so without the type check this map passes
+        ((True, 0, 1), ((1,), (0, 2))),
+        # the classes disagree with to_merged: the lift would end elsewhere
+        ((0, 1, 0), ((0,), (1, 2))),
+    ],
+)
+def test_lift_rejects_malformed_merge_map(to_merged, classes):
+    seq_h = RecoloringSequence(Coloring(5, (1, 2)), ((0, 3),))
+    with pytest.raises((LiftFailure, InvalidInput)):
+        lift_sequence(seq_h, MergeMap(to_merged, classes), P3)
 
 
 def test_two_phase_single_vertex_noop():
@@ -358,13 +375,12 @@ def test_pipeline_on_disjoint_unions(instance):
 
 
 def _assert_elimination_order_reads_merged_graph(g, coloring):
-    """Merging over the elimination bags gives merge_same_colored's map, and
-    the elimination order, its later table and its greedy target match h's."""
-    h, merge_map, coloring_h = merge_same_colored(g, reduce_width2(g), coloring)
+    """merge_same_colored's output is a valid reduction, and the elimination
+    order, its later table and its greedy target match those of its h."""
+    h, merge_map, coloring_h = merge_same_colored(g, coloring)
+    _merge_invariants(g, coloring, h, merge_map, coloring_h)
     elim = decomposition._eliminate(g)
-    to_merged, classes, colors_h = chordalize._merge_classes(g.n, elim, coloring.colors)
-    assert MergeMap(tuple(to_merged), tuple(map(tuple, classes))) == merge_map
-    assert tuple(colors_h) == coloring_h.colors
+    to_merged, classes = merge_map.to_merged, merge_map.classes
     # a preference of 0 never applies, so the target is h's greedy coloring
     order, later, target = chordalize._elimination_order(elim, to_merged, [0] * len(classes))
     peo = EliminationOrdering(tuple(order))
@@ -374,7 +390,7 @@ def _assert_elimination_order_reads_merged_graph(g, coloring):
     # the pipeline's two preferences: the class's own color, and another
     # coloring's color at its smallest member
     other = random_proper_coloring(g, degeneracy_order(g), 5, g.n).colors
-    for prefer in (colors_h, [other[c[0]] for c in classes]):
+    for prefer in (coloring_h.colors, [other[c[0]] for c in classes]):
         order_p, later_p, target = chordalize._elimination_order(elim, to_merged, prefer)
         assert (order_p, later_p) == (order, later)
         assert is_proper(h, Coloring(3, tuple(target)))
@@ -436,8 +452,8 @@ def test_outputs_match_recorded_digest():
 
 
 # The same outputs at the benchmark's n = 1600, where CORPUS_DIGEST stops at
-# n = 200: the width-2 tree, the pipeline, and best-choice on chordal graphs.
-LARGE_CORPUS_DIGEST = "7e856416363085e0d95d0f4547955d5500513a70a056dba9c614518f9196c963"
+# n = 200: the pipeline, and best-choice on chordal graphs.
+LARGE_CORPUS_DIGEST = "ca88e077b89416f0de446f8928a37cbb2fd6f4f9386160760f09ff46a6db5f20"
 
 
 def test_large_outputs_match_recorded_digest():
@@ -447,7 +463,6 @@ def test_large_outputs_match_recorded_digest():
         order = degeneracy_order(g)
         alpha = random_proper_coloring(g, order, 5, 2 * s + 1)
         beta = random_proper_coloring(g, order, 5, 2 * s + 2)
-        digest.update(json.dumps(reduce_width2(g).to_json()).encode())
         digest.update(json.dumps(pipeline_theorem(g, alpha, beta).to_json()).encode())
 
         h = gen_chordal_omega3(1600, s)
@@ -458,7 +473,7 @@ def test_large_outputs_match_recorded_digest():
     assert digest.hexdigest() == LARGE_CORPUS_DIGEST
 
 
-DECOMPOSITION_DIGEST = "fe6d04174b3fe291cdecdc7924180fd3390cce430c4bcea6c06132c2fef5c721"
+DECOMPOSITION_DIGEST = "f5aef6e6e196c68efc80f1302de7673df1d9da37e8b56e145795868f1889f80e"
 
 
 def test_decomposition_outputs_match_recorded_digest():
@@ -470,12 +485,11 @@ def test_decomposition_outputs_match_recorded_digest():
                 gen_partial_2tree(n, 1.0, s),
                 gen_chordal_omega3(n, s),
             ):
-                td = reduce_width2(g)
                 order = degeneracy_order(g)
                 h, merge_map, alpha_h = merge_same_colored(
-                    g, td, random_proper_coloring(g, order, 3, s)
+                    g, random_proper_coloring(g, order, 3, s)
                 )
-                for part in (td, mcs_order(g), order, h, merge_map, alpha_h):
+                for part in (mcs_order(g), order, h, merge_map, alpha_h):
                     digest.update(json.dumps(part.to_json()).encode())
     assert digest.hexdigest() == DECOMPOSITION_DIGEST
 
@@ -486,15 +500,15 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
     alpha = random_proper_coloring(g, order, 5, 1)
     beta = random_proper_coloring(g, order, 5, 2)
     # the pipeline checks its endpoints itself, so it replays through the
-    # step loop alone and never through verify_sequence; it reads only the
-    # elimination, so it builds and validates no tree; it builds no merged
-    # graph, so none of the next four runs, its stages pass plain lists, so it
-    # builds no merge map or ordering, and it joins its three parts into one
-    # step list, so it builds one sequence
+    # step loop alone and never through verify_sequence; both halves merge
+    # over one shared elimination; it builds no merged graph, so none of the
+    # next four runs, its stages pass plain lists, so it builds no merge map
+    # or ordering, and it joins its three parts into one step list, so it
+    # builds one sequence
     calls = dict.fromkeys(
-        ("verify_sequence", "_replay", "reduce_width2", "validate_decomposition",
-         "from_edges", "mcs_order", "later_neighbors", "greedy_coloring", "MergeMap",
-         "EliminationOrdering", "RecoloringSequence"),
+        ("verify_sequence", "_replay", "_eliminate", "from_edges", "mcs_order",
+         "later_neighbors", "greedy_coloring", "MergeMap", "EliminationOrdering",
+         "RecoloringSequence"),
         0,
     )
 
@@ -514,11 +528,10 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
         )
     # every replay, public or private, runs the one step loop
     monkeypatch.setattr(sequences, "_replay", counting("_replay", sequences._replay))
-    for name in ("reduce_width2", "validate_decomposition"):
-        for module in (chordalize, decomposition):
-            monkeypatch.setattr(
-                module, name, counting(name, getattr(decomposition, name)), raising=False
-            )
+    for module in (chordalize, decomposition):
+        monkeypatch.setattr(
+            module, "_eliminate", counting("_eliminate", decomposition._eliminate)
+        )
     monkeypatch.setattr(
         Graph, "from_edges", staticmethod(counting("from_edges", Graph.from_edges))
     )
@@ -532,6 +545,7 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
     assert calls == {
         **dict.fromkeys(calls, 0),
         "_replay": 1,
+        "_eliminate": 1,
         "RecoloringSequence": 1,
     }
 

@@ -4,6 +4,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from recolor import (
     experiments,
     mcs_order,
     pipeline_theorem,
-    reduce_width2,
 )
 from recolor.cli import main
 
@@ -28,11 +28,10 @@ def _write(path, obj):
     path.write_text(json.dumps(obj))
 
 
-def test_gen_check_decompose_recolor_audit_flow(tmp_path):
+def test_gen_check_decompose_recolor_audit_flow(tmp_path, capsys):
     g = tmp_path / "g.json"
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    td = tmp_path / "td.json"
     peo = tmp_path / "peo.json"
     seq = tmp_path / "seq.json"
     report = tmp_path / "report.json"
@@ -46,7 +45,7 @@ def test_gen_check_decompose_recolor_audit_flow(tmp_path):
         "--out", str(g), "--coloring-out", str(b), "--coloring-seed", "8",
     ) == 0
     assert run("check", "--graph", str(g), "--coloring", str(a)) == 0
-    assert run("decompose", "--graph", str(g), "--td", str(td), "--peo", str(peo)) == 0
+    assert run("decompose", "--graph", str(g), "--peo", str(peo)) == 0
     assert run(
         "recolor", "--graph", str(g), "--peo", str(peo), "--alpha", str(a),
         "--beta", str(b), "--k", "5", "--out", str(seq), "--trace",
@@ -63,11 +62,18 @@ def test_gen_check_decompose_recolor_audit_flow(tmp_path):
 
     reduced = tmp_path / "reduced.json"
     assert run(
-        "reduce", "--graph", str(g), "--td", str(td), "--alpha", str(a),
-        "--out", str(reduced),
+        "reduce", "--graph", str(g), "--alpha", str(a), "--out", str(reduced),
     ) == 0
     merged = json.loads(reduced.read_text())
     assert set(merged) == {"graph", "merge_map", "coloring"}
+
+    # K4 has treewidth 3, so the elimination stalls: one error line, exit 1
+    k4 = tmp_path / "k4.json"
+    _write(k4, {"n": 4, "edges": [[i, j] for i in range(4) for j in range(i + 1, 4)]})
+    _write(a, {"k": 5, "colors": [1, 2, 3, 4]})
+    assert run("reduce", "--graph", str(k4), "--alpha", str(a), "--out", str(reduced)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: NotWidth2: all remaining vertices have degree at least 3\n"
 
 
 def test_check_flags_improper_coloring(tmp_path, capsys):
@@ -91,8 +97,11 @@ def test_check_flags_improper_coloring(tmp_path, capsys):
         "valid sequence of 1 steps", "final coloring does not match the expected one",
     ]
 
-    assert run("decompose", "--graph", str(g)) == 2
-    assert capsys.readouterr().err.startswith("nothing to do")
+    # decompose has one output, so argparse rejects a run without it
+    with pytest.raises(SystemExit) as exit_info:
+        run("decompose", "--graph", str(g))
+    assert exit_info.value.code == 2
+    assert "the following arguments are required: --peo" in capsys.readouterr().err
 
 
 def test_pipeline_and_oracle(tmp_path, capsys):
@@ -305,7 +314,7 @@ def test_out_in_missing_directory_is_one_error_line(tmp_path, capsys):
          "--coloring-out", str(missing / "c.json")),
         ("pipeline", "--graph", str(g), "--alpha", str(a), "--beta", str(b),
          "--out", str(missing / "seq.json")),
-        ("decompose", "--graph", str(g), "--td", str(tmp_path)),
+        ("decompose", "--graph", str(g), "--peo", str(tmp_path)),
     ):
         assert run(*argv) == 1
         err = capsys.readouterr().err
@@ -344,7 +353,6 @@ FILES = {
     "g": json.dumps(_G.to_json()),
     "a": json.dumps(_A.to_json()),
     "b": json.dumps(_B.to_json()),
-    "td": json.dumps(reduce_width2(_G).to_json()),
     "peo": json.dumps(mcs_order(_G).to_json()),
     "seq": json.dumps(pipeline_theorem(_G, _A, _B).to_json()),
     "k4": json.dumps({"n": 4, "edges": [[i, j] for i in range(4) for j in range(i + 1, 4)]}),
@@ -371,7 +379,7 @@ FILES = {
 PATHS = tuple(FILES) + ("missing", "dir", "nodir", "new", "")
 VALID = {
     "--graph": "g", "--alpha": "a", "--beta": "b", "--coloring": "a", "--seq": "seq",
-    "--expect-final": "b", "--td": "td", "--peo": "peo", "--out": "new",
+    "--expect-final": "b", "--peo": "peo", "--out": "new",
     "--json-out": "new", "--coloring-out": "new",
 }
 NUMBERS = ("-1", "0", "1", "2", "3", "5", "7", "1.5", "x", "")
@@ -390,8 +398,8 @@ COMMANDS = {
     "gen": ("--family", "--n", "--seed", "--keep-prob", "--out", "--coloring-out", "--k",
             "--coloring-seed"),
     "check": ("--graph", "--coloring", "--seq", "--expect-final"),
-    "decompose": ("--graph", "--td", "--peo"),
-    "reduce": ("--graph", "--td", "--alpha", "--out"),
+    "decompose": ("--graph", "--peo"),
+    "reduce": ("--graph", "--alpha", "--out"),
     "recolor": ("--graph", "--peo", "--alpha", "--beta", "--k", "--out", "--trace"),
     "pipeline": ("--graph", "--alpha", "--beta", "--out"),
     "oracle": ("--graph", "--k", "--alpha", "--beta", "--state-cap"),
@@ -403,7 +411,7 @@ COMMANDS = {
 LOOSE = ("-h", "--bogus", "distance", "5", "@g", "@missing")
 # exit 1 or 2 without an error line: a verdict the command exists to give
 VERDICTS = ("improper", "invalid: ", "final coloring does not match", '{"vertex": ',
-            "violations found", "nothing to do")
+            "violations found")
 
 
 def _value(flag):

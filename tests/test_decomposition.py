@@ -1,19 +1,17 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from recolor import (
     Coloring,
     EliminationOrdering,
     Graph,
-    InvalidDecomposition,
     InvalidInput,
     NotWidth2,
     OmegaTooLarge,
     RecoloringSequence,
-    TreeDecomposition,
     degeneracy_order,
     gen_2tree,
     gen_chordal_omega3,
@@ -22,8 +20,6 @@ from recolor import (
     is_perfect_elimination,
     later_neighbors,
     mcs_order,
-    reduce_width2,
-    validate_decomposition,
 )
 from recolor import decomposition
 
@@ -32,7 +28,6 @@ import helpers
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 
 
 def _random_graph(n: int, p: float, seed: int) -> Graph:
@@ -112,79 +107,6 @@ def test_clique_number_rejects_non_peo():
     assert not is_perfect_elimination(C4, EliminationOrdering((0, 1, 2, 3)))
 
 
-def test_reduce_width2_k3_single_bag():
-    td = reduce_width2(K3)
-    assert td.bags == (frozenset({0, 1, 2}),)
-    assert td.width() == 2
-
-
-def test_reduce_width2_empty_graph_one_empty_bag():
-    empty = Graph.from_edges(0, [])
-    td = reduce_width2(empty)
-    assert td.bags == (frozenset(),) and td.tree_edges == ()
-    validate_decomposition(empty, td)
-
-
-def test_reduce_width2_k4_rejected():
-    # with a pendant path 3-4-5-6, the path eliminates first and K4 still stalls
-    k4_path = Graph.from_edges(7, K4.edges() + [(3, 4), (4, 5), (5, 6)])
-    for g in (K4, k4_path):
-        with pytest.raises(NotWidth2, match="degree at least 3"):
-            reduce_width2(g)
-
-
-def test_reduce_width2_c5_three_bags():
-    td = reduce_width2(C5)
-    assert len(td.bags) == 3
-    validate_decomposition(C5, td)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(3, 50), st.integers(0, 10**6), st.integers(0, 10))
-def test_reduce_width2_valid_on_partial_2trees(n, seed, tenths):
-    g = gen_partial_2tree(n, tenths / 10, seed)
-    td = reduce_width2(g)
-    validate_decomposition(g, td)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(3, 25), st.integers(0, 10), st.integers(0, 10**6)),
-        min_size=1,
-        max_size=3,
-    ),
-    st.integers(0, 4),
-    st.integers(0, 10**6),
-)
-def test_reduce_width2_keeps_only_maximal_bags(parts, isolated, seed):
-    # relabelled disjoint union of partial 2-trees plus isolated vertices
-    edges, n = [], 0
-    for size, tenths, part_seed in parts:
-        part = gen_partial_2tree(size, tenths / 10, part_seed)
-        edges += [(u + n, v + n) for u, v in part.edges()]
-        n += size
-    n += isolated
-    perm = list(range(n))
-    random.Random(seed).shuffle(perm)
-    g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
-    td = reduce_width2(g)
-    validate_decomposition(g, td)
-    for i, a in enumerate(td.bags):
-        assert not any(a <= b for j, b in enumerate(td.bags) if j != i)
-
-
-def test_reduce_width2_relabelled_fan():
-    # hub 4 joined to every vertex of the path 6-0-3-7-1-5-2, which the
-    # digest corpus never covers: its graphs are not relabelled
-    path = [6, 0, 3, 7, 1, 5, 2]
-    fan = Graph.from_edges(8, [(4, v) for v in path] + list(zip(path, path[1:])))
-    assert reduce_width2(fan).to_json() == {
-        "bags": [[3, 4, 7], [0, 3, 4], [0, 4, 6], [1, 4, 7], [1, 4, 5], [2, 4, 5]],
-        "tree_edges": [[0, 1], [0, 3], [1, 2], [3, 4], [4, 5]],
-    }
-
-
 @st.composite
 def elimination_inputs(draw):
     """(graph, whether it holds a K4), over the elimination's cases, relabelled.
@@ -218,6 +140,8 @@ def elimination_inputs(draw):
 @given(elimination_inputs())
 @example((Graph.from_edges(0, []), False))
 @example((K4, True))
+# with a pendant path 3-4-5-6 the path is eliminated first, and K4 still stalls
+@example((Graph.from_edges(7, K4.edges() + [(3, 4), (4, 5), (5, 6)]), True))
 def test_eliminate_matches_reference(instance):
     g, has_k4 = instance
     if has_k4:
@@ -229,106 +153,25 @@ def test_eliminate_matches_reference(instance):
         assert decomposition._eliminate(g) == expected
 
 
-def test_validator_catches_missing_edge():
-    td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),))
-    with pytest.raises(InvalidDecomposition, match=r"^edge \(0, 2\) is in no bag$"):
-        validate_decomposition(K3, td)
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.integers(3, 40), st.integers(0, 10**6), st.integers(0, 4))
-def test_validator_edge_cover_matches_definition(n, seed, extra):
-    # a valid decomposition of g, checked against g plus a few random edges
-    g = gen_partial_2tree(n, 0.6, seed)
-    td = reduce_width2(g)
-    rng = random.Random(seed)
-    added = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(extra)]
-    wider = Graph.from_edges(n, g.edges() + added)
-    covered = {(u, v) for bag in td.bags for u in bag for v in bag if u < v}
-    missing = [e for e in wider.edges() if e not in covered]
-    if missing:
-        u, v = missing[0]
-        with pytest.raises(InvalidDecomposition, match=rf"^edge \({u}, {v}\) is in no bag$"):
-            validate_decomposition(wider, td)
-    else:
-        validate_decomposition(wider, td)
-
-
-def test_validator_catches_disconnected_vertex_set():
-    td = TreeDecomposition(
-        (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})),
-        ((0, 1), (1, 2)),
-    )
-    # vertex 0 sits in bags 0 and 2, which are not adjacent
-    with pytest.raises(InvalidDecomposition):
-        validate_decomposition(K3, td)
-
-
-def test_validator_names_vertex_with_disconnected_bags():
-    # path 0-1-2-3 rooted at bag 0: vertex 3 tops bags 1 and 3, not bag 2
-    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    td = TreeDecomposition(
-        (frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({2}), frozenset({2, 3})),
-        ((0, 1), (1, 2), (2, 3)),
-    )
-    with pytest.raises(
-        InvalidDecomposition, match=r"^bags containing vertex 3 are not connected$"
-    ):
-        validate_decomposition(path, td)
-
-
-def test_validator_names_first_vertex_in_no_bag():
-    # vertex 1 is in no bag; vertex 2's bags are not connected, but 1 comes first
-    g = Graph.from_edges(4, [])
-    td = TreeDecomposition(
-        (frozenset({0, 2}), frozenset({3}), frozenset({2})), ((0, 1), (1, 2))
-    )
-    with pytest.raises(InvalidDecomposition, match=r"^vertex 1 is in no bag$"):
-        validate_decomposition(g, td)
-
-
-def test_validator_catches_oversized_bag():
-    td = TreeDecomposition((frozenset({0, 1, 2, 3}),), ())
-    with pytest.raises(InvalidDecomposition, match=r"^bag \[0, 1, 2, 3\] exceeds size 3$"):
-        validate_decomposition(K4, td)
-
-
-ALL3 = frozenset({0, 1, 2})
-
-
-@pytest.mark.parametrize(
-    "bags, tree_edges, message",
-    [
-        ((), (), r"^decomposition has no nodes$"),
-        ((frozenset({0, 7}),), (), r"^bag vertex 7 out of range$"),
-        ((ALL3, frozenset({0})), (), r"^tree edge count is not nodes-1$"),
-        ((ALL3, frozenset({0})), ((0, 0),), r"^bad tree edge \(0, 0\)$"),
-        ((ALL3, frozenset({0}), frozenset({1})), ((0, 1), (0, 1)), r"^tree is not connected$"),
-        ((ALL3, 5), ((0, 1),), r"^bag 5 is not a set of vertices$"),
-        ((ALL3, frozenset({0})), ((0,),), r"^tree edge \(0,\) is not a pair of nodes$"),
-        ((ALL3, frozenset({0})), ((0, 1, 2),), r"^tree edge \(0, 1, 2\) is not a pair of nodes$"),
-        (5, (), r"^bags 5 are not a collection of bags$"),
-        ((ALL3, frozenset({0})), 5, r"^tree edges 5 are not a collection of pairs$"),
-    ],
-)
-def test_validator_names_broken_tree(bags, tree_edges, message):
-    with pytest.raises(InvalidDecomposition, match=message):
-        validate_decomposition(K3, TreeDecomposition(bags, tree_edges))
-
-
-@pytest.mark.parametrize(
-    "bags, tree_edges, message",
-    [
-        ((frozenset({"a"}),), (), r"^bag entry must be an integer, got 'a'$"),
-        # True == 1, so without the type check this passes as a bag of K3
-        ((frozenset({0, True, 2}),), (), r"^bag entry must be an integer, got True$"),
-        ((ALL3, frozenset({0})), ((0, 1.0),), r"^tree edge endpoint must be an integer, got 1\.0$"),
-        ((ALL3, frozenset({0})), ((True, 0),), r"^tree edge endpoint must be an integer, got True$"),
-    ],
-)
-def test_validator_rejects_non_integer_entries(bags, tree_edges, message):
-    with pytest.raises(InvalidInput, match=message):
-        validate_decomposition(K3, TreeDecomposition(bags, tree_edges))
+@given(elimination_inputs())
+def test_elimination_bags_form_width2_tree(instance):
+    # hung below the bag of its neighbor eliminated first, the bags (v, *N(v))
+    # are a width-2 tree decomposition of g: every edge lies in a bag, and the
+    # bags holding a vertex are connected, topped by its own bag
+    g, has_k4 = instance
+    assume(not has_k4)
+    elim = decomposition._eliminate(g)
+    index = {bag[0]: i for i, bag in enumerate(elim)}
+    assert sorted(index) == list(range(g.n))
+    for bag in elim:
+        assert len(bag) <= 3 and all(index[u] > index[bag[0]] for u in bag[1:])
+        if len(bag) > 1:
+            parent = elim[min(index[u] for u in bag[1:])]
+            assert set(bag[1:]) <= set(parent)
+    for u, v in g.edges():
+        first = elim[min(index[u], index[v])]
+        assert u in first and v in first
 
 
 def test_later_neighbors_last_vertex_empty():
@@ -373,11 +216,6 @@ def test_degeneracy_order_on_partial_2tree():
     pos = order.positions()
     for v in range(g.n):
         assert sum(1 for w in g.adjacency[v] if pos[w] > pos[v]) <= 2
-
-
-def test_td_json_round_trip():
-    td = reduce_width2(C5)
-    assert TreeDecomposition.from_json(td.to_json()) == td
 
 
 def test_peo_json_round_trip():

@@ -19,7 +19,6 @@ from recolor import (
     NoOpStep,
     RecolorError,
     RecoloringSequence,
-    TreeDecomposition,
     audit_best_choice,
     best_choice_recoloring,
     degeneracy_order,
@@ -158,11 +157,10 @@ def test_sequence_json_round_trip():
 LOADERS = (
     Graph.from_json,
     Coloring.from_json,
-    TreeDecomposition.from_json,
     EliminationOrdering.from_json,
     RecoloringSequence.from_json,
 )
-LOADER_KEYS = ("n", "edges", "k", "colors", "bags", "tree_edges", "order", "start", "steps")
+LOADER_KEYS = ("n", "edges", "k", "colors", "order", "start", "steps")
 # Integers stay small, so Graph never allocates a huge n; the floats include
 # infinities and NaN.
 JSON_LIKE = st.recursive(
@@ -197,8 +195,6 @@ def test_loaders_return_or_raise_recolor_error(load, obj):
         (Coloring.from_json, {"k": 5.0, "colors": [1]}),
         (Coloring.from_json, {"k": 5, "colors": [True, 2]}),
         (Coloring.from_json, {"k": 5, "colors": ["1"]}),
-        (TreeDecomposition.from_json, {"bags": [[0, 1.0]], "tree_edges": []}),
-        (TreeDecomposition.from_json, {"bags": [[0], [1]], "tree_edges": [[0, True]]}),
         (EliminationOrdering.from_json, {"order": [1, 0.0]}),
         (RecoloringSequence.from_json, {"start": {"k": 5, "colors": [1]}, "steps": [[0.0, 2]]}),
         (RecoloringSequence.from_json, {"start": {"k": 5, "colors": [1]}, "steps": [[0, 2.5]]}),
