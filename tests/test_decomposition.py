@@ -153,6 +153,15 @@ def test_eliminate_matches_reference(instance):
         assert decomposition._eliminate(g) == expected
 
 
+def test_reduce_width2_k4_rejected():
+    # the elimination that replaced reduce_width2 stalls on K4, also after a
+    # pendant path 3-4-5-6 has been eliminated first
+    k4_path = Graph.from_edges(7, K4.edges() + [(3, 4), (4, 5), (5, 6)])
+    for g in (K4, k4_path):
+        with pytest.raises(NotWidth2, match="degree at least 3"):
+            decomposition._eliminate(g)
+
+
 @settings(max_examples=60, deadline=None)
 @given(elimination_inputs())
 def test_elimination_bags_form_width2_tree(instance):
