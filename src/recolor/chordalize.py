@@ -9,30 +9,31 @@ bridge between 3-colorings, giving a transformation between any two proper
 5-colorings that recolors every vertex a bounded number of times.
 
 Both `merge_same_colored` and the pipeline merge over the bags {v} + N(v) of
-the degree-<=2 elimination of g (`decomposition._eliminate`); the pipeline
-does not build the merged graph h. Hang each bag below the bag of its
-neighbor eliminated first: the bags form a width-2 tree decomposition of g,
-the witness the reduction needs. Each bag lies inside an inclusion-maximal
-one, so the smaller bags bring no same-colored pair to merge and no pair to
-fill that the maximal ones lack: merging over all the bags gives the classes
-and h of merging over the maximal ones alone. A class is eliminated
-with its last member w, and its later neighbors in h are the other classes
-of w's bag (`_elimination_order`). That order is a perfect elimination
-ordering of h. Each vertex's elimination bags form a subtree topped by its
-own bag, and a class's members are linked through shared bags, so a class's
-bags form a subtree topped by its last member's bag. The subtrees of two
-adjacent classes meet in a subtree topped by the earlier class's top bag, so
-the later class has a member in that bag. Each later set has at most 2
-classes, because |N(w)| <= 2, and it is a clique because the bag is filled.
-The greedy 3-coloring reads only those sets, so the walk that finds the order
-colors each class when it first meets it. A class takes its preferred color
-when that color is in 1..3 and no later class holds it, and otherwise the
-smallest color none of them holds; with at most 2 later classes one is always
-free, and the best-choice bound holds for any proper target. The alpha half
-prefers each class's own alpha color and the beta half the first 3-coloring
-at the class's smallest member, so each half moves few vertices and the two
-3-colorings differ on few. The bridge moves only the vertices whose two
-3-colorings differ.
+the degree-<=2 elimination of g (`decomposition._eliminate`). Hang each bag
+below the bag of its neighbor eliminated first: the bags form a width-2 tree
+decomposition of g, the witness the reduction needs. Only the pair (a, b) of
+a bag (v, a, b) can newly merge. The pairs v-a and v-b are edges when v is
+eliminated: an edge of g, which a proper coloring gives two colors, or a fill
+edge, whose pair the earlier bag that made it already tested. A 2-bag holds
+an edge too. A class is eliminated with its last member w, and its later
+neighbors in h are the other classes of w's bag (`_elimination_order`). That
+order is a perfect elimination ordering of h. Each vertex's elimination bags
+form a subtree topped by its own bag, and a class's members are linked
+through shared bags, so a class's bags form a subtree topped by its last
+member's bag. The subtrees of two adjacent classes meet in a subtree topped
+by the earlier class's top bag, so the later class has a member in that bag.
+Each later set has at most 2 classes, because |N(w)| <= 2, and it is a clique
+because the bag is filled. So h's edges are exactly x-later[x]:
+`merge_same_colored` builds h from that table, and the pipeline does not
+build h at all. The greedy 3-coloring reads only those sets, so the walk
+that finds the order colors each class when it first meets it. A class takes
+its preferred color when that color is in 1..3 and no later class holds it,
+and otherwise the smallest color none of them holds; with at most 2 later
+classes one is always free, and the best-choice bound holds for any proper
+target. The alpha half prefers each class's own alpha color and the beta half
+the first 3-coloring at the class's smallest member, so each half moves few
+vertices and the two 3-colorings differ on few. The bridge moves only the
+vertices whose two 3-colorings differ.
 
 The private cores (`_merge_classes`, `_elimination_order`, `_lift`,
 `_two_phase` and `bestchoice._best_choice`) pass plain lists and tuples to
@@ -53,8 +54,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Collection, Sequence
+from typing import Sequence
 
 from .bestchoice import _best_choice
 from .decomposition import _eliminate
@@ -62,6 +62,7 @@ from .errors import (
     ImproperStart,
     ImproperStep,
     InvalidColoring,
+    InvalidInput,
     LiftFailure,
     NoOpStep,
 )
@@ -96,60 +97,45 @@ def merge_same_colored(g: Graph, alpha: Coloring) -> tuple[Graph, MergeMap, Colo
 
     Returns the merged-and-filled graph (chordal, clique number <= 3), the
     merge map, and the inherited coloring, which is proper on the result.
-    Raises NotWidth2 if g has treewidth above 2.
+    The filled bags' edges are x-later[x] over the classes' later table, as
+    the module docstring argues. Raises NotWidth2 if g has treewidth above 2.
     """
     require_proper(g, alpha, alpha.k, "alpha")
     elim = _eliminate(g)
     to_merged, classes, colors_h = _merge_classes(g.n, elim, alpha.colors)
-    edges = set()
-    for bag in elim:
-        edges.update(combinations({to_merged[v] for v in bag}, 2))
+    _, later, _ = _elimination_order(elim, to_merged, colors_h)
     return (
-        Graph.from_edges(len(classes), edges),
+        Graph.from_edges(len(classes), [(x, y) for x, ys in enumerate(later) for y in ys]),
         MergeMap(tuple(to_merged), tuple(map(tuple, classes))),
         Coloring(alpha.k, tuple(colors_h)),
     )
 
 
 def _merge_classes(
-    n: int, bags: Sequence[Collection[int]], colors: Sequence[int]
+    n: int, bags: Sequence[Sequence[int]], colors: Sequence[int]
 ) -> tuple[list[int], list[list[int]], list[int]]:
     """The merge map and inherited colors of merge_same_colored, without h.
 
     Returns to_merged, the classes (ascending, numbered in the order of their
     smallest members) and each class's color. The classes are the connected
-    components of "same color, shared bag" over bags of at most 3 vertices.
-    Merging two classes only renames them inside bags that already held one
-    of them, so merging until no bag repeats a color, in any order, joins
-    exactly these components.
+    components of "same color, shared bag" over the elimination bags. Only
+    the pair (a, b) of a bag (v, a, b) is tested: v's pairs are edges of g,
+    which the proper coloring splits, or fill edges, whose pair the bag that
+    made them tested, and a 2-bag holds an edge.
     """
     # root[v] <= v, and a component's root is its smallest member
     root = list(range(n))
-
-    def union(a: int, b: int) -> None:
-        while root[a] != a:
-            root[a] = a = root[root[a]]
-        while root[b] != b:
-            root[b] = b = root[root[b]]
-        if a < b:
-            root[b] = a
-        else:
-            root[a] = b
-
     for bag in bags:
-        if len(bag) == 3:
-            a, b, c = bag
-            ca, cb, cc = colors[a], colors[b], colors[c]
-            if ca == cb:
-                union(a, b)
-            if ca == cc:
-                union(a, c)
-            if cb == cc:
-                union(b, c)
-        elif len(bag) == 2:
-            a, b = bag
-            if colors[a] == colors[b]:
-                union(a, b)
+        if len(bag) == 3 and colors[bag[1]] == colors[bag[2]]:
+            _, a, b = bag
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a < b:
+                root[b] = a
+            else:
+                root[a] = b
 
     # root[v] < v lies in v's class and was numbered first
     to_merged = [0] * n
@@ -225,7 +211,10 @@ def lift_sequence(
             f"{len(seq_h.start.colors)}-vertex merged sequence"
         )
     outside = [m for m in to_merged if not 0 <= m < size]
-    outside += [m for m, _ in seq_h.steps if not 0 <= m < size]
+    try:
+        outside += [m for m, _ in seq_h.steps if not 0 <= m < size]
+    except (TypeError, ValueError):
+        raise seq_h._malformed_step() from None
     if outside:
         raise LiftFailure(f"merged vertex {outside[0]} is not one of {size} classes")
     inverse: list[list[int]] = [[] for _ in range(size)]
@@ -238,14 +227,18 @@ def lift_sequence(
     if not inverts:
         raise LiftFailure("merge map classes do not invert to_merged")
     colors_h = seq_h.start.colors
-    lifted = RecoloringSequence(
-        Coloring(seq_h.start.k, tuple([colors_h[m] for m in to_merged])),
-        tuple(_lift(seq_h.steps, inverse)),
-    )
+    # a merged vertex that is not an int fails to index its class, and a
+    # color that is not one fails the replay; the merged step is named then
     try:
+        lifted = RecoloringSequence(
+            Coloring(seq_h.start.k, tuple([colors_h[m] for m in to_merged])),
+            tuple(_lift(seq_h.steps, inverse)),
+        )
         verify_sequence(g, lifted)
-    except (ImproperStart, ImproperStep, NoOpStep, InvalidColoring) as exc:
-        raise LiftFailure(f"expanded sequence is invalid on the original graph: {exc}")
+    except (TypeError, ImproperStart, ImproperStep, NoOpStep, InvalidInput) as exc:
+        raise seq_h._malformed_step() or LiftFailure(
+            f"expanded sequence is invalid on the original graph: {exc}"
+        )
     return lifted
 
 

@@ -47,7 +47,7 @@ class Graph:
                 sets[u].add(v)
                 sets[v].add(u)
         except (TypeError, ValueError):
-            raise _malformed_edge(edges) from None
+            raise _malformed_pair(edges, "edge {1!r} is not a pair of vertices") from None
         return Graph(n, tuple(tuple(sorted(s)) for s in sets))
 
     def edges(self) -> list[tuple[int, int]]:
@@ -111,14 +111,16 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
     return True
 
 
-def _malformed_edge(edges: list) -> InvalidInput:
-    """The error naming the first edge that does not unpack into two endpoints."""
-    for edge in edges:
+def _malformed_pair(pairs: Iterable, message: str) -> InvalidInput | None:
+    """The error naming the first of `pairs` that is not a pair of ints, or None."""
+    for i, pair in enumerate(pairs):
         try:
-            _, _ = edge
+            a, b = pair
         except (TypeError, ValueError):
-            return InvalidInput(f"edge {edge!r} is not a pair of vertices")
-    return InvalidInput("every edge must be a pair of vertices")
+            a = b = None
+        if not (isinstance(a, int) and isinstance(b, int)):
+            return InvalidInput(message.format(i, pair))
+    return None
 
 
 def _require_int(name: str, value: object, bound: int | None = None) -> None:
@@ -262,21 +264,13 @@ def greedy_coloring(g: Graph, order: EliminationOrdering) -> Coloring:
     never needs more than 3.
     """
     _require_ordering_of(g, order)
-    colors = _greedy(order.order, g.adjacency)
-    return Coloring(max(colors, default=1), tuple(colors))
-
-
-def _greedy(order: Sequence[int], nbrs: Sequence[Iterable[int]]) -> tuple[int, ...]:
-    """Smallest-available colors along the reverse of `order`, avoiding nbrs[v].
-
-    A neighbor not yet colored holds 0, which no color equals.
-    """
-    colors = [0] * len(nbrs)
+    # a neighbor not yet colored holds 0, which no color equals
+    colors = [0] * g.n
     color_of = colors.__getitem__
-    for v in reversed(order):
-        used = set(map(color_of, nbrs[v]))
+    for v in reversed(order.order):
+        used = set(map(color_of, g.adjacency[v]))
         c = 1
         while c in used:
             c += 1
         colors[v] = c
-    return tuple(colors)
+    return Coloring(max(colors, default=1), tuple(colors))

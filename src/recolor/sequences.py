@@ -33,11 +33,12 @@ from .errors import (
     ImproperStart,
     ImproperStep,
     InvalidColoring,
+    InvalidInput,
     NoOpStep,
     OmegaTooLarge,
     _json_loader,
 )
-from .graphs import Coloring, Graph, _json_int, is_proper
+from .graphs import Coloring, Graph, _json_int, _malformed_pair, is_proper
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,11 @@ class RecoloringSequence:
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    def _malformed_step(self) -> InvalidInput | None:
+        """The error naming the first step that is not a pair of ints, or None."""
+        message = "step {0} {1!r} is not a (vertex, color) pair of integers"
+        return _malformed_pair(self.steps, message)
 
     def to_json(self) -> dict:
         return {"start": self.start.to_json(), "steps": [[v, c] for v, c in self.steps]}
@@ -75,17 +81,22 @@ def _replay(g: Graph, seq: RecoloringSequence) -> Coloring:
     """verify_sequence's step loop, for a start coloring already known to be proper."""
     k = seq.start.k
     cur = list(seq.start.colors)
-    for i, (v, c) in enumerate(seq.steps):
-        if not (0 <= v < g.n):
-            raise InvalidColoring(f"step {i} recolors unknown vertex {v}")
-        if not (1 <= c <= k):
-            raise InvalidColoring(f"step {i} uses color {c} outside 1..{k}")
-        if cur[v] == c:
-            raise NoOpStep(i, f"vertex {v} already has color {c}")
-        for w in g.adjacency[v]:
-            if cur[w] == c:
-                raise ImproperStep(i, f"vertex {v} -> {c} collides with neighbor {w}")
-        cur[v] = c
+    # a step that is not a pair of ints fails to unpack, compare or index;
+    # only then are the steps scanned again, to name it
+    try:
+        for i, (v, c) in enumerate(seq.steps):
+            if not (0 <= v < g.n):
+                raise InvalidColoring(f"step {i} recolors unknown vertex {v}")
+            if not (1 <= c <= k):
+                raise InvalidColoring(f"step {i} uses color {c} outside 1..{k}")
+            if cur[v] == c:
+                raise NoOpStep(i, f"vertex {v} already has color {c}")
+            for w in g.adjacency[v]:
+                if cur[w] == c:
+                    raise ImproperStep(i, f"vertex {v} -> {c} collides with neighbor {w}")
+            cur[v] = c
+    except (TypeError, ValueError):
+        raise seq._malformed_step() from None
     return Coloring(k, tuple(cur))
 
 

@@ -134,6 +134,34 @@ def eliminate_reference(g: Graph) -> list[tuple[int, list[int]]]:
     return elim
 
 
+def merge_reference(g: Graph, alpha) -> tuple[Graph, list[list[int]], tuple[int, ...]]:
+    """merge_same_colored from the definition: h, the classes and the inherited colors.
+
+    Every same-colored pair of every bag of `eliminate_reference(g)` is joined,
+    then every bag is filled with the classes it holds. A class is labelled by
+    its smallest member, and the classes are numbered in that order.
+    """
+    colors = alpha.colors
+    bags = [(v, *nb) for v, nb in eliminate_reference(g)]
+    label = list(range(g.n))
+    for bag in bags:
+        for u, w in combinations(bag, 2):
+            if colors[u] == colors[w] and label[u] != label[w]:
+                old, new = max(label[u], label[w]), min(label[u], label[w])
+                label = [new if x == old else x for x in label]
+    index = {x: i for i, x in enumerate(sorted(set(label)))}
+    classes = [[] for _ in index]
+    for v, x in enumerate(label):
+        classes[index[x]].append(v)
+    edges = {
+        (index[label[u]], index[label[w]])
+        for bag in bags
+        for u, w in combinations(bag, 2)
+        if label[u] != label[w]
+    }
+    return Graph.from_edges(len(classes), edges), classes, tuple(colors[c[0]] for c in classes)
+
+
 def brute_is_chordal(g: Graph) -> bool:
     """No vertex subset of size >= 4 induces a cycle. Exponential; n <= 10."""
     adj = [set(a) for a in g.adjacency]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from recolor import (
     ImproperStep,
     InvalidColoring,
     InvalidInput,
+    MergeMap,
     NoOpStep,
     RecolorError,
     RecoloringSequence,
@@ -25,6 +27,7 @@ from recolor import (
     gen_chordal_omega3,
     gen_partial_2tree,
     greedy_coloring,
+    lift_sequence,
     mcs_order,
     random_proper_coloring,
     verify_sequence,
@@ -34,6 +37,7 @@ from recolor.sequences import _compact, _undo
 import helpers
 
 K2 = Graph.from_edges(2, [(0, 1)])
+P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 PEO01 = EliminationOrdering((0, 1))
 
 
@@ -71,6 +75,18 @@ def test_verify_rejects_step_out_of_range():
     ):
         with pytest.raises(InvalidColoring, match=message):
             verify_sequence(K2, seq_of(3, (1, 2), [step]))
+
+
+@pytest.mark.parametrize("step", [(0.0, 3), ("0", 3), (0, "3"), (0,), (0, 3, 4)])
+def test_malformed_step_is_named(step):
+    # after one valid step the error names index 1; lift_sequence expands that
+    # step over the class {0, 2}, so a lifted index would read 2
+    message = rf"^step 1 {re.escape(repr(step))} is not a \(vertex, color\) pair of integers$"
+    with pytest.raises(InvalidInput, match=message):
+        verify_sequence(K2, seq_of(3, (1, 2), [(0, 3), step]))
+    seq_h = seq_of(5, (1, 2), [(0, 3), step])
+    with pytest.raises(InvalidInput, match=message):
+        lift_sequence(seq_h, MergeMap((0, 1, 0), ((0, 2), (1,))), P3)
 
 
 def test_verify_rejects_improper_start():
