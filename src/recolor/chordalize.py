@@ -37,9 +37,9 @@ vertices whose two 3-colorings differ.
 
 The private cores (`_merge_classes`, `_elimination_order`, `_lift`,
 `_two_phase` and `bestchoice._best_choice`) pass plain lists and tuples to
-each other and check nothing. Validated dataclasses (`Coloring`, `MergeMap`,
-`RecoloringSequence`) are built only at the public entry points, each of
-which checks its inputs, runs the cores and replays its result once.
+each other and check nothing. The value types (`Coloring`, `MergeMap`,
+`RecoloringSequence`) check their own fields when built; each public entry
+point checks only how its inputs relate, runs the cores and replays once.
 `pipeline_theorem` joins its three parts (alpha to gamma1, the bridge, the
 undone beta half) into one step list, compacts it once and replays it once.
 The compaction (`sequences._compact`) drops a vertex's step when no neighbor
@@ -66,7 +66,7 @@ from .errors import (
     LiftFailure,
     NoOpStep,
 )
-from .graphs import Coloring, Graph, _require_int, _require_ints, require_proper
+from .graphs import Coloring, Graph, _require_int, require_proper
 from .sequences import RecoloringSequence, _compact, _replayed, _undo, verify_sequence
 
 PER_VERTEX_CHORDAL_BOUND = 542
@@ -84,6 +84,19 @@ class MergeMap:
 
     to_merged: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        to_merged, classes = self.to_merged, self.classes
+        if not (isinstance(to_merged, tuple) and isinstance(classes, tuple)):
+            raise InvalidInput("merge map's to_merged and classes must be tuples")
+        size = len(classes)
+        inverse: list[list[int]] = [[] for _ in range(size)]
+        for v, m in enumerate(to_merged):
+            if type(m) is not int or not 0 <= m < size:
+                raise InvalidInput(f"merged vertex {m!r} is not one of {size} classes")
+            inverse[m].append(v)
+        if classes != tuple(map(tuple, inverse)):
+            raise InvalidInput("merge map classes do not invert to_merged")
 
     def to_json(self) -> dict:
         return {
@@ -193,52 +206,31 @@ def lift_sequence(
 ) -> RecoloringSequence:
     """Expand a merged-graph sequence back to the original graph.
 
-    Each merged step becomes one step per class member, ascending. The map's
-    classes must be exactly the vertex sets that to_merged sends to each
-    class, ascending. The result is verified on g; failure means the inputs
-    violated the merge contract.
+    Each merged step becomes one step per class member, ascending. The map
+    must fit g and seq_h. The result is verified on g; failure means the
+    inputs violated the merge contract.
     """
     to_merged, classes = merge_map.to_merged, merge_map.classes
-    try:
-        size = len(classes)
-        _require_ints("merged vertex", to_merged)
-    except TypeError:
-        raise LiftFailure("merge map's to_merged and classes must be sequences") from None
+    size = len(classes)
     if len(to_merged) != g.n or len(seq_h.start.colors) != size:
         raise LiftFailure(
             f"merge map of {len(to_merged)} vertices onto {size} classes "
             f"does not fit a {g.n}-vertex graph and a "
             f"{len(seq_h.start.colors)}-vertex merged sequence"
         )
-    outside = [m for m in to_merged if not 0 <= m < size]
-    try:
-        outside += [m for m, _ in seq_h.steps if not 0 <= m < size]
-    except (TypeError, ValueError):
-        raise seq_h._malformed_step() from None
+    # a negative merged vertex would index, and lift, the wrong class
+    outside = [m for m, _ in seq_h.steps if not 0 <= m < size]
     if outside:
         raise LiftFailure(f"merged vertex {outside[0]} is not one of {size} classes")
-    inverse: list[list[int]] = [[] for _ in range(size)]
-    for v, m in enumerate(to_merged):
-        inverse[m].append(v)
-    try:
-        inverts = [list(c) for c in classes] == inverse
-    except TypeError:
-        inverts = False
-    if not inverts:
-        raise LiftFailure("merge map classes do not invert to_merged")
     colors_h = seq_h.start.colors
-    # a merged vertex that is not an int fails to index its class, and a
-    # color that is not one fails the replay; the merged step is named then
+    lifted = RecoloringSequence(
+        Coloring(seq_h.start.k, tuple([colors_h[m] for m in to_merged])),
+        tuple(_lift(seq_h.steps, classes)),
+    )
     try:
-        lifted = RecoloringSequence(
-            Coloring(seq_h.start.k, tuple([colors_h[m] for m in to_merged])),
-            tuple(_lift(seq_h.steps, inverse)),
-        )
         verify_sequence(g, lifted)
-    except (TypeError, ImproperStart, ImproperStep, NoOpStep, InvalidInput) as exc:
-        raise seq_h._malformed_step() or LiftFailure(
-            f"expanded sequence is invalid on the original graph: {exc}"
-        )
+    except (ImproperStart, ImproperStep, NoOpStep) as exc:
+        raise LiftFailure(f"expanded sequence is invalid on the original graph: {exc}") from exc
     return lifted
 
 

@@ -35,6 +35,8 @@ class EliminationOrdering:
     order: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.order, tuple):
+            raise InvalidInput(f"order must be a tuple, got {self.order!r}")
         _require_ints("ordering entry", self.order)
         if sorted(self.order) != list(range(len(self.order))):
             raise InvalidInput("ordering is not a permutation of 0..n-1")

@@ -78,6 +78,8 @@ class Coloring:
 
     def __post_init__(self):
         _require_int("k", self.k, 1)
+        if not isinstance(self.colors, tuple):
+            raise InvalidInput(f"colors must be a tuple, got {self.colors!r}")
         # one C pass over the colors' types, then, once all are ints (a bool is
         # not), one over their few distinct values; the loop runs only to name
         # the first color that is not an int in 1..k
@@ -118,7 +120,7 @@ def _malformed_pair(pairs: Iterable, message: str) -> InvalidInput | None:
             a, b = pair
         except (TypeError, ValueError):
             a = b = None
-        if not (isinstance(a, int) and isinstance(b, int)):
+        if type(a) is not int or type(b) is not int:
             return InvalidInput(message.format(i, pair))
     return None
 

@@ -1,13 +1,15 @@
 """Recoloring sequences: replay, compaction and structural audits.
 
-A sequence is a start coloring plus ordered (vertex, new_color) steps. Every
-step must change its vertex's color and every intermediate coloring must stay
-proper; `verify_sequence` enforces both. The audit checks the structural
-properties that every greedily built sequence from `bestchoice` satisfies:
-no immediate re-recoloring, a per-vertex count bound driven by saved steps,
-and color distinctness around tight alternation patterns. The audit reads
-each vertex's out-neighbors N+(v) from one `later_neighbors` table per call,
-and rejects an ordering that gives any vertex more than two of them.
+A sequence is a start coloring plus ordered (vertex, new_color) steps, each a
+pair of ints with a color in 1..k, as `RecoloringSequence` checks when built.
+Every step must change its vertex's color and every intermediate coloring must
+stay proper; `verify_sequence` enforces both. The audit checks the structural
+properties that every greedily built sequence from `bestchoice` satisfies: no
+immediate re-recoloring, a per-vertex count bound driven by saved steps, and
+color distinctness around tight alternation patterns. Its core `_audit` reads
+each vertex's out-neighbors N+(v) from one `later_neighbors` table, which
+`audit_best_choice` builds once per call and rejects if it gives any vertex
+more than two of them.
 
 Every audit rule is read off the gaps between consecutive steps of v in its
 restriction, the steps of v and N+(v) in sequence order. An out-neighbor step
@@ -46,13 +48,28 @@ class RecoloringSequence:
     start: Coloring
     steps: tuple[tuple[int, int], ...]
 
+    def __post_init__(self):
+        start, steps = self.start, self.steps
+        if not isinstance(start, Coloring):
+            raise InvalidInput(f"sequence start must be a Coloring, got {start!r}")
+        if not isinstance(steps, tuple):
+            raise InvalidInput(f"sequence steps must be a tuple, got {steps!r}")
+        k = start.k
+        # only when a step is not a pair of ints are the steps scanned again, to name it
+        try:
+            for i, (v, c) in enumerate(steps):
+                if type(v) is not int or type(c) is not int:
+                    break
+                if not 0 < c <= k:
+                    raise InvalidColoring(f"step {i} uses color {c} outside 1..{k}")
+            else:
+                return
+        except (TypeError, ValueError):
+            pass
+        raise _malformed_pair(steps, "step {0} {1!r} is not a (vertex, color) pair of integers")
+
     def __len__(self) -> int:
         return len(self.steps)
-
-    def _malformed_step(self) -> InvalidInput | None:
-        """The error naming the first step that is not a pair of ints, or None."""
-        message = "step {0} {1!r} is not a (vertex, color) pair of integers"
-        return _malformed_pair(self.steps, message)
 
     def to_json(self) -> dict:
         return {"start": self.start.to_json(), "steps": [[v, c] for v, c in self.steps]}
@@ -79,25 +96,17 @@ def verify_sequence(g: Graph, seq: RecoloringSequence) -> Coloring:
 
 def _replay(g: Graph, seq: RecoloringSequence) -> Coloring:
     """verify_sequence's step loop, for a start coloring already known to be proper."""
-    k = seq.start.k
     cur = list(seq.start.colors)
-    # a step that is not a pair of ints fails to unpack, compare or index;
-    # only then are the steps scanned again, to name it
-    try:
-        for i, (v, c) in enumerate(seq.steps):
-            if not (0 <= v < g.n):
-                raise InvalidColoring(f"step {i} recolors unknown vertex {v}")
-            if not (1 <= c <= k):
-                raise InvalidColoring(f"step {i} uses color {c} outside 1..{k}")
-            if cur[v] == c:
-                raise NoOpStep(i, f"vertex {v} already has color {c}")
-            for w in g.adjacency[v]:
-                if cur[w] == c:
-                    raise ImproperStep(i, f"vertex {v} -> {c} collides with neighbor {w}")
-            cur[v] = c
-    except (TypeError, ValueError):
-        raise seq._malformed_step() from None
-    return Coloring(k, tuple(cur))
+    for i, (v, c) in enumerate(seq.steps):
+        if not (0 <= v < g.n):
+            raise InvalidColoring(f"step {i} recolors unknown vertex {v}")
+        if cur[v] == c:
+            raise NoOpStep(i, f"vertex {v} already has color {c}")
+        for w in g.adjacency[v]:
+            if cur[w] == c:
+                raise ImproperStep(i, f"vertex {v} -> {c} collides with neighbor {w}")
+        cur[v] = c
+    return Coloring(seq.start.k, tuple(cur))
 
 
 def _replayed(g: Graph, start: Coloring, steps: list, end: tuple) -> RecoloringSequence:
@@ -224,10 +233,22 @@ def audit_best_choice(
         v = next(v for v, later in enumerate(outs) if len(later) > 2)
         raise OmegaTooLarge(f"vertex {v} has {len(outs[v])} later neighbors")
     verify_sequence(g, seq)
-    steps = seq.steps
-    n = g.n
+    report = _audit(outs, seq.start.colors, seq.steps)
+    if strict and report.violations:
+        raise report.violations[0]
+    return report
 
-    at: list[list[int]] = [[] for _ in range(n)]
+
+def _audit(
+    outs: Sequence[Sequence[int]], start: Sequence[int], steps: Sequence[tuple[int, int]]
+) -> AuditReport:
+    """audit_best_choice's report, without checking its inputs or replaying the steps.
+
+    `outs` is the later-neighbor table of a perfect elimination ordering with
+    at most two later neighbors per vertex, and `steps` a valid sequence from
+    the colors `start`.
+    """
+    at: list[list[int]] = [[] for _ in range(len(outs))]
     for t, (x, _) in enumerate(steps):
         at[x].append(t)
     counts = list(map(len, at))
@@ -261,7 +282,7 @@ def audit_best_choice(
             violations.append(AuditViolation(v, RULE_BOUND, None, detail))
 
         if len(outs[v]) == 2:
-            colors = [seq.start.colors[v]] + [steps[t][1] for t in at[v]]
+            colors = [start[v]] + [steps[t][1] for t in at[v]]
             for j, (p, q) in enumerate(pairs):
                 between = trace[p + 1 : q]
                 if (
@@ -277,8 +298,6 @@ def audit_best_choice(
                         )
                         violations.append(AuditViolation(v, RULE_DISTINCT, idxs[q], detail))
 
-    if strict and violations:
-        raise violations[0]
     return AuditReport(
         tuple(counts), tuple(saved_counts), tuple(out_step_counts), tuple(violations)
     )

@@ -11,6 +11,8 @@ from collections import Counter
 import pytest
 
 from recolor import (
+    EliminationOrdering,
+    RecoloringSequence,
     bfs_distance,
     best_choice_recoloring,
     audit_best_choice,
@@ -20,11 +22,13 @@ from recolor import (
     gen_partial_2tree,
     greedy_coloring,
     mcs_order,
+    merge_same_colored,
     pipeline_theorem,
     random_proper_coloring,
     two_phase_transform,
     verify_sequence,
 )
+from recolor import chordalize, sequences
 from recolor.chordalize import PER_VERTEX_CHORDAL_BOUND, PER_VERTEX_PIPELINE_BOUND
 
 CHORDAL_INSTANCES = 500
@@ -116,6 +120,47 @@ def test_criterion_4_audit_suite(chordal_corpus):
     print(
         f"\ncriterion 4 PASS: audits clean on all {len(chordal_corpus)} "
         f"sequences ({total_violations} violations)"
+    )
+
+
+def test_criterion_4_audit_of_pipeline_halves(monkeypatch):
+    # each half of the pipeline runs best choice on its merged graph h, which
+    # it never builds; record the arguments and steps of exactly those runs
+    halves = []
+    best_choice = chordalize._best_choice
+
+    def recording(order, later, start, target, k):
+        steps = best_choice(order, later, start, target, k)
+        halves.append((order, later, start, steps))
+        return steps
+
+    monkeypatch.setattr(chordalize, "_best_choice", recording)
+    audited = worst = 0
+    for n in (50, 400, 1600):
+        for seed in range(4):
+            for g in (gen_partial_2tree(n, 0.6, seed), gen_2tree(n, seed)):
+                order = degeneracy_order(g)
+                alpha = random_proper_coloring(g, order, 5, 2 * seed + 1)
+                beta = random_proper_coloring(g, order, 5, 2 * seed + 2)
+                halves.clear()
+                pipeline_theorem(g, alpha, beta)
+                assert len(halves) == 2
+                for (order_h, later, start, steps), coloring in zip(halves, (alpha, beta)):
+                    report = sequences._audit(later, start, steps)
+                    assert report.clean
+                    worst = max(worst, max(report.counts, default=0))
+                    # the core on the later table agrees with the public audit
+                    # on the h that merge_same_colored builds
+                    h, _, coloring_h = merge_same_colored(g, coloring)
+                    assert coloring_h.colors == tuple(start)
+                    seq_h = RecoloringSequence(coloring_h, tuple(steps))
+                    peo_h = EliminationOrdering(tuple(order_h))
+                    assert audit_best_choice(seq_h, peo_h, h, strict=False) == report
+                    audited += 1
+    assert worst <= PER_VERTEX_CHORDAL_BOUND
+    print(
+        f"\ncriterion 4 PASS: audits clean on all {audited} pipeline halves, "
+        f"max per-class count {worst} <= {PER_VERTEX_CHORDAL_BOUND}"
     )
 
 

@@ -186,7 +186,7 @@ def test_lift_failure_on_map_for_another_graph():
         lift_sequence(seq_h, merge_map, Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
     with pytest.raises(LiftFailure, match="does not fit"):
         lift_sequence(RecoloringSequence(Coloring(5, (1, 2, 1)), ()), merge_map, P3)
-    with pytest.raises(LiftFailure, match="merged vertex 5 is not"):
+    with pytest.raises(InvalidInput, match="merged vertex 5 is not"):
         lift_sequence(seq_h, MergeMap((0, 5), ((0,), (1,))), k2)
 
 
@@ -209,11 +209,13 @@ def test_lift_failure_on_step_outside_classes():
         ((True, 0, 1), ((1,), (0, 2))),
         # the classes disagree with to_merged: the lift would end elsewhere
         ((0, 1, 0), ((0,), (1, 2))),
+        # -1 indexes the last class, so without the range check this map passes
+        ((0, 1, -1), ((0,), (1, 2))),
     ],
 )
 def test_lift_rejects_malformed_merge_map(to_merged, classes):
     seq_h = RecoloringSequence(Coloring(5, (1, 2)), ((0, 3),))
-    with pytest.raises((LiftFailure, InvalidInput)):
+    with pytest.raises(InvalidInput):
         lift_sequence(seq_h, MergeMap(to_merged, classes), P3)
 
 

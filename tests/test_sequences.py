@@ -77,16 +77,64 @@ def test_verify_rejects_step_out_of_range():
             verify_sequence(K2, seq_of(3, (1, 2), [step]))
 
 
-@pytest.mark.parametrize("step", [(0.0, 3), ("0", 3), (0, "3"), (0,), (0, 3, 4)])
+@pytest.mark.parametrize(
+    "step", [(0.0, 3), ("0", 3), (0, "3"), (0,), (0, 3, 4), (0, 3.0), (True, 3)]
+)
 def test_malformed_step_is_named(step):
     # after one valid step the error names index 1; lift_sequence expands that
-    # step over the class {0, 2}, so a lifted index would read 2
+    # step over the class {0, 2}, so a lifted index would read 2. The sequence
+    # is rejected when it is built, before the step after it
     message = rf"^step 1 {re.escape(repr(step))} is not a \(vertex, color\) pair of integers$"
+    steps = [(0, 3), step, (0, 1)]
     with pytest.raises(InvalidInput, match=message):
-        verify_sequence(K2, seq_of(3, (1, 2), [(0, 3), step]))
-    seq_h = seq_of(5, (1, 2), [(0, 3), step])
+        verify_sequence(K2, seq_of(3, (1, 2), steps))
     with pytest.raises(InvalidInput, match=message):
-        lift_sequence(seq_h, MergeMap((0, 1, 0), ((0, 2), (1,))), P3)
+        lift_sequence(seq_of(5, (1, 2), steps), MergeMap((0, 1, 0), ((0, 2), (1,))), P3)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Coloring(5, None), "colors"),
+        (lambda: EliminationOrdering(None), "order"),
+        (lambda: verify_sequence(K2, RecoloringSequence(Coloring(3, (1, 2)), None)), "steps"),
+        (lambda: verify_sequence(K2, RecoloringSequence((1, 2), ())), "start"),
+    ],
+)
+def test_malformed_field_is_named(build, field):
+    with pytest.raises(InvalidInput, match=rf"\b{field} must be a"):
+        build()
+
+
+JUNK = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.floats(-2, 6)
+    | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-1, 3), st.integers(0, 6)) | JUNK, max_size=5))
+def test_junk_steps_build_or_raise_invalid_input(steps):
+    # junk steps: floats, bools, strings, None, nested tuples and tuples of
+    # any arity, among pairs of ints that may lie out of range
+    try:
+        seq = seq_of(5, (1, 2), steps)
+    except InvalidInput:
+        return
+    assert all(type(v) is int and type(c) is int and 1 <= c <= 5 for v, c in seq.steps)
+    for run in (
+        lambda: verify_sequence(K2, seq),
+        lambda: lift_sequence(seq, MergeMap((0, 1, 0), ((0, 2), (1,))), P3),
+    ):
+        try:
+            run()
+        except RecolorError:
+            pass
 
 
 def test_verify_rejects_improper_start():
