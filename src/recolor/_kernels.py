@@ -5,12 +5,16 @@ k^v), so in C order the digit of vertex v is axis n-1-v of a `(k,)*n` array.
 
 Three searches run over the proper states. `reach_count` only counts a
 component, and does it densely, closing the reached set along one axis at a
-time. `bfs_levels` (every distance from one source) and `bfs_meet` (one
-distance) are sparse frontier searches that rewrite one digit of each
-frontier code per (vertex, colour) batch.
+time, and stops as soon as the count is complete. `bfs_levels` (every
+distance from one source) and `bfs_meet` (one distance) are sparse frontier
+searches that rewrite one digit of each frontier code (`_rewrites`): a small
+frontier for every (vertex, colour) pair in one broadcast, a large one per
+pair.
 
 This is the package's only numpy importer. `oracle` imports it inside each
 call, so numpy loads on the first oracle call and never for the pipeline.
+None of these kernels writes to `proper`, which the oracle shares between
+calls as a read-only array.
 """
 
 from __future__ import annotations
@@ -41,13 +45,30 @@ def proper_mask(n: int, k: int, edges) -> np.ndarray:
     return mask
 
 
+# Most candidate codes one broadcast of `_rewrites` may hold (256 KiB of int64)
+_BATCH = 1 << 15
+
+
 def _rewrites(frontier: np.ndarray, n: int, k: int):
     """Every code one digit away from a frontier code, or equal to it.
 
-    Yields one array per (vertex, colour) batch, n*k batches in all; each
-    rewrites the vertex's digit of every frontier code to that colour.
+    A frontier whose n*k rewrites fit in `_BATCH` codes yields them in one
+    array, from one broadcast laid out (vertex, colour, code), so the inner
+    loop runs over the frontier: this saves the Python overhead of n*k
+    batches on the many small levels. A larger frontier yields one array per
+    (vertex, colour), so a search marks the states each batch reaches before
+    it gathers the next and the later batches of the level skip them; one
+    broadcast over all n*k pairs would keep every repeat until the sort, and
+    made full searches slower.
     """
-    for pv in k ** np.arange(n, dtype=np.int64):
+    weights = k ** np.arange(n, dtype=np.int64)
+    if frontier.size * n * k <= _BATCH:
+        w = weights[:, None]
+        base = frontier - frontier // w % k * w
+        colours = (np.arange(k, dtype=np.int64) * w)[:, :, None]
+        yield (base[:, None, :] + colours).reshape(-1)
+        return
+    for pv in weights:
         base = frontier - ((frontier // pv) % k) * pv
         for d in range(k):
             yield base + d * pv
@@ -71,7 +92,7 @@ def bfs_levels(start: int, proper: np.ndarray, n: int, k: int) -> np.ndarray:
     """
     dist = np.full(proper.shape[0], -1, dtype=np.int32)
     dist[start] = 0
-    # proper and not yet reached: one gather per (vertex, colour) batch, and a
+    # proper and not yet reached: one gather per batch of `_rewrites`, and a
     # state accepted by one batch is skipped by the later batches of its level
     fresh = proper.copy()
     fresh[start] = False
@@ -112,7 +133,9 @@ def reach_count(start: int, proper: np.ndarray, n: int, k: int) -> int:
     line's k slices and ANDing the result, broadcast, with `proper`. Every
     state it adds is one move from a reached state, and a sweep that adds
     nothing leaves the set closed under moves, so sweeps repeat until one adds
-    nothing or every proper state is reached; the count is exact.
+    nothing or every proper state is reached; the count is exact. The set is
+    counted after each half of a sweep too, so a component that is complete
+    halfway skips the other half.
 
     An axis is cheap to sweep when its slices are long runs: the high
     ceil(n/2) digits are swept in the natural `(k^hi, k^lo)` layout, and the
@@ -133,6 +156,8 @@ def reach_count(start: int, proper: np.ndarray, n: int, k: int) -> int:
     while count < total:
         for v in range(lo, n):
             _close_lines(reached, proper, line, k ** (n - 1 - v), k, k**v)
+        if np.count_nonzero(reached) == total:
+            return total
         np.copyto(flipped, grid.T)
         for v in range(lo):
             _close_lines(flat, flat_proper, line, k ** (lo - 1 - v), k, k ** (hi + v))
@@ -149,9 +174,9 @@ def bfs_meet(start: int, goal: int, proper: np.ndarray, n: int, k: int) -> int |
 
     Grows a ball around each endpoint one whole level at a time, always the
     side with the smaller frontier, and stops at the first candidate the other
-    side has reached. One int8 `mark` array holds -1 for improper states, 0 for
-    unseen ones, 1 for states reached from `start` and 2 for states reached
-    from `goal`.
+    side has reached. The one k^n array it allocates is an int8 `mark`: -1 for
+    improper states, 0 for unseen ones, 1 for states reached from `start` and
+    2 for states reached from `goal`.
 
     Exactness: let the balls have radii a and b. Before each expansion they
     are disjoint, so the distance is more than a + b (a shortest path would

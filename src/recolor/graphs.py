@@ -47,7 +47,7 @@ class Graph:
                 sets[u].add(v)
                 sets[v].add(u)
         except (TypeError, ValueError):
-            raise _malformed_pair(edges, "edge {1!r} is not a pair of vertices") from None
+            raise _malformed_edge(edges) from None
         return Graph(n, tuple(tuple(sorted(s)) for s in sets))
 
     def edges(self) -> list[tuple[int, int]]:
@@ -113,15 +113,15 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
     return True
 
 
-def _malformed_pair(pairs: Iterable, message: str) -> InvalidInput | None:
-    """The error naming the first of `pairs` that is not a pair of ints, or None."""
-    for i, pair in enumerate(pairs):
+def _malformed_edge(edges: Iterable) -> InvalidInput | None:
+    """The error naming the first of `edges` that is not a pair of ints, or None."""
+    for edge in edges:
         try:
-            a, b = pair
+            a, b = edge
         except (TypeError, ValueError):
             a = b = None
         if type(a) is not int or type(b) is not int:
-            return InvalidInput(message.format(i, pair))
+            return InvalidInput(f"edge {edge!r} is not a pair of vertices")
     return None
 
 

@@ -13,6 +13,10 @@ the reached set line by line on a dense mask and never calls `bfs_levels`.
 `reconfig_diameter` needs every distance from a source and runs full searches
 (`_kernels.bfs_levels`), one per start `_kernels.orbit_sources` picks.
 
+All three share the properness mask of the last graph and k they were called
+on (`_proper_states`): one read-only mask of at most `state_cap` bytes, so
+`bfs_distance` followed by `reconfig_connected` on one graph builds it once.
+
 numpy loads only with `_kernels`, which each function here imports when it
 is called, so `import recolor` and the constructive pipeline never load it.
 """
@@ -48,16 +52,31 @@ def decode_state(code: int, n: int, k: int) -> Coloring:
     return Coloring(k, tuple(colors))
 
 
+# (key, mask) of the last mask built, keyed on (n, k, edges)
+_last_mask: tuple = (None, None)
+
+
 def _proper_states(g: Graph, k: int, state_cap: int):
-    """Properness mask over all k^n packed states, after checking k and the cap."""
+    """Read-only properness mask over all k^n packed states, after checking k and the cap.
+
+    The checks run before the cache lookup, so a hit still obeys a smaller
+    cap. The key holds the edge list, as a `Graph` built with list rows
+    cannot be hashed.
+    """
+    global _last_mask
     _require_int("k", k, 1)
     _require_int("state cap", state_cap, 1)
     if k**g.n > state_cap:
         raise TooLarge(f"{k}^{g.n} states exceed the cap of {state_cap}")
     if k**g.n > sys.maxsize:
         raise TooLarge(f"{k}^{g.n} states exceed numpy's largest array index")
-    from . import _kernels
-    return _kernels.proper_mask(g.n, k, g.edges())
+    key = (g.n, k, tuple(g.edges()))
+    if _last_mask[0] != key:
+        from . import _kernels
+        mask = _kernels.proper_mask(g.n, k, key[2])
+        mask.flags.writeable = False
+        _last_mask = (key, mask)
+    return _last_mask[1]
 
 
 def bfs_distance(

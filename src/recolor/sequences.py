@@ -1,15 +1,15 @@
 """Recoloring sequences: replay, compaction and structural audits.
 
 A sequence is a start coloring plus ordered (vertex, new_color) steps, each a
-pair of ints with a color in 1..k, as `RecoloringSequence` checks when built.
-Every step must change its vertex's color and every intermediate coloring must
-stay proper; `verify_sequence` enforces both. The audit checks the structural
-properties that every greedily built sequence from `bestchoice` satisfies: no
-immediate re-recoloring, a per-vertex count bound driven by saved steps, and
-color distinctness around tight alternation patterns. Its core `_audit` reads
-each vertex's out-neighbors N+(v) from one `later_neighbors` table, which
-`audit_best_choice` builds once per call and rejects if it gives any vertex
-more than two of them.
+tuple of two ints with a color in 1..k, as `RecoloringSequence` checks when
+built. Every step must change its vertex's color and every intermediate
+coloring must stay proper; `verify_sequence` enforces both. The audit checks
+the structural properties that every greedily built sequence from `bestchoice`
+satisfies: no immediate re-recoloring, a per-vertex count bound driven by
+saved steps, and color distinctness around tight alternation patterns. Its
+core `_audit` reads each vertex's out-neighbors N+(v) from one
+`later_neighbors` table, which `audit_best_choice` builds once per call and
+rejects if it gives any vertex more than two of them.
 
 Every audit rule is read off the gaps between consecutive steps of v in its
 restriction, the steps of v and N+(v) in sequence order. An out-neighbor step
@@ -40,7 +40,7 @@ from .errors import (
     OmegaTooLarge,
     _json_loader,
 )
-from .graphs import Coloring, Graph, _json_int, _malformed_pair, is_proper
+from .graphs import Coloring, Graph, _json_int, is_proper
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,21 @@ class RecoloringSequence:
         if not isinstance(steps, tuple):
             raise InvalidInput(f"sequence steps must be a tuple, got {steps!r}")
         k = start.k
-        # only when a step is not a pair of ints are the steps scanned again, to name it
+        # a step must be a tuple: any other iterable could be empty at replay
         try:
-            for i, (v, c) in enumerate(steps):
+            for i, step in enumerate(steps):
+                if type(step) is not tuple:
+                    break
+                v, c = step
                 if type(v) is not int or type(c) is not int:
                     break
                 if not 0 < c <= k:
                     raise InvalidColoring(f"step {i} uses color {c} outside 1..{k}")
             else:
                 return
-        except (TypeError, ValueError):
+        except ValueError:
             pass
-        raise _malformed_pair(steps, "step {0} {1!r} is not a (vertex, color) pair of integers")
+        raise InvalidInput(f"step {i} {steps[i]!r} is not a (vertex, color) pair of integers")
 
     def __len__(self) -> int:
         return len(self.steps)

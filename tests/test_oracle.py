@@ -29,7 +29,7 @@ from recolor import (
     reconfig_diameter,
 )
 import recolor
-from recolor import _kernels
+from recolor import _kernels, oracle
 
 import helpers
 
@@ -223,6 +223,93 @@ def test_reconfig_connected_peak_below_five_bytes_per_state():
         finally:
             tracemalloc.stop()
         assert peak < 5 * 5**8, (s, peak / 5**8)
+
+
+def test_bfs_meet_peak_below_three_bytes_per_state():
+    # the int8 mark (one byte per state) plus one level's candidates: a small
+    # frontier's one broadcast holds at most _BATCH codes, a large one's
+    # batches one code per frontier state
+    cases = []
+    for s in range(5):
+        g = gen_partial_2tree(8, 0.7, s)
+        order = degeneracy_order(g)
+        ends = (random_proper_coloring(g, order, 5, s + x) for x in (1, 2))
+        cases.append((g, *(encode_coloring(c, 5) for c in ends)))
+    cases.append((Graph.from_edges(8, []), 0, 5**8 - 1))
+    for g, a, b in cases:
+        mask = _kernels.proper_mask(g.n, 5, g.edges())
+        tracemalloc.start()
+        try:
+            assert _kernels.bfs_meet(a, b, mask, g.n, 5) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 5**8, (g.edges(), peak / 5**8)
+
+
+def test_searches_with_frontiers_past_one_broadcast():
+    # from (1, ..., 1) the edgeless graph's level j holds C(7, j) * 3^j
+    # states, so the searches rewrite small frontiers in one broadcast and
+    # large ones per (vertex, colour)
+    g, k = Graph.from_edges(7, []), 4
+    src = (1,) * 7
+    want = helpers.naive_all_distances(g, k, src)
+    sizes = np.bincount(list(want.values()))
+    assert sizes[1] * g.n * k <= _kernels._BATCH < sizes.max() * g.n * k
+    mask = _kernels.proper_mask(g.n, k, g.edges())
+    expected = np.full(k**g.n, -1, dtype=np.int32)
+    for colors, d in want.items():
+        expected[_code(colors, k)] = d
+    assert np.array_equal(_kernels.bfs_levels(_code(src, k), mask, g.n, k), expected)
+    for far in ((4,) * 7, (2, 3, 4, 2, 3, 4, 2), (1, 1, 2, 3, 4, 4, 4)):
+        got = bfs_distance(g, k, Coloring(k, src), Coloring(k, far))
+        assert got == helpers.naive_bfs_distance(g, k, src, far) == want[far]
+
+
+def _oracle_results(g, k, fresh):
+    """Distance, connectivity and diameter on g; with `fresh`, each from a newly built mask."""
+    order = degeneracy_order(g)
+    a, b = (random_proper_coloring(g, order, k, s) for s in (1, 2))
+    results = []
+    for call in (
+        lambda: bfs_distance(g, k, a, b),
+        lambda: reconfig_connected(g, k),
+        lambda: reconfig_diameter(g, k),
+    ):
+        if fresh:
+            oracle._last_mask = (None, None)
+        results.append(call())
+    return results
+
+
+def test_mask_cache_keeps_results(monkeypatch):
+    built = []
+    build = _kernels.proper_mask
+    monkeypatch.setattr(_kernels, "proper_mask", lambda *a: built.append(a) or build(*a))
+    ga, gb = gen_partial_2tree(5, 0.8, 2), gen_partial_2tree(5, 0.4, 7)
+    assert ga.edges() != gb.edges()
+    want = {g: _oracle_results(g, 4, fresh=True) for g in (ga, gb)}
+    connected_at_5 = _oracle_results(ga, 5, fresh=True)[1]
+    oracle._last_mask = (None, None)
+    built.clear()
+    # A, B, A: each switch of graph builds a mask, and calls on one graph share it
+    for g in (ga, gb, ga):
+        assert _oracle_results(g, 4, fresh=False) == want[g]
+    # the same graph at another k misses the cache, and so does the switch back
+    assert reconfig_connected(ga, 5) == connected_at_5
+    assert reconfig_connected(ga, 4) == want[ga][1]
+    assert [k for _, k, _ in built] == [4, 4, 4, 5, 4]
+
+
+def test_mask_cache_keeps_the_cap_and_is_read_only():
+    g = gen_partial_2tree(6, 0.7, 1)
+    assert reconfig_connected(g, 5)
+    with pytest.raises(TooLarge, match=r"5\^6 states exceed the cap of 15624"):
+        reconfig_connected(g, 5, 5**6 - 1)
+    mask = oracle._proper_states(g, 5, 5**6)
+    assert mask is oracle._proper_states(g, 5, 5**6)
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0] = not mask[0]
 
 
 def _first_appearance(code, n, k):

@@ -78,7 +78,7 @@ def test_verify_rejects_step_out_of_range():
 
 
 @pytest.mark.parametrize(
-    "step", [(0.0, 3), ("0", 3), (0, "3"), (0,), (0, 3, 4), (0, 3.0), (True, 3)]
+    "step", [(0.0, 3), ("0", 3), (0, "3"), (0,), (0, 3, 4), (0, 3.0), (True, 3), [0, 3]]
 )
 def test_malformed_step_is_named(step):
     # after one valid step the error names index 1; lift_sequence expands that
@@ -90,6 +90,15 @@ def test_malformed_step_is_named(step):
         verify_sequence(K2, seq_of(3, (1, 2), steps))
     with pytest.raises(InvalidInput, match=message):
         lift_sequence(seq_of(5, (1, 2), steps), MergeMap((0, 1, 0), ((0, 2), (1,))), P3)
+
+
+def test_one_shot_iterator_step_is_rejected():
+    # an iterator would pass one unpacking when the sequence is built and be
+    # empty when it is replayed, so a step must be a tuple
+    step = iter([0, 3])
+    with pytest.raises(InvalidInput, match=r"^step 0 <.*> is not a \(vertex, color\) pair"):
+        verify_sequence(K2, RecoloringSequence(Coloring(3, (1, 2)), (step,)))
+    assert next(step) == 0
 
 
 @pytest.mark.parametrize(
