@@ -52,8 +52,6 @@ from .graphs import (
 from .oracle import (
     DEFAULT_STATE_CAP,
     bfs_distance,
-    decode_state,
-    encode_coloring,
     reconfig_connected,
     reconfig_diameter,
 )

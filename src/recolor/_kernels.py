@@ -5,11 +5,11 @@ k^v), so in C order the digit of vertex v is axis n-1-v of a `(k,)*n` array.
 
 Three searches run over the proper states. `reach_count` only counts a
 component, and does it densely, closing the reached set along one axis at a
-time, and stops as soon as the count is complete. `bfs_levels` (every
-distance from one source) and `bfs_meet` (one distance) are sparse frontier
-searches that rewrite one digit of each frontier code (`_rewrites`): a small
-frontier for every (vertex, colour) pair in one broadcast, a large one per
-pair.
+time, and stops as soon as the count is complete. `bfs_levels` (the depth
+and size of one source's component) and `bfs_meet` (one distance) are sparse
+frontier searches that rewrite one digit of each frontier code
+(`_rewrites`): a small frontier for every (vertex, colour) pair in one
+broadcast, a large one per pair.
 
 This is the package's only numpy importer. `oracle` imports it inside each
 call, so numpy loads on the first oracle call and never for the pipeline.
@@ -84,22 +84,22 @@ def _union(parts: list) -> np.ndarray:
     return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
 
 
-def bfs_levels(start: int, proper: np.ndarray, n: int, k: int) -> np.ndarray:
+def bfs_levels(start: int, proper: np.ndarray, n: int, k: int) -> tuple[int, int]:
     """BFS over proper states reachable from `start` by single-digit changes.
 
-    Returns the distance to every state, -1 where unreachable, as int32: four
-    bytes per state, so a caller that only needs the count uses `reach_count`.
+    Returns `(levels, reached)`: the index of the last non-empty level, which
+    is the largest distance from `start`, and the number of states reached.
+    Its one k^n array is the bool `fresh` mark, so a search takes about one
+    byte per state plus a level's candidates.
     """
-    dist = np.full(proper.shape[0], -1, dtype=np.int32)
-    dist[start] = 0
     # proper and not yet reached: one gather per batch of `_rewrites`, and a
     # state accepted by one batch is skipped by the later batches of its level
     fresh = proper.copy()
     fresh[start] = False
     frontier = np.array([start], dtype=np.int64)
     level = 0
+    reached = 1
     while True:
-        level += 1
         parts = []
         for cand in _rewrites(frontier, n, k):
             cand = cand[fresh[cand]]
@@ -107,9 +107,10 @@ def bfs_levels(start: int, proper: np.ndarray, n: int, k: int) -> np.ndarray:
                 fresh[cand] = False
                 parts.append(cand)
         if not parts:
-            return dist
+            return level, reached
         frontier = _union(parts)
-        dist[frontier] = level
+        level += 1
+        reached += frontier.size
 
 
 def _close_lines(reached, proper, line, outer: int, k: int, inner: int) -> None:

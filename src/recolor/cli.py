@@ -80,6 +80,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.coloring is not None and args.expect_final is not None:
+        raise InvalidInput("--expect-final needs --seq")
     g = _read(args.graph, Graph)
     if args.coloring is not None:
         col = _read(args.coloring, Coloring)

@@ -25,7 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InvalidInput, NotWidth2, _json_loader
-from .graphs import Graph, _json_int, _require_ints, _require_ordering_of
+from .graphs import Graph, _require_ints, _require_ordering_of
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class EliminationOrdering:
     @staticmethod
     @_json_loader
     def from_json(obj: dict) -> "EliminationOrdering":
-        return EliminationOrdering(tuple(map(_json_int, obj["order"])))
+        return EliminationOrdering(tuple(obj["order"]))
 
 
 def _pop_order(g: Graph, key: list[int]) -> list[int]:

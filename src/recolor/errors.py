@@ -81,9 +81,11 @@ class AuditViolation(RecolorError):
 def _json_loader(load):
     """Make a from_json raise InvalidInput for a malformed dict.
 
-    A missing key, a value of the wrong shape or a non-integer where an
-    integer belongs (`graphs._json_int`) surfaces as KeyError, TypeError or
-    ValueError inside the loader; each becomes InvalidInput naming the loader.
+    A missing key or a value of the wrong shape surfaces as KeyError,
+    TypeError or ValueError inside the loader; each becomes InvalidInput
+    naming the loader. The loaders pass JSON values to the value types as
+    they are, so a float, bool or string where an integer belongs is the
+    value type's own InvalidInput.
     """
 
     @wraps(load)

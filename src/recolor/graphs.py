@@ -63,10 +63,11 @@ class Graph:
     @staticmethod
     @_json_loader
     def from_json(obj: dict) -> "Graph":
-        n = _json_int(obj["n"])
+        n = obj["n"]
+        _require_int("vertex count", n, 0)
         if n > MAX_JSON_VERTICES:
             raise InvalidInput(f"graph declares {n} vertices, above {MAX_JSON_VERTICES}")
-        return Graph.from_edges(n, [(_json_int(u), _json_int(v)) for u, v in obj["edges"]])
+        return Graph.from_edges(n, obj["edges"])
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class Coloring:
     @staticmethod
     @_json_loader
     def from_json(obj: dict) -> "Coloring":
-        return Coloring(_json_int(obj["k"]), tuple(map(_json_int, obj["colors"])))
+        return Coloring(obj["k"], tuple(obj["colors"]))
 
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
@@ -138,13 +139,6 @@ def _require_ints(name: str, values: Sequence[object]) -> None:
     if not set(map(type, values)) <= {int}:
         bad = next(v for v in values if type(v) is not int)
         raise InvalidInput(f"{name} must be an integer, got {bad!r}")
-
-
-def _json_int(value: object) -> int:
-    """`value` if it is a JSON integer; a float, bool or string raises TypeError."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
 
 
 def require_proper(g: Graph, coloring: Coloring, max_color: int, name: str) -> None:

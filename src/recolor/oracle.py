@@ -9,9 +9,10 @@ cross-validate the constructive transformations.
 and stops where the two balls meet (`_kernels.bfs_meet`). `reconfig_connected`
 needs no distance, only the size of one component: the proper states that
 differ in one vertex's colour form a clique, so `_kernels.reach_count` closes
-the reached set line by line on a dense mask and never calls `bfs_levels`.
-`reconfig_diameter` needs every distance from a source and runs full searches
-(`_kernels.bfs_levels`), one per start `_kernels.orbit_sources` picks.
+the reached set line by line on a dense mask. `reconfig_diameter` needs each
+source's eccentricity and whether it reaches every state, so it runs full
+searches (`_kernels.bfs_levels`) that return only the depth and the count,
+one per start `_kernels.orbit_sources` picks.
 
 All three share the properness mask of the last graph and k they were called
 on (`_proper_states`): one read-only mask of at most `state_cap` bytes, so
@@ -25,31 +26,21 @@ from __future__ import annotations
 
 import sys
 
-from .errors import InvalidColoring, InvalidInput, TooLarge
+from .errors import TooLarge
 from .graphs import Coloring, Graph, _require_int, require_proper
 
 DEFAULT_STATE_CAP = 2_000_000
 
 
-def encode_coloring(coloring: Coloring, k: int) -> int:
+def _encode(colors: tuple[int, ...], k: int) -> int:
+    """The packed state of `colors` (digit of vertex v = colour - 1, weight k^v).
+
+    Unchecked: the caller has run `require_proper` with this k on the colouring.
+    """
     code = 0
-    weight = 1
-    for c in coloring.colors:
-        if c > k:
-            raise InvalidColoring(f"color {c} outside 1..{k}")
-        code += (c - 1) * weight
-        weight *= k
+    for c in reversed(colors):
+        code = code * k + c - 1
     return code
-
-
-def decode_state(code: int, n: int, k: int) -> Coloring:
-    if n < 0 or k < 1 or not 0 <= code < k**n:
-        raise InvalidInput(f"state {code} is not a code for n={n} vertices and k={k} colors")
-    colors = []
-    for _ in range(n):
-        colors.append(code % k + 1)
-        code //= k
-    return Coloring(k, tuple(colors))
 
 
 # (key, mask) of the last mask built, keyed on (n, k, edges)
@@ -91,7 +82,7 @@ def bfs_distance(
     mask = _proper_states(g, k, state_cap)
     require_proper(g, alpha, k, "alpha")
     require_proper(g, beta, k, "beta")
-    return _kernels.bfs_meet(encode_coloring(alpha, k), encode_coloring(beta, k), mask, g.n, k)
+    return _kernels.bfs_meet(_encode(alpha.colors, k), _encode(beta.colors, k), mask, g.n, k)
 
 
 def reconfig_connected(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> bool:
@@ -120,9 +111,8 @@ def reconfig_diameter(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> i
         return None
     best = 0
     for src in _kernels.orbit_sources(mask, g.n, k):
-        dist = _kernels.bfs_levels(int(src), mask, g.n, k)
-        if int((dist >= 0).sum()) != total:
+        levels, reached = _kernels.bfs_levels(int(src), mask, g.n, k)
+        if reached != total:
             return None
-        best = max(best, int(dist.max()))
+        best = max(best, levels)
     return best
-

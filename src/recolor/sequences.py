@@ -40,7 +40,7 @@ from .errors import (
     OmegaTooLarge,
     _json_loader,
 )
-from .graphs import Coloring, Graph, _json_int, is_proper
+from .graphs import Coloring, Graph, is_proper
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,8 @@ class RecoloringSequence:
     @staticmethod
     @_json_loader
     def from_json(obj: dict) -> "RecoloringSequence":
-        return RecoloringSequence(
-            Coloring.from_json(obj["start"]),
-            tuple((_json_int(v), _json_int(c)) for v, c in obj["steps"]),
-        )
+        start = Coloring.from_json(obj["start"])
+        return RecoloringSequence(start, tuple(map(tuple, obj["steps"])))
 
 
 def verify_sequence(g: Graph, seq: RecoloringSequence) -> Coloring:

@@ -204,6 +204,7 @@ def test_bad_input_is_one_error_line(tmp_path, capsys):
         ("check", "--graph", str(path3), "--coloring", str(float_colors)),
         ("check", "--graph", missing, "--coloring", str(c)),
         ("check", "--graph", str(path3), "--seq", str(seq3), "--expect-final", missing),
+        ("check", "--graph", str(path3), "--coloring", str(a3), "--expect-final", str(b3)),
         ("pipeline", "--graph", str(path3), "--alpha", str(a3), "--beta", missing,
          "--out", str(tmp_path / "out.json")),
         ("bench", "--family", "chordal-omega3", "--sizes", "a,b",

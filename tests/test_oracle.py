@@ -17,11 +17,8 @@ from recolor import (
     InvalidInput,
     TooLarge,
     bfs_distance,
-    decode_state,
     degeneracy_order,
-    encode_coloring,
     gen_2tree,
-    gen_chordal_omega3,
     gen_partial_2tree,
     pipeline_theorem,
     random_proper_coloring,
@@ -72,6 +69,9 @@ def test_distance_unreachable_is_none():
 def test_distance_rejects_improper_inputs():
     with pytest.raises(InvalidColoring):
         bfs_distance(P3, 3, Coloring(3, (1, 1, 1)), Coloring(3, (1, 2, 1)))
+    # the packed state holds colours 1..k only; the check runs before packing
+    with pytest.raises(InvalidColoring, match="^alpha uses colors above 3$"):
+        bfs_distance(P3, 3, Coloring(5, (1, 4, 1)), Coloring(3, (1, 2, 1)))
 
 
 def test_state_cap_guard():
@@ -129,20 +129,6 @@ def test_diameter_small_instance_k4_vs_k5():
     assert reconfig_diameter(g, 5) == 7
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 10**5))
-def test_encode_decode_round_trip(n, seed):
-    g = gen_chordal_omega3(n, seed)
-    col = random_proper_coloring(g, degeneracy_order(g), 5, seed)
-    assert decode_state(encode_coloring(col, 5), g.n, 5).colors == col.colors
-
-
-def test_encode_coloring_rejects_colors_above_k():
-    with pytest.raises(InvalidInput, match=r"^color 5 outside 1\.\.3$"):
-        encode_coloring(Coloring(5, (5,)), 3)
-    assert encode_coloring(Coloring(5, (3, 1)), 3) == 2
-
-
 @settings(max_examples=10, deadline=None)
 @given(st.integers(3, 6), st.integers(0, 10**5))
 def test_distance_never_exceeds_pipeline_length(n, seed):
@@ -181,11 +167,8 @@ def test_kernels_match_brute_force(g, k, pick):
     if not proper:
         return
     src = proper[pick % len(proper)]
-    dist = _kernels.bfs_levels(_code(src, k), mask, g.n, k)
-    want = np.full(k**g.n, -1, dtype=np.int32)
-    for colors, d in helpers.naive_all_distances(g, k, src).items():
-        want[_code(colors, k)] = d
-    assert dist.dtype == np.int32 and np.array_equal(dist, want)
+    reach = helpers.naive_all_distances(g, k, src)
+    assert _kernels.bfs_levels(_code(src, k), mask, g.n, k) == (max(reach.values()), len(reach))
 
 
 P5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -234,7 +217,7 @@ def test_bfs_meet_peak_below_three_bytes_per_state():
         g = gen_partial_2tree(8, 0.7, s)
         order = degeneracy_order(g)
         ends = (random_proper_coloring(g, order, 5, s + x) for x in (1, 2))
-        cases.append((g, *(encode_coloring(c, 5) for c in ends)))
+        cases.append((g, *(_code(c.colors, 5) for c in ends)))
     cases.append((Graph.from_edges(8, []), 0, 5**8 - 1))
     for g, a, b in cases:
         mask = _kernels.proper_mask(g.n, 5, g.edges())
@@ -247,6 +230,23 @@ def test_bfs_meet_peak_below_three_bytes_per_state():
         assert peak < 3 * 5**8, (g.edges(), peak / 5**8)
 
 
+def test_bfs_levels_peak_below_four_bytes_per_state():
+    # the bool `fresh` mark (one byte per state) plus one level's candidates,
+    # where an int32 distance per state would take four bytes alone
+    for s in range(5):
+        g = gen_partial_2tree(8, 0.7, s)
+        start = random_proper_coloring(g, degeneracy_order(g), 5, s)
+        mask = _kernels.proper_mask(g.n, 5, g.edges())
+        tracemalloc.start()
+        try:
+            levels, reached = _kernels.bfs_levels(_code(start.colors, 5), mask, g.n, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reached == _kernels.count(mask) and levels > 0
+        assert peak < 4 * 5**8, (s, peak / 5**8)
+
+
 def test_searches_with_frontiers_past_one_broadcast():
     # from (1, ..., 1) the edgeless graph's level j holds C(7, j) * 3^j
     # states, so the searches rewrite small frontiers in one broadcast and
@@ -257,10 +257,7 @@ def test_searches_with_frontiers_past_one_broadcast():
     sizes = np.bincount(list(want.values()))
     assert sizes[1] * g.n * k <= _kernels._BATCH < sizes.max() * g.n * k
     mask = _kernels.proper_mask(g.n, k, g.edges())
-    expected = np.full(k**g.n, -1, dtype=np.int32)
-    for colors, d in want.items():
-        expected[_code(colors, k)] = d
-    assert np.array_equal(_kernels.bfs_levels(_code(src, k), mask, g.n, k), expected)
+    assert _kernels.bfs_levels(_code(src, k), mask, g.n, k) == (max(want.values()), len(want))
     for far in ((4,) * 7, (2, 3, 4, 2, 3, 4, 2), (1, 1, 2, 3, 4, 4, 4)):
         got = bfs_distance(g, k, Coloring(k, src), Coloring(k, far))
         assert got == helpers.naive_bfs_distance(g, k, src, far) == want[far]
@@ -354,8 +351,9 @@ def test_distance_matches_full_bfs_and_naive_search(g, k, pick_a, pick_b):
     a, b = proper[pick_a % len(proper)], proper[pick_b % len(proper)]
     got = bfs_distance(g, k, Coloring(k, a), Coloring(k, b))
     mask = _kernels.proper_mask(g.n, k, g.edges())
-    full = int(_kernels.bfs_levels(_code(a, k), mask, g.n, k)[_code(b, k)])
-    assert got == (None if full < 0 else full) == helpers.naive_bfs_distance(g, k, a, b)
+    reach = helpers.naive_all_distances(g, k, a)
+    assert _kernels.bfs_levels(_code(a, k), mask, g.n, k) == (max(reach.values()), len(reach))
+    assert got == reach.get(b) == helpers.naive_bfs_distance(g, k, a, b)
 
 
 @settings(max_examples=30, deadline=None)
@@ -390,13 +388,6 @@ def test_oracle_rejects_states_beyond_numpy_indexing():
         reconfig_connected(g, 5, cap)
     with pytest.raises(TooLarge, match=r"5\^30 states exceed numpy"):
         reconfig_diameter(g, 5, cap)
-
-
-def test_decode_state_rejects_bad_arguments():
-    for code, n, k in ((0, -1, 5), (-1, 3, 0), (-1, 3, 5), (10**9, 3, 5), (125, 3, 5)):
-        with pytest.raises(InvalidInput):
-            decode_state(code, n, k)
-    assert decode_state(124, 3, 5).colors == (5, 5, 5)
 
 
 def test_one_color_on_more_vertices_than_numpy_axes():

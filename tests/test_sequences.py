@@ -258,23 +258,31 @@ def test_loaders_return_or_raise_recolor_error(load, obj):
         pass
 
 
+# each value type names the value it rejects; the loaders pass JSON values on as they are
+FLOAT_AND_BOOL_CASES = [
+    (Graph.from_json, {"n": 3.9, "edges": []}, "vertex count must be an integer, got 3.9"),
+    (Graph.from_json, {"n": 3, "edges": [[0.2, 1.7]]}, "edge endpoint must be an integer, got 0.2"),
+    (Graph.from_json, {"n": True, "edges": []}, "vertex count must be an integer, got True"),
+    (Coloring.from_json, {"k": 5, "colors": [1.5, 2.9, 1]}, "color 1.5 outside 1..5"),
+    (Coloring.from_json, {"k": 5.0, "colors": [1]}, "k must be an integer, got 5.0"),
+    (Coloring.from_json, {"k": 5, "colors": [True, 2]}, "color True outside 1..5"),
+    (Coloring.from_json, {"k": 5, "colors": ["1"]}, "color '1' outside 1..5"),
+    (EliminationOrdering.from_json, {"order": [1, 0.0]},
+     "ordering entry must be an integer, got 0.0"),
+    (RecoloringSequence.from_json, {"start": {"k": 5, "colors": [1]}, "steps": [[0.0, 2]]},
+     "step 0 (0.0, 2) is not a (vertex, color) pair of integers"),
+    (RecoloringSequence.from_json, {"start": {"k": 5, "colors": [1]}, "steps": [[0, 2.5]]},
+     "step 0 (0, 2.5) is not a (vertex, color) pair of integers"),
+]
+
+
 @pytest.mark.parametrize(
-    "load, obj",
-    [
-        (Graph.from_json, {"n": 3.9, "edges": []}),
-        (Graph.from_json, {"n": 3, "edges": [[0.2, 1.7]]}),
-        (Graph.from_json, {"n": True, "edges": []}),
-        (Coloring.from_json, {"k": 5, "colors": [1.5, 2.9, 1]}),
-        (Coloring.from_json, {"k": 5.0, "colors": [1]}),
-        (Coloring.from_json, {"k": 5, "colors": [True, 2]}),
-        (Coloring.from_json, {"k": 5, "colors": ["1"]}),
-        (EliminationOrdering.from_json, {"order": [1, 0.0]}),
-        (RecoloringSequence.from_json, {"start": {"k": 5, "colors": [1]}, "steps": [[0.0, 2]]}),
-        (RecoloringSequence.from_json, {"start": {"k": 5, "colors": [1]}, "steps": [[0, 2.5]]}),
-    ],
+    "load, obj, message",
+    FLOAT_AND_BOOL_CASES,
+    ids=[f"from_json-obj{i}" for i in range(len(FLOAT_AND_BOOL_CASES))],
 )
-def test_loaders_reject_floats_and_booleans(load, obj):
-    with pytest.raises(InvalidInput, match="expected an integer"):
+def test_loaders_reject_floats_and_booleans(load, obj, message):
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         load(obj)
 
 
