@@ -1,7 +1,9 @@
 """Hot kernels for the exhaustive state-space search, vectorized with numpy.
 
-Colorings are packed as base-k integers (digit of vertex v = color-1, weight
-k^v), so in C order the digit of vertex v is axis n-1-v of a `(k,)*n` array.
+This module owns the state space. Colorings are packed as base-k integers
+(`encode`: digit of vertex v = color-1, weight k^v), so in C order the digit
+of vertex v is axis n-1-v of a `(k,)*n` array. `state_space` keeps the last
+read-only properness mask with its count of proper states, counted once.
 
 Three searches run over the proper states. `reach_count` only counts a
 component, and does it densely, closing the reached set along one axis at a
@@ -12,19 +14,34 @@ frontier searches that rewrite one digit of each frontier code
 broadcast, a large one per pair.
 
 This is the package's only numpy importer. `oracle` imports it inside each
-call, so numpy loads on the first oracle call and never for the pipeline.
-None of these kernels writes to `proper`, which the oracle shares between
-calls as a read-only array.
+call, after its checks, so numpy never loads for the pipeline.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
-def count(mask: np.ndarray) -> int:
-    """Number of True entries; np.count_nonzero is several times faster than mask.sum()."""
-    return int(np.count_nonzero(mask))
+def encode(colors: tuple[int, ...], k: int) -> int:
+    """The packed state of `colors`; unchecked, the caller has run `require_proper` with k."""
+    code = 0
+    for c in reversed(colors):
+        code = code * k + c - 1
+    return code
+
+
+@lru_cache(maxsize=1)
+def state_space(n: int, k: int, edges: tuple) -> tuple[np.ndarray, int]:
+    """The read-only `proper_mask` of (n, k, edges) and its number of proper states.
+
+    Only the last one is kept: k^n bytes. `edges` is a tuple, as a `Graph`
+    built with list rows cannot be hashed.
+    """
+    mask = proper_mask(n, k, edges)
+    mask.flags.writeable = False
+    return mask, int(np.count_nonzero(mask))
 
 
 def proper_mask(n: int, k: int, edges) -> np.ndarray:
@@ -125,8 +142,8 @@ def _close_lines(reached, proper, line, outer: int, k: int, inner: int) -> None:
     np.logical_and(hit[:, None, :], proper.reshape(outer, k, inner), out=view)
 
 
-def reach_count(start: int, proper: np.ndarray, n: int, k: int) -> int:
-    """Number of proper states reachable from the proper `start` by single-digit changes.
+def reach_count(start: int, proper: np.ndarray, total: int, n: int, k: int) -> int:
+    """How many of the `total` proper states the proper `start` reaches by single-digit changes.
 
     States that differ only in vertex v's digit are pairwise adjacent, so the
     proper states on one line along axis v form a clique: once one is reached,
@@ -145,7 +162,6 @@ def reach_count(start: int, proper: np.ndarray, n: int, k: int) -> int:
     copied between layouts into preallocated arrays, with no temporary.
     """
     lo, hi = n // 2, n - n // 2
-    total = int(np.count_nonzero(proper))
     reached = np.zeros_like(proper)
     reached[start] = True
     grid = reached.reshape(k**hi, k**lo)

@@ -164,6 +164,8 @@ def _cmd_oracle(args) -> int:
         print("connected" if reconfig_connected(g, args.k, args.state_cap) else "disconnected")
         return 0
     d = reconfig_diameter(g, args.k, args.state_cap)
+    if d is None and reconfig_connected(g, args.k, args.state_cap):
+        d = "no proper colorings"
     print("disconnected" if d is None else d)
     return 0
 

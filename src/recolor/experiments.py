@@ -34,7 +34,7 @@ from .graphs import (
     greedy_coloring,
     random_proper_coloring,
 )
-from .oracle import DEFAULT_STATE_CAP, bfs_distance
+from .oracle import DEFAULT_STATE_CAP, _within, bfs_distance
 from .sequences import audit_best_choice
 
 CSV_SCHEMA_VERSION = 1
@@ -129,7 +129,7 @@ def _run_instance(
             else:
                 seq = pipeline_theorem(g, src, dst)
             _measure(rec, seq)
-            if config.cross_check and k**g.n <= config.state_cap:
+            if config.cross_check and _within(k, g.n, config.state_cap):
                 d = bfs_distance(g, k, src, dst, config.state_cap)
                 rec.bfs_distance = d
                 if d is None or d > len(seq.steps):

@@ -118,6 +118,8 @@ def test_pipeline_and_oracle(tmp_path, capsys):
     _write(k3, {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]})
     _write(rainbow, {"k": 3, "colors": [1, 2, 3]})
     _write(shifted, {"k": 3, "colors": [2, 3, 1]})
+    g8 = tmp_path / "g8.json"
+    assert run("gen", "--family", "partial-2tree", "--n", "8", "--seed", "1", "--out", str(g8)) == 0
     assert run(
         "pipeline", "--graph", str(g), "--alpha", str(a), "--beta", str(b),
         "--out", str(seq),
@@ -140,12 +142,17 @@ def test_pipeline_and_oracle(tmp_path, capsys):
         ("connected", "--graph", str(k3), "--k", "3"),
         ("diameter", "--graph", str(k3), "--k", "3"),
         ("diameter", "--graph", str(k3), "--k", "4"),
+        # no proper colouring: an empty space is connected and has no diameter
+        ("connected", "--graph", str(k3), "--k", "2"),
+        ("diameter", "--graph", str(k3), "--k", "2"),
+        ("connected", "--graph", str(g8), "--k", "1"),
+        ("diameter", "--graph", str(g8), "--k", "1"),
     ):
         assert run("oracle", *argv) == 0
     printed = capsys.readouterr().out.splitlines()
-    assert printed[-8:] == [
+    assert printed[-12:] == [
         "4", "connected", "4", "unreachable", "0", "disconnected", "disconnected", "4",
-    ]
+    ] + ["connected", "no proper colorings"] * 2
 
 
 def test_oracle_too_large_is_an_error(tmp_path):

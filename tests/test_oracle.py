@@ -189,7 +189,7 @@ def test_reach_count_matches_naive_component(g, k, pick):
     src = proper[pick % len(proper)]
     mask = _kernels.proper_mask(g.n, k, g.edges())
     reach = helpers.naive_all_distances(g, k, src)
-    assert _kernels.reach_count(_code(src, k), mask, g.n, k) == len(reach)
+    assert _kernels.reach_count(_code(src, k), mask, len(proper), g.n, k) == len(reach)
     assert reconfig_connected(g, k) == (len(reach) == len(proper))
 
 
@@ -243,7 +243,7 @@ def test_bfs_levels_peak_below_four_bytes_per_state():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert reached == _kernels.count(mask) and levels > 0
+        assert reached == np.count_nonzero(mask) and levels > 0
         assert peak < 4 * 5**8, (s, peak / 5**8)
 
 
@@ -274,21 +274,33 @@ def _oracle_results(g, k, fresh):
         lambda: reconfig_diameter(g, k),
     ):
         if fresh:
-            oracle._last_mask = (None, None)
+            _kernels.state_space.cache_clear()
         results.append(call())
     return results
 
 
 def test_mask_cache_keeps_results(monkeypatch):
-    built = []
-    build = _kernels.proper_mask
-    monkeypatch.setattr(_kernels, "proper_mask", lambda *a: built.append(a) or build(*a))
+    built, masks, counted = [], [], []
+    build, count = _kernels.proper_mask, np.count_nonzero
+
+    def proper_mask(*a):
+        built.append(a)
+        masks.append(build(*a))
+        return masks[-1]
+
+    def count_nonzero(a, *rest, **kw):
+        counted.extend(i for i, m in enumerate(masks) if a is m)
+        return count(a, *rest, **kw)
+
+    monkeypatch.setattr(_kernels, "proper_mask", proper_mask)
+    monkeypatch.setattr(np, "count_nonzero", count_nonzero)
     ga, gb = gen_partial_2tree(5, 0.8, 2), gen_partial_2tree(5, 0.4, 7)
     assert ga.edges() != gb.edges()
     want = {g: _oracle_results(g, 4, fresh=True) for g in (ga, gb)}
     connected_at_5 = _oracle_results(ga, 5, fresh=True)[1]
-    oracle._last_mask = (None, None)
-    built.clear()
+    _kernels.state_space.cache_clear()
+    for log in (built, masks, counted):
+        log.clear()
     # A, B, A: each switch of graph builds a mask, and calls on one graph share it
     for g in (ga, gb, ga):
         assert _oracle_results(g, 4, fresh=False) == want[g]
@@ -296,6 +308,8 @@ def test_mask_cache_keeps_results(monkeypatch):
     assert reconfig_connected(ga, 5) == connected_at_5
     assert reconfig_connected(ga, 4) == want[ga][1]
     assert [k for _, k, _ in built] == [4, 4, 4, 5, 4]
+    # each mask is counted once, when it is built, and a cache hit counts nothing
+    assert counted == list(range(len(masks)))
 
 
 def test_mask_cache_keeps_the_cap_and_is_read_only():
@@ -303,8 +317,9 @@ def test_mask_cache_keeps_the_cap_and_is_read_only():
     assert reconfig_connected(g, 5)
     with pytest.raises(TooLarge, match=r"5\^6 states exceed the cap of 15624"):
         reconfig_connected(g, 5, 5**6 - 1)
-    mask = oracle._proper_states(g, 5, 5**6)
-    assert mask is oracle._proper_states(g, 5, 5**6)
+    mask, total = oracle._proper_states(g, 5, 5**6)
+    assert oracle._proper_states(g, 5, 5**6)[0] is mask
+    assert total == np.count_nonzero(mask)
     with pytest.raises(ValueError, match="read-only"):
         mask[0] = not mask[0]
 
@@ -377,6 +392,14 @@ def test_oracle_rejects_bad_k(k):
         reconfig_diameter(P3, k)
 
 
+def test_size_rule_is_exact():
+    for k in range(1, 7):
+        for n in range(71):
+            size = k**n
+            for cap in (1, size - 1, size, size + 1, sys.maxsize):
+                assert oracle._within(k, n, cap) == (size <= cap), (k, n, cap)
+
+
 def test_oracle_rejects_states_beyond_numpy_indexing():
     # 5^30 states fit under the cap but not in one numpy array
     g = Graph.from_edges(30, [])
@@ -419,9 +442,19 @@ r.audit_best_choice(seq, peo, h)
 core = loaded()
 small = r.gen_partial_2tree(6, 0.6, 3)
 order = r.degeneracy_order(small)
-d = r.bfs_distance(small, 5, r.random_proper_coloring(small, order, 5, 1),
-                   r.random_proper_coloring(small, order, 5, 2))
-print(json.dumps([core, d, loaded()]))
+a, b = (r.random_proper_coloring(small, order, 5, s) for s in (1, 2))
+# calls the oracle's checks reject: a bad k, and 5^(10^6) states
+huge = r.Graph(10**6, ((),) * 10**6)
+rejected = []
+for call in (lambda: r.bfs_distance(small, 0, a, b), lambda: r.reconfig_connected(small, 0),
+             lambda: r.reconfig_diameter(small, 0), lambda: r.reconfig_connected(huge, 5)):
+    try:
+        call()
+    except (r.InvalidInput, r.TooLarge) as exc:
+        rejected.append(type(exc).__name__)
+rejected.append(loaded())
+d = r.bfs_distance(small, 5, a, b)
+print(json.dumps([core, rejected, d, loaded()]))
 """
 
 
@@ -432,8 +465,9 @@ def test_core_runs_without_numpy_until_an_oracle_call():
         [sys.executable, "-c", CORE_THEN_ORACLE],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
-    core, distance, after = json.loads(out)
+    core, rejected, distance, after = json.loads(out)
     assert core == []
+    assert rejected == ["InvalidInput"] * 3 + ["TooLarge", []]
     assert "numpy" in after
     small = gen_partial_2tree(6, 0.6, 3)
     order = degeneracy_order(small)
