@@ -54,6 +54,9 @@ def best_choice_recoloring(
 
     Requires a perfect elimination ordering and k at least 2 plus the largest
     number of later neighbors of any vertex, so a valid color always exists.
+    The per-vertex bound PER_VERTEX_CHORDAL_BOUND (542) is a k = 5 claim: at
+    k = 4 a graph of clique number at most 3 is accepted and the sequence is
+    valid, but no per-vertex bound holds.
     """
     later = later_neighbors(g, peo)
     if not _later_form_cliques(g, later):

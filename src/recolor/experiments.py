@@ -2,23 +2,23 @@
 
 Each instance is transformed in both directions; sequences are verified,
 audited where the direct greedy algorithm was used, and cross-checked
-against the exhaustive search when the state space fits under the cap.
-A request the library rejects (a generator's InvalidSize or InvalidInput, an
-InvalidInput or InvalidColoring for the requested k, a TooLarge state space)
-stops the batch with that error; a failure on a valid request is recorded as
-a row. Every graph is built before any instance runs, so a generator's
-rejection of the requested sizes or parameters raises before the batch does
-any work.
+against the exhaustive search when the state space fits under the cap. The
+exact distance is searched once per instance and recorded on both rows.
+Instances run in order in the calling process.
+A request the library rejects (a generator's InvalidSize or InvalidInput, a
+size above MAX_JSON_VERTICES, an InvalidInput or InvalidColoring for the
+requested k, a TooLarge state space) stops the batch with that error; a
+failure on a valid request is recorded as a row. Every graph is built before
+any instance runs, so a rejection of the requested sizes or parameters
+raises before the batch does any work.
 """
 
 from __future__ import annotations
 
 import csv
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import Optional
 
 from .bestchoice import best_choice_recoloring
@@ -28,6 +28,7 @@ from .errors import InvalidInput, RecolorError, TooLarge
 from .graphs import (
     Graph,
     _require_int,
+    _require_vertex_cap,
     gen_2tree,
     gen_chordal_omega3,
     gen_partial_2tree,
@@ -51,7 +52,6 @@ class ExperimentConfig:
     keep_prob: float = 0.6
     state_cap: int = DEFAULT_STATE_CAP
     cross_check: bool = True
-    jobs: int = 1
 
 
 @dataclass
@@ -80,6 +80,8 @@ CSV_COLUMNS = ["schema_version"] + [f.name for f in fields(ExperimentRecord)]
 
 
 def _build_graph(family: str, n: int, keep_prob: float, seed: int) -> Graph:
+    _require_int("n", n)
+    _require_vertex_cap(n)
     if family == "chordal-omega3":
         return gen_chordal_omega3(n, seed)
     if family == "2tree":
@@ -92,9 +94,7 @@ def _measure(record: ExperimentRecord, seq) -> None:
     record.max_per_vertex = max(Counter(v for v, _ in seq.steps).values(), default=0)
 
 
-def _run_instance(
-    config: ExperimentConfig, instance_id: str, g: Graph, seed: int
-) -> list[ExperimentRecord]:
+def _run_instance(config: ExperimentConfig, g: Graph, seed: int) -> list[ExperimentRecord]:
     records = []
     k = config.k
     chordal_direct = config.family == "chordal-omega3"
@@ -106,11 +106,14 @@ def _run_instance(
         order = degeneracy_order(g)
         alpha = random_proper_coloring(g, order, k, seed * 2 + 1)
         beta = random_proper_coloring(g, order, k, seed * 2 + 2)
+    cross_check = config.cross_check and _within(k, g.n, config.state_cap)
+    # the state graph is undirected, so one search serves both directions
+    exact = []
 
     for direction, src, dst in (("forward", alpha, beta), ("backward", beta, alpha)):
         rec = ExperimentRecord(
             family=config.family,
-            instance_id=instance_id,
+            instance_id=f"{config.family}-n{g.n}-s{seed}",
             n=g.n,
             k=k,
             seed=seed,
@@ -129,9 +132,10 @@ def _run_instance(
             else:
                 seq = pipeline_theorem(g, src, dst)
             _measure(rec, seq)
-            if config.cross_check and _within(k, g.n, config.state_cap):
-                d = bfs_distance(g, k, src, dst, config.state_cap)
-                rec.bfs_distance = d
+            if cross_check:
+                if not exact:
+                    exact.append(bfs_distance(g, k, alpha, beta, config.state_cap))
+                d = rec.bfs_distance = exact[0]
                 if d is None or d > len(seq.steps):
                     rec.status = "oracle-mismatch"
                     rec.detail = f"bfs distance {d} vs sequence length {len(seq.steps)}"
@@ -151,24 +155,12 @@ def run_experiments(config: ExperimentConfig) -> list[ExperimentRecord]:
     if not (config.sizes and config.seeds):
         raise InvalidInput("no sizes or no seeds: the batch would check nothing")
     _require_int("state cap", config.state_cap, 1)
-    _require_int("jobs", config.jobs, 1)
-    ids, graphs, seeds = [], [], []
-    for n in config.sizes:
-        for seed in config.seeds:
-            graphs.append(_build_graph(config.family, n, config.keep_prob, seed))
-            ids.append(f"{config.family}-n{n}-s{seed}")
-            seeds.append(seed)
-
-    run = partial(_run_instance, config)
-    # a forked pool starts all its workers at the first submit
-    workers = min(config.jobs, len(ids), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run, ids, graphs, seeds))
-    else:
-        chunks = map(run, ids, graphs, seeds)
-    return [rec for chunk in chunks for rec in chunk]
+    graphs = [
+        (_build_graph(config.family, n, config.keep_prob, seed), seed)
+        for n in config.sizes
+        for seed in config.seeds
+    ]
+    return [rec for g, seed in graphs for rec in _run_instance(config, g, seed)]
 
 
 def has_violations(records: list[ExperimentRecord]) -> bool:

@@ -18,8 +18,9 @@ from .errors import InvalidColoring, InvalidInput, InvalidSize, NotEnoughColors,
 if TYPE_CHECKING:
     from .decomposition import EliminationOrdering
 
-# Largest n a JSON graph may declare, about ten times the largest n measured
-# here; checked before anything is allocated. Graph.from_edges takes any n.
+# Largest n a JSON graph or a generated instance (`gen`, `bench`) may declare,
+# about ten times the largest n measured here; checked before anything is
+# allocated. Graph.from_edges takes any n.
 MAX_JSON_VERTICES = 10**6
 
 
@@ -65,8 +66,7 @@ class Graph:
     def from_json(obj: dict) -> "Graph":
         n = obj["n"]
         _require_int("vertex count", n, 0)
-        if n > MAX_JSON_VERTICES:
-            raise InvalidInput(f"graph declares {n} vertices, above {MAX_JSON_VERTICES}")
+        _require_vertex_cap(n)
         return Graph.from_edges(n, obj["edges"])
 
 
@@ -132,6 +132,12 @@ def _require_int(name: str, value: object, bound: int | None = None) -> None:
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
     if bound is not None and value < bound:
         raise InvalidInput(f"need {name} >= {bound}, got {value}")
+
+
+def _require_vertex_cap(n: int) -> None:
+    """Raise InvalidInput when the integer n is above MAX_JSON_VERTICES."""
+    if n > MAX_JSON_VERTICES:
+        raise InvalidInput(f"graph declares {n} vertices, above {MAX_JSON_VERTICES}")
 
 
 def _require_ints(name: str, values: Sequence[object]) -> None:

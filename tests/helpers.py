@@ -1,8 +1,7 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately written from the definitions, not by calling
-back into the code paths under test. `serial_pool` stands in for a process
-pool, so that a test of `--jobs` starts no processes.
+back into the code paths under test.
 """
 
 import heapq
@@ -297,21 +296,3 @@ def audit_reference(seq, peo, g, strict=True):
         tuple(counts), tuple(saved_counts), tuple(out_step_counts), tuple(violations)
     )
 
-
-def serial_pool(workers: list):
-    """A ProcessPoolExecutor stand-in: records max_workers, maps in this process."""
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    return SerialPool

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recolor import (
+    AuditViolation,
     Coloring,
     EliminationOrdering,
     Graph,
@@ -302,6 +303,32 @@ def test_recoloring_verifies_and_audits_clean(n, seed):
     seq = best_choice_recoloring(g, peo, a, b, 5)
     assert verify_sequence(g, seq).colors == b.colors
     assert audit_best_choice(seq, peo, g).clean
+
+
+def test_audit_flags_best_choice_at_four_colors():
+    """Negative control: on the squared path the k = 4 run breaks the audit, k = 5 does not.
+
+    At k = 4 the interior of alpha is frozen, each vertex seeing the other
+    three colors, and the per-vertex bound is a k = 5 claim.
+    """
+    n = 13
+    g = Graph.from_edges(n, [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n])
+    peo = mcs_order(g)
+    for k, length, violations, most in (
+        (4, 48, {"repeat-pattern": 8, "count-bound": 3}, 8),
+        (5, 15, {}, 2),
+    ):
+        alpha = Coloring(k, tuple((1, 2, 3, 4)[i % 4] for i in range(n)))
+        beta = Coloring(k, tuple((1, 4, 3, 2)[i % 4] for i in range(n)))
+        seq = best_choice_recoloring(g, peo, alpha, beta, k)
+        assert len(seq.steps) == length
+        assert verify_sequence(g, seq).colors == beta.colors
+        report = audit_best_choice(seq, peo, g, strict=False)
+        assert Counter(v.rule for v in report.violations) == violations
+        assert max(report.counts) == most
+        if violations:
+            with pytest.raises(AuditViolation):
+                audit_best_choice(seq, peo, g, strict=True)
 
 
 # SHA-256 of the fixed-seed outputs below, at n up to 2000 and on a 3-tree whose

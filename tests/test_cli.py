@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import json
 import tempfile
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import helpers
 from recolor import (
     Coloring,
     Graph,
@@ -279,7 +277,7 @@ def test_bench_reports_violations(tmp_path, capsys, monkeypatch):
 
 def test_bench_rejects_bad_generator_request(tmp_path, capsys):
     out = tmp_path / "bench.csv"
-    # a request the library rejects stops the batch, also under a process pool
+    # a request the library rejects stops the batch
     huge_cap = ("--state-cap", "10000000000000000000000000")
     for args, error in (
         (("--family", "2tree", "--sizes", "2", "--seeds", "1"), "InvalidSize: "),
@@ -289,10 +287,8 @@ def test_bench_rejects_bad_generator_request(tmp_path, capsys):
          "InvalidInput: need k >= 4, got 3"),
         (("--family", "partial-2tree", "--sizes", "30", "--seeds", "2", *huge_cap),
          "TooLarge: "),
-        (("--family", "partial-2tree", "--sizes", "8", "--k", "6", "--jobs", "2"),
-         "InvalidColoring: "),
-        (("--family", "partial-2tree", "--sizes", "30", "--seeds", "2", "--jobs", "2",
-          *huge_cap), "TooLarge: "),
+        (("--family", "2tree", "--sizes", "8,1000001"),
+         "InvalidInput: graph declares 1000001 vertices, above 1000000"),
     ):
         assert run("bench", *args, "--out", str(out)) == 1
         captured = capsys.readouterr()
@@ -301,9 +297,17 @@ def test_bench_rejects_bad_generator_request(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_gen_rejects_bad_size(tmp_path):
+def test_gen_rejects_bad_size(tmp_path, capsys):
     out = tmp_path / "g.json"
-    assert run("gen", "--family", "2tree", "--n", "2", "--out", str(out)) == 1
+    # an n above the JSON loader's cap is rejected before the graph is built
+    for n, error in (
+        ("2", "InvalidSize: "),
+        ("1000001", "InvalidInput: graph declares 1000001 vertices, above 1000000\n"),
+    ):
+        assert run("gen", "--family", "2tree", "--n", n, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_out_in_missing_directory_is_one_error_line(tmp_path, capsys):
@@ -341,8 +345,6 @@ def test_batch_that_checks_nothing_is_rejected(tmp_path, capsys):
         bench + ("--seeds", "-2"),
         bench + ("--state-cap", "0"),
         bench + ("--state-cap", "-5"),
-        bench + ("--jobs", "0"),
-        bench + ("--jobs", "-3"),
         ("oracle", "connected", "--graph", str(g), "--state-cap", "-5"),
         ("oracle", "diameter", "--graph", str(g), "--state-cap", "0"),
     ):
@@ -394,7 +396,7 @@ NUMBERS = ("-1", "0", "1", "2", "3", "5", "7", "1.5", "x", "")
 VALUES = {
     **{flag: PATHS for flag in VALID},
     **dict.fromkeys(
-        ("--n", "--seed", "--k", "--coloring-seed", "--seeds", "--state-cap", "--jobs"),
+        ("--n", "--seed", "--k", "--coloring-seed", "--seeds", "--state-cap"),
         NUMBERS,
     ),
     "--keep-prob": ("0.6", "0", "1", "-1", "nan", "inf", "x"),
@@ -413,7 +415,7 @@ COMMANDS = {
     "oracle": ("--graph", "--k", "--alpha", "--beta", "--state-cap"),
     "audit": ("--graph", "--peo", "--seq", "--json-out"),
     "bench": ("--family", "--sizes", "--seeds", "--k", "--keep-prob", "--state-cap",
-              "--no-cross-check", "--jobs", "--out"),
+              "--no-cross-check", "--out"),
     "nope": (),
 }
 LOOSE = ("-h", "--bogus", "distance", "5", "@g", "@missing")
@@ -452,10 +454,8 @@ def cli_argv(draw):
 @example(["check", "--graph", "@deep", "--coloring", "@a"])
 @example(["gen", "--family", "2tree", "--n", "5", "--out", "@"])
 @example(["check", "--graph", "@g", "--coloring", "@"])
-def test_fuzzed_argv_exits_cleanly(tmp_path, capsys, monkeypatch, argv):
+def test_fuzzed_argv_exits_cleanly(tmp_path, capsys, argv):
     """Every run exits 0, or 1 or 2 with one error line or a verdict; no traceback."""
-    # a bench with --jobs maps its instances in this process
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", helpers.serial_pool([]))
     root = Path(tempfile.mkdtemp(dir=tmp_path))
     for name, text in FILES.items():
         (root / f"{name}.json").write_text(text)

@@ -1,22 +1,21 @@
-import concurrent.futures
 import csv
 
 import pytest
 
-import helpers
 from recolor import (
     AuditReport,
     AuditViolation,
     ExperimentConfig,
     ImproperStep,
     InvalidInput,
+    bfs_distance,
     gen_partial_2tree,
     pipeline_theorem,
     run_experiments,
     write_csv,
 )
 from recolor import experiments, sequences
-from recolor.experiments import CSV_COLUMNS, has_violations
+from recolor.experiments import CSV_COLUMNS, FAMILIES, has_violations
 
 
 def test_chordal_family_runs_clean(tmp_path):
@@ -76,6 +75,32 @@ def test_one_replay_per_batch_instance(monkeypatch):
     assert len(calls) == 2  # one pipeline_theorem replay per direction
 
 
+def test_one_exact_search_per_instance(monkeypatch):
+    calls = []
+
+    def counting(g, k, alpha, beta, cap):
+        calls.append(g.n)
+        return bfs_distance(g, k, alpha, beta, cap)
+
+    monkeypatch.setattr(experiments, "bfs_distance", counting)
+    for family in FAMILIES:
+        calls.clear()
+        records = run_experiments(ExperimentConfig(family=family, sizes=(6, 7), seeds=(0, 1)))
+        assert calls == [6, 6, 7, 7]
+        assert all(rec.status == "ok" for rec in records)
+        forward, backward = records[::2], records[1::2]
+        assert [r.bfs_distance for r in forward] == [r.bfs_distance for r in backward]
+        assert all(r.bfs_distance is not None for r in records)
+
+
+def test_vertex_cap_stops_the_batch_before_any_work(monkeypatch):
+    # any instance run would fail: the cap must stop the batch first
+    monkeypatch.setattr(experiments, "_run_instance", None)
+    config = ExperimentConfig(family="2tree", sizes=(8, 10**6 + 1), seeds=(0,))
+    with pytest.raises(InvalidInput, match=r"^graph declares 1000001 vertices, above 1000000$"):
+        run_experiments(config)
+
+
 def test_unknown_family_rejected_up_front():
     for family in ("3tree", "explicit"):
         config = ExperimentConfig(family=family, sizes=(8,), seeds=(0,))
@@ -103,46 +128,6 @@ def test_failure_on_valid_request_is_a_row(monkeypatch):
     ]
     assert records[2].detail == "step 0: injected"
     assert has_violations(records)
-
-
-def test_parallel_jobs_match_serial():
-    config = ExperimentConfig(
-        family="chordal-omega3", sizes=(8,), seeds=(0, 1), cross_check=False
-    )
-    serial = run_experiments(config)
-    parallel = run_experiments(
-        ExperimentConfig(
-            family="chordal-omega3", sizes=(8,), seeds=(0, 1), cross_check=False, jobs=2
-        )
-    )
-    assert [r.row()[:11] for r in serial] == [r.row()[:11] for r in parallel]
-
-
-def test_jobs_bounded_by_instances_and_cpus(monkeypatch):
-    workers = []
-    monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", helpers.serial_pool(workers)
-    )
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
-    base = dict(family="chordal-omega3", sizes=(6,), cross_check=False)
-    # jobs=1: in this process, seeds 0..5 in order
-    serial = run_experiments(ExperimentConfig(seeds=tuple(range(6)), **base))
-    serial = [r.row()[:11] for r in serial]
-    assert workers == []
-    for jobs, seeds, want in (
-        (100_000, (0, 1, 2), [3]),  # one worker per instance at most
-        (100_000, tuple(range(6)), [4]),  # one per CPU at most
-        (2, (0, 1, 2), [2]),
-        (5, (0,), []),  # one instance runs in this process
-    ):
-        workers.clear()
-        records = run_experiments(ExperimentConfig(seeds=seeds, jobs=jobs, **base))
-        assert workers == want
-        assert [r.row()[:11] for r in records] == serial[: 2 * len(seeds)]
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-    workers.clear()
-    run_experiments(ExperimentConfig(seeds=(0, 1), jobs=8, **base))
-    assert workers == []
 
 
 def test_audit_violation_is_a_row(monkeypatch):

@@ -361,10 +361,6 @@ _CHECKED_SIZES = {
         lambda x: run_experiments(ExperimentConfig("2tree", (4,), (x,))),
     ),
     "from_edges": ("vertex count", lambda x: Graph.from_edges(x, [])),
-    "run_experiments jobs": (
-        "jobs",
-        lambda x: run_experiments(ExperimentConfig("2tree", (4,), (0,), jobs=x)),
-    ),
     "run_experiments state_cap": (
         "state cap",
         lambda x: run_experiments(ExperimentConfig("2tree", (4,), (0,), state_cap=x)),
