@@ -8,6 +8,16 @@ two such reductions (one per endpoint coloring) through a palette-rotation
 bridge between 3-colorings, giving a transformation between any two proper
 5-colorings that recolors every vertex a bounded number of times.
 
+The reduction is needed only because a fill edge can join two vertices of
+one color, and the pipeline skips it when neither endpoint merges anything.
+Let H be g plus the pair (a, b) of every elimination bag (v, a, b). These
+pairs are exactly the ones `_merge_classes` tests, so with no merge alpha and
+beta are both proper on H. With the identity classes, H is the h below: the
+elimination order is a perfect elimination ordering of H, each vertex has at
+most 2 later neighbors, and H is chordal of clique number at most 3. So one
+best-choice run from alpha to beta at k = 5 is valid on H, and on its
+spanning subgraph g, and PER_VERTEX_CHORDAL_BOUND covers the whole output.
+
 Both `merge_same_colored` and the pipeline merge over the bags {v} + N(v) of
 the degree-<=2 elimination of g (`decomposition._eliminate`). Hang each bag
 below the bag of its neighbor eliminated first: the bags form a width-2 tree
@@ -40,8 +50,12 @@ The private cores (`_merge_classes`, `_elimination_order`, `_lift`,
 each other and check nothing. The value types (`Coloring`, `MergeMap`,
 `RecoloringSequence`) check their own fields when built; each public entry
 point checks only how its inputs relate, runs the cores and replays once.
-`pipeline_theorem` joins its three parts (alpha to gamma1, the bridge, the
-undone beta half) into one step list, compacts it once and replays it once.
+`pipeline_theorem` first asks `_merges_nothing` whether either endpoint
+would merge a pair; the test builds nothing, so each merge that runs runs
+once. When neither would, its step list is the one run `_best_choice(order,
+later, alpha, beta, 5)` on H; otherwise it joins its three parts (alpha to
+gamma1, the bridge, the undone beta half). Either way it compacts the list
+once and replays it once.
 The compaction (`sequences._compact`) drops a vertex's step when no neighbor
 moves before the vertex's next step, and drops that next step too when it
 returns the vertex to its color from before. The neighbors stand still over
@@ -164,7 +178,7 @@ def _merge_classes(
 
 
 def _elimination_order(
-    elim: Sequence[Sequence[int]], to_merged: list[int], prefer: Sequence[int]
+    elim: Sequence[Sequence[int]], to_merged: Sequence[int], prefer: Sequence[int]
 ) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
     """The merge classes' elimination order, later-neighbor table and 3-coloring.
 
@@ -296,26 +310,50 @@ def _toward_3coloring(
     return _lift(steps_h, classes), [target[m] for m in to_merged]
 
 
+def _merges_nothing(bags: Sequence[Sequence[int]], colors: Sequence[int]) -> bool:
+    """True when `_merge_classes` over `bags` leaves every vertex in its own class.
+
+    That is when no bag (v, a, b) gives a and b one color, the only pair the
+    merge tests. The test stops at the first such bag and builds nothing.
+    """
+    return all(len(bag) < 3 or colors[bag[1]] != colors[bag[2]] for bag in bags)
+
+
 def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSequence:
     """Full transformation between two proper 5-colorings of a treewidth-2 graph.
 
-    Both endpoints are pushed down to 3-colorings through their own merged
-    chordal graphs, the two 3-colorings are bridged with the two-phase
-    rotation, and the second half is undone. Every vertex is recolored at
-    most PER_VERTEX_PIPELINE_BOUND times. The alpha half's 3-coloring stays
-    close to alpha and the beta half's close to the first, so the bridge
-    moves few vertices. The three parts are joined into one step list,
-    compacted once and replayed once from alpha; the stages in between
-    neither check nor replay.
+    When some elimination bag (v, a, b) gives a and b one color in alpha or
+    in beta, both endpoints are pushed down to 3-colorings through their own
+    merged chordal graphs, the two 3-colorings are bridged with the
+    two-phase rotation, and the second half is undone. The alpha half's
+    3-coloring stays close to alpha and the beta half's close to the first,
+    so the bridge moves few vertices. Every vertex is recolored at most
+    PER_VERTEX_PIPELINE_BOUND times.
+
+    When no bag does, neither endpoint merges anything, and one best-choice
+    run goes from alpha to beta on H, g plus the pair (a, b) of every bag.
+    Those pairs are exactly the ones the merge tests, so both endpoints are
+    proper on H; the elimination order is a perfect elimination ordering of
+    H with at most 2 later neighbors per vertex; and a sequence proper on H
+    is proper on its spanning subgraph g. PER_VERTEX_CHORDAL_BOUND then
+    covers the whole output.
+
+    Either way the steps are compacted once and replayed once from alpha;
+    the stages in between neither check nor replay.
     """
     for name, coloring in (("alpha", alpha), ("beta", beta)):
         if coloring.k != 5:
             raise InvalidColoring(f"{name} is a {coloring.k}-coloring, not a 5-coloring")
         require_proper(g, coloring, 5, name)
     elim = _eliminate(g)
-    steps_a, gamma_1 = _toward_3coloring(elim, alpha.colors, alpha.colors)
-    steps_b, gamma_2 = _toward_3coloring(elim, beta.colors, gamma_1)
-    _, back = _undo(beta.colors, steps_b)
-    bridge = _two_phase(gamma_1, gamma_2, d=2)
-    steps = _compact(g.adjacency, alpha.colors, steps_a + bridge + back)
+    if _merges_nothing(elim, alpha.colors) and _merges_nothing(elim, beta.colors):
+        # every vertex is its own class, and H is the merged graph
+        order, later, _ = _elimination_order(elim, range(g.n), alpha.colors)
+        steps = _best_choice(order, later, alpha.colors, beta.colors, 5)
+    else:
+        steps_a, gamma_1 = _toward_3coloring(elim, alpha.colors, alpha.colors)
+        steps_b, gamma_2 = _toward_3coloring(elim, beta.colors, gamma_1)
+        _, back = _undo(beta.colors, steps_b)
+        steps = steps_a + _two_phase(gamma_1, gamma_2, d=2) + back
+    steps = _compact(g.adjacency, alpha.colors, steps)
     return _replayed(g, alpha, steps, beta.colors)

@@ -149,16 +149,25 @@ def _run_instance(config: ExperimentConfig, g: Graph, seed: int) -> list[Experim
     return records
 
 
+def _tuple_of(name: str, values) -> tuple:
+    """`values` as a tuple; InvalidInput naming the field when it is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an iterable of integers, got {values!r}") from None
+
+
 def run_experiments(config: ExperimentConfig) -> list[ExperimentRecord]:
     if config.family not in FAMILIES:
         raise InvalidInput(f"unknown family {config.family!r}")
-    if not (config.sizes and config.seeds):
+    sizes, seeds = _tuple_of("sizes", config.sizes), _tuple_of("seeds", config.seeds)
+    if not (sizes and seeds):
         raise InvalidInput("no sizes or no seeds: the batch would check nothing")
     _require_int("state cap", config.state_cap, 1)
     graphs = [
         (_build_graph(config.family, n, config.keep_prob, seed), seed)
-        for n in config.sizes
-        for seed in config.seeds
+        for n in sizes
+        for seed in seeds
     ]
     return [rec for g, seed in graphs for rec in _run_instance(config, g, seed)]
 

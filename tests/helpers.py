@@ -8,7 +8,15 @@ import heapq
 from collections import deque
 from itertools import combinations, pairwise, product
 
-from recolor import AuditReport, AuditViolation, Graph, NotWidth2, OmegaTooLarge, verify_sequence
+from recolor import (
+    AuditReport,
+    AuditViolation,
+    Coloring,
+    Graph,
+    NotWidth2,
+    OmegaTooLarge,
+    verify_sequence,
+)
 from recolor.sequences import RULE_BOUND, RULE_DISTINCT, RULE_REPEAT
 
 
@@ -99,6 +107,21 @@ def naive_diameter(g: Graph, k: int):
             return None
         best = max(best, level - 1)
     return best
+
+
+def squared_path(n: int, k: int) -> tuple[Graph, Coloring, Coloring]:
+    """The squared path P_n^2 and its two k-colorings alpha_i = (1,2,3,4)[i mod 4]
+    and beta_i = (1,4,3,2)[i mod 4].
+
+    P_n^2 has the edges i-i+1 and i-i+2: a 2-tree whose degree-<=2
+    elimination adds no fill edge. Every three consecutive vertices form a
+    triangle, so both colorings are proper for n >= 1 and k >= 4. At k = 4
+    the interior of alpha is frozen, each vertex seeing the other three colors.
+    """
+    g = Graph.from_edges(n, [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n])
+    alpha = Coloring(k, tuple((1, 2, 3, 4)[i % 4] for i in range(n)))
+    beta = Coloring(k, tuple((1, 4, 3, 2)[i % 4] for i in range(n)))
+    return g, alpha, beta
 
 
 def eliminate_reference(g: Graph) -> list[tuple[int, list[int]]]:

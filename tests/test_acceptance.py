@@ -124,43 +124,53 @@ def test_criterion_4_audit_suite(chordal_corpus):
 
 
 def test_criterion_4_audit_of_pipeline_halves(monkeypatch):
-    # each half of the pipeline runs best choice on its merged graph h, which
-    # it never builds; record the arguments and steps of exactly those runs
-    halves = []
+    # the pipeline runs best choice on graphs it never builds: on each merged
+    # graph h when an endpoint merges, and otherwise once on g plus its fill
+    # edges, the h of the identity merge. Record the arguments and steps of
+    # exactly those runs
+    runs = []
     best_choice = chordalize._best_choice
 
     def recording(order, later, start, target, k):
         steps = best_choice(order, later, start, target, k)
-        halves.append((order, later, start, steps))
+        runs.append((order, later, start, target, steps))
         return steps
 
     monkeypatch.setattr(chordalize, "_best_choice", recording)
-    audited = worst = 0
+    audited = direct = worst = 0
     for n in (50, 400, 1600):
         for seed in range(4):
             for g in (gen_partial_2tree(n, 0.6, seed), gen_2tree(n, seed)):
                 order = degeneracy_order(g)
                 alpha = random_proper_coloring(g, order, 5, 2 * seed + 1)
                 beta = random_proper_coloring(g, order, 5, 2 * seed + 2)
-                halves.clear()
+                runs.clear()
                 pipeline_theorem(g, alpha, beta)
-                assert len(halves) == 2
-                for (order_h, later, start, steps), coloring in zip(halves, (alpha, beta)):
+                merged = [merge_same_colored(g, coloring) for coloring in (alpha, beta)]
+                if all(len(merge_map.classes) == g.n for _, merge_map, _ in merged):
+                    # neither endpoint merges: one run from alpha to beta
+                    assert len(runs) == 1 and runs[0][3] == beta.colors
+                    direct += 1
+                else:
+                    assert len(runs) == 2
+                for (order_h, later, start, _, steps), (h, _, coloring_h) in zip(runs, merged):
                     report = sequences._audit(later, start, steps)
                     assert report.clean
                     worst = max(worst, max(report.counts, default=0))
                     # the core on the later table agrees with the public audit
                     # on the h that merge_same_colored builds
-                    h, _, coloring_h = merge_same_colored(g, coloring)
                     assert coloring_h.colors == tuple(start)
                     seq_h = RecoloringSequence(coloring_h, tuple(steps))
                     peo_h = EliminationOrdering(tuple(order_h))
                     assert audit_best_choice(seq_h, peo_h, h, strict=False) == report
                     audited += 1
+    # the corpus exercises both paths
+    assert 0 < direct < 24
     assert worst <= PER_VERTEX_CHORDAL_BOUND
     print(
-        f"\ncriterion 4 PASS: audits clean on all {audited} pipeline halves, "
-        f"max per-class count {worst} <= {PER_VERTEX_CHORDAL_BOUND}"
+        f"\ncriterion 4 PASS: audits clean on all {audited} best-choice runs of "
+        f"24 pipeline calls ({direct} with one run), max per-class count "
+        f"{worst} <= {PER_VERTEX_CHORDAL_BOUND}"
     )
 
 

@@ -31,6 +31,8 @@ from recolor.bestchoice import _choose_color
 from recolor.chordalize import PER_VERTEX_CHORDAL_BOUND
 from recolor.sequences import RecoloringSequence
 
+import helpers
+
 K2 = Graph.from_edges(2, [(0, 1)])
 
 
@@ -311,15 +313,12 @@ def test_audit_flags_best_choice_at_four_colors():
     At k = 4 the interior of alpha is frozen, each vertex seeing the other
     three colors, and the per-vertex bound is a k = 5 claim.
     """
-    n = 13
-    g = Graph.from_edges(n, [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n])
-    peo = mcs_order(g)
     for k, length, violations, most in (
         (4, 48, {"repeat-pattern": 8, "count-bound": 3}, 8),
         (5, 15, {}, 2),
     ):
-        alpha = Coloring(k, tuple((1, 2, 3, 4)[i % 4] for i in range(n)))
-        beta = Coloring(k, tuple((1, 4, 3, 2)[i % 4] for i in range(n)))
+        g, alpha, beta = helpers.squared_path(13, k)
+        peo = mcs_order(g)
         seq = best_choice_recoloring(g, peo, alpha, beta, k)
         assert len(seq.steps) == length
         assert verify_sequence(g, seq).colors == beta.colors

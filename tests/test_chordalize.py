@@ -344,6 +344,43 @@ def test_pipeline_partial_2tree_instance():
     assert len(seq.steps) <= PER_VERTEX_PIPELINE_BOUND * g.n
 
 
+def _counting_best_choice(monkeypatch):
+    runs = []
+    best_choice = chordalize._best_choice
+
+    def counting(*args):
+        runs.append(args)
+        return best_choice(*args)
+
+    monkeypatch.setattr(chordalize, "_best_choice", counting)
+    return runs
+
+
+@pytest.mark.parametrize("n, length", [(13, 15), (200, 250)])
+def test_pipeline_on_squared_path_runs_best_choice_once(monkeypatch, n, length):
+    # no bag of P_n^2 holds two vertices of one color in either endpoint, so
+    # the pipeline runs one best-choice pass from alpha to beta (the two halves
+    # and the bridge gave 23 and 413 steps, with up to 4 per vertex)
+    runs = _counting_best_choice(monkeypatch)
+    g, alpha, beta = helpers.squared_path(n, 5)
+    seq = pipeline_theorem(g, alpha, beta)
+    assert len(runs) == 1 and runs[0][2:] == (alpha.colors, beta.colors, 5)
+    assert len(seq.steps) == length
+    assert max(Counter(v for v, _ in seq.steps).values()) == 2
+    assert verify_sequence(g, seq).colors == beta.colors
+
+
+def test_pipeline_on_c4_with_monochromatic_fill_pairs_runs_both_halves(monkeypatch):
+    # C4 with alpha = 1, 2, 1, 2: both possible fill pairs share a color, so
+    # alpha merges and the pipeline goes through both halves
+    runs = _counting_best_choice(monkeypatch)
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    alpha, beta = Coloring(5, (1, 2, 1, 2)), Coloring(5, (3, 4, 5, 1))
+    seq = pipeline_theorem(g, alpha, beta)
+    assert len(runs) == 2
+    assert verify_sequence(g, seq).colors == beta.colors
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(3, 60), st.integers(0, 10**6), st.integers(2, 10))
 def test_pipeline_random_instances(n, seed, tenths):
@@ -394,6 +431,8 @@ def _assert_elimination_order_reads_merged_graph(g, coloring):
     _merge_invariants(g, coloring, h, merge_map, coloring_h)
     elim = decomposition._eliminate(g)
     to_merged, classes = merge_map.to_merged, merge_map.classes
+    # the pipeline's test for the one-run route agrees with the merge
+    assert chordalize._merges_nothing(elim, coloring.colors) == (len(classes) == g.n)
     # a preference of 0 never applies, so the target is h's greedy coloring
     order, later, target = chordalize._elimination_order(elim, to_merged, [0] * len(classes))
     peo = EliminationOrdering(tuple(order))
@@ -445,7 +484,9 @@ def test_merge_map_json_round_trip():
 
 # SHA-256 of the fixed-seed outputs below; a change to any produced sequence
 # breaks it. Refresh it only with a stated and measured change of outputs.
-CORPUS_DIGEST = "d2f8b3bfcffbe8ae81c8649962d2557a3a83298508f6306761b948d6af8ff98d"
+# 13 of its 40 pipeline instances merge in neither endpoint and take the one
+# best-choice run; the other 27 go through both halves.
+CORPUS_DIGEST = "f46847a277b868e81f33605296134fa7d834513da2cc35c2a86b83ad24776dc5"
 
 
 def test_outputs_match_recorded_digest():
@@ -510,18 +551,21 @@ def test_decomposition_outputs_match_recorded_digest():
 
 
 def test_pipeline_replays_and_validates_once(monkeypatch):
-    g = gen_partial_2tree(400, 0.6, 1)
-    order = degeneracy_order(g)
-    alpha = random_proper_coloring(g, order, 5, 1)
-    beta = random_proper_coloring(g, order, 5, 2)
+    # the partial 2-tree goes through both halves, and the 2-tree, whose
+    # endpoints merge nothing, through one best-choice run
+    instances = []
+    for g in (gen_partial_2tree(400, 0.6, 1), gen_2tree(400, 1)):
+        order = degeneracy_order(g)
+        alpha = random_proper_coloring(g, order, 5, 1)
+        beta = random_proper_coloring(g, order, 5, 2)
+        instances.append((g, alpha, beta))
     # the pipeline checks its endpoints itself, so it replays through the
     # step loop alone and never through verify_sequence; both halves merge
     # over one shared elimination; it builds no merged graph, so none of the
     # next four runs, its stages pass plain lists, so it builds no merge map
-    # or ordering, and it joins its three parts into one step list, so it
-    # builds one sequence
+    # or ordering, and it compacts one step list, so it builds one sequence
     calls = dict.fromkeys(
-        ("verify_sequence", "_replay", "_eliminate", "from_edges", "mcs_order",
+        ("verify_sequence", "_replay", "_eliminate", "_compact", "from_edges", "mcs_order",
          "later_neighbors", "greedy_coloring", "MergeMap", "EliminationOrdering",
          "RecoloringSequence"),
         0,
@@ -547,6 +591,7 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
         monkeypatch.setattr(
             module, "_eliminate", counting("_eliminate", decomposition._eliminate)
         )
+    monkeypatch.setattr(chordalize, "_compact", counting("_compact", sequences._compact))
     monkeypatch.setattr(
         Graph, "from_edges", staticmethod(counting("from_edges", Graph.from_edges))
     )
@@ -556,13 +601,16 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     for cls in (MergeMap, EliminationOrdering, RecoloringSequence):
         monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
-    pipeline_theorem(g, alpha, beta)
-    assert calls == {
-        **dict.fromkeys(calls, 0),
-        "_replay": 1,
-        "_eliminate": 1,
-        "RecoloringSequence": 1,
-    }
+    for g, alpha, beta in instances:
+        calls.update(dict.fromkeys(calls, 0))
+        pipeline_theorem(g, alpha, beta)
+        assert calls == {
+            **dict.fromkeys(calls, 0),
+            "_replay": 1,
+            "_eliminate": 1,
+            "_compact": 1,
+            "RecoloringSequence": 1,
+        }
 
 
 @pytest.mark.parametrize(

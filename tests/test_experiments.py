@@ -101,6 +101,21 @@ def test_vertex_cap_stops_the_batch_before_any_work(monkeypatch):
         run_experiments(config)
 
 
+@pytest.mark.parametrize("field, value", [("sizes", 5), ("seeds", 3.5), ("sizes", None)])
+def test_non_iterable_sizes_or_seeds_rejected(field, value):
+    config = ExperimentConfig(**{"family": "2tree", "sizes": (8,), "seeds": (0,), field: value})
+    message = f"^{field} must be an iterable of integers, got {value}$"
+    with pytest.raises(InvalidInput, match=message):
+        run_experiments(config)
+
+
+def test_seeds_from_a_generator_serve_every_size():
+    config = ExperimentConfig(family="2tree", sizes=(4, 5), seeds=(s for s in (0, 1)))
+    assert [(rec.n, rec.seed) for rec in run_experiments(config)[::2]] == [
+        (4, 0), (4, 1), (5, 0), (5, 1)
+    ]
+
+
 def test_unknown_family_rejected_up_front():
     for family in ("3tree", "explicit"):
         config = ExperimentConfig(family=family, sizes=(8,), seeds=(0,))

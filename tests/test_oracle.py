@@ -129,6 +129,15 @@ def test_diameter_small_instance_k4_vs_k5():
     assert reconfig_diameter(g, 5) == 7
 
 
+def test_squared_path_distances():
+    # at k = 4 the interior of alpha is frozen, and the distance grows faster
+    # than at k = 5
+    for k, distances in ((4, (3, 6, 8, 11, 13)), (5, (3, 3, 4, 4, 6))):
+        for n, distance in zip(range(4, 9), distances):
+            g, alpha, beta = helpers.squared_path(n, k)
+            assert bfs_distance(g, k, alpha, beta) == distance
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(3, 6), st.integers(0, 10**5))
 def test_distance_never_exceeds_pipeline_length(n, seed):
