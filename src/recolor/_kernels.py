@@ -6,12 +6,14 @@ of vertex v is axis n-1-v of a `(k,)*n` array. `state_space` keeps the last
 read-only properness mask with its count of proper states, counted once.
 
 Three searches run over the proper states. `reach_count` only counts a
-component, and does it densely, closing the reached set along one axis at a
-time, and stops as soon as the count is complete. `bfs_levels` (the depth
-and size of one source's component) and `bfs_meet` (one distance) are sparse
-frontier searches that rewrite one digit of each frontier code
-(`_rewrites`): a small frontier for every (vertex, colour) pair in one
-broadcast, a large one per pair.
+component, and does it densely on a packed copy of the mask, where vertex
+0's digit is a bit (`_pack`: k^(n-1) lines of ceil(k/8) bytes). It closes
+the reached set along one axis at a time and stops as soon as the set
+equals the packed mask, so it counts bits only for an incomplete component.
+`bfs_levels` (the depth and size of one source's component) and `bfs_meet`
+(one distance) are sparse frontier searches that rewrite one digit of each
+frontier code (`_rewrites`): a small frontier for every (vertex, colour)
+pair in one broadcast, a large one per pair.
 
 This is the package's only numpy importer. `oracle` imports it inside each
 call, after its checks, so numpy never loads for the pipeline.
@@ -36,8 +38,7 @@ def encode(colors: tuple[int, ...], k: int) -> int:
 def state_space(n: int, k: int, edges: tuple) -> tuple[np.ndarray, int]:
     """The read-only `proper_mask` of (n, k, edges) and its number of proper states.
 
-    Only the last one is kept: k^n bytes. `edges` is a tuple, as a `Graph`
-    built with list rows cannot be hashed.
+    Only the last one is kept: k^n bytes. `edges` is a tuple, so it hashes.
     """
     mask = proper_mask(n, k, edges)
     mask.flags.writeable = False
@@ -130,16 +131,39 @@ def bfs_levels(start: int, proper: np.ndarray, n: int, k: int) -> tuple[int, int
         reached += frontier.size
 
 
+# bits set in each byte value, for counting a packed set
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _pack(proper: np.ndarray, n: int, k: int) -> np.ndarray:
+    """`proper` with vertex 0's digit in bits: a `(k^(n-1), ceil(k/8))` uint8 array.
+
+    Bit c%8 of byte c//8 on line i is state i*k + c. Each of the k strided
+    columns of the bool mask is copied into one contiguous buffer, where the
+    shift (a multiply) and the OR are fast; shifting the strided column took
+    twice as long, and `np.packbits` along rows of k bits longer than the
+    whole search.
+    """
+    columns = proper.reshape(k ** (n - 1), k).view(np.uint8)
+    packed = np.zeros((k ** (n - 1), (k + 7) // 8), dtype=np.uint8)
+    bit = np.empty(k ** (n - 1), dtype=np.uint8)
+    for c in range(k):
+        np.copyto(bit, columns[:, c])
+        np.multiply(bit, 1 << c % 8, out=bit)
+        packed[:, c // 8] |= bit
+    return packed
+
+
 def _close_lines(reached, proper, line, outer: int, k: int, inner: int) -> None:
     """Add every proper state on a line through a reached state, along one axis.
 
     Both flat arrays are viewed as `(outer, k, inner)` with the digit in the
-    middle; `line` is scratch of outer*inner entries.
+    middle; `line` is scratch of outer*inner bytes.
     """
     view = reached.reshape(outer, k, inner)
     hit = line.reshape(outer, inner)
-    np.logical_or.reduce(view, axis=1, out=hit)
-    np.logical_and(hit[:, None, :], proper.reshape(outer, k, inner), out=view)
+    np.bitwise_or.reduce(view, axis=1, out=hit)
+    np.bitwise_and(hit[:, None, :], proper.reshape(outer, k, inner), out=view)
 
 
 def reach_count(start: int, proper: np.ndarray, total: int, n: int, k: int) -> int:
@@ -147,43 +171,59 @@ def reach_count(start: int, proper: np.ndarray, total: int, n: int, k: int) -> i
 
     States that differ only in vertex v's digit are pairwise adjacent, so the
     proper states on one line along axis v form a clique: once one is reached,
-    all are. A sweep closes the reached set along every axis in turn, ORing a
-    line's k slices and ANDing the result, broadcast, with `proper`. Every
+    all are. A sweep closes the reached set along every axis in turn. Every
     state it adds is one move from a reached state, and a sweep that adds
     nothing leaves the set closed under moves, so sweeps repeat until one adds
-    nothing or every proper state is reached; the count is exact. The set is
-    counted after each half of a sweep too, so a component that is complete
-    halfway skips the other half.
+    nothing or every proper state is reached; the count is exact.
 
-    An axis is cheap to sweep when its slices are long runs: the high
-    ceil(n/2) digits are swept in the natural `(k^hi, k^lo)` layout, and the
-    low floor(n/2) digits in a transposed `(k^lo, k^hi)` copy, where they are
-    outermost. The transposed `proper` is built once, and the reached set is
-    copied between layouts into preallocated arrays, with no temporary.
+    Both sets are packed (`_pack`): vertex 0's digit is a bit, so a sweep
+    reads and writes k^(n-1) * ceil(k/8) bytes per array. Along vertex 0 a
+    packed line that holds a reached bit becomes the line of `proper`, by one
+    multiply with the bool hit mask (`np.copyto` with `where` took about 20
+    times as long). Along vertex v >= 1 a sweep ORs the line's k packed
+    slices, bytewise, and ANDs the result, broadcast, with `proper`. The
+    reached set is a subset of `proper`, so it is complete exactly when the
+    two arrays are equal, which is tested after each half of a sweep; a sweep
+    that leaves it equal to its copy from before the sweep ends the search,
+    and only such an incomplete component is counted, bit by bit.
+
+    An axis is cheap to sweep when its slices are long runs: of the m = n-1
+    line digits, the high ceil(m/2) are swept in the natural
+    `(k^hi, k^lo, bytes)` layout, and the low floor(m/2) in a transposed
+    `(k^lo, k^hi, bytes)` copy, where they are outermost and each line keeps
+    its bytes together. The transposed `proper` is built once, and the
+    reached set is copied between layouts into preallocated arrays, with no
+    temporary.
     """
-    lo, hi = n // 2, n - n // 2
-    reached = np.zeros_like(proper)
-    reached[start] = True
-    grid = reached.reshape(k**hi, k**lo)
-    flipped = np.empty((k**lo, k**hi), dtype=np.bool_)
-    flat = flipped.reshape(-1)
-    flat_proper = np.ascontiguousarray(proper.reshape(k**hi, k**lo).T).reshape(-1)
-    line = np.empty(k ** max(n - 1, 0), dtype=np.bool_)
-    count = 1
-    while count < total:
-        for v in range(lo, n):
-            _close_lines(reached, proper, line, k ** (n - 1 - v), k, k**v)
-        if np.count_nonzero(reached) == total:
+    if total == 1:  # also the one state of n = 0
+        return 1
+    packed = _pack(proper, n, k)
+    width = packed.shape[1]
+    m = n - 1
+    lo, hi = m // 2, m - m // 2
+    reached = np.zeros_like(packed)
+    reached[start // k, start % k // 8] = 1 << start % k % 8
+    before = np.empty_like(packed)
+    grid = reached.reshape(k**hi, k**lo, width)
+    flipped = np.empty((k**lo, k**hi, width), dtype=np.uint8)
+    flipped_proper = np.ascontiguousarray(packed.reshape(k**hi, k**lo, width).transpose(1, 0, 2))
+    line = np.empty(k ** max(m - 1, 0) * width, dtype=np.uint8)
+    while True:
+        np.copyto(before, reached)
+        np.multiply(packed, reached.any(axis=-1, keepdims=True), out=reached)
+        # line digit j is vertex j + 1
+        for j in range(lo, m):
+            _close_lines(reached, packed, line, k ** (m - 1 - j), k, k**j * width)
+        if np.array_equal(reached, packed):
             return total
-        np.copyto(flipped, grid.T)
-        for v in range(lo):
-            _close_lines(flat, flat_proper, line, k ** (lo - 1 - v), k, k ** (hi + v))
-        np.copyto(grid, flipped.T)
-        grown = int(np.count_nonzero(reached))
-        if grown == count:
-            break
-        count = grown
-    return count
+        np.copyto(flipped, grid.transpose(1, 0, 2))
+        for j in range(lo):
+            _close_lines(flipped, flipped_proper, line, k ** (lo - 1 - j), k, k ** (hi + j) * width)
+        if np.array_equal(flipped, flipped_proper):
+            return total
+        np.copyto(grid, flipped.transpose(1, 0, 2))
+        if np.array_equal(reached, before):
+            return int(_POPCOUNT[reached].sum())
 
 
 def bfs_meet(start: int, goal: int, proper: np.ndarray, n: int, k: int) -> int | None:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, repeat
+from operator import eq, lt
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvalidColoring, InvalidInput, InvalidSize, NotEnoughColors, _json_loader
@@ -31,6 +32,36 @@ class Graph:
     n: int
     adjacency: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        """Raise InvalidInput unless n >= 0 and `adjacency` is n sorted tuples of
+        neighbours in range, without self-loops or repeats, and symmetric.
+
+        Each test is one C-level pass over the rows or the arcs (u, v), v in
+        row u, with no Python loop. `from_edges` builds its rows correct and
+        skips it.
+        """
+        n, rows = self.n, self.adjacency
+        _require_int("vertex count", n, 0)
+        if type(rows) is not tuple or len(rows) != n or not set(map(type, rows)) <= {tuple}:
+            raise InvalidInput(f"adjacency must be a tuple of {n} tuples")
+        if not any(rows):
+            return
+        heads = list(chain.from_iterable(rows))
+        _require_ints("neighbour", heads)
+        if min(heads) < 0 or max(heads) >= n:
+            raise InvalidInput(f"a neighbour is out of range for n={n}")
+        tails = list(chain.from_iterable(map(repeat, range(n), map(len, rows))))
+        if any(map(eq, tails, heads)):
+            raise InvalidInput("adjacency has a self-loop")
+        # rows ascend and hold no repeat iff the arcs strictly ascend
+        arcs = list(zip(tails, heads))
+        if not all(map(lt, arcs, islice(arcs, 1, None))):
+            raise InvalidInput("adjacency rows must be sorted, without repeats")
+        # the arcs ascend, so they are symmetric iff the reversed arcs sorted
+        # are the arcs; a scan of v's row per arc would be quadratic in degree
+        if sorted(zip(heads, tails)) != arcs:
+            raise InvalidInput("adjacency is not symmetric")
+
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         _require_int("vertex count", n, 0)
@@ -49,7 +80,11 @@ class Graph:
                 sets[v].add(u)
         except (TypeError, ValueError):
             raise _malformed_edge(edges) from None
-        return Graph(n, tuple(tuple(sorted(s)) for s in sets))
+        # built correct, so `__post_init__` is not run a second time
+        graph = object.__new__(Graph)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "adjacency", tuple(tuple(sorted(s)) for s in sets))
+        return graph
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list with u < v, sorted lexicographically."""

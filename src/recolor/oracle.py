@@ -9,10 +9,11 @@ cross-validate the constructive transformations.
 and stops where the two balls meet (`_kernels.bfs_meet`). `reconfig_connected`
 needs no distance, only the size of one component: the proper states that
 differ in one vertex's colour form a clique, so `_kernels.reach_count` closes
-the reached set line by line on a dense mask. `reconfig_diameter` needs each
-source's eccentricity and whether it reaches every state, so it runs full
-searches (`_kernels.bfs_levels`) that return only the depth and the count,
-one per start `_kernels.orbit_sources` picks.
+the reached set line by line on a dense mask, with vertex 0's colour packed
+into bits. `reconfig_diameter` needs each source's eccentricity and whether
+it reaches every state, so it runs full searches (`_kernels.bfs_levels`)
+that return only the depth and the count, one per start
+`_kernels.orbit_sources` picks.
 
 `_kernels` owns the state space: the packing, and the cached read-only mask
 with its count of proper states, so `bfs_distance` then `reconfig_connected`

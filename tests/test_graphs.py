@@ -25,6 +25,7 @@ from recolor import (
     is_perfect_elimination,
     is_proper,
     mcs_order,
+    pipeline_theorem,
     random_proper_coloring,
     reconfig_connected,
     reconfig_diameter,
@@ -103,6 +104,46 @@ def test_graph_rejects_self_loop():
             Graph.from_edges(n, edges)
     with pytest.raises(InvalidInput):
         Graph.from_json({"n": -1, "edges": []})
+
+
+def test_graph_constructor_checks_its_fields():
+    # an out-of-range neighbour or an asymmetric row is rejected when built,
+    # not met as a TypeError, IndexError or KeyError inside a call
+    alpha, beta = Coloring(5, (1, 2)), Coloring(5, (2, 1))
+    for call in (
+        lambda: reconfig_connected(Graph(2, ((5,), ())), 5),
+        lambda: is_proper(Graph(2, ((5,), ())), alpha),
+        lambda: pipeline_theorem(Graph(2, ((5,), ())), alpha, beta),
+        lambda: pipeline_theorem(Graph(2, ((1,), ())), alpha, beta),
+    ):
+        with pytest.raises(InvalidInput):
+            call()
+    for n, adjacency, message in (
+        (2.0, ((), ()), r"^vertex count must be an integer, got 2\.0$"),
+        (-1, (), r"^need vertex count >= 0, got -1$"),
+        (2, [(), ()], r"^adjacency must be a tuple of 2 tuples$"),
+        (2, ((), [0]), r"^adjacency must be a tuple of 2 tuples$"),
+        (2, ((1,),), r"^adjacency must be a tuple of 2 tuples$"),
+        (2, ((True,), (0,)), r"^neighbour must be an integer, got True$"),
+        (2, ((-1,), ()), r"^a neighbour is out of range for n=2$"),
+        (2, ((0,), ()), r"^adjacency has a self-loop$"),
+        (3, ((2, 1), (0,), (0,)), r"^adjacency rows must be sorted, without repeats$"),
+        (3, ((1, 1), (0,), ()), r"^adjacency rows must be sorted, without repeats$"),
+        (3, ((1,), (0, 2), (0,)), r"^adjacency is not symmetric$"),
+    ):
+        with pytest.raises(InvalidInput, match=message):
+            Graph(n, adjacency)
+    for g in (K3, P3, Graph.from_edges(0, []), gen_2tree(50, 1), gen_partial_2tree(50, 0.5, 2)):
+        assert Graph(g.n, g.adjacency) == g
+
+
+def test_graph_constructor_check_is_not_quadratic_in_degree():
+    # a star's centre row holds 20000 leaves, which a scan of the centre's row
+    # per leaf would read 20000 times
+    star = Graph.from_edges(20001, [(0, v) for v in range(1, 20001)])
+    start = time.perf_counter()
+    assert Graph(star.n, star.adjacency) == star
+    assert time.perf_counter() - start < 1.0
 
 
 def test_graph_json_rejects_huge_n_before_allocating():

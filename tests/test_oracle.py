@@ -180,32 +180,45 @@ def test_kernels_match_brute_force(g, k, pick):
     assert _kernels.bfs_levels(_code(src, k), mask, g.n, k) == (max(reach.values()), len(reach))
 
 
-P5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+K2 = Graph.from_edges(2, [(0, 1)])
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_graphs(), st.integers(1, 5), st.integers(0, 10**5))
+@given(small_graphs(), st.integers(1, 10), st.integers(0, 10**5))
 @example(K3, 3, 0)  # frozen: each proper state reaches only itself
+# a frozen triangle beside vertex 0: three states on one packed line
+@example(Graph.from_edges(4, [(1, 2), (1, 3), (2, 3)]), 3, 5)
 @example(P3, 2, 0)
 @example(Graph.from_edges(0, []), 3, 0)
-@example(Graph.from_edges(1, []), 3, 0)
-@example(P5, 3, 7)  # odd n: the high digits outnumber the low ones
+@example(Graph.from_edges(1, []), 3, 0)  # n = 1: no axis left after packing
+@example(K2, 3, 1)  # n = 2: one axis left after packing
+@example(P4, 3, 7)  # three line digits: the high ones outnumber the low ones
+# k >= 9: two bytes on each packed line, and vertex 0's colour in the second
+@example(K3, 9, 500)
+@example(P3, 10, 800)
+@example(Graph.from_edges(1, []), 9, 0)
 def test_reach_count_matches_naive_component(g, k, pick):
+    assume(k**g.n <= 5**6)
     proper = helpers.proper_colorings(g, k)
     if not proper:
         assert reconfig_connected(g, k)
         return
     src = proper[pick % len(proper)]
     mask = _kernels.proper_mask(g.n, k, g.edges())
+    if g.n:  # bit c % 8 of byte c // 8 on line i is state i * k + c
+        lines = np.unpackbits(_kernels._pack(mask, g.n, k), axis=1, bitorder="little")
+        assert np.array_equal(lines[:, :k].reshape(-1), mask) and not lines[:, k:].any()
     reach = helpers.naive_all_distances(g, k, src)
     assert _kernels.reach_count(_code(src, k), mask, len(proper), g.n, k) == len(reach)
     assert reconfig_connected(g, k) == (len(reach) == len(proper))
 
 
-def test_reconfig_connected_peak_below_five_bytes_per_state():
-    # proper_mask, the reached set, their transposed copies and one line
-    # buffer: about 4.2 bytes per state, where an int32 distance array alone
-    # would take 4
+def test_reconfig_connected_peak_below_two_and_a_half_bytes_per_state():
+    # the bool mask (one byte per state) plus the packed arrays of k^(n-1)
+    # bytes, a fifth of a byte per state each at k = 5: `proper`, the reached
+    # set, the set before the sweep, their two transposed copies and the
+    # vertex-0 hit mask; about 2.27 bytes per state
     for s in range(5):
         g = gen_partial_2tree(8, 0.7, s)
         tracemalloc.start()
@@ -214,7 +227,7 @@ def test_reconfig_connected_peak_below_five_bytes_per_state():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 5**8, (s, peak / 5**8)
+        assert peak < 2.5 * 5**8, (s, peak / 5**8)
 
 
 def test_bfs_meet_peak_below_three_bytes_per_state():
