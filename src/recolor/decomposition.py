@@ -4,7 +4,10 @@
 after v in this ordering" (the out-neighborhood N+(v)) for a graph in hand.
 The ordering checks here, the greedy recoloring in `bestchoice` and the audit
 in `sequences` all read the table it returns instead of recomputing
-positions. The pipeline never builds its merged graph, so it reads that
+positions. It remembers its last table, keyed by the value of (g, peo), so
+a best-choice run and then its audit on one (g, peo) build it once; the
+memo holds one O(n) table plus g and peo until a call with other
+arguments. The pipeline never builds its merged graph, so it reads that
 graph's table off the elimination instead (`chordalize._elimination_order`).
 
 Every choice here is lowest index first: among the vertices that qualify,
@@ -23,9 +26,10 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvalidInput, NotWidth2, _json_loader
-from .graphs import Graph, _require_ints, _require_ordering_of
+from .graphs import Graph, _require_instance, _require_ints, _require_ordering_of
 
 
 @dataclass(frozen=True)
@@ -87,8 +91,20 @@ def mcs_order(g: Graph) -> EliminationOrdering:
 
 
 def later_neighbors(g: Graph, peo: EliminationOrdering) -> tuple[tuple[int, ...], ...]:
-    """For each vertex v, the ascending tuple of its neighbors after v in peo."""
+    """For each vertex v, the ascending tuple of its neighbors after v in peo.
+
+    The arguments are checked before the cache lookup, so a rejected call
+    hashes nothing and caches nothing.
+    """
+    _require_instance("g", g, Graph)
+    _require_instance("peo", peo, EliminationOrdering)
     _require_ordering_of(g, peo)
+    return _later_table(g, peo)
+
+
+@lru_cache(maxsize=1)
+def _later_table(g: Graph, peo: EliminationOrdering) -> tuple[tuple[int, ...], ...]:
+    """later_neighbors' table of a checked (g, peo); the last one is kept, keyed by value."""
     pos = peo.positions()
     return tuple([tuple([w for w in nbrs if pos[w] > p]) for nbrs, p in zip(g.adjacency, pos)])
 

@@ -169,6 +169,12 @@ def _require_int(name: str, value: object, bound: int | None = None) -> None:
         raise InvalidInput(f"need {name} >= {bound}, got {value}")
 
 
+def _require_instance(name: str, value: object, cls: type) -> None:
+    """Raise InvalidInput unless `value` is an instance of `cls`."""
+    if not isinstance(value, cls):
+        raise InvalidInput(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+
+
 def _require_vertex_cap(n: int) -> None:
     """Raise InvalidInput when the integer n is above MAX_JSON_VERTICES."""
     if n > MAX_JSON_VERTICES:

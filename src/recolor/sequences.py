@@ -8,8 +8,9 @@ the structural properties that every greedily built sequence from `bestchoice`
 satisfies: no immediate re-recoloring, a per-vertex count bound driven by
 saved steps, and color distinctness around tight alternation patterns. Its
 core `_audit` reads each vertex's out-neighbors N+(v) from one
-`later_neighbors` table, which `audit_best_choice` builds once per call and
-rejects if it gives any vertex more than two of them.
+`later_neighbors` table, which `audit_best_choice` rejects if it gives any
+vertex more than two of them. `later_neighbors` keeps its last table, so an
+audit right after `best_choice_recoloring` on the same (g, peo) builds none.
 
 Every audit rule is read off the gaps between consecutive steps of v in its
 restriction, the steps of v and N+(v) in sequence order. An out-neighbor step
@@ -40,7 +41,7 @@ from .errors import (
     OmegaTooLarge,
     _json_loader,
 )
-from .graphs import Coloring, Graph, is_proper
+from .graphs import Coloring, Graph, _require_instance, is_proper
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,8 @@ def verify_sequence(g: Graph, seq: RecoloringSequence) -> Coloring:
     Returns the final coloring. Raises ImproperStart, ImproperStep(index) or
     NoOpStep(index).
     """
+    _require_instance("g", g, Graph)
+    _require_instance("seq", seq, RecoloringSequence)
     if not is_proper(g, seq.start):
         raise ImproperStart("start coloring is not proper")
     return _replay(g, seq)

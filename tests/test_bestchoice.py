@@ -26,7 +26,7 @@ from recolor import (
     random_proper_coloring,
     verify_sequence,
 )
-from recolor import bestchoice
+from recolor import bestchoice, decomposition
 from recolor.bestchoice import _choose_color
 from recolor.chordalize import PER_VERTEX_CHORDAL_BOUND
 from recolor.sequences import RecoloringSequence
@@ -236,14 +236,45 @@ def test_one_positions_pass_per_public_call(monkeypatch):
         return positions(self)
 
     monkeypatch.setattr(EliminationOrdering, "positions", counting)
+    decomposition._later_table.cache_clear()
     g = gen_chordal_omega3(60, 5)
     peo = mcs_order(g)
     a = random_proper_coloring(g, peo, 5, 0)
     b = greedy_coloring(g, peo)
     seq = best_choice_recoloring(g, peo, a, b, 5)
     assert len(calls) == 1
+    # the audit of the same (g, peo) reads the table best-choice built
     audit_best_choice(seq, peo, g)
+    assert len(calls) == 1
+    # another (g, peo) and the switch back each build it again
+    h = gen_chordal_omega3(60, 6)
+    assert is_perfect_elimination(h, mcs_order(h))
     assert len(calls) == 2
+    audit_best_choice(seq, peo, g)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda g, peo, a, b, seq: later_neighbors(g, list(peo.order)), "peo"),
+        (lambda g, peo, a, b, seq: later_neighbors(None, peo), "g"),
+        (lambda g, peo, a, b, seq: later_neighbors(g, None), "peo"),
+        (lambda g, peo, a, b, seq: is_perfect_elimination(g, peo.order), "peo"),
+        (lambda g, peo, a, b, seq: best_choice_recoloring(g, list(peo.order), a, b, 5), "peo"),
+        (lambda g, peo, a, b, seq: audit_best_choice(seq, None, g), "peo"),
+        (lambda g, peo, a, b, seq: audit_best_choice(seq, peo, {}), "g"),
+        (lambda g, peo, a, b, seq: audit_best_choice([], peo, g), "seq"),
+    ],
+)
+def test_wrong_typed_table_arguments_are_named(call, name):
+    g = gen_chordal_omega3(12, 3)
+    peo = mcs_order(g)
+    a = random_proper_coloring(g, peo, 5, 0)
+    b = greedy_coloring(g, peo)
+    seq = best_choice_recoloring(g, peo, a, b, 5)
+    with pytest.raises(InvalidInput, match=f"^{name} must be of type "):
+        call(g, peo, a, b, seq)
 
 
 def test_recoloring_large_instance_bounded():

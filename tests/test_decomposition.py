@@ -206,6 +206,29 @@ def test_later_neighbors_rejects_wrong_length():
         later_neighbors(K3, EliminationOrdering((0, 1)))
 
 
+def test_later_neighbors_keyed_by_value():
+    decomposition._later_table.cache_clear()
+    g = gen_chordal_omega3(40, 3)
+    peo = mcs_order(g)
+    pos = peo.positions()
+    want = tuple(tuple(w for w in g.adjacency[v] if pos[w] > pos[v]) for v in range(g.n))
+    assert later_neighbors(g, peo) == want
+    # an equal graph and ordering, built anew, find the same table
+    twin_g, twin_peo = Graph(g.n, g.adjacency), EliminationOrdering(peo.order)
+    assert twin_g is not g and twin_peo is not peo
+    assert later_neighbors(twin_g, twin_peo) == want
+    assert decomposition._later_table.cache_info().misses == 1
+
+
+def test_rejected_later_neighbors_call_caches_nothing():
+    decomposition._later_table.cache_clear()
+    with pytest.raises(InvalidInput):
+        later_neighbors(K3, EliminationOrdering((0, 1)))
+    assert decomposition._later_table.cache_info().currsize == 0
+    assert later_neighbors(K3, EliminationOrdering((0, 1, 2))) == ((1, 2), (2,), ())
+    assert decomposition._later_table.cache_info().misses == 1
+
+
 def test_audit_rejects_three_later_neighbors():
     peo = EliminationOrdering((0, 1, 2, 3))
     assert len(later_neighbors(K4, peo)[0]) == 3

@@ -14,7 +14,7 @@ from recolor import (
     run_experiments,
     write_csv,
 )
-from recolor import experiments, sequences
+from recolor import decomposition, experiments, sequences
 from recolor.experiments import CSV_COLUMNS, FAMILIES, has_violations
 
 
@@ -73,6 +73,18 @@ def test_one_replay_per_batch_instance(monkeypatch):
     records = run_experiments(config)
     assert [rec.status for rec in records] == ["ok", "ok"]
     assert len(calls) == 2  # one pipeline_theorem replay per direction
+
+
+def test_one_later_table_per_chordal_instance():
+    decomposition._later_table.cache_clear()
+    config = ExperimentConfig(
+        family="chordal-omega3", sizes=(30,), seeds=(0,), cross_check=False
+    )
+    records = run_experiments(config)
+    assert [rec.status for rec in records] == ["ok", "ok"]
+    # best-choice and its audit, forward and backward: four calls, one build
+    info = decomposition._later_table.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
 
 
 def test_one_exact_search_per_instance(monkeypatch):
