@@ -56,12 +56,13 @@ once. When neither would, its step list is the one run `_best_choice(order,
 later, alpha, beta, 5)` on H; otherwise it joins its three parts (alpha to
 gamma1, the bridge, the undone beta half). Either way it compacts the list
 once and replays it once.
-The compaction (`sequences._compact`) drops a vertex's step when no neighbor
-moves before the vertex's next step, and drops that next step too when it
-returns the vertex to its color from before. The neighbors stand still over
-the dropped interval, so the vertex's earlier color stays proper there, and
-the end coloring is unchanged. It only removes steps, so no vertex's count
-rises above the bound.
+The compaction (`sequences._compact`) folds a vertex's step into the
+vertex's next step when no neighbor holds the next step's color at any time
+in between: the first step is rewritten to that color and the second goes,
+or both go when the vertex returns to its color from before. The vertex then
+holds, over the interval, a color none of its neighbors holds there, so every
+step stays proper and the end coloring is unchanged. Each fold removes one or
+two steps and adds none, so no vertex's count rises above the bound.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from .errors import (
     LiftFailure,
     NoOpStep,
 )
-from .graphs import Coloring, Graph, _require_int, require_proper
+from .graphs import Coloring, Graph, _require_instance, _require_int, require_proper
 from .sequences import RecoloringSequence, _compact, _replayed, _undo, verify_sequence
 
 PER_VERTEX_CHORDAL_BOUND = 542
@@ -127,6 +128,7 @@ def merge_same_colored(g: Graph, alpha: Coloring) -> tuple[Graph, MergeMap, Colo
     The filled bags' edges are x-later[x] over the classes' later table, as
     the module docstring argues. Raises NotWidth2 if g has treewidth above 2.
     """
+    _require_instance("alpha", alpha, Coloring)
     require_proper(g, alpha, alpha.k, "alpha")
     elim = _eliminate(g)
     to_merged, classes, colors_h = _merge_classes(g.n, elim, alpha.colors)
@@ -342,6 +344,7 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
     the stages in between neither check nor replay.
     """
     for name, coloring in (("alpha", alpha), ("beta", beta)):
+        _require_instance(name, coloring, Coloring)
         if coloring.k != 5:
             raise InvalidColoring(f"{name} is a {coloring.k}-coloring, not a 5-coloring")
         require_proper(g, coloring, 5, name)

@@ -136,6 +136,8 @@ class Coloring:
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
     """True iff no edge of g joins two vertices of the same color."""
+    _require_instance("g", g, Graph)
+    _require_instance("coloring", coloring, Coloring)
     if len(coloring.colors) != g.n:
         raise InvalidColoring(
             f"coloring has {len(coloring.colors)} entries for a graph on {g.n} vertices"
@@ -189,7 +191,11 @@ def _require_ints(name: str, values: Sequence[object]) -> None:
 
 
 def require_proper(g: Graph, coloring: Coloring, max_color: int, name: str) -> None:
-    """Raise InvalidColoring unless `coloring` is a proper coloring of g in 1..max_color."""
+    """Raise InvalidColoring unless `coloring` is a proper coloring of g in 1..max_color.
+
+    A `coloring` that is not a Coloring raises InvalidInput under `name`.
+    """
+    _require_instance(name, coloring, Coloring)
     if not is_proper(g, coloring):
         raise InvalidColoring(f"{name} is not proper")
     if max(coloring.colors, default=1) > max_color:

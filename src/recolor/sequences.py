@@ -128,44 +128,75 @@ def _replayed(g: Graph, start: Coloring, steps: list, end: tuple) -> RecoloringS
 def _compact(
     adjacency: Sequence[Sequence[int]], start: Sequence[int], steps: list[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    """A valid subsequence of the valid sequence `steps` from `start`, with the same end.
+    """A valid sequence from `start` with the end of the valid `steps`, never longer.
 
-    One pass in order. A vertex's last kept step stays pending until its next
-    step. If no neighbor has had a kept step since the pending one, the
-    pending step is dropped, and the next step is dropped too when it returns
-    the vertex to its color from before the pending step. The neighbors stand
-    still over the dropped interval, so the vertex's earlier color stays
-    proper there, and only non-neighbors move in it, so their steps stay
-    proper. After each input step the kept steps reach the same coloring as
-    the input, so the end coloring is unchanged. The pass reads each step's
-    neighbors once, so it costs the sum of count(v) * deg(v), and it only
-    removes steps, so no vertex's count rises.
+    One pass in order. A kept step sits at the time (input index) of the
+    input step it came from. A vertex v's last kept step stays pending until
+    v's next input step, to c. Let seen(v) be the colors v's neighbors hold
+    in the input from the pending step up to now: their colors at the
+    pending step and the color of every later input step of a neighbor,
+    whether the pass keeps, rewrites or drops that step. When c is not in
+    seen(v) and is v's color from before the pending step, both steps go.
+    When c is not in seen(v) otherwise, the pending step is rewritten to c,
+    the next step goes and the rewritten step stays pending. When c is in
+    seen(v), the next step is kept and becomes the pending one.
+
+    Why it holds: after each input step the kept steps are valid and reach
+    the input's coloring, and a vertex's kept color at any earlier time s is
+    one of its input colors between s and now, since a rewrite or a drop
+    gives v, from the pending step on, its input color now. So when c is not
+    in seen(v), no neighbor holds c in the kept steps at any time in the
+    interval, and v may hold c there: the neighbors' kept steps avoid it, and
+    v's only kept step there is the pending one. A rewritten step still
+    changes v's color, as c is not v's color from before it. Either way the
+    kept steps reach the input's coloring again, so the end is unchanged. A
+    rewrite removes one step of v and a drop two, so no vertex's count rises.
+
+    In particular, when no neighbor moves in the input between v's pending
+    and next steps, seen(v) is the neighbors' colors now, which the valid
+    next step avoids, so the pending step always goes.
+
+    seen(v) is read when v's next step comes: a neighbor w that has not moved
+    since the pending step holds its current color, which c avoids, and one
+    that has is walked back through its input steps (`prev`). So a step
+    costs about deg(v) beside those walks, as in a replay.
     """
-    # before[v] is v's color before its pending step, or its current color
-    # when it has none. moved[v] is the index of v's last kept step; when both
-    # steps go it keeps the dropped step's index, since resetting it to -1
-    # would let a neighbor drop a step across an earlier step of v that stays
-    before = list(start)
-    pending = [-1] * len(start)
-    moved = [-1] * len(start)
-    kept: list = []
-    for i, step in enumerate(steps):
+    n = len(start)
+    # index i >= n is input step i - n, and index v < n stands for a step of v
+    # to its start color before the input. colors[i] is step i's color, last[v]
+    # indexes v's last step, prev[i] the step of the same vertex before step i,
+    # and pending[v] v's pending step (-1 for none). kept[i] is step i as kept
+    # or rewritten, or None once dropped
+    colors = [*start, *(c for _, c in steps)]
+    last = list(range(n))
+    prev = [-1] * n
+    pending = [-1] * n
+    kept = [None] * n + steps
+    for i, step in enumerate(steps, n):
         v, c = step
-        p = pending[v]
-        if p >= 0:
-            t = moved[v]
+        prev.append(last[v])
+        last[v] = i
+        t = pending[v]
+        if t >= 0:
             for w in adjacency[v]:
-                if moved[w] > t:
-                    before[v] = kept[p][1]
-                    break
+                j = last[w]
+                if j > t:
+                    # w's current color is not c, since the input step is valid
+                    j = prev[j]
+                    while j > t and colors[j] != c:
+                        j = prev[j]
+                    # w took c after the pending step, or held it then
+                    if colors[j] == c:
+                        break
             else:
-                kept[p] = None
-                if c == before[v]:
+                kept[i] = None
+                if c == colors[prev[t]]:
+                    kept[t] = None
                     pending[v] = -1
-                    continue
-        pending[v] = len(kept)
-        moved[v] = i
-        kept.append(step)
+                else:
+                    kept[t] = step
+                continue
+        pending[v] = i
     return list(filter(None, kept))
 
 

@@ -390,7 +390,9 @@ def test_pipeline_random_instances(n, seed, tenths):
     beta = random_proper_coloring(g, order, 5, seed + 2)
     seq = pipeline_theorem(g, alpha, beta)
     assert verify_sequence(g, seq).colors == beta.colors
-    assert max(Counter(v for v, _ in seq.steps).values()) <= PER_VERTEX_PIPELINE_BOUND
+    # alpha and beta can be equal, and then there are no steps
+    moves = Counter(v for v, _ in seq.steps)
+    assert max(moves.values(), default=0) <= PER_VERTEX_PIPELINE_BOUND
 
 
 @st.composite
@@ -476,6 +478,32 @@ def test_elimination_order_on_partial_2trees(n, seed, tenths, k):
     _assert_elimination_order_reads_merged_graph(g, coloring)
 
 
+@pytest.mark.parametrize("junk", [None, [1, 2, 3]])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda g, a, b, x: pipeline_theorem(x, a, b), "g"),
+        (lambda g, a, b, x: pipeline_theorem(g, x, b), "alpha"),
+        (lambda g, a, b, x: pipeline_theorem(g, a, x), "beta"),
+        (lambda g, a, b, x: is_proper(x, a), "g"),
+        (lambda g, a, b, x: is_proper(g, x), "coloring"),
+        (lambda g, a, b, x: best_choice_recoloring(g, mcs_order(g), x, b, 5), "alpha"),
+        (lambda g, a, b, x: best_choice_recoloring(g, mcs_order(g), a, x, 5), "beta"),
+        (lambda g, a, b, x: merge_same_colored(x, a), "g"),
+        (lambda g, a, b, x: merge_same_colored(g, x), "alpha"),
+        (lambda g, a, b, x: two_phase_transform(x, a, b, 2, 5), "g"),
+        (lambda g, a, b, x: two_phase_transform(g, x, b, 2, 5), "source"),
+    ],
+)
+def test_wrong_typed_graphs_and_colorings_are_named(call, name, junk):
+    # greedy colorings of a 2-tree are proper 3-colorings
+    g = gen_2tree(12, 3)
+    peo = mcs_order(g)
+    alpha, beta = greedy_coloring(g, peo), greedy_coloring(g, degeneracy_order(g))
+    with pytest.raises(InvalidInput, match=f"^{name} must be of type "):
+        call(g, Coloring(5, alpha.colors), Coloring(5, beta.colors), junk)
+
+
 def test_merge_map_json_round_trip():
     merge_map = MergeMap((0, 1, 0), ((0, 2), (1,)))
     blob = {"to_merged": [0, 1, 0], "classes": [[0, 2], [1]]}
@@ -486,7 +514,7 @@ def test_merge_map_json_round_trip():
 # breaks it. Refresh it only with a stated and measured change of outputs.
 # 13 of its 40 pipeline instances merge in neither endpoint and take the one
 # best-choice run; the other 27 go through both halves.
-CORPUS_DIGEST = "f46847a277b868e81f33605296134fa7d834513da2cc35c2a86b83ad24776dc5"
+CORPUS_DIGEST = "0f4763d52e02e455d48b5652e80da8f3ab2b9af2e6214fa00d1223e2db71ffde"
 
 
 def test_outputs_match_recorded_digest():
@@ -509,7 +537,7 @@ def test_outputs_match_recorded_digest():
 
 # The same outputs at the benchmark's n = 1600, where CORPUS_DIGEST stops at
 # n = 200: the pipeline, and best-choice on chordal graphs.
-LARGE_CORPUS_DIGEST = "ca88e077b89416f0de446f8928a37cbb2fd6f4f9386160760f09ff46a6db5f20"
+LARGE_CORPUS_DIGEST = "635d35d9ec2c251d8d0a5ab5aa09ac92a69473c2213412c4d0285c1044d276fa"
 
 
 def test_large_outputs_match_recorded_digest():
@@ -613,15 +641,8 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
         }
 
 
-@pytest.mark.parametrize(
-    "seed, error", [(8, AssertionError), (0, ImproperStep), (2, NoOpStep)]
-)
-def test_pipeline_raises_when_a_segment_misses_its_end(monkeypatch, seed, error):
-    # a bridge that stops one step short leaves the undone beta half starting
-    # from the wrong coloring. The one replay from alpha catches it: the end
-    # misses beta, or a step collides or changes nothing. (On other instances
-    # the half's first step on that vertex repairs it, and the replay accepts
-    # a valid alpha-to-beta sequence.)
+def _short_bridge_instance(monkeypatch, seed):
+    """A pipeline instance whose bridge is patched to stop one step short."""
     g = gen_partial_2tree(400, 0.6, seed)
     order = degeneracy_order(g)
     alpha = random_proper_coloring(g, order, 5, 1)
@@ -634,5 +655,24 @@ def test_pipeline_raises_when_a_segment_misses_its_end(monkeypatch, seed, error)
         return steps[:-1]
 
     monkeypatch.setattr(chordalize, "_two_phase", short_bridge)
+    return g, alpha, beta
+
+
+@pytest.mark.parametrize(
+    "seed, error", [(8, AssertionError), (0, ImproperStep), (11, NoOpStep)]
+)
+def test_pipeline_raises_when_a_segment_misses_its_end(monkeypatch, seed, error):
+    # a bridge that stops one step short leaves the undone beta half starting
+    # from the wrong coloring. The one replay from alpha catches it: the end
+    # misses beta, or a step collides or changes nothing
+    g, alpha, beta = _short_bridge_instance(monkeypatch, seed)
     with pytest.raises(error):
         pipeline_theorem(g, alpha, beta)
+
+
+def test_pipeline_returns_a_short_bridge_only_when_its_replay_passes(monkeypatch):
+    # on other instances a later step on the vertex the bridge left behind
+    # repairs it, here once the compaction folds steps together, and the one
+    # replay from alpha accepts a valid alpha-to-beta sequence
+    g, alpha, beta = _short_bridge_instance(monkeypatch, 2)
+    assert verify_sequence(g, pipeline_theorem(g, alpha, beta)).colors == beta.colors
