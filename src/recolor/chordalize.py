@@ -102,8 +102,8 @@ class MergeMap:
 
     def __post_init__(self):
         to_merged, classes = self.to_merged, self.classes
-        if not (isinstance(to_merged, tuple) and isinstance(classes, tuple)):
-            raise InvalidInput("merge map's to_merged and classes must be tuples")
+        _require_instance("to_merged", to_merged, tuple)
+        _require_instance("classes", classes, tuple)
         size = len(classes)
         inverse: list[list[int]] = [[] for _ in range(size)]
         for v, m in enumerate(to_merged):
@@ -226,6 +226,9 @@ def lift_sequence(
     must fit g and seq_h. The result is verified on g; failure means the
     inputs violated the merge contract.
     """
+    _require_instance("seq_h", seq_h, RecoloringSequence)
+    _require_instance("merge_map", merge_map, MergeMap)
+    _require_instance("g", g, Graph)
     to_merged, classes = merge_map.to_merged, merge_map.classes
     size = len(classes)
     if len(to_merged) != g.n or len(seq_h.start.colors) != size:
@@ -270,8 +273,8 @@ def two_phase_transform(
     """
     _require_int("d", d, 0)
     _require_int("k", k, 2 * d + 1)
-    require_proper(g, gamma_s, d + 1, "source")
-    require_proper(g, gamma_t, d + 1, "target")
+    require_proper(g, gamma_s, d + 1, "gamma_s")
+    require_proper(g, gamma_t, d + 1, "gamma_t")
     steps = _two_phase(gamma_s.colors, gamma_t.colors, d)
     return _replayed(g, Coloring(k, gamma_s.colors), steps, gamma_t.colors)
 

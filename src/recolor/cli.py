@@ -197,7 +197,6 @@ def _cmd_bench(args) -> int:
         k=args.k,
         keep_prob=args.keep_prob,
         state_cap=args.state_cap,
-        cross_check=not args.no_cross_check,
     )
     records = run_experiments(config)
     write_csv(args.out, records)
@@ -285,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--keep-prob", type=float, default=0.6)
     p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
-    p.add_argument("--no-cross-check", action="store_true")
     p.add_argument("--out", required=True, type=_OutPath)
     p.set_defaults(func=_cmd_bench)
 

@@ -39,8 +39,7 @@ class EliminationOrdering:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.order, tuple):
-            raise InvalidInput(f"order must be a tuple, got {self.order!r}")
+        _require_instance("order", self.order, tuple)
         _require_ints("ordering entry", self.order)
         if sorted(self.order) != list(range(len(self.order))):
             raise InvalidInput("ordering is not a permutation of 0..n-1")
@@ -87,6 +86,7 @@ def mcs_order(g: Graph) -> EliminationOrdering:
     are broken toward the lowest vertex index so the output is reproducible.
     Keys start at 0, so each pop is a vertex with the most visited neighbours.
     """
+    _require_instance("g", g, Graph)
     return EliminationOrdering(tuple(reversed(_pop_order(g, [0] * g.n))))
 
 
@@ -96,9 +96,7 @@ def later_neighbors(g: Graph, peo: EliminationOrdering) -> tuple[tuple[int, ...]
     The arguments are checked before the cache lookup, so a rejected call
     hashes nothing and caches nothing.
     """
-    _require_instance("g", g, Graph)
-    _require_instance("peo", peo, EliminationOrdering)
-    _require_ordering_of(g, peo)
+    _require_ordering_of("peo", peo, g)
     return _later_table(g, peo)
 
 
@@ -138,6 +136,7 @@ def degeneracy_order(g: Graph) -> EliminationOrdering:
 
     Every vertex has at most d later neighbors, where d is the degeneracy.
     """
+    _require_instance("g", g, Graph)
     return EliminationOrdering(tuple(_pop_order(g, [len(a) for a in g.adjacency])))
 
 

@@ -16,6 +16,7 @@ raises before the batch does any work.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -27,8 +28,8 @@ from .decomposition import degeneracy_order, mcs_order
 from .errors import InvalidInput, RecolorError, TooLarge
 from .graphs import (
     Graph,
+    _require_instance,
     _require_int,
-    _require_vertex_cap,
     gen_2tree,
     gen_chordal_omega3,
     gen_partial_2tree,
@@ -51,7 +52,6 @@ class ExperimentConfig:
     k: int = 5
     keep_prob: float = 0.6
     state_cap: int = DEFAULT_STATE_CAP
-    cross_check: bool = True
 
 
 @dataclass
@@ -80,8 +80,6 @@ CSV_COLUMNS = ["schema_version"] + [f.name for f in fields(ExperimentRecord)]
 
 
 def _build_graph(family: str, n: int, keep_prob: float, seed: int) -> Graph:
-    _require_int("n", n)
-    _require_vertex_cap(n)
     if family == "chordal-omega3":
         return gen_chordal_omega3(n, seed)
     if family == "2tree":
@@ -106,7 +104,7 @@ def _run_instance(config: ExperimentConfig, g: Graph, seed: int) -> list[Experim
         order = degeneracy_order(g)
         alpha = random_proper_coloring(g, order, k, seed * 2 + 1)
         beta = random_proper_coloring(g, order, k, seed * 2 + 2)
-    cross_check = config.cross_check and _within(k, g.n, config.state_cap)
+    cross_check = _within(k, g.n, config.state_cap)
     # the state graph is undirected, so one search serves both directions
     exact = []
 
@@ -158,6 +156,7 @@ def _tuple_of(name: str, values) -> tuple:
 
 
 def run_experiments(config: ExperimentConfig) -> list[ExperimentRecord]:
+    _require_instance("config", config, ExperimentConfig)
     if config.family not in FAMILIES:
         raise InvalidInput(f"unknown family {config.family!r}")
     sizes, seeds = _tuple_of("sizes", config.sizes), _tuple_of("seeds", config.seeds)
@@ -177,7 +176,12 @@ def has_violations(records: list[ExperimentRecord]) -> bool:
     return any(rec.status != "ok" for rec in records)
 
 
-def write_csv(path: str, records: list[ExperimentRecord]) -> None:
+def write_csv(path: str | os.PathLike, records: list[ExperimentRecord]) -> None:
+    """Write the records as CSV; an int path, a file descriptor `open` would close, is rejected."""
+    _require_instance("path", path, (str, os.PathLike))
+    _require_instance("records", records, list)
+    for rec in records:
+        _require_instance("records entry", rec, ExperimentRecord)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)

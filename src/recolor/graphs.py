@@ -19,9 +19,9 @@ from .errors import InvalidColoring, InvalidInput, InvalidSize, NotEnoughColors,
 if TYPE_CHECKING:
     from .decomposition import EliminationOrdering
 
-# Largest n a JSON graph or a generated instance (`gen`, `bench`) may declare,
-# about ten times the largest n measured here; checked before anything is
-# allocated. Graph.from_edges takes any n.
+# Largest n a JSON graph or a generator may declare, about ten times the
+# largest n measured here; checked before anything is allocated.
+# Graph.from_edges takes any n, so a caller can build a larger graph on purpose.
 MAX_JSON_VERTICES = 10**6
 
 
@@ -65,11 +65,11 @@ class Graph:
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         _require_int("vertex count", n, 0)
-        edges = list(edges)
         sets: list[set[int]] = [set() for _ in range(n)]
-        # an edge that is not a pair fails to flatten or to unpack; only then
-        # are the edges scanned again, to name it
+        # edges that are not iterable, or an edge that is not a pair, fail to
+        # list, flatten or unpack; only then are the edges scanned again
         try:
+            edges = list(edges)
             _require_ints("edge endpoint", list(chain.from_iterable(edges)))
             for u, v in edges:
                 if not (0 <= u < n and 0 <= v < n):
@@ -100,8 +100,7 @@ class Graph:
     @_json_loader
     def from_json(obj: dict) -> "Graph":
         n = obj["n"]
-        _require_int("vertex count", n, 0)
-        _require_vertex_cap(n)
+        _require_vertex_cap("vertex count", n)
         return Graph.from_edges(n, obj["edges"])
 
 
@@ -114,8 +113,7 @@ class Coloring:
 
     def __post_init__(self):
         _require_int("k", self.k, 1)
-        if not isinstance(self.colors, tuple):
-            raise InvalidInput(f"colors must be a tuple, got {self.colors!r}")
+        _require_instance("colors", self.colors, tuple)
         # one C pass over the colors' types, then, once all are ints (a bool is
         # not), one over their few distinct values; the loop runs only to name
         # the first color that is not an int in 1..k
@@ -151,16 +149,18 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
     return True
 
 
-def _malformed_edge(edges: Iterable) -> InvalidInput | None:
-    """The error naming the first of `edges` that is not a pair of ints, or None."""
-    for edge in edges:
-        try:
-            a, b = edge
-        except (TypeError, ValueError):
-            a = b = None
-        if type(a) is not int or type(b) is not int:
-            return InvalidInput(f"edge {edge!r} is not a pair of vertices")
-    return None
+def _malformed_edge(edges: object) -> InvalidInput:
+    """The error naming the first edge that is not a pair of ints; the error for all
+    of `edges` when they could not be listed, or when no one edge is to blame."""
+    if isinstance(edges, list):
+        for edge in edges:
+            try:
+                a, b = edge
+            except (TypeError, ValueError):
+                a = b = None
+            if type(a) is not int or type(b) is not int:
+                return InvalidInput(f"edge {edge!r} is not a pair of vertices")
+    return InvalidInput(f"edges must be an iterable of vertex pairs, got {type(edges).__name__}")
 
 
 def _require_int(name: str, value: object, bound: int | None = None) -> None:
@@ -171,14 +171,16 @@ def _require_int(name: str, value: object, bound: int | None = None) -> None:
         raise InvalidInput(f"need {name} >= {bound}, got {value}")
 
 
-def _require_instance(name: str, value: object, cls: type) -> None:
-    """Raise InvalidInput unless `value` is an instance of `cls`."""
+def _require_instance(name: str, value: object, cls: type | tuple[type, ...]) -> None:
+    """Raise InvalidInput unless `value` is an instance of `cls` (of one of them, for a tuple)."""
     if not isinstance(value, cls):
-        raise InvalidInput(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+        kind = " or ".join(c.__name__ for c in cls) if isinstance(cls, tuple) else cls.__name__
+        raise InvalidInput(f"{name} must be of type {kind}, got {type(value).__name__}")
 
 
-def _require_vertex_cap(n: int) -> None:
-    """Raise InvalidInput when the integer n is above MAX_JSON_VERTICES."""
+def _require_vertex_cap(name: str, n: object) -> None:
+    """Raise InvalidInput unless n is an int (not a bool) of at most MAX_JSON_VERTICES."""
+    _require_int(name, n)
     if n > MAX_JSON_VERTICES:
         raise InvalidInput(f"graph declares {n} vertices, above {MAX_JSON_VERTICES}")
 
@@ -215,7 +217,7 @@ def _2tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
 
 def gen_2tree(n: int, seed: int) -> Graph:
     """Random 2-tree on n >= 3 vertices; always has 2n-3 edges and is chordal."""
-    _require_int("n", n)
+    _require_vertex_cap("n", n)
     _require_int("seed", seed)
     if n < 3:
         raise InvalidSize(f"a 2-tree needs at least 3 vertices, got {n}")
@@ -228,7 +230,7 @@ def gen_partial_2tree(n: int, keep_prob: float, seed: int) -> Graph:
     keep_prob=1 reproduces gen_2tree(n, seed) exactly. The result always has
     treewidth at most 2.
     """
-    _require_int("n", n)
+    _require_vertex_cap("n", n)
     _require_int("seed", seed)
     if n < 3:
         raise InvalidSize(f"a partial 2-tree needs at least 3 vertices, got {n}")
@@ -249,7 +251,7 @@ def gen_chordal_omega3(n: int, seed: int) -> Graph:
     clique of size 0, 1 or 2 as its neighborhood, so construction order
     reversed is a perfect elimination ordering.
     """
-    _require_int("n", n)
+    _require_vertex_cap("n", n)
     _require_int("seed", seed)
     if n < 1:
         raise InvalidSize(f"need at least 1 vertex, got {n}")
@@ -269,8 +271,12 @@ def gen_chordal_omega3(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _require_ordering_of(g: Graph, order: EliminationOrdering) -> None:
-    """Raise InvalidInput unless the ordering has exactly one entry per vertex of g."""
+def _require_ordering_of(name: str, order: EliminationOrdering, g: Graph) -> None:
+    """Raise InvalidInput unless g is a Graph and `order` an EliminationOrdering of g's length."""
+    from .decomposition import EliminationOrdering  # decomposition imports this module
+
+    _require_instance("g", g, Graph)
+    _require_instance(name, order, EliminationOrdering)
     if len(order.order) != g.n:
         raise InvalidInput(
             f"ordering has {len(order.order)} vertices for a graph on {g.n} vertices"
@@ -289,7 +295,7 @@ def random_proper_coloring(
     """
     _require_int("k", k, 1)
     _require_int("seed", seed)
-    _require_ordering_of(g, peo)
+    _require_ordering_of("peo", peo, g)
     rng = random.Random(seed)
     colors = [0] * g.n
     for v in reversed(peo.order):
@@ -312,7 +318,7 @@ def greedy_coloring(g: Graph, order: EliminationOrdering) -> Coloring:
     exactly omega(G) colors; with at most 2 later neighbors per vertex it
     never needs more than 3.
     """
-    _require_ordering_of(g, order)
+    _require_ordering_of("order", order, g)
     # a neighbor not yet colored holds 0, which no color equals
     colors = [0] * g.n
     color_of = colors.__getitem__

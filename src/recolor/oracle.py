@@ -28,7 +28,7 @@ from __future__ import annotations
 import sys
 
 from .errors import TooLarge
-from .graphs import Coloring, Graph, _require_int, require_proper
+from .graphs import Coloring, Graph, _require_instance, _require_int, require_proper
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -41,7 +41,8 @@ def _within(k: int, n: int, cap: int) -> bool:
 
 
 def _proper_states(g: Graph, k: int, state_cap: int):
-    """`_kernels.state_space` after checking k and the cap, so a hit obeys a smaller cap."""
+    """`_kernels.state_space` after checking g, k and the cap, so a hit obeys a smaller cap."""
+    _require_instance("g", g, Graph)
     _require_int("k", k, 1)
     _require_int("state cap", state_cap, 1)
     if not _within(k, g.n, state_cap):

@@ -51,10 +51,8 @@ class RecoloringSequence:
 
     def __post_init__(self):
         start, steps = self.start, self.steps
-        if not isinstance(start, Coloring):
-            raise InvalidInput(f"sequence start must be a Coloring, got {start!r}")
-        if not isinstance(steps, tuple):
-            raise InvalidInput(f"sequence steps must be a tuple, got {steps!r}")
+        _require_instance("start", start, Coloring)
+        _require_instance("steps", steps, tuple)
         k = start.k
         # a step must be a tuple: any other iterable could be empty at replay
         try:

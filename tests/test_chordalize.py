@@ -492,7 +492,7 @@ def test_elimination_order_on_partial_2trees(n, seed, tenths, k):
         (lambda g, a, b, x: merge_same_colored(x, a), "g"),
         (lambda g, a, b, x: merge_same_colored(g, x), "alpha"),
         (lambda g, a, b, x: two_phase_transform(x, a, b, 2, 5), "g"),
-        (lambda g, a, b, x: two_phase_transform(g, x, b, 2, 5), "source"),
+        (lambda g, a, b, x: two_phase_transform(g, x, b, 2, 5), "gamma_s"),
     ],
 )
 def test_wrong_typed_graphs_and_colorings_are_named(call, name, junk):

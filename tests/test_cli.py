@@ -265,7 +265,7 @@ def test_bench_reports_violations(tmp_path, capsys, monkeypatch):
     out = tmp_path / "bench.csv"
     assert run(
         "bench", "--family", "partial-2tree", "--sizes", "5", "--seeds", "2",
-        "--no-cross-check", "--out", str(out),
+        "--out", str(out),
     ) == 1
     captured = capsys.readouterr()
     assert captured.out == f"wrote 4 records to {out}\n"
@@ -403,7 +403,7 @@ VALUES = {
     "--family": ("chordal-omega3", "2tree", "partial-2tree", "tree"),
     "--sizes": ("3", "3,5", "5,7", "0", "-1", "3,,5", "x", ""),
 }
-SWITCHES = ("--trace", "--no-cross-check")
+SWITCHES = ("--trace",)
 COMMANDS = {
     "gen": ("--family", "--n", "--seed", "--keep-prob", "--out", "--coloring-out", "--k",
             "--coloring-seed"),
@@ -414,8 +414,7 @@ COMMANDS = {
     "pipeline": ("--graph", "--alpha", "--beta", "--out"),
     "oracle": ("--graph", "--k", "--alpha", "--beta", "--state-cap"),
     "audit": ("--graph", "--peo", "--seq", "--json-out"),
-    "bench": ("--family", "--sizes", "--seeds", "--k", "--keep-prob", "--state-cap",
-              "--no-cross-check", "--out"),
+    "bench": ("--family", "--sizes", "--seeds", "--k", "--keep-prob", "--state-cap", "--out"),
     "nope": (),
 }
 LOOSE = ("-h", "--bogus", "distance", "5", "@g", "@missing")

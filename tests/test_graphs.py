@@ -98,6 +98,13 @@ def test_from_edges_names_an_edge_that_is_not_a_pair(edge):
         Graph.from_edges(3, [(0, 1), edge])
 
 
+@pytest.mark.parametrize("edges", [None, 5, 1.5, True])
+def test_from_edges_rejects_edges_that_are_not_iterable(edges):
+    message = rf"^edges must be an iterable of vertex pairs, got {type(edges).__name__}$"
+    with pytest.raises(InvalidInput, match=message):
+        Graph.from_edges(3, edges)
+
+
 def test_graph_rejects_self_loop():
     for n, edges in ((2, [(0, 0)]), (2, [(0, 5)]), (-1, [])):
         with pytest.raises(InvalidInput):

@@ -111,7 +111,7 @@ def test_one_shot_iterator_step_is_rejected():
     ],
 )
 def test_malformed_field_is_named(build, field):
-    with pytest.raises(InvalidInput, match=rf"\b{field} must be a"):
+    with pytest.raises(InvalidInput, match=rf"^{field} must be "):
         build()
 
 
