@@ -53,16 +53,22 @@ point checks only how its inputs relate, runs the cores and replays once.
 `pipeline_theorem` first asks `_merges_nothing` whether either endpoint
 would merge a pair; the test builds nothing, so each merge that runs runs
 once. When neither would, its step list is the one run `_best_choice(order,
-later, alpha, beta, 5)` on H; otherwise it joins its three parts (alpha to
-gamma1, the bridge, the undone beta half). Either way it compacts the list
-once and replays it once.
+later, alpha, beta, 5)` on H, which is not compacted; otherwise it joins its
+three parts (alpha to gamma1, the bridge, the undone beta half) and compacts
+the join forward and then backward. Either way it replays the list once.
 The compaction (`sequences._compact`) folds a vertex's step into the
 vertex's next step when no neighbor holds the next step's color at any time
 in between: the first step is rewritten to that color and the second goes,
 or both go when the vertex returns to its color from before. The vertex then
 holds, over the interval, a color none of its neighbors holds there, so every
 step stays proper and the end coloring is unchanged. Each fold removes one or
-two steps and adds none, so no vertex's count rises above the bound.
+two steps and adds none, so no vertex's count rises above the bound. The
+backward pass compacts the join's steps undone from alpha, a valid sequence
+from beta back to alpha, and undoes the result again, so the sequence still
+runs from alpha to beta. A forward fold gives a vertex its later color
+early, which needs no neighbor to hold that color in between; a backward
+fold keeps the vertex at its earlier color until its later step, which needs
+no neighbor to take that one. So each pass finds folds the other cannot.
 """
 
 from __future__ import annotations
@@ -343,8 +349,10 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
     is proper on its spanning subgraph g. PER_VERTEX_CHORDAL_BOUND then
     covers the whole output.
 
-    Either way the steps are compacted once and replayed once from alpha;
-    the stages in between neither check nor replay.
+    Both halves' join is compacted forward from alpha and then backward
+    from beta; the one best-choice run is not compacted. Either way the
+    steps are replayed once from alpha; the stages in between neither check
+    nor replay.
     """
     for name, coloring in (("alpha", alpha), ("beta", beta)):
         _require_instance(name, coloring, Coloring)
@@ -361,5 +369,9 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
         steps_b, gamma_2 = _toward_3coloring(elim, beta.colors, gamma_1)
         _, back = _undo(beta.colors, steps_b)
         steps = steps_a + _two_phase(gamma_1, gamma_2, d=2) + back
-    steps = _compact(g.adjacency, alpha.colors, steps)
+        # compact forward from alpha, then backward: the steps undone from
+        # alpha are a valid sequence from beta, compacted there and undone again
+        steps = _compact(g.adjacency, alpha.colors, steps)
+        _, back = _undo(alpha.colors, steps)
+        _, steps = _undo(beta.colors, _compact(g.adjacency, beta.colors, back))
     return _replayed(g, alpha, steps, beta.colors)

@@ -182,7 +182,11 @@ def write_csv(path: str | os.PathLike, records: list[ExperimentRecord]) -> None:
     _require_instance("records", records, list)
     for rec in records:
         _require_instance("records entry", rec, ExperimentRecord)
-    with open(path, "w", newline="") as handle:
+    try:
+        handle = open(path, "w", newline="")
+    except OSError as exc:
+        raise InvalidInput(f"path {os.fspath(path)!r} cannot be written: {exc.strerror}") from exc
+    with handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for rec in records:

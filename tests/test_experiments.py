@@ -1,4 +1,5 @@
 import csv
+import re
 
 import pytest
 
@@ -114,6 +115,14 @@ def test_non_iterable_sizes_or_seeds_rejected(field, value):
     message = f"^{field} must be an iterable of integers, got {value}$"
     with pytest.raises(InvalidInput, match=message):
         run_experiments(config)
+
+
+@pytest.mark.parametrize("path", ["", "missing-dir/x.csv"])
+def test_unwritable_csv_path_rejected(tmp_path, path):
+    # a path open cannot create, empty or in a directory that does not exist
+    path = str(tmp_path / path) if path else path
+    with pytest.raises(InvalidInput, match=f"^path {re.escape(repr(path))} cannot be written: "):
+        write_csv(path, [])
 
 
 def test_seeds_from_a_generator_serve_every_size():

@@ -344,14 +344,38 @@ def _assert_compacts(g, seq):
     st.integers(0, 10**6),
 )
 def test_compact_keeps_random_walks_valid(chordal, n, k, length, seed):
+    g, start = _walk_start(chordal, n, k, seed)
+    _assert_compacts(g, _random_walk(g, start, length, random.Random(seed)))
+
+
+def _walk_start(chordal, n, k, seed):
+    """A chordal graph or a partial 2-tree, and a proper k-coloring of it."""
     if chordal:
         g = gen_chordal_omega3(n, seed)
         order = mcs_order(g)
     else:
         g = gen_partial_2tree(n, 0.6, seed)
         order = degeneracy_order(g)
-    start = random_proper_coloring(g, order, k, seed + 1)
-    _assert_compacts(g, _random_walk(g, start, length, random.Random(seed)))
+    return g, random_proper_coloring(g, order, k, seed + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.booleans(),
+    st.integers(3, 24),
+    st.integers(4, 6),
+    st.integers(0, 60),
+    st.integers(0, 10**6),
+)
+def test_compact_backward_keeps_random_walks_valid(chordal, n, k, length, seed):
+    # the pipeline's backward pass: a valid walk undone is a valid walk from
+    # its end back to its start, which _compact keeps valid with that end
+    # and with no vertex's count above the walk's
+    g, start = _walk_start(chordal, n, k, seed)
+    walk = _random_walk(g, start, length, random.Random(seed))
+    end, back = _undo(start.colors, walk.steps)
+    steps = _assert_compacts(g, RecoloringSequence(Coloring(k, end), tuple(back)))
+    assert verify_sequence(g, RecoloringSequence(Coloring(k, end), tuple(steps))) == start
 
 
 def test_compact_drops_a_step_and_its_return():
