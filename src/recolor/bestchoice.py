@@ -88,10 +88,8 @@ def _best_choice(
     later[u] processed last. later[u] is a clique, so every other member of
     it lies in later[a]; a vertex's steps are fixed once it is processed, and
     an insertion never reorders existing nodes. So trace[a] filtered to
-    later[u] is exactly the run of steps u is spliced against, and trace[a]
-    is the run itself when later[a] is later[u] without a. When u's color
-    never comes up in that run, u moves only at the end and trace[u] is the
-    run. So one list may be several vertices' trace, and none is appended to.
+    later[u] is exactly the run of steps u is spliced against. When u's color
+    never comes up in that run, u moves only at the end and trace[u] is the run.
     """
     vert, col, prv, nxt = [-1], [0], [0], [0]
     rank = [0] * len(order)
@@ -100,27 +98,23 @@ def _best_choice(
         nbrs = later[u]
         cur_u = alpha[u]
         if not nbrs:
-            view = []
-        elif len(nbrs) == 1:
-            x = nbrs[0]
-            view = trace[x]
-            if later[x]:
-                view = [s for s in view if vert[s] == x]
-        elif len(nbrs) == 2:
-            x, y = nbrs
-            a = x if rank[x] > rank[y] else y
-            view = trace[a]
-            if len(later[a]) > 1:
-                view = [s for s in view if vert[s] == x or vert[s] == y]
+            mine = []
         else:
-            a = max(nbrs, key=rank.__getitem__)
-            view = [s for s in trace[a] if vert[s] in nbrs]
-        mine = view
-        for t in view:
-            if col[t] == cur_u:
-                # u's color comes up: splice a node of u before each such step
+            if len(nbrs) == 1:
+                x = nbrs[0]
+                view = [s for s in trace[x] if vert[s] == x]
+            elif len(nbrs) == 2:
+                x, y = nbrs
+                a = x if rank[x] > rank[y] else y
+                view = [s for s in trace[a] if vert[s] == x or vert[s] == y]
+            else:
+                a = max(nbrs, key=rank.__getitem__)
+                view = [s for s in trace[a] if vert[s] in nbrs]
+            upcoming = [col[s] for s in view]
+            if cur_u not in upcoming:
+                mine = view
+            else:
                 mine = []
-                upcoming = [col[s] for s in view]
                 cur = {w: alpha[w] for w in nbrs}
                 for j, s in enumerate(view):
                     if upcoming[j] == cur_u:
@@ -137,7 +131,6 @@ def _best_choice(
                         mine.append(node)
                     mine.append(s)
                     cur[vert[s]] = upcoming[j]
-                break
         if cur_u != beta[u]:
             # a node of u at the end
             node = len(vert)
@@ -147,7 +140,7 @@ def _best_choice(
             prv.append(p)
             nxt.append(0)
             nxt[p] = prv[0] = node
-            mine = [*mine, node]
+            mine.append(node)
         trace[u] = mine
         rank[u] = i
 

@@ -63,9 +63,10 @@ or both go when the vertex returns to its color from before. The vertex then
 holds, over the interval, a color none of its neighbors holds there, so every
 step stays proper and the end coloring is unchanged. Each fold removes one or
 two steps and adds none, so no vertex's count rises above the bound. The
-backward pass compacts the join's steps undone from alpha, a valid sequence
-from beta back to alpha, and undoes the result again, so the sequence still
-runs from alpha to beta. A forward fold gives a vertex its later color
+backward pass compacts the join's steps undone from alpha, a sequence from
+the join's end (beta, when every stage is right) back to alpha, and undoes
+the result from that end again, so the sequence still runs from alpha to the
+same end, and a stage that misses its end is left for the replay to catch. A forward fold gives a vertex its later color
 early, which needs no neighbor to hold that color in between; a backward
 fold keeps the vertex at its earlier color until its later step, which needs
 no neighbor to take that one. So each pass finds folds the other cannot.
@@ -350,7 +351,8 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
     covers the whole output.
 
     Both halves' join is compacted forward from alpha and then backward
-    from beta; the one best-choice run is not compacted. Either way the
+    from where it ends, beta when every stage is right; the one best-choice
+    run is not compacted. Either way the
     steps are replayed once from alpha; the stages in between neither check
     nor replay.
     """
@@ -370,8 +372,9 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
         _, back = _undo(beta.colors, steps_b)
         steps = steps_a + _two_phase(gamma_1, gamma_2, d=2) + back
         # compact forward from alpha, then backward: the steps undone from
-        # alpha are a valid sequence from beta, compacted there and undone again
+        # alpha lead from their end back to alpha, are compacted from that
+        # end and undone again
         steps = _compact(g.adjacency, alpha.colors, steps)
-        _, back = _undo(alpha.colors, steps)
-        _, steps = _undo(beta.colors, _compact(g.adjacency, beta.colors, back))
+        end, back = _undo(alpha.colors, steps)
+        _, steps = _undo(end, _compact(g.adjacency, end, back))
     return _replayed(g, alpha, steps, beta.colors)

@@ -662,7 +662,7 @@ def _short_bridge_instance(monkeypatch, seed):
 
 
 @pytest.mark.parametrize(
-    "seed, error", [(16, AssertionError), (0, ImproperStep), (11, NoOpStep)]
+    "seed, error", [(8, AssertionError), (0, ImproperStep), (11, NoOpStep)]
 )
 def test_pipeline_raises_when_a_segment_misses_its_end(monkeypatch, seed, error):
     # a bridge that stops one step short leaves the undone beta half starting
@@ -673,11 +673,9 @@ def test_pipeline_raises_when_a_segment_misses_its_end(monkeypatch, seed, error)
         pipeline_theorem(g, alpha, beta)
 
 
-@pytest.mark.parametrize("seed", [2, 8])
-def test_pipeline_returns_a_short_bridge_only_when_its_replay_passes(monkeypatch, seed):
+def test_pipeline_returns_a_short_bridge_only_when_its_replay_passes(monkeypatch):
     # on other instances a later step on the vertex the bridge left behind
-    # repairs it, here once the compaction folds steps together (on seed 8
-    # only the backward pass does), and the one replay from alpha accepts a
-    # valid alpha-to-beta sequence
-    g, alpha, beta = _short_bridge_instance(monkeypatch, seed)
+    # repairs it, here once the compaction folds steps together, and the one
+    # replay from alpha accepts a valid alpha-to-beta sequence
+    g, alpha, beta = _short_bridge_instance(monkeypatch, 2)
     assert verify_sequence(g, pipeline_theorem(g, alpha, beta)).colors == beta.colors
