@@ -80,9 +80,9 @@ def _best_choice(
 
     `later` is the later-neighbor table of `order`, and `alpha` and `beta`
     are the endpoint colors. Each u is spliced in against the neighbors
-    already processed, which are exactly those after it. Steps are nodes (vertex, color) of one doubly linked list
-    whose node 0 marks the end, and trace[u] lists the nodes of u and of
-    later[u] in sequence order.
+    already processed, which are exactly those after it. Steps are nodes
+    (vertex, color) of one doubly linked list whose node 0 marks the end,
+    and trace[u] lists the nodes of u and of later[u] in sequence order.
 
     u only needs the steps of later[u], in order. Let a be the vertex of
     later[u] processed last. later[u] is a clique, so every other member of

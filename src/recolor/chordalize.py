@@ -53,23 +53,16 @@ point checks only how its inputs relate, runs the cores and replays once.
 `pipeline_theorem` first asks `_merges_nothing` whether either endpoint
 would merge a pair; the test builds nothing, so each merge that runs runs
 once. When neither would, its step list is the one run `_best_choice(order,
-later, alpha, beta, 5)` on H, which is not compacted; otherwise it joins its
-three parts (alpha to gamma1, the bridge, the undone beta half) and compacts
-the join forward and then backward. Either way it replays the list once.
-The compaction (`sequences._compact`) folds a vertex's step into the
-vertex's next step when no neighbor holds the next step's color at any time
-in between: the first step is rewritten to that color and the second goes,
-or both go when the vertex returns to its color from before. The vertex then
-holds, over the interval, a color none of its neighbors holds there, so every
-step stays proper and the end coloring is unchanged. Each fold removes one or
-two steps and adds none, so no vertex's count rises above the bound. The
-backward pass compacts the join's steps undone from alpha, a sequence from
-the join's end (beta, when every stage is right) back to alpha, and undoes
-the result from that end again, so the sequence still runs from alpha to the
-same end, and a stage that misses its end is left for the replay to catch. A forward fold gives a vertex its later color
-early, which needs no neighbor to hold that color in between; a backward
-fold keeps the vertex at its earlier color until its later step, which needs
-no neighbor to take that one. So each pass finds folds the other cannot.
+later, alpha, beta, 5)` on H; otherwise it joins its three parts (alpha to
+gamma1, the bridge, the undone beta half). Either way it compacts the list
+once, forward and then backward, and replays it once. The compaction
+(`sequences._compact`) folds a vertex's step into the vertex's next step
+when no neighbor holds the next step's color at any time in between: the
+first step is rewritten to that color and the second goes, or both go when
+the vertex returns to its color from before. The vertex then holds, over the
+interval, a color none of its neighbors holds there, so every step stays
+proper and the end coloring is unchanged. Each fold removes one or two steps
+and adds none, so no vertex's count rises above the bound.
 """
 
 from __future__ import annotations
@@ -350,11 +343,9 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
     is proper on its spanning subgraph g. PER_VERTEX_CHORDAL_BOUND then
     covers the whole output.
 
-    Both halves' join is compacted forward from alpha and then backward
-    from where it ends, beta when every stage is right; the one best-choice
-    run is not compacted. Either way the
-    steps are replayed once from alpha; the stages in between neither check
-    nor replay.
+    Either way the steps are compacted once (`sequences._compact`) and
+    replayed once from alpha; the stages in between neither check nor
+    replay.
     """
     for name, coloring in (("alpha", alpha), ("beta", beta)):
         _require_instance(name, coloring, Coloring)
@@ -371,10 +362,4 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
         steps_b, gamma_2 = _toward_3coloring(elim, beta.colors, gamma_1)
         _, back = _undo(beta.colors, steps_b)
         steps = steps_a + _two_phase(gamma_1, gamma_2, d=2) + back
-        # compact forward from alpha, then backward: the steps undone from
-        # alpha lead from their end back to alpha, are compacted from that
-        # end and undone again
-        steps = _compact(g.adjacency, alpha.colors, steps)
-        end, back = _undo(alpha.colors, steps)
-        _, steps = _undo(end, _compact(g.adjacency, end, back))
-    return _replayed(g, alpha, steps, beta.colors)
+    return _replayed(g, alpha, _compact(g.adjacency, alpha.colors, steps), beta.colors)

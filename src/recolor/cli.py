@@ -189,7 +189,9 @@ def _cmd_bench(args) -> int:
     try:
         sizes = tuple(int(x) for x in args.sizes.split(","))
     except ValueError:
-        raise InvalidInput(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
+        raise InvalidInput(
+            f"--sizes must be comma-separated integers, got {args.sizes!r}"
+        ) from None
     config = ExperimentConfig(
         family=args.family,
         sizes=sizes,

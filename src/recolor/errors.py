@@ -75,7 +75,7 @@ class AuditViolation(RecolorError):
         self.detail = detail
 
     def to_json(self) -> dict:
-        return {"vertex": self.vertex, "rule": self.rule, "index": self.index, "detail": self.detail}
+        return dict(vertex=self.vertex, rule=self.rule, index=self.index, detail=self.detail)
 
 
 def _json_loader(load):

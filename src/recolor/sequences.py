@@ -128,16 +128,40 @@ def _compact(
 ) -> list[tuple[int, int]]:
     """A valid sequence from `start` with the end of the valid `steps`, never longer.
 
-    One pass in order. A kept step sits at the time (input index) of the
-    input step it came from. A vertex v's last kept step stays pending until
-    v's next input step, to c. Let seen(v) be the colors v's neighbors hold
-    in the input from the pending step up to now: their colors at the
-    pending step and the color of every later input step of a neighbor,
-    whether the pass keeps, rewrites or drops that step. When c is not in
-    seen(v) and is v's color from before the pending step, both steps go.
-    When c is not in seen(v) otherwise, the pending step is rewritten to c,
-    the next step goes and the rewritten step stays pending. When c is in
-    seen(v), the next step is kept and becomes the pending one.
+    `_fold` runs forward from `start`, then backward: the folded steps undone
+    from `start` are a valid sequence from where they really end back to
+    `start`, `_fold` runs over them from that end, and their result is undone
+    from that end again. A valid sequence reversed is valid, and each pass
+    only rewrites or drops steps, so the result still runs from `start` to
+    the same end and no vertex's count rises. The backward pass starts from
+    the steps' real end, not from a target the caller expects, so a caller
+    that replays the result still sees a sequence that misses its target.
+
+    A forward fold gives a vertex its later color early, which needs no
+    neighbor to hold that color in between; a backward fold keeps the vertex
+    at its earlier color until its later step, which needs no neighbor to
+    take that one. So each pass finds folds the other cannot.
+    """
+    for _ in range(2):
+        start, steps = _undo(start, _fold(adjacency, start, steps))
+    return steps
+
+
+def _fold(
+    adjacency: Sequence[Sequence[int]], start: Sequence[int], steps: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """One pass of `_compact`, in input order: valid steps from `start`, same end.
+
+    A kept step sits at the time (input index) of the input step it came
+    from. A vertex v's last kept step stays pending until v's next input
+    step, to c. Let seen(v) be the colors v's neighbors hold in the input
+    from the pending step up to now: their colors at the pending step and
+    the color of every later input step of a neighbor, whether the pass
+    keeps, rewrites or drops that step. When c is not in seen(v) and is v's
+    color from before the pending step, both steps go. When c is not in
+    seen(v) otherwise, the pending step is rewritten to c, the next step
+    goes and the rewritten step stays pending. When c is in seen(v), the
+    next step is kept and becomes the pending one.
 
     Why it holds: after each input step the kept steps are valid and reach
     the input's coloring, and a vertex's kept color at any earlier time s is

@@ -370,6 +370,21 @@ def test_pipeline_on_squared_path_runs_best_choice_once(monkeypatch, n, length):
     assert verify_sequence(g, seq).colors == beta.colors
 
 
+def test_pipeline_compacts_its_one_best_choice_run(monkeypatch):
+    # no bag holds two vertices of one color in either endpoint, so the
+    # pipeline runs one best-choice pass, of 12 steps; its compaction folds
+    # two of them away
+    runs = _counting_best_choice(monkeypatch)
+    g = gen_partial_2tree(8, 0.7, 72)
+    order = degeneracy_order(g)
+    alpha = random_proper_coloring(g, order, 5, 1)
+    beta = random_proper_coloring(g, order, 5, 2)
+    seq = pipeline_theorem(g, alpha, beta)
+    assert len(runs) == 1 and len(bestchoice._best_choice(*runs[0])) == 12
+    assert len(seq.steps) == 10
+    assert verify_sequence(g, seq).colors == beta.colors
+
+
 def test_pipeline_on_c4_with_monochromatic_fill_pairs_runs_both_halves(monkeypatch):
     # C4 with alpha = 1, 2, 1, 2: both possible fill pairs share a color, so
     # alpha merges and the pipeline goes through both halves
@@ -593,8 +608,7 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
     # step loop alone and never through verify_sequence; both halves merge
     # over one shared elimination; it builds no merged graph, so none of the
     # next four runs, its stages pass plain lists, so it builds no merge map
-    # or ordering, and it builds one sequence. Both halves are compacted
-    # forward and then backward; the one best-choice run is not compacted
+    # or ordering, and it builds one sequence, compacted once on either route
     calls = dict.fromkeys(
         ("verify_sequence", "_replay", "_eliminate", "_compact", "from_edges", "mcs_order",
          "later_neighbors", "greedy_coloring", "MergeMap", "EliminationOrdering",
@@ -632,14 +646,14 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     for cls in (MergeMap, EliminationOrdering, RecoloringSequence):
         monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
-    for (g, alpha, beta), compactions in zip(instances, (2, 0)):
+    for g, alpha, beta in instances:
         calls.update(dict.fromkeys(calls, 0))
         pipeline_theorem(g, alpha, beta)
         assert calls == {
             **dict.fromkeys(calls, 0),
             "_replay": 1,
             "_eliminate": 1,
-            "_compact": compactions,
+            "_compact": 1,
             "RecoloringSequence": 1,
         }
 

@@ -113,6 +113,9 @@ def test_graph_rejects_self_loop():
         Graph.from_json({"n": -1, "edges": []})
 
 
+UNSORTED = "adjacency rows must be sorted, without repeats, and symmetric"
+
+
 def test_graph_constructor_checks_its_fields():
     # an out-of-range neighbour or an asymmetric row is rejected when built,
     # not met as a TypeError, IndexError or KeyError inside a call
@@ -131,12 +134,12 @@ def test_graph_constructor_checks_its_fields():
         (2, [(), ()], r"^adjacency must be a tuple of 2 tuples$"),
         (2, ((), [0]), r"^adjacency must be a tuple of 2 tuples$"),
         (2, ((1,),), r"^adjacency must be a tuple of 2 tuples$"),
-        (2, ((True,), (0,)), r"^neighbour must be an integer, got True$"),
-        (2, ((-1,), ()), r"^a neighbour is out of range for n=2$"),
-        (2, ((0,), ()), r"^adjacency has a self-loop$"),
-        (3, ((2, 1), (0,), (0,)), r"^adjacency rows must be sorted, without repeats$"),
-        (3, ((1, 1), (0,), ()), r"^adjacency rows must be sorted, without repeats$"),
-        (3, ((1,), (0, 2), (0,)), r"^adjacency is not symmetric$"),
+        (2, ((True,), (0,)), r"^edge endpoint must be an integer, got True$"),
+        (2, ((-1,), ()), r"^edge \(0, -1\) out of range for n=2$"),
+        (2, ((0,), ()), r"^self-loop at vertex 0$"),
+        (3, ((2, 1), (0,), (0,)), rf"^{UNSORTED}$"),
+        (3, ((1, 1), (0,), ()), rf"^{UNSORTED}$"),
+        (3, ((1,), (0, 2), (0,)), rf"^{UNSORTED}$"),
     ):
         with pytest.raises(InvalidInput, match=message):
             Graph(n, adjacency)

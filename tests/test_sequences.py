@@ -32,7 +32,7 @@ from recolor import (
     random_proper_coloring,
     verify_sequence,
 )
-from recolor.sequences import _compact, _undo
+from recolor.sequences import _compact, _fold, _undo
 
 import helpers
 
@@ -319,13 +319,13 @@ def _random_walk(g, start, length, rng):
     return RecoloringSequence(start, tuple(steps))
 
 
-def _assert_compacts(g, seq):
-    """_compact's steps replay from the same start to the same end, and no count rises.
+def _assert_compacts(g, seq, compact=_compact):
+    """compact's steps replay from the same start to the same end, and no count rises.
 
     A rewritten step is not one of the input's, so the output need not be a
     subsequence of the input.
     """
-    steps = _compact(g.adjacency, seq.start.colors, list(seq.steps))
+    steps = compact(g.adjacency, seq.start.colors, list(seq.steps))
     assert len(steps) <= len(seq.steps)
     assert verify_sequence(g, RecoloringSequence(seq.start, tuple(steps))) == verify_sequence(
         g, seq
@@ -368,9 +368,9 @@ def _walk_start(chordal, n, k, seed):
     st.integers(0, 10**6),
 )
 def test_compact_backward_keeps_random_walks_valid(chordal, n, k, length, seed):
-    # the pipeline's backward pass: a valid walk undone is a valid walk from
-    # its end back to its start, which _compact keeps valid with that end
-    # and with no vertex's count above the walk's
+    # a valid walk undone is a valid walk from its end back to its start,
+    # which _compact keeps valid with that end and with no vertex's count
+    # above the walk's
     g, start = _walk_start(chordal, n, k, seed)
     walk = _random_walk(g, start, length, random.Random(seed))
     end, back = _undo(start.colors, walk.steps)
@@ -406,17 +406,22 @@ def test_compact_keeps_a_step_whose_color_a_neighbor_held_in_between():
     # on the path 0 - 1 - 2, vertex 1 holds 4 from step 1 to step 3, inside
     # vertex 0's interval from step 0 to step 4, so vertex 0's step to 5
     # cannot become its step to 4; vertex 1's step to 3 takes a color that
-    # vertex 2 held in vertex 1's own interval, so it stays too
+    # vertex 2 held in vertex 1's own interval, so it stays too. Backward, no
+    # neighbor takes 2 in vertex 0's interval, so it keeps 2 until its last step
     seq = seq_of(5, (2, 1, 3), [(0, 5), (1, 4), (2, 1), (1, 3), (0, 4)])
-    assert _assert_compacts(P3, seq) == list(seq.steps)
+    assert _assert_compacts(P3, seq, _fold) == list(seq.steps)
+    assert _assert_compacts(P3, seq) == [(1, 4), (2, 1), (1, 3), (0, 4)]
 
 
 def test_compact_sees_a_neighbors_step_rewritten_inside_the_interval():
     # vertex 1's step to 4 is rewritten to 5 at step 2, inside vertex 0's
     # interval, so vertex 1 holds 5 from step 0 to step 3. Vertex 0's step to
-    # 3 must then stay: rewritten to 5 it would collide with vertex 1 at step 1
+    # 3 must then stay: rewritten to 5 it would collide with vertex 1 at step 1.
+    # Backward, no neighbor takes 1 in vertex 1's interval, so it keeps 1
+    # until its step to 2
     seq = seq_of(5, (2, 1, 3), [(1, 4), (0, 3), (1, 5), (1, 2), (0, 5)])
-    assert _assert_compacts(P3, seq) == [(1, 5), (0, 3), (1, 2), (0, 5)]
+    assert _assert_compacts(P3, seq, _fold) == [(1, 5), (0, 3), (1, 2), (0, 5)]
+    assert _assert_compacts(P3, seq) == [(0, 3), (1, 2), (0, 5)]
 
 
 def _audit_corpus():
