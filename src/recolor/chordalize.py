@@ -237,10 +237,6 @@ def lift_sequence(
             f"does not fit a {g.n}-vertex graph and a "
             f"{len(seq_h.start.colors)}-vertex merged sequence"
         )
-    # a negative merged vertex would index, and lift, the wrong class
-    outside = [m for m, _ in seq_h.steps if not 0 <= m < size]
-    if outside:
-        raise LiftFailure(f"merged vertex {outside[0]} is not one of {size} classes")
     colors_h = seq_h.start.colors
     lifted = RecoloringSequence(
         Coloring(seq_h.start.k, tuple([colors_h[m] for m in to_merged])),

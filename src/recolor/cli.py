@@ -15,7 +15,7 @@ import sys
 from .bestchoice import best_choice_recoloring
 from .chordalize import merge_same_colored, pipeline_theorem
 from .decomposition import EliminationOrdering, mcs_order
-from .errors import InvalidInput, RecolorError
+from .errors import InvalidColoring, InvalidInput, RecolorError
 from .experiments import (
     ExperimentConfig,
     FAMILIES,
@@ -89,17 +89,20 @@ def _cmd_check(args) -> int:
         print("proper" if ok else "improper")
         return 0 if ok else 1
     seq = _read(args.seq, RecoloringSequence)
+    if args.expect_final is not None:
+        want = _read(args.expect_final, Coloring)
+        m = len(want.colors)
+        if m != g.n:
+            raise InvalidColoring(f"expected final coloring has {m} entries, not {g.n}")
     try:
         final = verify_sequence(g, seq)
     except RecolorError as exc:
         print(f"invalid: {exc}")
         return 1
     print(f"valid sequence of {len(seq.steps)} steps")
-    if args.expect_final is not None:
-        want = _read(args.expect_final, Coloring)
-        if final.colors != want.colors:
-            print("final coloring does not match the expected one")
-            return 1
+    if args.expect_final is not None and final.colors != want.colors:
+        print("final coloring does not match the expected one")
+        return 1
     return 0
 
 

@@ -1,16 +1,17 @@
 """Recoloring sequences: replay, compaction and structural audits.
 
 A sequence is a start coloring plus ordered (vertex, new_color) steps, each a
-tuple of two ints with a color in 1..k, as `RecoloringSequence` checks when
-built. Every step must change its vertex's color and every intermediate
-coloring must stay proper; `verify_sequence` enforces both. The audit checks
-the structural properties that every greedily built sequence from `bestchoice`
-satisfies: no immediate re-recoloring, a per-vertex count bound driven by
-saved steps, and color distinctness around tight alternation patterns. Its
-core `_audit` reads each vertex's out-neighbors N+(v) from one
-`later_neighbors` table, which `audit_best_choice` rejects if it gives any
-vertex more than two of them. `later_neighbors` keeps its last table, so an
-audit right after `best_choice_recoloring` on the same (g, peo) builds none.
+tuple of two ints with a vertex of the start and a color in 1..k, as
+`RecoloringSequence` checks when built. Every step must change its vertex's
+color and every intermediate coloring must stay proper; `verify_sequence`
+enforces both. The audit checks the structural properties that every greedily
+built sequence from `bestchoice` satisfies: no immediate re-recoloring, a
+per-vertex count bound driven by saved steps, and color distinctness around
+tight alternation patterns. Its core `_audit` reads each vertex's
+out-neighbors N+(v) from one `later_neighbors` table, which
+`audit_best_choice` rejects if it gives any vertex more than two of them.
+`later_neighbors` keeps its last table, so an audit right after
+`best_choice_recoloring` on the same (g, peo) builds none.
 
 Every audit rule is read off the gaps between consecutive steps of v in its
 restriction, the steps of v and N+(v) in sequence order. An out-neighbor step
@@ -53,7 +54,7 @@ class RecoloringSequence:
         start, steps = self.start, self.steps
         _require_instance("start", start, Coloring)
         _require_instance("steps", steps, tuple)
-        k = start.k
+        k, n = start.k, len(start.colors)
         # a step must be a tuple: any other iterable could be empty at replay
         try:
             for i, step in enumerate(steps):
@@ -64,6 +65,8 @@ class RecoloringSequence:
                     break
                 if not 0 < c <= k:
                     raise InvalidColoring(f"step {i} uses color {c} outside 1..{k}")
+                if not 0 <= v < n:
+                    raise InvalidColoring(f"step {i} recolors unknown vertex {v}")
             else:
                 return
         except ValueError:
@@ -89,7 +92,6 @@ def verify_sequence(g: Graph, seq: RecoloringSequence) -> Coloring:
     Returns the final coloring. Raises ImproperStart, ImproperStep(index) or
     NoOpStep(index).
     """
-    _require_instance("g", g, Graph)
     _require_instance("seq", seq, RecoloringSequence)
     if not is_proper(g, seq.start):
         raise ImproperStart("start coloring is not proper")
@@ -97,11 +99,9 @@ def verify_sequence(g: Graph, seq: RecoloringSequence) -> Coloring:
 
 
 def _replay(g: Graph, seq: RecoloringSequence) -> Coloring:
-    """verify_sequence's step loop, for a start coloring already known to be proper."""
+    """verify_sequence's step loop, for a start already known to be proper on g."""
     cur = list(seq.start.colors)
     for i, (v, c) in enumerate(seq.steps):
-        if not (0 <= v < g.n):
-            raise InvalidColoring(f"step {i} recolors unknown vertex {v}")
         if cur[v] == c:
             raise NoOpStep(i, f"vertex {v} already has color {c}")
         for w in g.adjacency[v]:

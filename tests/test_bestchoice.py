@@ -254,29 +254,6 @@ def test_one_positions_pass_per_public_call(monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize(
-    "call, name",
-    [
-        (lambda g, peo, a, b, seq: later_neighbors(g, list(peo.order)), "peo"),
-        (lambda g, peo, a, b, seq: later_neighbors(None, peo), "g"),
-        (lambda g, peo, a, b, seq: later_neighbors(g, None), "peo"),
-        (lambda g, peo, a, b, seq: is_perfect_elimination(g, peo.order), "peo"),
-        (lambda g, peo, a, b, seq: best_choice_recoloring(g, list(peo.order), a, b, 5), "peo"),
-        (lambda g, peo, a, b, seq: audit_best_choice(seq, None, g), "peo"),
-        (lambda g, peo, a, b, seq: audit_best_choice(seq, peo, {}), "g"),
-        (lambda g, peo, a, b, seq: audit_best_choice([], peo, g), "seq"),
-    ],
-)
-def test_wrong_typed_table_arguments_are_named(call, name):
-    g = gen_chordal_omega3(12, 3)
-    peo = mcs_order(g)
-    a = random_proper_coloring(g, peo, 5, 0)
-    b = greedy_coloring(g, peo)
-    seq = best_choice_recoloring(g, peo, a, b, 5)
-    with pytest.raises(InvalidInput, match=f"^{name} must be of type "):
-        call(g, peo, a, b, seq)
-
-
 def test_recoloring_large_instance_bounded():
     g = gen_chordal_omega3(200, 11)
     peo = mcs_order(g)

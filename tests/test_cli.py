@@ -95,6 +95,13 @@ def test_check_flags_improper_coloring(tmp_path, capsys):
         "valid sequence of 1 steps", "final coloring does not match the expected one",
     ]
 
+    # an expected final coloring of another length is rejected before the replay
+    for colors in ([1], [1, 2, 3]):
+        _write(c, {"k": 3, "colors": colors})
+        assert run("check", "--graph", str(g), "--seq", str(seq), "--expect-final", str(c)) == 1
+        err = f"error: InvalidColoring: expected final coloring has {len(colors)} entries, not 2\n"
+        assert capsys.readouterr() == ("", err)
+
     # decompose has one output, so argparse rejects a run without it
     with pytest.raises(SystemExit) as exit_info:
         run("decompose", "--graph", str(g))
@@ -378,8 +385,6 @@ FILES = {
     "nan_color": '{"k": 5, "colors": [NaN, 1, 2, 3, 4]}',
     "k0": '{"k": 0, "colors": []}',
     "dup_order": '{"order": [0, 0, 1, 2, 3]}',
-    "big_bag": '{"bags": [[0, 1, 2, 3]], "tree_edges": []}',
-    "bad_tree_edge": '{"bags": [[0, 1]], "tree_edges": [[0, 1, 2]]}',
     "bad_step": json.dumps({"start": _A.to_json(), "steps": [[9, 1]]}),
     "noop_step": json.dumps({"start": _A.to_json(), "steps": [[0, 1]]}),
     "bad_start": '{"start": 5, "steps": []}',

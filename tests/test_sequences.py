@@ -5,7 +5,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recolor import (
@@ -128,6 +128,7 @@ JUNK = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.integers(-1, 3), st.integers(0, 6)) | JUNK, max_size=5))
+@example([(3, 1)])
 def test_junk_steps_build_or_raise_invalid_input(steps):
     # junk steps: floats, bools, strings, None, nested tuples and tuples of
     # any arity, among pairs of ints that may lie out of range
@@ -135,7 +136,8 @@ def test_junk_steps_build_or_raise_invalid_input(steps):
         seq = seq_of(5, (1, 2), steps)
     except InvalidInput:
         return
-    assert all(type(v) is int and type(c) is int and 1 <= c <= 5 for v, c in seq.steps)
+    n = len(seq.start.colors)
+    assert all(type(v) is type(c) is int and 0 <= v < n and 1 <= c <= 5 for v, c in seq.steps)
     for run in (
         lambda: verify_sequence(K2, seq),
         lambda: lift_sequence(seq, MergeMap((0, 1, 0), ((0, 2), (1,))), P3),
