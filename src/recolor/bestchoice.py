@@ -18,6 +18,8 @@ from .errors import InvalidInput, NoValidColor
 from .graphs import Coloring, Graph, _require_int, require_proper
 from .sequences import RecoloringSequence, _replayed
 
+PER_VERTEX_CHORDAL_BOUND = 542
+
 
 def _choose_color(forbidden: set[int], future: list[int], target: int, k: int) -> int:
     """Pick a color in 1..k outside `forbidden` for a vertex forced to move.
@@ -56,7 +58,8 @@ def best_choice_recoloring(
     number of later neighbors of any vertex, so a valid color always exists.
     The per-vertex bound PER_VERTEX_CHORDAL_BOUND (542) is a k = 5 claim: at
     k = 4 a graph of clique number at most 3 is accepted and the sequence is
-    valid, but no per-vertex bound holds.
+    valid, but no per-vertex bound holds. So the one replay checks the bound
+    at k = 5 only.
     """
     later = later_neighbors(g, peo)
     if not _later_form_cliques(g, later):
@@ -66,7 +69,8 @@ def best_choice_recoloring(
     require_proper(g, beta, k, "beta")
 
     steps = _best_choice(peo.order, later, alpha.colors, beta.colors, k)
-    return _replayed(g, Coloring(k, alpha.colors), steps, beta.colors)
+    bound = PER_VERTEX_CHORDAL_BOUND if k == 5 else None
+    return _replayed(g, Coloring(k, alpha.colors), steps, beta.colors, bound)
 
 
 def _best_choice(

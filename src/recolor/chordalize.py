@@ -54,15 +54,17 @@ point checks only how its inputs relate, runs the cores and replays once.
 would merge a pair; the test builds nothing, so each merge that runs runs
 once. When neither would, its step list is the one run `_best_choice(order,
 later, alpha, beta, 5)` on H; otherwise it joins its three parts (alpha to
-gamma1, the bridge, the undone beta half). Either way it compacts the list
-once, forward and then backward, and replays it once. The compaction
-(`sequences._compact`) folds a vertex's step into the vertex's next step
-when no neighbor holds the next step's color at any time in between: the
-first step is rewritten to that color and the second goes, or both go when
-the vertex returns to its color from before. The vertex then holds, over the
-interval, a color none of its neighbors holds there, so every step stays
-proper and the end coloring is unchanged. Each fold removes one or two steps
-and adds none, so no vertex's count rises above the bound.
+gamma1, the bridge, the undone beta half). Either way one compaction call
+runs up to two rounds over the list, each forward and then backward, and
+the list is replayed once. The compaction (`sequences._compact`) folds a
+vertex's step into the vertex's next step when no neighbor holds the next
+step's color at any time in between: the first step is rewritten to that
+color and the second goes, or both go when the vertex returns to its color
+from before. The vertex then holds, over the interval, a color none of its
+neighbors holds there, so every step stays proper and the end coloring is
+unchanged. Each fold removes one or two steps and adds none, so no vertex's
+count rises above the bound, which the one replay checks: the route's
+bound, PER_VERTEX_PIPELINE_BOUND or PER_VERTEX_CHORDAL_BOUND.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bestchoice import _best_choice
+from .bestchoice import PER_VERTEX_CHORDAL_BOUND, _best_choice
 from .decomposition import _eliminate
 from .errors import (
     ImproperStart,
@@ -84,7 +86,6 @@ from .errors import (
 from .graphs import Coloring, Graph, _require_instance, _require_int, require_proper
 from .sequences import RecoloringSequence, _compact, _replayed, _undo, verify_sequence
 
-PER_VERTEX_CHORDAL_BOUND = 542
 PER_VERTEX_PIPELINE_BOUND = 2 * PER_VERTEX_CHORDAL_BOUND + 2
 
 
@@ -272,7 +273,7 @@ def two_phase_transform(
     require_proper(g, gamma_s, d + 1, "gamma_s")
     require_proper(g, gamma_t, d + 1, "gamma_t")
     steps = _two_phase(gamma_s.colors, gamma_t.colors, d)
-    return _replayed(g, Coloring(k, gamma_s.colors), steps, gamma_t.colors)
+    return _replayed(g, Coloring(k, gamma_s.colors), steps, gamma_t.colors, 2)
 
 
 def _two_phase(
@@ -339,9 +340,10 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
     is proper on its spanning subgraph g. PER_VERTEX_CHORDAL_BOUND then
     covers the whole output.
 
-    Either way the steps are compacted once (`sequences._compact`) and
-    replayed once from alpha; the stages in between neither check nor
-    replay.
+    Either way one `sequences._compact` call folds the steps in up to two
+    forward-and-backward rounds, and they are replayed once from alpha. The
+    replay checks the end and the route's per-vertex bound; the stages in
+    between neither check nor replay.
     """
     for name, coloring in (("alpha", alpha), ("beta", beta)):
         _require_instance(name, coloring, Coloring)
@@ -353,9 +355,12 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
         # every vertex is its own class, and H is the merged graph
         order, later, _ = _elimination_order(elim, range(g.n), alpha.colors)
         steps = _best_choice(order, later, alpha.colors, beta.colors, 5)
+        bound = PER_VERTEX_CHORDAL_BOUND
     else:
         steps_a, gamma_1 = _toward_3coloring(elim, alpha.colors, alpha.colors)
         steps_b, gamma_2 = _toward_3coloring(elim, beta.colors, gamma_1)
         _, back = _undo(beta.colors, steps_b)
         steps = steps_a + _two_phase(gamma_1, gamma_2, d=2) + back
-    return _replayed(g, alpha, _compact(g.adjacency, alpha.colors, steps), beta.colors)
+        bound = PER_VERTEX_PIPELINE_BOUND
+    steps = _compact(g.adjacency, alpha.colors, steps)
+    return _replayed(g, alpha, steps, beta.colors, bound)

@@ -30,7 +30,13 @@ from .graphs import (
     is_proper,
     random_proper_coloring,
 )
-from .oracle import DEFAULT_STATE_CAP, bfs_distance, reconfig_connected, reconfig_diameter
+from .oracle import (
+    DEFAULT_STATE_CAP,
+    _proper_states,
+    bfs_distance,
+    reconfig_connected,
+    reconfig_diameter,
+)
 from .sequences import RecoloringSequence, audit_best_choice, verify_sequence
 
 
@@ -167,9 +173,12 @@ def _cmd_oracle(args) -> int:
         print("connected" if reconfig_connected(g, args.k, args.state_cap) else "disconnected")
         return 0
     d = reconfig_diameter(g, args.k, args.state_cap)
-    if d is None and reconfig_connected(g, args.k, args.state_cap):
-        d = "no proper colorings"
-    print("disconnected" if d is None else d)
+    if d is None:
+        # the diameter's search left the state space and its count cached, so
+        # telling no proper coloring from a disconnected space sweeps nothing
+        _, total = _proper_states(g, args.k, args.state_cap)
+        d = "disconnected" if total else "no proper colorings"
+    print(d)
     return 0
 
 

@@ -265,6 +265,42 @@ def test_recoloring_large_instance_bounded():
     assert max(Counter(v for v, _ in seq.steps).values()) <= PER_VERTEX_CHORDAL_BOUND
 
 
+def test_recoloring_checks_the_bound_at_k5_only(monkeypatch):
+    # a run patched to move vertex 0 to 3 and back 272 times after its real
+    # steps stays valid and ends at beta, but recolors vertex 0 at least 544
+    # times: the one replay rejects it at k = 5, and at k = 4, where no bound
+    # holds, returns it
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    peo = EliminationOrdering((0, 1, 2))
+    best_choice = bestchoice._best_choice
+
+    def padded(*args):
+        return best_choice(*args) + [(0, 3), (0, 2)] * 272
+
+    monkeypatch.setattr(bestchoice, "_best_choice", padded)
+    a, b = (1, 2, 1), (2, 1, 2)
+    over = r"vertex 0 is recolored 54\d times, over the bound 542"
+    with pytest.raises(AssertionError, match=over):
+        best_choice_recoloring(g, peo, Coloring(5, a), Coloring(5, b), 5)
+    seq = best_choice_recoloring(g, peo, Coloring(4, a), Coloring(4, b), 4)
+    assert verify_sequence(g, seq).colors == b
+
+
+def test_recoloring_checks_a_lowered_bound(monkeypatch):
+    # the replay compares the largest count with the bound: equal passes,
+    # one less raises
+    g = gen_chordal_omega3(200, 11)
+    peo = mcs_order(g)
+    a = random_proper_coloring(g, peo, 5, 0)
+    b = greedy_coloring(g, peo)
+    top = max(Counter(v for v, _ in best_choice_recoloring(g, peo, a, b, 5).steps).values())
+    monkeypatch.setattr(bestchoice, "PER_VERTEX_CHORDAL_BOUND", top)
+    best_choice_recoloring(g, peo, a, b, 5)
+    monkeypatch.setattr(bestchoice, "PER_VERTEX_CHORDAL_BOUND", top - 1)
+    with pytest.raises(AssertionError, match=f"recolored {top} times, over the bound {top - 1}"):
+        best_choice_recoloring(g, peo, a, b, 5)
+
+
 def test_closure_on_suffixes():
     # the restriction to any suffix of the ordering is a valid sequence on the
     # induced subgraph, from alpha to beta restricted

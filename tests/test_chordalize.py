@@ -231,6 +231,17 @@ def test_two_phase_k3_exact_steps():
     assert verify_sequence(K3, seq).colors == (2, 3, 1)
 
 
+def test_two_phase_checks_two_steps_per_vertex(monkeypatch):
+    # a bridge patched to park vertex 2 at 4 and bring it back after its real
+    # step stays valid and ends at the target, but moves vertex 2 three times
+    bridge = chordalize._two_phase
+    monkeypatch.setattr(
+        chordalize, "_two_phase", lambda *args: bridge(*args) + [(2, 4), (2, 1)]
+    )
+    with pytest.raises(AssertionError, match="vertex 2 is recolored 3 times, over the bound 2"):
+        two_phase_transform(K3, Coloring(3, (1, 2, 3)), Coloring(3, (2, 3, 1)), 2, 5)
+
+
 def test_pipeline_isolated_vertices_take_one_step_each():
     # both endpoints merge to the 3-coloring (1, 1, 1), so the bridge is empty
     g = Graph.from_edges(3, [])
@@ -373,7 +384,7 @@ def test_pipeline_on_squared_path_runs_best_choice_once(monkeypatch, n, length):
 def test_pipeline_compacts_its_one_best_choice_run(monkeypatch):
     # no bag holds two vertices of one color in either endpoint, so the
     # pipeline runs one best-choice pass, of 12 steps; its compaction folds
-    # two of them away
+    # three of them away, two in its first round and one in its second
     runs = _counting_best_choice(monkeypatch)
     g = gen_partial_2tree(8, 0.7, 72)
     order = degeneracy_order(g)
@@ -381,7 +392,7 @@ def test_pipeline_compacts_its_one_best_choice_run(monkeypatch):
     beta = random_proper_coloring(g, order, 5, 2)
     seq = pipeline_theorem(g, alpha, beta)
     assert len(runs) == 1 and len(bestchoice._best_choice(*runs[0])) == 12
-    assert len(seq.steps) == 10
+    assert len(seq.steps) == 9
     assert verify_sequence(g, seq).colors == beta.colors
 
 
@@ -503,8 +514,8 @@ def test_merge_map_json_round_trip():
 # breaks it. Refresh it only with a stated and measured change of outputs.
 # 13 of its 40 pipeline instances merge in neither endpoint and take the one
 # best-choice run; the other 27 go through both halves. The pipeline
-# outputs total 3319 steps.
-CORPUS_DIGEST = "9c934de01a11217405f46191e46d8a71b1e65cedf792e8cbbda0b2d74178fa99"
+# outputs total 3048 steps.
+CORPUS_DIGEST = "f58cf3ca594dc9bc59fb7f0a3e94e9cafcf584ac3383cbf445c71305b961ba03"
 
 
 def test_outputs_match_recorded_digest():
@@ -527,8 +538,8 @@ def test_outputs_match_recorded_digest():
 
 # The same outputs at the benchmark's n = 1600, where CORPUS_DIGEST stops at
 # n = 200: the pipeline, and best-choice on chordal graphs. The pipeline
-# outputs total 6668 steps.
-LARGE_CORPUS_DIGEST = "c4c0e6e04c1fa3a231355276655888c961930fee1d7181f9da56249d0e48fb10"
+# outputs total 5946 steps.
+LARGE_CORPUS_DIGEST = "eca680e6d6cd25aafd62c6d6ed06f5aa4f14a25e6ac52b7588be0e092dbc9ef2"
 
 
 def test_large_outputs_match_recorded_digest():
@@ -582,7 +593,8 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
     # step loop alone and never through verify_sequence; both halves merge
     # over one shared elimination; it builds no merged graph, so none of the
     # next four runs, its stages pass plain lists, so it builds no merge map
-    # or ordering, and it builds one sequence, compacted once on either route
+    # or ordering, and it builds one sequence, with one compaction call on
+    # either route
     calls = dict.fromkeys(
         ("verify_sequence", "_replay", "_eliminate", "_compact", "from_edges", "mcs_order",
          "later_neighbors", "greedy_coloring", "MergeMap", "EliminationOrdering",
@@ -632,6 +644,57 @@ def test_pipeline_replays_and_validates_once(monkeypatch):
         }
 
 
+@pytest.mark.parametrize(
+    "g, bound, other",
+    [
+        (gen_partial_2tree(400, 0.6, 1), "PER_VERTEX_PIPELINE_BOUND", "PER_VERTEX_CHORDAL_BOUND"),
+        (gen_2tree(400, 1), "PER_VERTEX_CHORDAL_BOUND", "PER_VERTEX_PIPELINE_BOUND"),
+    ],
+    ids=["two-halves", "one-run"],
+)
+def test_pipeline_checks_its_routes_bound_in_its_one_replay(monkeypatch, g, bound, other):
+    # the partial 2-tree goes through both halves and is held to the pipeline
+    # bound; the 2-tree takes the one best-choice run and is held to the
+    # chordal bound. Lowered to the output's largest count, the route's bound
+    # passes; one below, the one replay raises. The other route's bound is
+    # not read
+    order = degeneracy_order(g)
+    alpha = random_proper_coloring(g, order, 5, 1)
+    beta = random_proper_coloring(g, order, 5, 2)
+    top = max(Counter(v for v, _ in pipeline_theorem(g, alpha, beta).steps).values())
+    monkeypatch.setattr(chordalize, other, 0)
+    monkeypatch.setattr(chordalize, bound, top)
+    pipeline_theorem(g, alpha, beta)
+    monkeypatch.setattr(chordalize, bound, top - 1)
+    with pytest.raises(AssertionError, match=f"recolored {top} times, over the bound {top - 1}"):
+        pipeline_theorem(g, alpha, beta)
+
+
+@pytest.mark.parametrize(
+    "g, folds, length",
+    [(gen_2tree(1600, 1), 2, 1746), (gen_partial_2tree(1600, 0.6, 1), 4, 2000)],
+    ids=["2tree", "partial-2tree"],
+)
+def test_pipeline_compacts_in_up_to_two_rounds(monkeypatch, g, folds, length):
+    # the CI instances. The 2-tree's one best-choice run loses no step in its
+    # first round, so the second is skipped: one forward and one backward
+    # fold. The partial 2-tree's first round removes steps, so both run
+    calls = []
+    fold = sequences._fold
+
+    def counting(*args):
+        calls.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(sequences, "_fold", counting)
+    order = mcs_order(g)
+    alpha = random_proper_coloring(g, order, 5, 1)
+    beta = random_proper_coloring(g, order, 5, 2)
+    seq = pipeline_theorem(g, alpha, beta)
+    assert len(calls) == folds
+    assert len(seq.steps) == length
+
+
 def _short_bridge_instance(monkeypatch, seed):
     """A pipeline instance whose bridge is patched to stop one step short."""
     g = gen_partial_2tree(400, 0.6, seed)
@@ -650,7 +713,7 @@ def _short_bridge_instance(monkeypatch, seed):
 
 
 @pytest.mark.parametrize(
-    "seed, error", [(8, AssertionError), (0, ImproperStep), (11, NoOpStep)]
+    "seed, error", [(8, AssertionError), (13, ImproperStep), (11, NoOpStep)]
 )
 def test_pipeline_raises_when_a_segment_misses_its_end(monkeypatch, seed, error):
     # a bridge that stops one step short leaves the undone beta half starting
@@ -661,9 +724,11 @@ def test_pipeline_raises_when_a_segment_misses_its_end(monkeypatch, seed, error)
         pipeline_theorem(g, alpha, beta)
 
 
-def test_pipeline_returns_a_short_bridge_only_when_its_replay_passes(monkeypatch):
+@pytest.mark.parametrize("seed", [0, 2])
+def test_pipeline_returns_a_short_bridge_only_when_its_replay_passes(monkeypatch, seed):
     # on other instances a later step on the vertex the bridge left behind
-    # repairs it, here once the compaction folds steps together, and the one
-    # replay from alpha accepts a valid alpha-to-beta sequence
-    g, alpha, beta = _short_bridge_instance(monkeypatch, 2)
+    # repairs it, here once the compaction folds steps together (on seed 0
+    # only in its second round), and the one replay from alpha accepts a
+    # valid alpha-to-beta sequence
+    g, alpha, beta = _short_bridge_instance(monkeypatch, seed)
     assert verify_sequence(g, pipeline_theorem(g, alpha, beta)).colors == beta.colors

@@ -166,6 +166,23 @@ def test_oracle_too_large_is_an_error(tmp_path):
     assert run("oracle", "connected", "--graph", str(g), "--k", "5") == 1
 
 
+def test_oracle_diameter_sweeps_no_space_a_second_time(tmp_path, capsys, monkeypatch):
+    # a disconnected space and an empty one both leave the diameter at None;
+    # the count of proper states tells them apart without a reachability sweep
+    from recolor import _kernels
+
+    def no_sweep(*args):
+        raise AssertionError("oracle diameter ran reach_count")
+
+    monkeypatch.setattr(_kernels, "reach_count", no_sweep)
+    g = tmp_path / "g.json"
+    assert run("gen", "--family", "partial-2tree", "--n", "8", "--seed", "1", "--out", str(g)) == 0
+    for k in ("3", "1"):
+        assert run("oracle", "diameter", "--graph", str(g), "--k", k) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-2:] == ["disconnected", "no proper colorings"]
+
+
 def test_bad_input_is_one_error_line(tmp_path, capsys):
     g = tmp_path / "g.json"
     c = tmp_path / "c.json"

@@ -57,6 +57,15 @@ def test_verify_detects_improper_step():
     assert err.value.index == 0
 
 
+@pytest.mark.parametrize("error, last", [(ImproperStep, (0, 1)), (NoOpStep, (1, 1))])
+def test_verify_indexes_a_later_failing_step(error, last):
+    # the index counts every step replayed before the failing one, of
+    # whichever vertex
+    with pytest.raises(error) as err:
+        verify_sequence(K2, seq_of(3, (1, 2), [(0, 3), (1, 1), last]))
+    assert err.value.index == 2
+
+
 def test_verify_swap_through_spare_color():
     s = seq_of(3, (1, 2), [(0, 3), (1, 1), (0, 2)])
     assert verify_sequence(K2, s).colors == (2, 1)
@@ -346,8 +355,22 @@ def _assert_compacts(g, seq, compact=_compact):
     st.integers(0, 10**6),
 )
 def test_compact_keeps_random_walks_valid(chordal, n, k, length, seed):
+    # _compact is valid with the walk's end and no count rises; it is two
+    # rounds, the second skipped only where it would change nothing, so it is
+    # never longer than one round
     g, start = _walk_start(chordal, n, k, seed)
-    _assert_compacts(g, _random_walk(g, start, length, random.Random(seed)))
+    walk = _random_walk(g, start, length, random.Random(seed))
+    steps = _assert_compacts(g, walk)
+    once = _round(g.adjacency, start.colors, list(walk.steps))
+    assert len(steps) <= len(once)
+    assert steps == _round(g.adjacency, start.colors, once)
+
+
+def _round(adjacency, start, steps):
+    """One forward-and-backward round of _compact."""
+    for _ in range(2):
+        start, steps = _undo(start, _fold(adjacency, start, steps))
+    return steps
 
 
 def _walk_start(chordal, n, k, seed):
@@ -420,10 +443,12 @@ def test_compact_sees_a_neighbors_step_rewritten_inside_the_interval():
     # interval, so vertex 1 holds 5 from step 0 to step 3. Vertex 0's step to
     # 3 must then stay: rewritten to 5 it would collide with vertex 1 at step 1.
     # Backward, no neighbor takes 1 in vertex 1's interval, so it keeps 1
-    # until its step to 2
+    # until its step to 2. That frees vertex 0's interval of vertex 1's 5, so
+    # the second round's forward pass folds vertex 0's step to 3 into its step
+    # to 5
     seq = seq_of(5, (2, 1, 3), [(1, 4), (0, 3), (1, 5), (1, 2), (0, 5)])
     assert _assert_compacts(P3, seq, _fold) == [(1, 5), (0, 3), (1, 2), (0, 5)]
-    assert _assert_compacts(P3, seq) == [(0, 3), (1, 2), (0, 5)]
+    assert _assert_compacts(P3, seq) == [(0, 5), (1, 2)]
 
 
 def _audit_corpus():
