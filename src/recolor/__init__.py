@@ -52,6 +52,7 @@ from .graphs import (
 from .oracle import (
     DEFAULT_STATE_CAP,
     bfs_distance,
+    proper_coloring_count,
     reconfig_connected,
     reconfig_diameter,
 )

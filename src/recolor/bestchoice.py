@@ -56,20 +56,22 @@ def best_choice_recoloring(
 
     Requires a perfect elimination ordering and k at least 2 plus the largest
     number of later neighbors of any vertex, so a valid color always exists.
-    The per-vertex bound PER_VERTEX_CHORDAL_BOUND (542) is a k = 5 claim: at
-    k = 4 a graph of clique number at most 3 is accepted and the sequence is
-    valid, but no per-vertex bound holds. So the one replay checks the bound
-    at k = 5 only.
+    The per-vertex bound PER_VERTEX_CHORDAL_BOUND (542) is a claim for k = 5
+    and at most 2 later neighbors per vertex (clique number at most 3). At
+    k = 4 there, or at k = 5 with 3 later neighbors (clique number 4), the
+    sequence is valid but no per-vertex bound holds. So the one replay checks
+    the bound in the claimed case only.
     """
     later = later_neighbors(g, peo)
     if not _later_form_cliques(g, later):
         raise InvalidInput("ordering is not a perfect elimination ordering")
-    _require_int("k", k, 2 + max(map(len, later), default=0))
+    width = max(map(len, later), default=0)
+    _require_int("k", k, 2 + width)
     require_proper(g, alpha, k, "alpha")
     require_proper(g, beta, k, "beta")
 
     steps = _best_choice(peo.order, later, alpha.colors, beta.colors, k)
-    bound = PER_VERTEX_CHORDAL_BOUND if k == 5 else None
+    bound = PER_VERTEX_CHORDAL_BOUND if k == 5 and width <= 2 else None
     return _replayed(g, Coloring(k, alpha.colors), steps, beta.colors, bound)
 
 

@@ -32,8 +32,8 @@ from .graphs import (
 )
 from .oracle import (
     DEFAULT_STATE_CAP,
-    _proper_states,
     bfs_distance,
+    proper_coloring_count,
     reconfig_connected,
     reconfig_diameter,
 )
@@ -174,10 +174,9 @@ def _cmd_oracle(args) -> int:
         return 0
     d = reconfig_diameter(g, args.k, args.state_cap)
     if d is None:
-        # the diameter's search left the state space and its count cached, so
-        # telling no proper coloring from a disconnected space sweeps nothing
-        _, total = _proper_states(g, args.k, args.state_cap)
-        d = "disconnected" if total else "no proper colorings"
+        # the count is cached with the state space, so this sweeps nothing
+        empty = proper_coloring_count(g, args.k, args.state_cap) == 0
+        d = "no proper colorings" if empty else "disconnected"
     print(d)
     return 0
 

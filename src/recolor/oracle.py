@@ -69,6 +69,12 @@ def bfs_distance(
     return _kernels.bfs_meet(start, goal, mask, g.n, k)
 
 
+def proper_coloring_count(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> int:
+    """Number of proper k-colorings of g; 0 tells an empty state space from a
+    disconnected one where `reconfig_diameter` returns None."""
+    return _proper_states(g, k, state_cap)[1]
+
+
 def reconfig_connected(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """True iff every proper k-coloring is reachable from every other."""
     mask, total = _proper_states(g, k, state_cap)
@@ -80,7 +86,8 @@ def reconfig_connected(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> 
 
 def reconfig_diameter(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> int | None:
     """Largest pairwise distance between proper k-colorings; None if disconnected
-    or if there is no proper colouring (`reconfig_connected` is then True).
+    or if there is no proper colouring (`reconfig_connected` is then True, and
+    `proper_coloring_count` 0).
 
     Every permutation of the colours is an automorphism of the state graph, so
     all states of one orbit have the same eccentricity. One search runs per

@@ -120,11 +120,11 @@ def _replay(g: Graph, seq: RecoloringSequence) -> tuple[Coloring, list[int]]:
 
 
 def _replayed(
-    g: Graph, start: Coloring, steps: list, end: tuple, bound: int | None = None
+    g: Graph, start: Coloring, steps: list, end: tuple, bound: int | None
 ) -> RecoloringSequence:
     """The sequence of `steps` from `start`, after one replay shows it ends at `end`.
 
-    When `bound` is given, the same replay's per-vertex counts show that no
+    When `bound` is not None, the same replay's per-vertex counts show that no
     vertex is recolored more than `bound` times. Every caller has checked
     that `start` is proper on g, so only the steps are replayed.
     """

@@ -286,6 +286,19 @@ def test_recoloring_checks_the_bound_at_k5_only(monkeypatch):
     assert verify_sequence(g, seq).colors == b
 
 
+def test_recoloring_holds_no_k4_graph_to_the_bound_at_k5(monkeypatch):
+    # 542 is a claim for at most 2 later neighbors; at k = 5 a 3-tree, with
+    # 3 later neighbors, is accepted but held to no bound, even a bound of 0
+    monkeypatch.setattr(bestchoice, "PER_VERTEX_CHORDAL_BOUND", 0)
+    g = _three_tree(100, 1)
+    peo = mcs_order(g)
+    assert max(map(len, later_neighbors(g, peo))) == 3
+    a = random_proper_coloring(g, peo, 5, 1)
+    b = random_proper_coloring(g, peo, 5, 2)
+    seq = best_choice_recoloring(g, peo, a, b, 5)
+    assert seq.steps and verify_sequence(g, seq).colors == b.colors
+
+
 def test_recoloring_checks_a_lowered_bound(monkeypatch):
     # the replay compares the largest count with the bound: equal passes,
     # one less raises

@@ -65,6 +65,7 @@ CASES = {
     "mcs_order": (recolor.mcs_order, (G,)),
     "merge_same_colored": (recolor.merge_same_colored, (G, ALPHA)),
     "pipeline_theorem": (recolor.pipeline_theorem, (G, ALPHA, BETA)),
+    "proper_coloring_count": (recolor.proper_coloring_count, (G, 3, 100)),
     "random_proper_coloring": (recolor.random_proper_coloring, (G, PEO, 5, 0)),
     "reconfig_connected": (recolor.reconfig_connected, (G, 3, 100)),
     "reconfig_diameter": (recolor.reconfig_diameter, (G, 3, 100)),

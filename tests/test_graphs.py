@@ -26,6 +26,7 @@ from recolor import (
     is_proper,
     mcs_order,
     pipeline_theorem,
+    proper_coloring_count,
     random_proper_coloring,
     reconfig_connected,
     reconfig_diameter,
@@ -367,6 +368,7 @@ def _k3_calls(k):
         "two_phase k": lambda: two_phase_transform(K3, rainbow, turned, 2, k),
         "two_phase d": lambda: two_phase_transform(K3, rainbow, turned, k, 5),
         "bfs_distance": lambda: bfs_distance(K3, k, rainbow, turned),
+        "proper_coloring_count": lambda: proper_coloring_count(K3, k),
         "reconfig_connected": lambda: reconfig_connected(K3, k),
         "reconfig_diameter": lambda: reconfig_diameter(K3, k),
     }
@@ -386,6 +388,7 @@ def _k3_calls(k):
         ("two_phase k", 4, r"^need k >= 5, got 4$"),
         ("two_phase d", -1, r"^need d >= 0, got -1$"),
         ("bfs_distance", 0, r"^need k >= 1, got 0$"),
+        ("proper_coloring_count", 0, r"^need k >= 1, got 0$"),
         ("reconfig_connected", -2, r"^need k >= 1, got -2$"),
         ("reconfig_diameter", 0, r"^need k >= 1, got 0$"),
     ],
@@ -420,6 +423,7 @@ _CHECKED_SIZES = {
         "state cap",
         lambda x: bfs_distance(K2, 3, Coloring(3, (1, 2)), Coloring(3, (2, 1)), x),
     ),
+    "proper_coloring_count state_cap": ("state cap", lambda x: proper_coloring_count(K2, 3, x)),
     "reconfig_connected state_cap": ("state cap", lambda x: reconfig_connected(K2, 3, x)),
     "reconfig_diameter state_cap": ("state cap", lambda x: reconfig_diameter(K2, 3, x)),
 }

@@ -21,6 +21,7 @@ from recolor import (
     gen_2tree,
     gen_partial_2tree,
     pipeline_theorem,
+    proper_coloring_count,
     random_proper_coloring,
     reconfig_connected,
     reconfig_diameter,
@@ -83,6 +84,13 @@ def test_state_cap_guard():
             random_proper_coloring(g, degeneracy_order(g), 5, 0),
             random_proper_coloring(g, degeneracy_order(g), 5, 1),
         )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_proper_coloring_count_matches_enumeration(k):
+    g = gen_partial_2tree(6, 0.6, 2)
+    assert proper_coloring_count(g, k) == len(helpers.proper_colorings(g, k))
+    assert proper_coloring_count(K3, k) == k * (k - 1) * (k - 2)
 
 
 def test_connected_k3_three_colors_frozen():
