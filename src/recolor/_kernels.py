@@ -2,14 +2,16 @@
 
 This module owns the state space. Colorings are packed as base-k integers
 (`encode`: digit of vertex v = color-1, weight k^v), so in C order the digit
-of vertex v is axis n-1-v of a `(k,)*n` array. `state_space` keeps the last
-read-only properness mask with its count of proper states, counted once.
+of vertex v is axis n-1-v of a `(k,)*n` array. `state_space` builds the
+properness mask one vertex at a time, from vertex 0 up (`_grown`), and the
+same mask packed, with vertex 0's digit as a bit (k^(n-1) lines of
+ceil(k/8) bytes); it keeps the last read-only pair with its count of proper
+states, counted once.
 
 Three searches run over the proper states. `reach_count` only counts a
-component, and does it densely on a packed copy of the mask, where vertex
-0's digit is a bit (`_pack`: k^(n-1) lines of ceil(k/8) bytes). It closes
-the reached set along one axis at a time and stops as soon as the set
-equals the packed mask, so it counts bits only for an incomplete component.
+component, and does it densely on the packed mask. It closes the reached
+set along one axis at a time and stops as soon as the set equals the
+packed mask, so it counts bits only for an incomplete component.
 `bfs_levels` (the depth and size of one source's component) and `bfs_meet`
 (one distance) are sparse frontier searches that rewrite one digit of each
 frontier code (`_rewrites`): a small frontier for every (vertex, colour)
@@ -35,32 +37,62 @@ def encode(colors: tuple[int, ...], k: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def state_space(n: int, k: int, edges: tuple) -> tuple[np.ndarray, int]:
-    """The read-only `proper_mask` of (n, k, edges) and its number of proper states.
+def state_space(n: int, k: int, edges: tuple) -> tuple[np.ndarray, np.ndarray, int]:
+    """The read-only `proper_mask` of (n, k, edges), its packed lines and its proper states' count.
 
-    Only the last one is kept: k^n bytes. `edges` is a tuple, so it hashes.
+    The packed lines hold vertex 0's digit in bits: a `(k^(n-1), ceil(k/8))`
+    uint8 array where bit c%8 of byte c//8 on line i is state i*k + c (one
+    line with bit 0 set for n = 0). Only the last space is kept: about
+    k^n * (1 + ceil(k/8)/k) bytes. `edges` is a tuple, so it hashes.
     """
     mask = proper_mask(n, k, edges)
-    mask.flags.writeable = False
-    return mask, int(np.count_nonzero(mask))
+    width = (k + 7) // 8
+    line = np.packbits(np.arange(8 * width) < (k if n else 1), bitorder="little")
+    packed = _grown(line, 1, n, k, edges).reshape(-1, width)
+    mask.flags.writeable = packed.flags.writeable = False
+    return mask, packed, int(np.count_nonzero(mask))
 
 
 def proper_mask(n: int, k: int, edges) -> np.ndarray:
-    """Boolean mask over all k^n packed states: True where the coloring is proper.
+    """Boolean mask over all k^n packed states: True where the coloring is proper."""
+    return _grown(np.ones(1, dtype=np.bool_), 0, n, k, edges)
 
-    Each edge ANDs in `~np.eye(k)` over the digits of its two endpoints,
-    broadcast over the other digits, by clearing the k slices where both
-    digits are equal: k^(n-1) writes per edge, no reads and no division. The
-    view groups the digits above, between and below the endpoints into one
-    axis each, so it has 5 axes for any n (numpy allows at most 64).
+
+def _grown(base: np.ndarray, first: int, n: int, k: int, edges) -> np.ndarray:
+    """`base`, a table for the vertices below `first`, grown by vertices first..n-1.
+
+    Vertices are added from the innermost digit up. Adding v copies the table
+    into k rows, one per colour c of v, and in row c clears the states where
+    an earlier neighbour u also has digit c: in the view `(k, k^(v-1-u), k,
+    cell * k^(u-first))`, where cell is `base.size`, the slice `[c, :, c, :]`.
+    So an edge (u, v) with u < v costs k^v writes, when v is added, where
+    one clear over the whole space costs k^(n-1), and each state is tested
+    against each edge once, with no reads and no division; the view has 4
+    axes for any n (numpy allows at most 64).
+
+    A neighbour below `first` is a bit of the packed lines, whose `base` is
+    one line of ceil(k/8) bytes with vertex 0's colours as bits: row c
+    clears bit c%8 of byte c//8 on every line.
     """
-    mask = np.ones(k**n, dtype=np.bool_)
+    below: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         lo, hi = sorted((u, v))
-        view = mask.reshape(k ** (n - 1 - hi), k, k ** (hi - lo - 1), k, k**lo)
-        for c in range(k):
-            view[:, c, :, c, :] = False
-    return mask
+        below[hi].append(lo)
+    cell = base.size
+    table = base
+    for v in range(first, n):
+        rows = np.empty((k, table.size), dtype=table.dtype)
+        rows[:] = table
+        for u in below[v]:
+            if u < first:
+                for c in range(k):
+                    rows[c].reshape(-1, cell)[:, c // 8] &= ~np.uint8(1 << c % 8)
+                continue
+            view = rows.reshape(k, k ** (v - 1 - u), k, cell * k ** (u - first))
+            for c in range(k):
+                view[c, :, c, :] = 0
+        table = rows.reshape(-1)
+    return table
 
 
 # Most candidate codes one broadcast of `_rewrites` may hold (256 KiB of int64)
@@ -135,25 +167,6 @@ def bfs_levels(start: int, proper: np.ndarray, n: int, k: int) -> tuple[int, int
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
-def _pack(proper: np.ndarray, n: int, k: int) -> np.ndarray:
-    """`proper` with vertex 0's digit in bits: a `(k^(n-1), ceil(k/8))` uint8 array.
-
-    Bit c%8 of byte c//8 on line i is state i*k + c. Each of the k strided
-    columns of the bool mask is copied into one contiguous buffer, where the
-    shift (a multiply) and the OR are fast; shifting the strided column took
-    twice as long, and `np.packbits` along rows of k bits longer than the
-    whole search.
-    """
-    columns = proper.reshape(k ** (n - 1), k).view(np.uint8)
-    packed = np.zeros((k ** (n - 1), (k + 7) // 8), dtype=np.uint8)
-    bit = np.empty(k ** (n - 1), dtype=np.uint8)
-    for c in range(k):
-        np.copyto(bit, columns[:, c])
-        np.multiply(bit, 1 << c % 8, out=bit)
-        packed[:, c // 8] |= bit
-    return packed
-
-
 def _close_lines(reached, proper, line, outer: int, k: int, inner: int) -> None:
     """Add every proper state on a line through a reached state, along one axis.
 
@@ -166,8 +179,10 @@ def _close_lines(reached, proper, line, outer: int, k: int, inner: int) -> None:
     np.bitwise_and(hit[:, None, :], proper.reshape(outer, k, inner), out=view)
 
 
-def reach_count(start: int, proper: np.ndarray, total: int, n: int, k: int) -> int:
+def reach_count(start: int, packed: np.ndarray, total: int, n: int, k: int) -> int:
     """How many of the `total` proper states the proper `start` reaches by single-digit changes.
+
+    `packed` is `state_space`'s packed lines, with vertex 0's digit in bits.
 
     States that differ only in vertex v's digit are pairwise adjacent, so the
     proper states on one line along axis v form a clique: once one is reached,
@@ -176,28 +191,27 @@ def reach_count(start: int, proper: np.ndarray, total: int, n: int, k: int) -> i
     nothing leaves the set closed under moves, so sweeps repeat until one adds
     nothing or every proper state is reached; the count is exact.
 
-    Both sets are packed (`_pack`): vertex 0's digit is a bit, so a sweep
-    reads and writes k^(n-1) * ceil(k/8) bytes per array. Along vertex 0 a
-    packed line that holds a reached bit becomes the line of `proper`, by one
-    multiply with the bool hit mask (`np.copyto` with `where` took about 20
-    times as long). Along vertex v >= 1 a sweep ORs the line's k packed
-    slices, bytewise, and ANDs the result, broadcast, with `proper`. The
-    reached set is a subset of `proper`, so it is complete exactly when the
-    two arrays are equal, which is tested after each half of a sweep; a sweep
-    that leaves it equal to its copy from before the sweep ends the search,
-    and only such an incomplete component is counted, bit by bit.
+    The reached set is packed the same way, so a sweep reads and writes
+    k^(n-1) * ceil(k/8) bytes per array. Along vertex 0 a packed line that
+    holds a reached bit becomes the line of `packed`, by one multiply with
+    the bool hit mask (`np.copyto` with `where` took about 20 times as
+    long). Along vertex v >= 1 a sweep ORs the line's k packed slices,
+    bytewise, and ANDs the result, broadcast, with `packed`. The reached set
+    is a subset of `packed`, so it is complete exactly when the two arrays
+    are equal, which is tested after each half of a sweep; a sweep that
+    leaves it equal to its copy from before the sweep ends the search, and
+    only such an incomplete component is counted, bit by bit.
 
     An axis is cheap to sweep when its slices are long runs: of the m = n-1
     line digits, the high ceil(m/2) are swept in the natural
     `(k^hi, k^lo, bytes)` layout, and the low floor(m/2) in a transposed
     `(k^lo, k^hi, bytes)` copy, where they are outermost and each line keeps
-    its bytes together. The transposed `proper` is built once, and the
+    its bytes together. The transposed `packed` is built once, and the
     reached set is copied between layouts into preallocated arrays, with no
     temporary.
     """
     if total == 1:  # also the one state of n = 0
         return 1
-    packed = _pack(proper, n, k)
     width = packed.shape[1]
     m = n - 1
     lo, hi = m // 2, m - m // 2

@@ -9,18 +9,18 @@ cross-validate the constructive transformations.
 and stops where the two balls meet (`_kernels.bfs_meet`). `reconfig_connected`
 needs no distance, only the size of one component: the proper states that
 differ in one vertex's colour form a clique, so `_kernels.reach_count` closes
-the reached set line by line on a dense mask, with vertex 0's colour packed
-into bits. `reconfig_diameter` needs each source's eccentricity and whether
-it reaches every state, so it runs full searches (`_kernels.bfs_levels`)
-that return only the depth and the count, one per start
-`_kernels.orbit_sources` picks.
+the reached set line by line on the dense packed mask, where vertex 0's
+colour is a bit. `reconfig_diameter` needs each source's eccentricity and
+whether it reaches every state, so it runs full searches
+(`_kernels.bfs_levels`) that return only the depth and the count, one per
+start `_kernels.orbit_sources` picks.
 
-`_kernels` owns the state space: the packing, and the cached read-only mask
-with its count of proper states, so `bfs_distance` then `reconfig_connected`
-on one graph build and count the mask once. This module checks arguments,
-and `_within` is the one size rule. numpy loads only with `_kernels`, which
-each function imports after its checks, so `import recolor`, the pipeline
-and a rejected call never load it.
+`_kernels` owns the state space: the cached read-only mask, the same mask
+packed, and its count of proper states, so `bfs_distance` then
+`reconfig_connected` on one graph build both masks and count them once.
+This module checks arguments, and `_within` is the one size rule. numpy
+loads only with `_kernels`, which each function imports after its checks,
+so `import recolor`, the pipeline and a rejected call never load it.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def bfs_distance(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> int | None:
     """Fewest single-vertex recolorings from alpha to beta, None if unreachable."""
-    mask, _ = _proper_states(g, k, state_cap)
+    mask = _proper_states(g, k, state_cap)[0]
     require_proper(g, alpha, k, "alpha")
     require_proper(g, beta, k, "beta")
     from . import _kernels
@@ -72,16 +72,16 @@ def bfs_distance(
 def proper_coloring_count(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> int:
     """Number of proper k-colorings of g; 0 tells an empty state space from a
     disconnected one where `reconfig_diameter` returns None."""
-    return _proper_states(g, k, state_cap)[1]
+    return _proper_states(g, k, state_cap)[2]
 
 
 def reconfig_connected(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """True iff every proper k-coloring is reachable from every other."""
-    mask, total = _proper_states(g, k, state_cap)
+    mask, packed, total = _proper_states(g, k, state_cap)
     if total <= 1:
         return True
     from . import _kernels
-    return _kernels.reach_count(int(mask.argmax()), mask, total, g.n, k) == total
+    return _kernels.reach_count(int(mask.argmax()), packed, total, g.n, k) == total
 
 
 def reconfig_diameter(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> int | None:
@@ -95,7 +95,7 @@ def reconfig_diameter(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> i
     (digit[v] <= max(digit[:v]) + 1); a disconnected space is caught by the
     first. Keep instances very small.
     """
-    mask, total = _proper_states(g, k, state_cap)
+    mask, _, total = _proper_states(g, k, state_cap)
     if total == 0:
         return None
     from . import _kernels

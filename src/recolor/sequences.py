@@ -92,10 +92,15 @@ def verify_sequence(g: Graph, seq: RecoloringSequence) -> Coloring:
     Returns the final coloring. Raises ImproperStart, ImproperStep(index) or
     NoOpStep(index).
     """
+    return _verify(g, seq)[0]
+
+
+def _verify(g: Graph, seq: RecoloringSequence) -> tuple[Coloring, list[int]]:
+    """verify_sequence's checks, also returning the number of steps of each vertex."""
     _require_instance("seq", seq, RecoloringSequence)
     if not is_proper(g, seq.start):
         raise ImproperStart("start coloring is not proper")
-    return _replay(g, seq)[0]
+    return _replay(g, seq)
 
 
 def _replay(g: Graph, seq: RecoloringSequence) -> tuple[Coloring, list[int]]:
@@ -322,26 +327,29 @@ def audit_best_choice(
     if max(map(len, outs), default=0) > 2:
         v = next(v for v, later in enumerate(outs) if len(later) > 2)
         raise OmegaTooLarge(f"vertex {v} has {len(outs[v])} later neighbors")
-    verify_sequence(g, seq)
-    report = _audit(outs, seq.start.colors, seq.steps)
+    counts = _verify(g, seq)[1]
+    report = _audit(outs, seq.start.colors, seq.steps, counts)
     if strict and report.violations:
         raise report.violations[0]
     return report
 
 
 def _audit(
-    outs: Sequence[Sequence[int]], start: Sequence[int], steps: Sequence[tuple[int, int]]
+    outs: Sequence[Sequence[int]],
+    start: Sequence[int],
+    steps: Sequence[tuple[int, int]],
+    counts: Sequence[int],
 ) -> AuditReport:
     """audit_best_choice's report, without checking its inputs or replaying the steps.
 
     `outs` is the later-neighbor table of a perfect elimination ordering with
-    at most two later neighbors per vertex, and `steps` a valid sequence from
-    the colors `start`.
+    at most two later neighbors per vertex, `steps` a valid sequence from the
+    colors `start`, and `counts` the number of steps of each vertex, as the
+    replay that checked them returns it.
     """
     at: list[list[int]] = [[] for _ in range(len(outs))]
     for t, (x, _) in enumerate(steps):
         at[x].append(t)
-    counts = list(map(len, at))
     # all out-neighbor steps count as saved until v's own gaps say otherwise
     out_step_counts = [sum(map(counts.__getitem__, later)) for later in outs]
     saved_counts = out_step_counts.copy()

@@ -154,13 +154,15 @@ def test_criterion_4_audit_of_pipeline_halves(monkeypatch):
                 else:
                     assert len(runs) == 2
                 for (order_h, later, start, _, steps), (h, _, coloring_h) in zip(runs, merged):
-                    report = sequences._audit(later, start, steps)
-                    assert report.clean
-                    worst = max(worst, max(report.counts, default=0))
-                    # the core on the later table agrees with the public audit
-                    # on the h that merge_same_colored builds
+                    # the core takes the counts of a replay on the h that
+                    # merge_same_colored builds, and agrees with the public
+                    # audit there
                     assert coloring_h.colors == tuple(start)
                     seq_h = RecoloringSequence(coloring_h, tuple(steps))
+                    counts = sequences._replay(h, seq_h)[1]
+                    report = sequences._audit(later, start, steps, counts)
+                    assert report.clean
+                    worst = max(worst, max(report.counts, default=0))
                     peo_h = EliminationOrdering(tuple(order_h))
                     assert audit_best_choice(seq_h, peo_h, h, strict=False) == report
                     audited += 1

@@ -213,20 +213,23 @@ def test_reach_count_matches_naive_component(g, k, pick):
         assert reconfig_connected(g, k)
         return
     src = proper[pick % len(proper)]
-    mask = _kernels.proper_mask(g.n, k, g.edges())
+    mask, packed, total = _kernels.state_space(g.n, k, tuple(g.edges()))
+    assert total == len(proper)
     if g.n:  # bit c % 8 of byte c // 8 on line i is state i * k + c
-        lines = np.unpackbits(_kernels._pack(mask, g.n, k), axis=1, bitorder="little")
+        lines = np.unpackbits(packed, axis=1, bitorder="little")
         assert np.array_equal(lines[:, :k].reshape(-1), mask) and not lines[:, k:].any()
     reach = helpers.naive_all_distances(g, k, src)
-    assert _kernels.reach_count(_code(src, k), mask, len(proper), g.n, k) == len(reach)
+    assert _kernels.reach_count(_code(src, k), packed, total, g.n, k) == len(reach)
     assert reconfig_connected(g, k) == (len(reach) == len(proper))
 
 
 def test_reconfig_connected_peak_below_two_and_a_half_bytes_per_state():
-    # the bool mask (one byte per state) plus the packed arrays of k^(n-1)
-    # bytes, a fifth of a byte per state each at k = 5: `proper`, the reached
-    # set, the set before the sweep, their two transposed copies and the
-    # vertex-0 hit mask; about 2.27 bytes per state
+    # the bool mask (one byte per state) plus arrays of k^(n-1) bytes, a
+    # fifth of a byte per state each at k = 5: the cached packed mask, and
+    # reach_count's reached set, the set before the sweep, their two
+    # transposed copies and the vertex-0 hit mask; about 2.27 bytes per state.
+    # reach_count takes the packed mask from the cache and copies nothing
+    # more: with the space already cached a call peaks at about 1.07
     for s in range(5):
         g = gen_partial_2tree(8, 0.7, s)
         tracemalloc.start()
@@ -236,6 +239,25 @@ def test_reconfig_connected_peak_below_two_and_a_half_bytes_per_state():
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 5**8, (s, peak / 5**8)
+
+
+def test_state_space_build_peak_below_one_point_three_bytes_per_state():
+    # adding the last vertex copies the mask over the others into k rows:
+    # k^(n-1) bytes beside the new k^n, 1.2 bytes per state at k = 5; the
+    # packed build then holds the mask beside its own last two tables of
+    # k^(n-2) and k^(n-1) lines; about 1.25 bytes per state either way
+    for n in (8, 9):
+        for s in range(3):
+            g = gen_partial_2tree(n, 0.7, s)
+            _kernels.state_space.cache_clear()
+            tracemalloc.start()
+            try:
+                _kernels.state_space(n, 5, tuple(g.edges()))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.3 * 5**n, (n, s, peak / 5**n)
+    _kernels.state_space.cache_clear()
 
 
 def test_bfs_meet_peak_below_three_bytes_per_state():
@@ -347,11 +369,13 @@ def test_mask_cache_keeps_the_cap_and_is_read_only():
     assert reconfig_connected(g, 5)
     with pytest.raises(TooLarge, match=r"5\^6 states exceed the cap of 15624"):
         reconfig_connected(g, 5, 5**6 - 1)
-    mask, total = oracle._proper_states(g, 5, 5**6)
+    mask, packed, total = oracle._proper_states(g, 5, 5**6)
     assert oracle._proper_states(g, 5, 5**6)[0] is mask
     assert total == np.count_nonzero(mask)
     with pytest.raises(ValueError, match="read-only"):
         mask[0] = not mask[0]
+    with pytest.raises(ValueError, match="read-only"):
+        packed[0, 0] = 0
 
 
 def _first_appearance(code, n, k):
