@@ -72,7 +72,7 @@ def best_choice_recoloring(
 
     steps = _best_choice(peo.order, later, alpha.colors, beta.colors, k)
     bound = PER_VERTEX_CHORDAL_BOUND if k == 5 and width <= 2 else None
-    return _replayed(g, Coloring(k, alpha.colors), steps, beta.colors, bound)
+    return _replayed(g, k, alpha, steps, beta.colors, bound)
 
 
 def _best_choice(

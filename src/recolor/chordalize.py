@@ -78,7 +78,6 @@ from .decomposition import _eliminate
 from .errors import (
     ImproperStart,
     ImproperStep,
-    InvalidColoring,
     InvalidInput,
     LiftFailure,
     NoOpStep,
@@ -273,7 +272,7 @@ def two_phase_transform(
     require_proper(g, gamma_s, d + 1, "gamma_s")
     require_proper(g, gamma_t, d + 1, "gamma_t")
     steps = _two_phase(gamma_s.colors, gamma_t.colors, d)
-    return _replayed(g, Coloring(k, gamma_s.colors), steps, gamma_t.colors, 2)
+    return _replayed(g, k, gamma_s, steps, gamma_t.colors, 2)
 
 
 def _two_phase(
@@ -324,6 +323,9 @@ def _merges_nothing(bags: Sequence[Sequence[int]], colors: Sequence[int]) -> boo
 def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSequence:
     """Full transformation between two proper 5-colorings of a treewidth-2 graph.
 
+    Each endpoint may be declared at any k <= 5 (`require_proper`'s rule), and
+    the output starts at k = 5 whatever alpha declares.
+
     When some elimination bag (v, a, b) gives a and b one color in alpha or
     in beta, both endpoints are pushed down to 3-colorings through their own
     merged chordal graphs, the two 3-colorings are bridged with the
@@ -345,11 +347,8 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
     replay checks the end and the route's per-vertex bound; the stages in
     between neither check nor replay.
     """
-    for name, coloring in (("alpha", alpha), ("beta", beta)):
-        _require_instance(name, coloring, Coloring)
-        if coloring.k != 5:
-            raise InvalidColoring(f"{name} is a {coloring.k}-coloring, not a 5-coloring")
-        require_proper(g, coloring, 5, name)
+    require_proper(g, alpha, 5, "alpha")
+    require_proper(g, beta, 5, "beta")
     elim = _eliminate(g)
     if _merges_nothing(elim, alpha.colors) and _merges_nothing(elim, beta.colors):
         # every vertex is its own class, and H is the merged graph
@@ -363,4 +362,4 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
         steps = steps_a + _two_phase(gamma_1, gamma_2, d=2) + back
         bound = PER_VERTEX_PIPELINE_BOUND
     steps = _compact(g.adjacency, alpha.colors, steps)
-    return _replayed(g, alpha, steps, beta.colors, bound)
+    return _replayed(g, 5, alpha, steps, beta.colors, bound)

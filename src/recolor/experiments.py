@@ -104,7 +104,9 @@ def _run_instance(config: ExperimentConfig, g: Graph, seed: int) -> list[Experim
         order = degeneracy_order(g)
         alpha = random_proper_coloring(g, order, k, seed * 2 + 1)
         beta = random_proper_coloring(g, order, k, seed * 2 + 2)
-    cross_check = _within(k, g.n, config.state_cap)
+    # the pipeline's sequences use 5 colors whatever k its endpoints declare
+    palette = k if chordal_direct else 5
+    cross_check = _within(palette, g.n, config.state_cap)
     # the state graph is undirected, so one search serves both directions
     exact = []
 
@@ -132,7 +134,7 @@ def _run_instance(config: ExperimentConfig, g: Graph, seed: int) -> list[Experim
             _measure(rec, seq)
             if cross_check:
                 if not exact:
-                    exact.append(bfs_distance(g, k, alpha, beta, config.state_cap))
+                    exact.append(bfs_distance(g, palette, alpha, beta, config.state_cap))
                 d = rec.bfs_distance = exact[0]
                 if d is None or d > len(seq.steps):
                     rec.status = "oracle-mismatch"

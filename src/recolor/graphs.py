@@ -177,15 +177,20 @@ def _require_ints(name: str, values: Sequence[object]) -> None:
 
 
 def require_proper(g: Graph, coloring: Coloring, max_color: int, name: str) -> None:
-    """Raise InvalidColoring unless `coloring` is a proper coloring of g in 1..max_color.
+    """Raise InvalidColoring unless `coloring` is a proper coloring of g declared
+    at k <= max_color, the one palette rule of every call that takes one.
 
-    A `coloring` that is not a Coloring raises InvalidInput under `name`.
+    A Coloring keeps each color within its own k, so the declared k decides the
+    palette in O(1): a 3-coloring fits a 5-color call, whose output then starts
+    at k = 5, and a coloring declared above the palette is rejected whatever
+    colors it uses. A `coloring` that is not a Coloring raises InvalidInput
+    under `name`.
     """
     _require_instance(name, coloring, Coloring)
+    if coloring.k > max_color:
+        raise InvalidColoring(f"{name} is a {coloring.k}-coloring, above {max_color} colors")
     if not is_proper(g, coloring):
         raise InvalidColoring(f"{name} is not proper")
-    if max(coloring.colors, default=1) > max_color:
-        raise InvalidColoring(f"{name} uses colors above {max_color}")
 
 
 def _2tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:

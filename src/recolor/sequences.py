@@ -125,14 +125,18 @@ def _replay(g: Graph, seq: RecoloringSequence) -> tuple[Coloring, list[int]]:
 
 
 def _replayed(
-    g: Graph, start: Coloring, steps: list, end: tuple, bound: int | None
+    g: Graph, k: int, start: Coloring, steps: list, end: tuple, bound: int | None
 ) -> RecoloringSequence:
-    """The sequence of `steps` from `start`, after one replay shows it ends at `end`.
+    """The sequence of `steps` from `start` at the call's palette k, after one
+    replay shows it ends at `end`.
 
     When `bound` is not None, the same replay's per-vertex counts show that no
-    vertex is recolored more than `bound` times. Every caller has checked
-    that `start` is proper on g, so only the steps are replayed.
+    vertex is recolored more than `bound` times. Every caller has checked, with
+    `require_proper`, that `start` is proper on g and declared at most at k, so
+    only the steps are replayed, and `start` is rebuilt only when its k is lower.
     """
+    if start.k != k:
+        start = Coloring(k, start.colors)
     seq = RecoloringSequence(start, tuple(steps))
     final, counts = _replay(g, seq)
     if final.colors != end:

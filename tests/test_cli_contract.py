@@ -115,3 +115,25 @@ def test_junk_file_exits_with_one_error_line(tmp_path, capsys, form, name):
         assert code in (0, 1), (junk, code)
         assert sum("error:" in line for line in err.splitlines()) <= 1, (junk, err)
         assert "Traceback" not in out + err, (junk, out, err)
+
+
+# the forms that take two endpoint colorings and a palette of 5 colors
+PALETTE_SWAPS = [(form, name) for form in ("recolor", "pipeline", "oracle-distance") for name in "ab"]
+
+
+@pytest.mark.parametrize("form, name", PALETTE_SWAPS, ids=[f"{f}-{n}" for f, n in PALETTE_SWAPS])
+def test_coloring_declared_above_the_palette_exits_with_one_error_line(
+    tmp_path, capsys, form, name
+):
+    # huge_k's colors are a proper coloring of G in 1..3; only its k is above 5
+    paths = {"out": str(tmp_path / "out.json")}
+    for key, text in {**VALID, name: JUNK["huge_k"]}.items():
+        paths[key] = str(tmp_path / f"{key}.json")
+        (tmp_path / f"{key}.json").write_text(text)
+    assert main(FORMS[form].format(**paths).split()) == 1
+    out, err = capsys.readouterr()
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"error: InvalidColoring: {'alpha' if name == 'a' else 'beta'} is a {10**30}-coloring,"
+        " above 5 colors"
+    ]
+    assert "Traceback" not in out + err

@@ -17,6 +17,7 @@ from recolor import (
     ExperimentConfig,
     ExperimentRecord,
     Graph,
+    InvalidColoring,
     InvalidInput,
     MergeMap,
     RecoloringSequence,
@@ -24,10 +25,12 @@ from recolor import (
     write_csv,
 )
 
-# the path 0-1-2 and two proper colorings of it within 1..3, so the oracle
-# (at k = 3) and the bridge (at d = 2) take them as they are
+# the path 0-1-2 and two proper colorings of it within 1..3, declared at k = 5
+# and again at k = 3 for the oracle (at k = 3) and the bridge (at d = 2),
+# which reject a coloring declared above their palette of 3 colors
 G = Graph.from_edges(3, [(0, 1), (1, 2)])
 ALPHA, BETA = Coloring(5, (1, 2, 1)), Coloring(5, (2, 3, 2))
+ALPHA3, BETA3 = Coloring(3, ALPHA.colors), Coloring(3, BETA.colors)
 PEO = recolor.mcs_order(G)
 SEQ = recolor.best_choice_recoloring(G, PEO, ALPHA, BETA, 5)
 _, MERGE_MAP, ALPHA_H = recolor.merge_same_colored(G, ALPHA)
@@ -52,7 +55,7 @@ CASES = {
     ),
     "audit_best_choice": (recolor.audit_best_choice, (SEQ, PEO, G, True)),
     "best_choice_recoloring": (recolor.best_choice_recoloring, (G, PEO, ALPHA, BETA, 5)),
-    "bfs_distance": (recolor.bfs_distance, (G, 3, ALPHA, BETA, 100)),
+    "bfs_distance": (recolor.bfs_distance, (G, 3, ALPHA3, BETA3, 100)),
     "degeneracy_order": (recolor.degeneracy_order, (G,)),
     "gen_2tree": (recolor.gen_2tree, (4, 0)),
     "gen_chordal_omega3": (recolor.gen_chordal_omega3, (4, 0)),
@@ -70,7 +73,7 @@ CASES = {
     "reconfig_connected": (recolor.reconfig_connected, (G, 3, 100)),
     "reconfig_diameter": (recolor.reconfig_diameter, (G, 3, 100)),
     "run_experiments": (recolor.run_experiments, (ExperimentConfig("2tree", (3,), (0,)),)),
-    "two_phase_transform": (recolor.two_phase_transform, (G, ALPHA, BETA, 2, 5)),
+    "two_phase_transform": (recolor.two_phase_transform, (G, ALPHA3, BETA3, 2, 5)),
     "verify_sequence": (recolor.verify_sequence, (G, SEQ)),
     "write_csv": (write_csv, (os.devnull, [])),
 }
@@ -147,6 +150,35 @@ def test_one_swapped_argument_returns_or_raises_a_recolor_error(label, index, j)
 def test_generators_reject_n_above_the_cap_before_building(gen, rest):
     with pytest.raises(InvalidInput, match=r"^graph declares 1000001 vertices, above 1000000$"):
         gen(10**6 + 1, *rest)
+
+
+# each call that takes two endpoint colorings, with its palette and the k its
+# sequence starts at (None for the distance)
+PALETTES = {
+    "best_choice_recoloring": (lambda a, b: recolor.best_choice_recoloring(G, PEO, a, b, 5), 5, 5),
+    "pipeline_theorem": (lambda a, b: recolor.pipeline_theorem(G, a, b), 5, 5),
+    "bfs_distance": (lambda a, b: recolor.bfs_distance(G, 3, a, b), 3, None),
+    "two_phase_transform": (lambda a, b: recolor.two_phase_transform(G, a, b, 2, 5), 3, 5),
+}
+
+
+@pytest.mark.parametrize("label", PALETTES)
+def test_an_endpoint_is_declared_at_most_at_the_palette(label):
+    call, palette, start_k = PALETTES[label]
+    # greedy declares the colors it uses, 2 on the path: below either palette
+    low, beta = recolor.greedy_coloring(G, PEO), Coloring(palette, BETA.colors)
+    assert low.k < palette
+    above = Coloring(palette + 1, low.colors)
+    # under the name the call gives the endpoint, alpha or gamma_s and so on
+    message = rf"^\w+ is a {palette + 1}-coloring, above {palette} colors$"
+    for args in ((above, beta), (beta, above)):
+        with pytest.raises(InvalidColoring, match=message):
+            call(*args)
+    # a declaration below the palette changes nothing but the start's k
+    result = call(low, beta)
+    assert result == call(Coloring(palette, low.colors), beta)
+    if start_k is not None:
+        assert result.start == Coloring(start_k, low.colors)
 
 
 def test_write_csv_rejects_a_file_descriptor():

@@ -101,6 +101,14 @@ def test_one_exact_search_per_instance(monkeypatch):
         assert all(r.bfs_distance is not None for r in records)
 
 
+def test_pipeline_rows_are_cross_checked_at_five_colors():
+    # endpoints declared at k = 4 fit the pipeline's palette; its sequences use
+    # 5 colors, so the oracle distance they are held to is the 5-color one
+    records = run_experiments(ExperimentConfig(family="partial-2tree", sizes=(8,), seeds=(0,), k=4))
+    assert [rec.status for rec in records] == ["ok", "ok"]
+    assert all(rec.k == 4 and rec.bfs_distance <= rec.seq_len for rec in records)
+
+
 def test_vertex_cap_stops_the_batch_before_any_work(monkeypatch):
     # any instance run would fail: the cap must stop the batch first
     monkeypatch.setattr(experiments, "_run_instance", None)

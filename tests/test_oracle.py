@@ -70,8 +70,9 @@ def test_distance_unreachable_is_none():
 def test_distance_rejects_improper_inputs():
     with pytest.raises(InvalidColoring):
         bfs_distance(P3, 3, Coloring(3, (1, 1, 1)), Coloring(3, (1, 2, 1)))
-    # the packed state holds colours 1..k only; the check runs before packing
-    with pytest.raises(InvalidColoring, match="^alpha uses colors above 3$"):
+    # the packed state holds colours 1..k only, so a colouring declared above k is
+    # rejected before packing, whatever colours it uses
+    with pytest.raises(InvalidColoring, match="^alpha is a 5-coloring, above 3 colors$"):
         bfs_distance(P3, 3, Coloring(5, (1, 4, 1)), Coloring(3, (1, 2, 1)))
 
 
