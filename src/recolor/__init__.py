@@ -11,7 +11,6 @@ from .chordalize import (
     two_phase_transform,
 )
 from .decomposition import (
-    EliminationOrdering,
     degeneracy_order,
     is_perfect_elimination,
     later_neighbors,
@@ -41,6 +40,7 @@ from .experiments import (
 )
 from .graphs import (
     Coloring,
+    EliminationOrdering,
     Graph,
     gen_2tree,
     gen_chordal_omega3,

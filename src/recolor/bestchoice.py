@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .decomposition import EliminationOrdering, _later_form_cliques, later_neighbors
+from .decomposition import _checked_later
 from .errors import InvalidInput, NoValidColor
-from .graphs import Coloring, Graph, _require_int, require_proper
+from .graphs import Coloring, EliminationOrdering, Graph, _require_int, require_proper
 from .sequences import RecoloringSequence, _replayed
 
 PER_VERTEX_CHORDAL_BOUND = 542
@@ -62,8 +62,8 @@ def best_choice_recoloring(
     sequence is valid but no per-vertex bound holds. So the one replay checks
     the bound in the claimed case only.
     """
-    later = later_neighbors(g, peo)
-    if not _later_form_cliques(g, later):
+    later, perfect = _checked_later(g, peo)
+    if not perfect:
         raise InvalidInput("ordering is not a perfect elimination ordering")
     width = max(map(len, later), default=0)
     _require_int("k", k, 2 + width)

@@ -14,7 +14,7 @@ import sys
 
 from .bestchoice import best_choice_recoloring
 from .chordalize import merge_same_colored, pipeline_theorem
-from .decomposition import EliminationOrdering, mcs_order
+from .decomposition import mcs_order
 from .errors import InvalidColoring, InvalidInput, RecolorError
 from .experiments import (
     ExperimentConfig,
@@ -26,6 +26,7 @@ from .experiments import (
 )
 from .graphs import (
     Coloring,
+    EliminationOrdering,
     Graph,
     is_proper,
     random_proper_coloring,

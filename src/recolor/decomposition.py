@@ -1,14 +1,20 @@
-"""Elimination orderings and the degree-<=2 elimination of treewidth-2 graphs.
+"""Elimination orderings of a graph, their later-neighbor tables, and the
+degree-<=2 elimination of treewidth-2 graphs.
 
-`later_neighbors` is the one place that answers "which neighbors of v come
-after v in this ordering" (the out-neighborhood N+(v)) for a graph in hand.
-The ordering checks here, the greedy recoloring in `bestchoice` and the audit
-in `sequences` all read the table it returns instead of recomputing
-positions. It remembers its last table, keyed by the value of (g, peo), so
-a best-choice run and then its audit on one (g, peo) build it once; the
-memo holds one O(n) table plus g and peo until a call with other
-arguments. The pipeline never builds its merged graph, so it reads that
-graph's table off the elimination instead (`chordalize._elimination_order`).
+The `EliminationOrdering` type and its fit rule live in `graphs`, beside
+`Graph`; this module builds orderings and answers what they imply.
+`_later_table` is the one place that answers "which neighbors of v come
+after v in this ordering" (the out-neighborhood N+(v)) for a graph in hand,
+and, in the same build, whether every such set is a clique, so whether the
+ordering is a perfect elimination ordering. `later_neighbors`,
+`is_perfect_elimination`, the greedy recoloring in `bestchoice` and the
+audit in `sequences` all read both through `_checked_later` instead of
+recomputing positions or cliques. It remembers its last table and verdict,
+keyed by the value of (g, peo), so a best-choice run and then its audit on
+one (g, peo) build and check it once; the memo holds one O(n) table plus g
+and peo until a call with other arguments. The pipeline never builds its
+merged graph, so it reads that graph's table off the elimination instead
+(`chordalize._elimination_order`).
 
 Every choice here is lowest index first: among the vertices that qualify,
 take the one with the smallest key and, on a tie, the smallest index. Each
@@ -24,39 +30,12 @@ its bags (v, *sorted N(v)): the width-2 witness that `chordalize` merges over.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from itertools import combinations
 
-from .errors import InvalidInput, NotWidth2, _json_loader
-from .graphs import Graph, _require_instance, _require_ints, _require_ordering_of
-
-
-@dataclass(frozen=True)
-class EliminationOrdering:
-    """Permutation of the vertices; position i holds the i-th eliminated vertex."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        _require_instance("order", self.order, tuple)
-        _require_ints("ordering entry", self.order)
-        if sorted(self.order) != list(range(len(self.order))):
-            raise InvalidInput("ordering is not a permutation of 0..n-1")
-
-    def positions(self) -> list[int]:
-        pos = [0] * len(self.order)
-        for i, v in enumerate(self.order):
-            pos[v] = i
-        return pos
-
-    def to_json(self) -> dict:
-        return {"order": list(self.order)}
-
-    @staticmethod
-    @_json_loader
-    def from_json(obj: dict) -> "EliminationOrdering":
-        return EliminationOrdering(tuple(obj["order"]))
+from .errors import NotWidth2
+from .graphs import EliminationOrdering, Graph, _require_instance, _require_ordering_of
 
 
 def _pop_order(g: Graph, key: list[int]) -> list[int]:
@@ -91,7 +70,17 @@ def mcs_order(g: Graph) -> EliminationOrdering:
 
 
 def later_neighbors(g: Graph, peo: EliminationOrdering) -> tuple[tuple[int, ...], ...]:
-    """For each vertex v, the ascending tuple of its neighbors after v in peo.
+    """For each vertex v, the ascending tuple of its neighbors after v in peo."""
+    return _checked_later(g, peo)[0]
+
+
+def is_perfect_elimination(g: Graph, peo: EliminationOrdering) -> bool:
+    """Check that every vertex's later neighbors form a clique."""
+    return _checked_later(g, peo)[1]
+
+
+def _checked_later(g: Graph, peo: EliminationOrdering) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """(later_neighbors(g, peo), is_perfect_elimination(g, peo)) from one cached build.
 
     The arguments are checked before the cache lookup, so a rejected call
     hashes nothing and caches nothing.
@@ -101,34 +90,23 @@ def later_neighbors(g: Graph, peo: EliminationOrdering) -> tuple[tuple[int, ...]
 
 
 @lru_cache(maxsize=1)
-def _later_table(g: Graph, peo: EliminationOrdering) -> tuple[tuple[int, ...], ...]:
-    """later_neighbors' table of a checked (g, peo); the last one is kept, keyed by value."""
-    pos = peo.positions()
-    return tuple([tuple([w for w in nbrs if pos[w] > p]) for nbrs, p in zip(g.adjacency, pos)])
+def _later_table(g: Graph, peo: EliminationOrdering) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """_checked_later's table and verdict of a checked (g, peo); the last pair is
+    kept, keyed by value.
 
-
-def _later_form_cliques(g: Graph, later: tuple[tuple[int, ...], ...]) -> bool:
-    """True iff every entry of a later_neighbors table is a clique of g.
-
-    Only entries of two or more vertices can fail. Each pair is looked up by
-    bisection in the sorted adjacency tuple, so a hub of high degree costs
-    a logarithmic factor per lookup, not a set of its neighbours.
+    Only entries of two or more vertices can fail the clique check. Each pair
+    (u, w) is looked up by bisection in u's sorted adjacency tuple (w is there
+    iff its left and right insertion points differ), so a hub of high degree
+    costs a logarithmic factor per lookup, not a set of its neighbours, and
+    the check stops at the first pair that is not an edge.
     """
-    adj = g.adjacency
-    for outs in later:
-        if len(outs) > 1:
-            for i, u in enumerate(outs):
-                nbrs = adj[u]
-                for w in outs[i + 1 :]:
-                    j = bisect_left(nbrs, w)
-                    if j == len(nbrs) or nbrs[j] != w:
-                        return False
-    return True
-
-
-def is_perfect_elimination(g: Graph, peo: EliminationOrdering) -> bool:
-    """Check that every vertex's later neighbors form a clique."""
-    return _later_form_cliques(g, later_neighbors(g, peo))
+    adj, pos = g.adjacency, peo.positions()
+    later = tuple([tuple([w for w in nbrs if pos[w] > p]) for nbrs, p in zip(adj, pos)])
+    perfect = all(
+        bisect_left(adj[u], w) < bisect_right(adj[u], w)
+        for outs in later if len(outs) > 1 for u, w in combinations(outs, 2)
+    )
+    return later, perfect
 
 
 def degeneracy_order(g: Graph) -> EliminationOrdering:

@@ -1,9 +1,11 @@
-"""Graphs, colorings, and random instance generators.
+"""Graphs, colorings, elimination orderings, and random instance generators.
 
-Vertices are integers 0..n-1 and colors are integers 1..k. Graphs and
-colorings are immutable once built, so they can be shared freely. All
-randomness flows through an explicit seed; nothing touches the global
-random state.
+Vertices are integers 0..n-1 and colors are integers 1..k. Graphs,
+colorings and orderings are immutable once built, so they can be shared
+freely. `_require_ordering_of` is the one rule for an ordering fitting a
+graph; whether it is a perfect elimination ordering is `decomposition`'s
+question. All randomness flows through an explicit seed; nothing touches the
+global random state.
 """
 
 from __future__ import annotations
@@ -11,12 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidColoring, InvalidInput, InvalidSize, NotEnoughColors, _json_loader
-
-if TYPE_CHECKING:
-    from .decomposition import EliminationOrdering
 
 # Largest n a JSON graph or a generator may declare, about ten times the
 # largest n measured here; checked before anything is allocated.
@@ -114,6 +113,43 @@ class Coloring:
     @_json_loader
     def from_json(obj: dict) -> "Coloring":
         return Coloring(obj["k"], tuple(obj["colors"]))
+
+
+@dataclass(frozen=True)
+class EliminationOrdering:
+    """Permutation of the vertices; position i holds the i-th eliminated vertex."""
+
+    order: tuple[int, ...]
+
+    def __post_init__(self):
+        _require_instance("order", self.order, tuple)
+        _require_ints("ordering entry", self.order)
+        if sorted(self.order) != list(range(len(self.order))):
+            raise InvalidInput("ordering is not a permutation of 0..n-1")
+
+    def positions(self) -> list[int]:
+        pos = [0] * len(self.order)
+        for i, v in enumerate(self.order):
+            pos[v] = i
+        return pos
+
+    def to_json(self) -> dict:
+        return {"order": list(self.order)}
+
+    @staticmethod
+    @_json_loader
+    def from_json(obj: dict) -> "EliminationOrdering":
+        return EliminationOrdering(tuple(obj["order"]))
+
+
+def _require_ordering_of(name: str, order: EliminationOrdering, g: Graph) -> None:
+    """Raise InvalidInput unless g is a Graph and `order` an EliminationOrdering of g's length."""
+    _require_instance("g", g, Graph)
+    _require_instance(name, order, EliminationOrdering)
+    if len(order.order) != g.n:
+        raise InvalidInput(
+            f"ordering has {len(order.order)} vertices for a graph on {g.n} vertices"
+        )
 
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
@@ -258,18 +294,6 @@ def gen_chordal_omega3(n: int, seed: int) -> Graph:
         elif size == 1:
             edges.append((rng.randrange(v), v))
     return Graph.from_edges(n, edges)
-
-
-def _require_ordering_of(name: str, order: EliminationOrdering, g: Graph) -> None:
-    """Raise InvalidInput unless g is a Graph and `order` an EliminationOrdering of g's length."""
-    from .decomposition import EliminationOrdering  # decomposition imports this module
-
-    _require_instance("g", g, Graph)
-    _require_instance(name, order, EliminationOrdering)
-    if len(order.order) != g.n:
-        raise InvalidInput(
-            f"ordering has {len(order.order)} vertices for a graph on {g.n} vertices"
-        )
 
 
 def random_proper_coloring(

@@ -8,10 +8,12 @@ enforces both. The audit checks the structural properties that every greedily
 built sequence from `bestchoice` satisfies: no immediate re-recoloring, a
 per-vertex count bound driven by saved steps, and color distinctness around
 tight alternation patterns. Its core `_audit` reads each vertex's
-out-neighbors N+(v) from one `later_neighbors` table, which
-`audit_best_choice` rejects if it gives any vertex more than two of them.
-`later_neighbors` keeps its last table, so an audit right after
-`best_choice_recoloring` on the same (g, peo) builds none.
+out-neighbors N+(v) from one later-neighbor table. `audit_best_choice`
+rejects that table, as best choice does, when the ordering is not a perfect
+elimination ordering (InvalidInput), and also when it gives any vertex more
+than two later neighbors (OmegaTooLarge). The table is cached with its
+verdict, so an audit right after `best_choice_recoloring` on the same
+(g, peo) builds and checks neither again.
 
 Every audit rule is read off the gaps between consecutive steps of v in its
 restriction, the steps of v and N+(v) in sequence order. An out-neighbor step
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import pairwise
 from typing import Iterable, Sequence
 
-from .decomposition import EliminationOrdering, later_neighbors
+from .decomposition import _checked_later
 from .errors import (
     AuditViolation,
     ImproperStart,
@@ -42,7 +44,7 @@ from .errors import (
     OmegaTooLarge,
     _json_loader,
 )
-from .graphs import Coloring, Graph, _require_instance, is_proper
+from .graphs import Coloring, EliminationOrdering, Graph, _require_instance, is_proper
 
 
 @dataclass(frozen=True)
@@ -320,6 +322,10 @@ def audit_best_choice(
        out-neighbors, v's colors before, between and after are pairwise
        distinct.
 
+    The ordering must be a perfect elimination ordering of g, else
+    InvalidInput as in best choice, with at most two later neighbors per
+    vertex, else OmegaTooLarge.
+
     A vertex with fewer than two steps has no two consecutive steps, so all
     three rules hold for it and every one of its m out-neighbor steps is
     saved; only vertices with at least two steps get a restriction built.
@@ -327,7 +333,9 @@ def audit_best_choice(
     All violations are collected into the report; with strict=True the first
     of them is raised instead.
     """
-    outs = later_neighbors(g, peo)
+    outs, perfect = _checked_later(g, peo)
+    if not perfect:
+        raise InvalidInput("ordering is not a perfect elimination ordering")
     if max(map(len, outs), default=0) > 2:
         v = next(v for v, later in enumerate(outs) if len(later) > 2)
         raise OmegaTooLarge(f"vertex {v} has {len(outs[v])} later neighbors")

@@ -254,6 +254,21 @@ def test_one_positions_pass_per_public_call(monkeypatch):
     assert len(calls) == 3
 
 
+def test_one_later_table_build_per_ordering():
+    decomposition._later_table.cache_clear()
+    g = gen_chordal_omega3(60, 7)
+    peo = mcs_order(g)
+    a = random_proper_coloring(g, peo, 5, 0)
+    b = greedy_coloring(g, peo)
+    seq = best_choice_recoloring(g, peo, a, b, 5)
+    assert best_choice_recoloring(g, peo, a, b, 5) == seq
+    audit_best_choice(seq, peo, g)
+    assert is_perfect_elimination(g, peo)
+    later_neighbors(g, peo)
+    # the table and its verdict come from the one build; every later call hits
+    assert decomposition._later_table.cache_info().misses == 1
+
+
 def test_recoloring_large_instance_bounded():
     g = gen_chordal_omega3(200, 11)
     peo = mcs_order(g)

@@ -269,6 +269,32 @@ def test_audit_exit_code_on_violation(tmp_path):
     assert run("audit", "--graph", str(g), "--peo", str(peo), "--seq", str(seq)) == 1
 
 
+def test_audit_and_recolor_reject_an_ordering_that_is_not_perfect(tmp_path, capsys):
+    g, peo, seq = tmp_path / "g.json", tmp_path / "peo.json", tmp_path / "seq.json"
+    a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "out.json"
+    # the path 0-1-2 with 1 first: its later neighbours 0 and 2 are not adjacent
+    _write(g, {"n": 3, "edges": [[0, 1], [1, 2]]})
+    _write(peo, {"order": [1, 0, 2]})
+    _write(a, {"k": 5, "colors": [1, 2, 1]})
+    _write(b, {"k": 5, "colors": [2, 1, 2]})
+    # a valid sequence from a to b, so only the ordering is at fault
+    _write(seq, {"start": {"k": 5, "colors": [1, 2, 1]},
+                 "steps": [[1, 3], [0, 2], [2, 2], [1, 1]]})
+    assert run("check", "--graph", str(g), "--seq", str(seq), "--expect-final", str(b)) == 0
+    capsys.readouterr()
+    for argv in (
+        ("audit", "--seq", str(seq)),
+        ("recolor", "--alpha", str(a), "--beta", str(b), "--out", str(out)),
+    ):
+        assert run(*argv, "--graph", str(g), "--peo", str(peo)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: InvalidInput: ordering is not a perfect elimination ordering\n"
+        )
+    assert not out.exists()
+
+
 def test_bench_writes_csv(tmp_path):
     out = tmp_path / "bench.csv"
     assert run(

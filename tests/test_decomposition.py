@@ -237,6 +237,18 @@ def test_audit_rejects_three_later_neighbors():
         audit_best_choice(seq, peo, K4)
 
 
+def test_audit_rejects_an_ordering_that_is_not_perfect():
+    # 1 comes first and its later neighbours 0 and 2 are not adjacent; the
+    # sequence itself is valid, so only the ordering can be rejected
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    peo = EliminationOrdering((1, 0, 2))
+    seq = RecoloringSequence(Coloring(5, (1, 2, 1)), ((1, 3), (0, 2), (2, 2), (1, 1)))
+    assert not is_perfect_elimination(path, peo)
+    for strict in (True, False):
+        with pytest.raises(InvalidInput, match="not a perfect elimination ordering"):
+            audit_best_choice(seq, peo, path, strict)
+
+
 def test_ordering_must_be_a_permutation():
     with pytest.raises(InvalidInput):
         EliminationOrdering((0, 0, 1))

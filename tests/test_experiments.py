@@ -1,5 +1,6 @@
 import csv
 import re
+import time
 
 import pytest
 
@@ -81,6 +82,19 @@ def test_one_later_table_per_chordal_instance():
     # best-choice and its audit, forward and backward: four calls, one build
     info = decomposition._later_table.cache_info()
     assert (info.hits, info.misses) == (3, 1)
+
+
+def test_exact_search_is_outside_the_rows_times(monkeypatch):
+    def slow(g, k, alpha, beta, cap):
+        time.sleep(0.2)
+        return bfs_distance(g, k, alpha, beta, cap)
+
+    monkeypatch.setattr(experiments, "bfs_distance", slow)
+    for family in FAMILIES:
+        records = run_experiments(ExperimentConfig(family=family, sizes=(6,), seeds=(0,)))
+        assert [rec.status for rec in records] == ["ok", "ok"]
+        assert all(rec.bfs_distance is not None for rec in records)
+        assert all(rec.runtime_sec < 0.1 for rec in records)
 
 
 def test_one_exact_search_per_instance(monkeypatch):
