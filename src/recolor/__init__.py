@@ -25,7 +25,6 @@ from .errors import (
     InvalidSize,
     LiftFailure,
     NoOpStep,
-    NoValidColor,
     NotEnoughColors,
     NotWidth2,
     OmegaTooLarge,

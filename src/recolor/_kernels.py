@@ -41,12 +41,13 @@ def state_space(n: int, k: int, edges: tuple) -> tuple[np.ndarray, np.ndarray, i
     """The read-only `proper_mask` of (n, k, edges), its packed lines and its proper states' count.
 
     The packed lines hold vertex 0's digit in bits: a `(k^(n-1), ceil(k/8))`
-    uint8 array where bit c%8 of byte c//8 on line i is state i*k + c (one
-    line with bit 0 set for n = 0). Only the last space is kept: about
+    uint8 array where bit c%8 of byte c//8 on line i is state i*k + c. For
+    n = 0, whose one state has no digit, it is one line of one byte with
+    bit 0 set, at any k. Only the last space is kept: about
     k^n * (1 + ceil(k/8)/k) bytes. `edges` is a tuple, so it hashes.
     """
     mask = proper_mask(n, k, edges)
-    width = (k + 7) // 8
+    width = (k + 7) // 8 if n else 1
     line = np.packbits(np.arange(8 * width) < (k if n else 1), bitorder="little")
     packed = _grown(line, 1, n, k, edges).reshape(-1, width)
     mask.flags.writeable = packed.flags.writeable = False

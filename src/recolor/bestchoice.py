@@ -7,14 +7,19 @@ to take u's current color, u is recolored just before that step, choosing a
 color that minimizes how often u will be forced to move again. A final step
 gives u its target color if needed. On chordal graphs with clique number at
 most 3 and five colors this recolors every vertex a bounded number of times.
+
+The ordering's later-neighbor table and its width (the most later neighbors
+of any vertex) come from `decomposition._perfect_later`, which also rejects
+an ordering that is not a perfect elimination ordering. A forced vertex
+avoids its own color and those of its later neighbors, at most 1 + width
+colors, so k >= 2 + width always leaves it a free one.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .decomposition import _checked_later
-from .errors import InvalidInput, NoValidColor
+from .decomposition import _perfect_later
 from .graphs import Coloring, EliminationOrdering, Graph, _require_int, require_proper
 from .sequences import RecoloringSequence, _replayed
 
@@ -29,6 +34,10 @@ def _choose_color(forbidden: set[int], future: list[int], target: int, k: int) -
     from those; otherwise the color whose first upcoming occurrence is
     latest. Only the last rule lists 1..k, and it runs only when every
     color up to k is forbidden or upcoming.
+
+    Requires fewer than k forbidden colors, so one is free. `_best_choice`
+    forbids the vertex's color and its at most `width` later neighbors'
+    colors, and every caller has k >= 2 + width.
     """
     upcoming = set(future)
     if target not in forbidden and target not in upcoming:
@@ -39,10 +48,7 @@ def _choose_color(forbidden: set[int], future: list[int], target: int, k: int) -
     if c <= k:
         return c
     # every valid color is upcoming, so first occurrences never tie
-    valid = [c for c in range(1, k + 1) if c not in forbidden]
-    if not valid:
-        raise NoValidColor("every color collides with the vertex or a neighbor")
-    return max(valid, key=future.index)
+    return max((c for c in range(1, k + 1) if c not in forbidden), key=future.index)
 
 
 def best_choice_recoloring(
@@ -62,10 +68,7 @@ def best_choice_recoloring(
     sequence is valid but no per-vertex bound holds. So the one replay checks
     the bound in the claimed case only.
     """
-    later, perfect = _checked_later(g, peo)
-    if not perfect:
-        raise InvalidInput("ordering is not a perfect elimination ordering")
-    width = max(map(len, later), default=0)
+    later, width = _perfect_later(g, peo)
     _require_int("k", k, 2 + width)
     require_proper(g, alpha, k, "alpha")
     require_proper(g, beta, k, "beta")
@@ -85,10 +88,13 @@ def _best_choice(
     """best_choice_recoloring's steps, without checking its inputs or replaying them.
 
     `later` is the later-neighbor table of `order`, and `alpha` and `beta`
-    are the endpoint colors. Each u is spliced in against the neighbors
-    already processed, which are exactly those after it. Steps are nodes
-    (vertex, color) of one doubly linked list whose node 0 marks the end,
-    and trace[u] lists the nodes of u and of later[u] in sequence order.
+    are the endpoint colors in 1..k. k must be at least 2 plus the largest
+    later set, as best choice checks and the pipeline's k = 5 with at most
+    2 later neighbors gives, so a forced move always has a free color. Each
+    u is spliced in against the neighbors already processed, which are
+    exactly those after it. Steps are nodes (vertex, color) of one doubly
+    linked list whose node 0 marks the end, and trace[u] lists the nodes of
+    u and of later[u] in sequence order.
 
     u only needs the steps of later[u], in order. Let a be the vertex of
     later[u] processed last. later[u] is a clique, so every other member of

@@ -131,7 +131,7 @@ def merge_same_colored(g: Graph, alpha: Coloring) -> tuple[Graph, MergeMap, Colo
     _require_instance("alpha", alpha, Coloring)
     require_proper(g, alpha, alpha.k, "alpha")
     elim = _eliminate(g)
-    to_merged, classes, colors_h = _merge_classes(g.n, elim, alpha.colors)
+    to_merged, classes, colors_h = _merge_classes(elim, alpha.colors)
     _, later, _ = _elimination_order(elim, to_merged, colors_h)
     return (
         Graph.from_edges(len(classes), [(x, y) for x, ys in enumerate(later) for y in ys]),
@@ -141,7 +141,7 @@ def merge_same_colored(g: Graph, alpha: Coloring) -> tuple[Graph, MergeMap, Colo
 
 
 def _merge_classes(
-    n: int, bags: Sequence[Sequence[int]], colors: Sequence[int]
+    bags: Sequence[Sequence[int]], colors: Sequence[int]
 ) -> tuple[list[int], list[list[int]], list[int]]:
     """The merge map and inherited colors of merge_same_colored, without h.
 
@@ -150,10 +150,11 @@ def _merge_classes(
     components of "same color, shared bag" over the elimination bags. Only
     the pair (a, b) of a bag (v, a, b) is tested: v's pairs are edges of g,
     which the proper coloring splits, or fill edges, whose pair the bag that
-    made them tested, and a 2-bag holds an edge.
+    made them tested, and a 2-bag holds an edge. `bags` holds one bag per
+    vertex, as `_eliminate` returns them.
     """
     # root[v] <= v, and a component's root is its smallest member
-    root = list(range(n))
+    root = list(range(len(bags)))
     for bag in bags:
         if len(bag) == 3 and colors[bag[1]] == colors[bag[2]]:
             _, a, b = bag
@@ -167,7 +168,7 @@ def _merge_classes(
                 root[a] = b
 
     # root[v] < v lies in v's class and was numbered first
-    to_merged = [0] * n
+    to_merged = [0] * len(root)
     classes: list[list[int]] = []
     for v, r in enumerate(root):
         if r == v:
@@ -304,7 +305,7 @@ def _toward_3coloring(
     that finds the classes' elimination order, and a class keeps the color
     `prefer` gives its smallest member wherever it can.
     """
-    to_merged, classes, colors_h = _merge_classes(len(elim), elim, colors)
+    to_merged, classes, colors_h = _merge_classes(elim, colors)
     prefer_h = [prefer[c[0]] for c in classes]
     order, later, target = _elimination_order(elim, to_merged, prefer_h)
     steps_h = _best_choice(order, later, colors_h, target, 5)

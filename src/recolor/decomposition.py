@@ -5,15 +5,18 @@ The `EliminationOrdering` type and its fit rule live in `graphs`, beside
 `Graph`; this module builds orderings and answers what they imply.
 `_later_table` is the one place that answers "which neighbors of v come
 after v in this ordering" (the out-neighborhood N+(v)) for a graph in hand,
-and, in the same build, whether every such set is a clique, so whether the
-ordering is a perfect elimination ordering. `later_neighbors`,
-`is_perfect_elimination`, the greedy recoloring in `bestchoice` and the
-audit in `sequences` all read both through `_checked_later` instead of
-recomputing positions or cliques. It remembers its last table and verdict,
-keyed by the value of (g, peo), so a best-choice run and then its audit on
-one (g, peo) build and check it once; the memo holds one O(n) table plus g
-and peo until a call with other arguments. The pipeline never builds its
-merged graph, so it reads that graph's table off the elimination instead
+and, in the same build, how many such neighbors a vertex has at most (the
+width) and whether every such set is a clique, so whether the ordering is a
+perfect elimination ordering. `later_neighbors` and `is_perfect_elimination`
+read it through `_checked_later`. The greedy recoloring in `bestchoice` and
+the audit in `sequences` read the table and its width through
+`_perfect_later`, the one place that rejects an ordering that is not a
+perfect elimination ordering; neither recomputes positions, cliques or the
+width. The table is remembered with its width and verdict, keyed by the
+value of (g, peo), so a best-choice run and then its audit on one (g, peo)
+build and check it once; the memo holds one O(n) table plus g and peo until
+a call with other arguments. The pipeline never builds its merged graph, so
+it reads that graph's table off the elimination instead
 (`chordalize._elimination_order`).
 
 Every choice here is lowest index first: among the vertices that qualify,
@@ -34,8 +37,11 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import NotWidth2
+from .errors import InvalidInput, NotWidth2
 from .graphs import EliminationOrdering, Graph, _require_instance, _require_ordering_of
+
+# a later-neighbor table: the ascending later neighbors of each vertex
+_Later = tuple[tuple[int, ...], ...]
 
 
 def _pop_order(g: Graph, key: list[int]) -> list[int]:
@@ -76,11 +82,11 @@ def later_neighbors(g: Graph, peo: EliminationOrdering) -> tuple[tuple[int, ...]
 
 def is_perfect_elimination(g: Graph, peo: EliminationOrdering) -> bool:
     """Check that every vertex's later neighbors form a clique."""
-    return _checked_later(g, peo)[1]
+    return _checked_later(g, peo)[2]
 
 
-def _checked_later(g: Graph, peo: EliminationOrdering) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """(later_neighbors(g, peo), is_perfect_elimination(g, peo)) from one cached build.
+def _checked_later(g: Graph, peo: EliminationOrdering) -> tuple[_Later, int, bool]:
+    """`_later_table(g, peo)`: the table, its width and its verdict, from one cached build.
 
     The arguments are checked before the cache lookup, so a rejected call
     hashes nothing and caches nothing.
@@ -89,12 +95,25 @@ def _checked_later(g: Graph, peo: EliminationOrdering) -> tuple[tuple[tuple[int,
     return _later_table(g, peo)
 
 
-@lru_cache(maxsize=1)
-def _later_table(g: Graph, peo: EliminationOrdering) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """_checked_later's table and verdict of a checked (g, peo); the last pair is
-    kept, keyed by value.
+def _perfect_later(g: Graph, peo: EliminationOrdering) -> tuple[_Later, int]:
+    """The later-neighbor table of a perfect elimination ordering, and its width.
 
-    Only entries of two or more vertices can fail the clique check. Each pair
+    Raises InvalidInput when peo is not a perfect elimination ordering of g:
+    best choice and its audit are defined only along one.
+    """
+    later, width, perfect = _checked_later(g, peo)
+    if not perfect:
+        raise InvalidInput("ordering is not a perfect elimination ordering")
+    return later, width
+
+
+@lru_cache(maxsize=1)
+def _later_table(g: Graph, peo: EliminationOrdering) -> tuple[_Later, int, bool]:
+    """_checked_later's table, width and verdict of a checked (g, peo); the last
+    triple is kept, keyed by value.
+
+    The width is the size of the largest later set (0 for no vertex). Only
+    entries of two or more vertices can fail the clique check. Each pair
     (u, w) is looked up by bisection in u's sorted adjacency tuple (w is there
     iff its left and right insertion points differ), so a hub of high degree
     costs a logarithmic factor per lookup, not a set of its neighbours, and
@@ -106,7 +125,7 @@ def _later_table(g: Graph, peo: EliminationOrdering) -> tuple[tuple[tuple[int, .
         bisect_left(adj[u], w) < bisect_right(adj[u], w)
         for outs in later if len(outs) > 1 for u, w in combinations(outs, 2)
     )
-    return later, perfect
+    return later, max(map(len, later), default=0), perfect
 
 
 def degeneracy_order(g: Graph) -> EliminationOrdering:

@@ -36,10 +36,6 @@ class LiftFailure(RecolorError):
     which means a precondition on the inputs was violated."""
 
 
-class NoValidColor(RecolorError):
-    """No color choice keeps the coloring proper (signals a caller bug)."""
-
-
 class TooLarge(RecolorError):
     """The state space exceeds the configured cap."""
 

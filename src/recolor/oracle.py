@@ -96,8 +96,9 @@ def reconfig_diameter(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> i
     first. Keep instances very small.
     """
     mask, _, total = _proper_states(g, k, state_cap)
-    if total == 0:
-        return None
+    if total <= 1:
+        # one state, as for n = 0 at any k, is its own whole space: no search
+        return 0 if total else None
     from . import _kernels
     best = 0
     for src in _kernels.orbit_sources(mask, g.n, k):

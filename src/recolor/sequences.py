@@ -9,11 +9,12 @@ built sequence from `bestchoice` satisfies: no immediate re-recoloring, a
 per-vertex count bound driven by saved steps, and color distinctness around
 tight alternation patterns. Its core `_audit` reads each vertex's
 out-neighbors N+(v) from one later-neighbor table. `audit_best_choice`
-rejects that table, as best choice does, when the ordering is not a perfect
-elimination ordering (InvalidInput), and also when it gives any vertex more
-than two later neighbors (OmegaTooLarge). The table is cached with its
+reads that table and its width through `decomposition._perfect_later`, as
+best choice does, so both reject an ordering that is not a perfect
+elimination ordering with the one InvalidInput; the audit also rejects a
+width above two (OmegaTooLarge). The table is cached with its width and
 verdict, so an audit right after `best_choice_recoloring` on the same
-(g, peo) builds and checks neither again.
+(g, peo) builds and checks none of them again.
 
 Every audit rule is read off the gaps between consecutive steps of v in its
 restriction, the steps of v and N+(v) in sequence order. An out-neighbor step
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import pairwise
 from typing import Iterable, Sequence
 
-from .decomposition import _checked_later
+from .decomposition import _perfect_later
 from .errors import (
     AuditViolation,
     ImproperStart,
@@ -333,10 +334,8 @@ def audit_best_choice(
     All violations are collected into the report; with strict=True the first
     of them is raised instead.
     """
-    outs, perfect = _checked_later(g, peo)
-    if not perfect:
-        raise InvalidInput("ordering is not a perfect elimination ordering")
-    if max(map(len, outs), default=0) > 2:
+    outs, width = _perfect_later(g, peo)
+    if width > 2:
         v = next(v for v, later in enumerate(outs) if len(later) > 2)
         raise OmegaTooLarge(f"vertex {v} has {len(outs[v])} later neighbors")
     counts = _verify(g, seq)[1]

@@ -15,7 +15,7 @@ from recolor import (
     EliminationOrdering,
     Graph,
     InvalidInput,
-    NoValidColor,
+    OmegaTooLarge,
     audit_best_choice,
     best_choice_recoloring,
     gen_chordal_omega3,
@@ -50,16 +50,9 @@ def test_best_choice_rule3_latest_first_occurrence():
     assert _choose_color({1}, [3, 1, 1, 3, 2, 1, 2], target=1, k=3) == 2
 
 
-def test_best_choice_no_valid_color():
-    with pytest.raises(NoValidColor):
-        _choose_color({1, 2}, [], target=2, k=2)
-
-
 def _old_choose_color(forbidden, future, target, k):
     """The rule over an explicit list of valid colors, as first written."""
     valid = [c for c in range(1, k + 1) if c not in forbidden]
-    if not valid:
-        raise NoValidColor("every color collides with the vertex or a neighbor")
     upcoming = set(future)
     if target in valid and target not in upcoming:
         return target
@@ -73,18 +66,12 @@ def _old_choose_color(forbidden, future, target, k):
     return max(valid, key=lambda c: (first_at[c], -c))
 
 
-def _pick(rule, *args):
-    try:
-        return rule(*args)
-    except NoValidColor:
-        return None
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 12).flatmap(
         lambda k: st.tuples(
-            st.sets(st.integers(1, k), max_size=4),
+            # at most k - 1 forbidden colors, so one is free: best choice's k >= 2 + width
+            st.sets(st.integers(1, k), max_size=min(4, k - 1)),
             st.lists(st.integers(1, k), max_size=12),
             st.integers(1, k),
             st.just(k),
@@ -92,7 +79,7 @@ def _pick(rule, *args):
     )
 )
 def test_choose_color_matches_listing_rule(args):
-    assert _pick(_choose_color, *args) == _pick(_old_choose_color, *args)
+    assert _choose_color(*args) == _old_choose_color(*args)
 
 
 def test_choose_color_matches_listing_rule_on_instances(monkeypatch):
@@ -101,6 +88,8 @@ def test_choose_color_matches_listing_rule_on_instances(monkeypatch):
     picks = []
 
     def both(forbidden, future, target, k):
+        # fewer than k forbidden colors of 1..k leave one free: k >= 2 + width
+        assert len(forbidden) < k
         got = _choose_color(forbidden, future, target, k)
         assert got == _old_choose_color(forbidden, future, target, k)
         picks.append(len(forbidden | set(future)) >= k)
@@ -267,6 +256,34 @@ def test_one_later_table_build_per_ordering():
     later_neighbors(g, peo)
     # the table and its verdict come from the one build; every later call hits
     assert decomposition._later_table.cache_info().misses == 1
+
+
+def test_best_choice_and_audit_share_one_rejection_per_ordering():
+    # a 3-tree has width 3: best choice runs at k = 5, and the audit, which
+    # holds the ordering to width 2, rejects it; the two read one build
+    decomposition._later_table.cache_clear()
+    g = _three_tree(60, 2)
+    peo = mcs_order(g)
+    a = random_proper_coloring(g, peo, 5, 1)
+    b = random_proper_coloring(g, peo, 5, 2)
+    seq = best_choice_recoloring(g, peo, a, b, 5)
+    with pytest.raises(OmegaTooLarge, match="later neighbors"):
+        audit_best_choice(seq, peo, g)
+    assert decomposition._later_table.cache_info().misses == 1
+
+    # 1 comes first on the path 0-1-2, and its later neighbours 0 and 2 are
+    # not adjacent: both calls raise the one InvalidInput from one build
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    order = EliminationOrdering((1, 0, 2))
+    start, end = Coloring(5, (1, 2, 1)), Coloring(5, (2, 1, 2))
+    with pytest.raises(InvalidInput) as recolor_exc:
+        best_choice_recoloring(path, order, start, end, 5)
+    seq = RecoloringSequence(start, ((1, 3), (0, 2), (2, 2), (1, 1)))
+    with pytest.raises(InvalidInput) as audit_exc:
+        audit_best_choice(seq, order, path)
+    message = "ordering is not a perfect elimination ordering"
+    assert str(recolor_exc.value) == str(audit_exc.value) == message
+    assert decomposition._later_table.cache_info().misses == 2
 
 
 def test_recoloring_large_instance_bounded():

@@ -160,6 +160,19 @@ def test_pipeline_and_oracle(tmp_path, capsys):
     ] + ["connected", "no proper colorings"] * 2
 
 
+def test_oracle_on_the_empty_graph_at_a_huge_k(tmp_path, capsys):
+    # the empty graph's one state is its whole space at any k
+    g = tmp_path / "e0.json"
+    e = tmp_path / "e.json"
+    _write(g, {"n": 0, "edges": []})
+    _write(e, {"k": 10**18, "colors": []})
+    oracle = ("oracle", "--graph", str(g), "--k", str(10**18))
+    assert run(*oracle, "connected") == 0
+    assert run(*oracle, "diameter") == 0
+    assert run(*oracle, "distance", "--alpha", str(e), "--beta", str(e)) == 0
+    assert capsys.readouterr() == ("connected\n0\n0\n", "")
+
+
 def test_oracle_too_large_is_an_error(tmp_path):
     g = tmp_path / "g.json"
     _write(g, {"n": 40, "edges": []})

@@ -476,6 +476,24 @@ def test_one_color_on_more_vertices_than_numpy_axes():
     assert _kernels.proper_mask(70, 1, [(3, 69)]).tolist() == [False]
 
 
+@pytest.mark.parametrize("k", [5, 10**18, 10**30])
+def test_empty_graph_at_any_k(k):
+    # n = 0 has one state at every k, so nothing of size k may be built:
+    # numpy cannot even allocate ceil(k/8) bytes at k = 10**18 or 10**30
+    g = Graph.from_edges(0, [])
+    empty = Coloring(k, ())
+    tracemalloc.start()
+    try:
+        assert reconfig_connected(g, k) is True
+        assert proper_coloring_count(g, k) == 1
+        assert reconfig_diameter(g, k) == 0
+        assert bfs_distance(g, k, empty, empty) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
+
+
 # The constructive core, then one oracle call, in a fresh interpreter: numpy
 # and the process pool load only for the oracle call.
 CORE_THEN_ORACLE = """
