@@ -8,10 +8,10 @@ same mask packed, with vertex 0's digit as a bit (k^(n-1) lines of
 ceil(k/8) bytes); it keeps the last read-only pair with its count of proper
 states, counted once.
 
-Three searches run over the proper states. `reach_count` only counts a
-component, and does it densely on the packed mask. It closes the reached
-set along one axis at a time and stops as soon as the set equals the
-packed mask, so it counts bits only for an incomplete component.
+Three searches run over the proper states. `reaches_all` only tells
+whether one state reaches them all, and does it densely on the packed mask.
+It closes the reached set along one axis at a time and answers yes as soon
+as the set equals the packed mask, and no when a sweep adds nothing.
 `bfs_levels` (the depth and size of one source's component) and `bfs_meet`
 (one distance) are sparse frontier searches that rewrite one digit of each
 frontier code (`_rewrites`): a small frontier for every (vertex, colour)
@@ -164,10 +164,6 @@ def bfs_levels(start: int, proper: np.ndarray, n: int, k: int) -> tuple[int, int
         reached += frontier.size
 
 
-# bits set in each byte value, for counting a packed set
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
 def _close_lines(reached, proper, line, outer: int, k: int, inner: int) -> None:
     """Add every proper state on a line through a reached state, along one axis.
 
@@ -180,17 +176,18 @@ def _close_lines(reached, proper, line, outer: int, k: int, inner: int) -> None:
     np.bitwise_and(hit[:, None, :], proper.reshape(outer, k, inner), out=view)
 
 
-def reach_count(start: int, packed: np.ndarray, total: int, n: int, k: int) -> int:
-    """How many of the `total` proper states the proper `start` reaches by single-digit changes.
+def reaches_all(start: int, packed: np.ndarray, n: int, k: int) -> bool:
+    """Whether the proper `start` reaches every proper state by single-digit changes.
 
     `packed` is `state_space`'s packed lines, with vertex 0's digit in bits.
+    The space has at least two proper states, so n >= 1.
 
     States that differ only in vertex v's digit are pairwise adjacent, so the
     proper states on one line along axis v form a clique: once one is reached,
     all are. A sweep closes the reached set along every axis in turn. Every
     state it adds is one move from a reached state, and a sweep that adds
     nothing leaves the set closed under moves, so sweeps repeat until one adds
-    nothing or every proper state is reached; the count is exact.
+    nothing (False) or every proper state is reached (True).
 
     The reached set is packed the same way, so a sweep reads and writes
     k^(n-1) * ceil(k/8) bytes per array. Along vertex 0 a packed line that
@@ -200,8 +197,7 @@ def reach_count(start: int, packed: np.ndarray, total: int, n: int, k: int) -> i
     bytewise, and ANDs the result, broadcast, with `packed`. The reached set
     is a subset of `packed`, so it is complete exactly when the two arrays
     are equal, which is tested after each half of a sweep; a sweep that
-    leaves it equal to its copy from before the sweep ends the search, and
-    only such an incomplete component is counted, bit by bit.
+    leaves it equal to its copy from before the sweep ends the search.
 
     An axis is cheap to sweep when its slices are long runs: of the m = n-1
     line digits, the high ceil(m/2) are swept in the natural
@@ -211,8 +207,6 @@ def reach_count(start: int, packed: np.ndarray, total: int, n: int, k: int) -> i
     reached set is copied between layouts into preallocated arrays, with no
     temporary.
     """
-    if total == 1:  # also the one state of n = 0
-        return 1
     width = packed.shape[1]
     m = n - 1
     lo, hi = m // 2, m - m // 2
@@ -230,15 +224,15 @@ def reach_count(start: int, packed: np.ndarray, total: int, n: int, k: int) -> i
         for j in range(lo, m):
             _close_lines(reached, packed, line, k ** (m - 1 - j), k, k**j * width)
         if np.array_equal(reached, packed):
-            return total
+            return True
         np.copyto(flipped, grid.transpose(1, 0, 2))
         for j in range(lo):
             _close_lines(flipped, flipped_proper, line, k ** (lo - 1 - j), k, k ** (hi + j) * width)
         if np.array_equal(flipped, flipped_proper):
-            return total
+            return True
         np.copyto(grid, flipped.transpose(1, 0, 2))
         if np.array_equal(reached, before):
-            return int(_POPCOUNT[reached].sum())
+            return False
 
 
 def bfs_meet(start: int, goal: int, proper: np.ndarray, n: int, k: int) -> int | None:

@@ -94,7 +94,9 @@ def _best_choice(
     u is spliced in against the neighbors already processed, which are
     exactly those after it. Steps are nodes (vertex, color) of one doubly
     linked list whose node 0 marks the end, and trace[u] lists the nodes of
-    u and of later[u] in sequence order.
+    u and of later[u] in sequence order. Every step is placed by `splice`:
+    a forced move just before the neighbor's step it avoids, and a final
+    step just before node 0, at the end.
 
     u only needs the steps of later[u], in order. Let a be the vertex of
     later[u] processed last. later[u] is a clique, so every other member of
@@ -104,6 +106,18 @@ def _best_choice(
     never comes up in that run, u moves only at the end and trace[u] is the run.
     """
     vert, col, prv, nxt = [-1], [0], [0], [0]
+
+    def splice(u: int, c: int, s: int) -> int:
+        """A new node (u, c) just before node s; s = 0 puts it at the end."""
+        node = len(vert)
+        vert.append(u)
+        col.append(c)
+        p = prv[s]
+        prv.append(p)
+        nxt.append(s)
+        nxt[p] = prv[s] = node
+        return node
+
     rank = [0] * len(order)
     trace: list[list[int]] = [[]] * len(order)
     for i, u in enumerate(reversed(order)):
@@ -113,15 +127,13 @@ def _best_choice(
             mine = []
         else:
             if len(nbrs) == 1:
-                x = nbrs[0]
-                view = [s for s in trace[x] if vert[s] == x]
+                a = nbrs[0]
             elif len(nbrs) == 2:
                 x, y = nbrs
                 a = x if rank[x] > rank[y] else y
-                view = [s for s in trace[a] if vert[s] == x or vert[s] == y]
             else:
                 a = max(nbrs, key=rank.__getitem__)
-                view = [s for s in trace[a] if vert[s] in nbrs]
+            view = [s for s in trace[a] if vert[s] in nbrs]
             upcoming = [col[s] for s in view]
             if cur_u not in upcoming:
                 mine = view
@@ -132,27 +144,11 @@ def _best_choice(
                     if upcoming[j] == cur_u:
                         forbidden = {cur_u, *cur.values()}
                         cur_u = _choose_color(forbidden, upcoming[j:], beta[u], k)
-                        # a node of u just before s
-                        node = len(vert)
-                        vert.append(u)
-                        col.append(cur_u)
-                        p = prv[s]
-                        prv.append(p)
-                        nxt.append(s)
-                        nxt[p] = prv[s] = node
-                        mine.append(node)
+                        mine.append(splice(u, cur_u, s))
                     mine.append(s)
                     cur[vert[s]] = upcoming[j]
         if cur_u != beta[u]:
-            # a node of u at the end
-            node = len(vert)
-            vert.append(u)
-            col.append(beta[u])
-            p = prv[0]
-            prv.append(p)
-            nxt.append(0)
-            nxt[p] = prv[0] = node
-            mine.append(node)
+            mine.append(splice(u, beta[u], 0))
         trace[u] = mine
         rank[u] = i
 

@@ -56,15 +56,10 @@ once. When neither would, its step list is the one run `_best_choice(order,
 later, alpha, beta, 5)` on H; otherwise it joins its three parts (alpha to
 gamma1, the bridge, the undone beta half). Either way one compaction call
 runs up to two rounds over the list, each forward and then backward, and
-the list is replayed once. The compaction (`sequences._compact`) folds a
-vertex's step into the vertex's next step when no neighbor holds the next
-step's color at any time in between: the first step is rewritten to that
-color and the second goes, or both go when the vertex returns to its color
-from before. The vertex then holds, over the interval, a color none of its
-neighbors holds there, so every step stays proper and the end coloring is
-unchanged. Each fold removes one or two steps and adds none, so no vertex's
-count rises above the bound, which the one replay checks: the route's
-bound, PER_VERTEX_PIPELINE_BOUND or PER_VERTEX_CHORDAL_BOUND.
+the list is replayed once against the route's bound,
+PER_VERTEX_PIPELINE_BOUND or PER_VERTEX_CHORDAL_BOUND; `sequences._compact`
+argues why the compaction keeps every step proper, the end unchanged and no
+vertex's count higher.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ cross-validate the constructive transformations.
 
 `bfs_distance` needs one distance, so it grows a ball around each endpoint
 and stops where the two balls meet (`_kernels.bfs_meet`). `reconfig_connected`
-needs no distance, only the size of one component: the proper states that
-differ in one vertex's colour form a clique, so `_kernels.reach_count` closes
-the reached set line by line on the dense packed mask, where vertex 0's
-colour is a bit. `reconfig_diameter` needs each source's eccentricity and
+needs no distance, only whether one state reaches all: the proper states
+that differ in one vertex's colour form a clique, so `_kernels.reaches_all`
+closes the reached set line by line on the dense packed mask, where vertex
+0's colour is a bit. `reconfig_diameter` needs each source's eccentricity and
 whether it reaches every state, so it runs full searches
 (`_kernels.bfs_levels`) that return only the depth and the count, one per
 start `_kernels.orbit_sources` picks.
@@ -76,12 +76,16 @@ def proper_coloring_count(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) 
 
 
 def reconfig_connected(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> bool:
-    """True iff every proper k-coloring is reachable from every other."""
+    """True iff every proper k-coloring is reachable from every other.
+
+    One proper coloring or none is trivially connected; otherwise the
+    verdict is `_kernels.reaches_all` from the first proper state.
+    """
     mask, packed, total = _proper_states(g, k, state_cap)
     if total <= 1:
         return True
     from . import _kernels
-    return _kernels.reach_count(int(mask.argmax()), packed, total, g.n, k) == total
+    return _kernels.reaches_all(int(mask.argmax()), packed, g.n, k)
 
 
 def reconfig_diameter(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> int | None:

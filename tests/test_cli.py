@@ -185,9 +185,9 @@ def test_oracle_diameter_sweeps_no_space_a_second_time(tmp_path, capsys, monkeyp
     from recolor import _kernels
 
     def no_sweep(*args):
-        raise AssertionError("oracle diameter ran reach_count")
+        raise AssertionError("oracle diameter ran reaches_all")
 
-    monkeypatch.setattr(_kernels, "reach_count", no_sweep)
+    monkeypatch.setattr(_kernels, "reaches_all", no_sweep)
     g = tmp_path / "g.json"
     assert run("gen", "--family", "partial-2tree", "--n", "8", "--seed", "1", "--out", str(g)) == 0
     for k in ("3", "1"):
