@@ -248,7 +248,8 @@ def bfs_meet(start: int, goal: int, proper: np.ndarray, n: int, k: int) -> int |
     are disjoint, so the distance is more than a + b (a shortest path would
     have a state within a of `start` and within b of `goal`). Growing one side
     from level a to a + 1 and meeting a state of the other ball proves the
-    distance is at most a + b + 1, so the first meeting gives it exactly. A
+    distance is at most a + b + 1, so the first meeting gives it exactly.
+    Only a + b is read, so `grown` counts the levels grown on both sides. A
     level that reaches nothing new means that side's whole component has been
     searched without touching the other endpoint.
     """
@@ -258,7 +259,7 @@ def bfs_meet(start: int, goal: int, proper: np.ndarray, n: int, k: int) -> int |
     mark[start] = 1
     mark[goal] = 2
     fronts = {1: np.array([start], dtype=np.int64), 2: np.array([goal], dtype=np.int64)}
-    depth = {1: 0, 2: 0}
+    grown = 0
     while True:
         side = 1 if fronts[1].size <= fronts[2].size else 2
         other = 3 - side
@@ -266,7 +267,7 @@ def bfs_meet(start: int, goal: int, proper: np.ndarray, n: int, k: int) -> int |
         for cand in _rewrites(fronts[side], n, k):
             seen = mark[cand]
             if (seen == other).any():
-                return depth[1] + depth[2] + 1
+                return grown + 1
             cand = cand[seen == 0]
             if cand.size:
                 mark[cand] = side
@@ -274,7 +275,7 @@ def bfs_meet(start: int, goal: int, proper: np.ndarray, n: int, k: int) -> int |
         if not parts:
             return None
         fronts[side] = _union(parts)
-        depth[side] += 1
+        grown += 1
 
 
 def orbit_sources(mask: np.ndarray, n: int, k: int) -> np.ndarray:

@@ -8,55 +8,53 @@ two such reductions (one per endpoint coloring) through a palette-rotation
 bridge between 3-colorings, giving a transformation between any two proper
 5-colorings that recolors every vertex a bounded number of times.
 
-The reduction is needed only because a fill edge can join two vertices of
-one color, and the pipeline skips it when neither endpoint merges anything.
-Let H be g plus the pair (a, b) of every elimination bag (v, a, b). These
-pairs are exactly the ones `_merge_classes` tests, so with no merge alpha and
-beta are both proper on H. With the identity classes, H is the h below: the
-elimination order is a perfect elimination ordering of H, each vertex has at
-most 2 later neighbors, and H is chordal of clique number at most 3. So one
-best-choice run from alpha to beta at k = 5 is valid on H, and on its
-spanning subgraph g, and PER_VERTEX_CHORDAL_BOUND covers the whole output.
+The reduction is needed only because a fill edge can join two vertices of one
+color, and the pipeline skips it when neither endpoint merges anything. Let H
+be g plus the pair (a, b) of every elimination bag (v, a, b). When
+`_merge_pairs` yields no pair for alpha or for beta, both are proper on H.
+With the identity classes, H is the h below: the elimination order is a
+perfect elimination ordering of H, each vertex has at most 2 later neighbors,
+and H is chordal of clique number at most 3. So one best-choice run from
+alpha to beta at k = 5 is valid on H, and on its spanning subgraph g, and
+PER_VERTEX_CHORDAL_BOUND covers the whole output.
 
 Both `merge_same_colored` and the pipeline merge over the bags {v} + N(v) of
 the degree-<=2 elimination of g (`decomposition._eliminate`). Hang each bag
 below the bag of its neighbor eliminated first: the bags form a width-2 tree
-decomposition of g, the witness the reduction needs. Only the pair (a, b) of
-a bag (v, a, b) can newly merge. The pairs v-a and v-b are edges when v is
-eliminated: an edge of g, which a proper coloring gives two colors, or a fill
-edge, whose pair the earlier bag that made it already tested. A 2-bag holds
-an edge too. A class is eliminated with its last member w, and its later
-neighbors in h are the other classes of w's bag (`_elimination_order`). That
-order is a perfect elimination ordering of h. Each vertex's elimination bags
-form a subtree topped by its own bag, and a class's members are linked
-through shared bags, so a class's bags form a subtree topped by its last
-member's bag. The subtrees of two adjacent classes meet in a subtree topped
-by the earlier class's top bag, so the later class has a member in that bag.
-Each later set has at most 2 classes, because |N(w)| <= 2, and it is a clique
-because the bag is filled. So h's edges are exactly x-later[x]:
-`merge_same_colored` builds h from that table, and the pipeline does not
-build h at all. The greedy 3-coloring reads only those sets, so the walk
-that finds the order colors each class when it first meets it. A class takes
-its preferred color when that color is in 1..3 and no later class holds it,
-and otherwise the smallest color none of them holds; with at most 2 later
-classes one is always free, and the best-choice bound holds for any proper
-target. The alpha half prefers each class's own alpha color and the beta half
-the first 3-coloring at the class's smallest member, so each half moves few
-vertices and the two 3-colorings differ on few. The bridge moves only the
-vertices whose two 3-colorings differ.
+decomposition of g, the witness the reduction needs. `_merge_pairs` lists the
+pairs that merge and argues why no other pair of a bag can. A class is
+eliminated with its last member w, and its later neighbors in h are the other
+classes of w's bag (`_elimination_order`). That order is a perfect
+elimination ordering of h. Each vertex's elimination bags form a subtree
+topped by its own bag, and a class's members are linked through shared bags,
+so a class's bags form a subtree topped by its last member's bag. The
+subtrees of two adjacent classes meet in a subtree topped by the earlier
+class's top bag, so the later class has a member in that bag. Each later set
+has at most 2 classes, because |N(w)| <= 2, and it is a clique because the
+bag is filled. So h's edges are exactly x-later[x]: `merge_same_colored`
+builds h from that table, and the pipeline does not build h at all. The
+greedy 3-coloring reads only those sets, so the walk that finds the order
+colors each class when it first meets it. A class takes its preferred color
+when that color is in 1..3 and no later class holds it, and otherwise the
+smallest color none of them holds; with at most 2 later classes one is always
+free, and the best-choice bound holds for any proper target. The alpha half
+prefers each class's own alpha color and the beta half the first 3-coloring
+at the class's smallest member, so each half moves few vertices and the two
+3-colorings differ on few. The bridge moves only the vertices whose two
+3-colorings differ.
 
 The private cores (`_merge_classes`, `_elimination_order`, `_lift`,
 `_two_phase` and `bestchoice._best_choice`) pass plain lists and tuples to
 each other and check nothing. The value types (`Coloring`, `MergeMap`,
 `RecoloringSequence`) check their own fields when built; each public entry
 point checks only how its inputs relate, runs the cores and replays once.
-`pipeline_theorem` first asks `_merges_nothing` whether either endpoint
-would merge a pair; the test builds nothing, so each merge that runs runs
-once. When neither would, its step list is the one run `_best_choice(order,
-later, alpha, beta, 5)` on H; otherwise it joins its three parts (alpha to
-gamma1, the bridge, the undone beta half). Either way one compaction call
-runs up to two rounds over the list, each forward and then backward, and
-the list is replayed once against the route's bound,
+`pipeline_theorem` first asks whether `_merge_pairs` yields a pair for either
+endpoint; the test stops at the first pair and builds nothing, so each merge
+that runs runs once. When neither does, its step list is the one run
+`_best_choice(order, later, alpha, beta, 5)` on H; otherwise it joins its
+three parts (alpha to gamma1, the bridge, the undone beta half). Either way
+one compaction call runs up to two rounds over the list, each forward and
+then backward, and the list is replayed once against the route's bound,
 PER_VERTEX_PIPELINE_BOUND or PER_VERTEX_CHORDAL_BOUND; `sequences._compact`
 argues why the compaction keeps every step proper, the end unchanged and no
 vertex's count higher.
@@ -66,7 +64,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bestchoice import PER_VERTEX_CHORDAL_BOUND, _best_choice
 from .decomposition import _eliminate
@@ -135,6 +133,18 @@ def merge_same_colored(g: Graph, alpha: Coloring) -> tuple[Graph, MergeMap, Colo
     )
 
 
+def _merge_pairs(bags: Sequence[Sequence[int]], colors: Sequence[int]) -> Iterator[Sequence[int]]:
+    """The pairs (a, b) of the bags (v, a, b) that give a and b one color, lazily.
+
+    `bags` holds one bag per vertex, as `_eliminate` returns them. No other
+    pair of a bag can newly merge. The pairs v-a and v-b are edges when v is
+    eliminated: an edge of g, which a proper coloring gives two colors, or a
+    fill edge, which is the pair (a, b) of the earlier bag that made it and
+    so was yielded there if it shares a color. A 2-bag holds an edge too.
+    """
+    return (bag[1:] for bag in bags if len(bag) == 3 and colors[bag[1]] == colors[bag[2]])
+
+
 def _merge_classes(
     bags: Sequence[Sequence[int]], colors: Sequence[int]
 ) -> tuple[list[int], list[list[int]], list[int]]:
@@ -142,25 +152,19 @@ def _merge_classes(
 
     Returns to_merged, the classes (ascending, numbered in the order of their
     smallest members) and each class's color. The classes are the connected
-    components of "same color, shared bag" over the elimination bags. Only
-    the pair (a, b) of a bag (v, a, b) is tested: v's pairs are edges of g,
-    which the proper coloring splits, or fill edges, whose pair the bag that
-    made them tested, and a 2-bag holds an edge. `bags` holds one bag per
-    vertex, as `_eliminate` returns them.
+    components of the pairs `_merge_pairs(bags, colors)` yields.
     """
     # root[v] <= v, and a component's root is its smallest member
     root = list(range(len(bags)))
-    for bag in bags:
-        if len(bag) == 3 and colors[bag[1]] == colors[bag[2]]:
-            _, a, b = bag
-            while root[a] != a:
-                root[a] = a = root[root[a]]
-            while root[b] != b:
-                root[b] = b = root[root[b]]
-            if a < b:
-                root[b] = a
-            else:
-                root[a] = b
+    for a, b in _merge_pairs(bags, colors):
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a < b:
+            root[b] = a
+        else:
+            root[a] = b
 
     # root[v] < v lies in v's class and was numbered first
     to_merged = [0] * len(root)
@@ -307,36 +311,26 @@ def _toward_3coloring(
     return _lift(steps_h, classes), [target[m] for m in to_merged]
 
 
-def _merges_nothing(bags: Sequence[Sequence[int]], colors: Sequence[int]) -> bool:
-    """True when `_merge_classes` over `bags` leaves every vertex in its own class.
-
-    That is when no bag (v, a, b) gives a and b one color, the only pair the
-    merge tests. The test stops at the first such bag and builds nothing.
-    """
-    return all(len(bag) < 3 or colors[bag[1]] != colors[bag[2]] for bag in bags)
-
-
 def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSequence:
     """Full transformation between two proper 5-colorings of a treewidth-2 graph.
 
     Each endpoint may be declared at any k <= 5 (`require_proper`'s rule), and
     the output starts at k = 5 whatever alpha declares.
 
-    When some elimination bag (v, a, b) gives a and b one color in alpha or
-    in beta, both endpoints are pushed down to 3-colorings through their own
-    merged chordal graphs, the two 3-colorings are bridged with the
-    two-phase rotation, and the second half is undone. The alpha half's
+    When `_merge_pairs` yields a pair for alpha or for beta, both endpoints
+    are pushed down to 3-colorings through their own merged chordal graphs,
+    the two 3-colorings are bridged with the two-phase rotation, and the
+    second half is undone. The alpha half's
     3-coloring stays close to alpha and the beta half's close to the first,
     so the bridge moves few vertices. Every vertex is recolored at most
     PER_VERTEX_PIPELINE_BOUND times.
 
-    When no bag does, neither endpoint merges anything, and one best-choice
-    run goes from alpha to beta on H, g plus the pair (a, b) of every bag.
-    Those pairs are exactly the ones the merge tests, so both endpoints are
-    proper on H; the elimination order is a perfect elimination ordering of
-    H with at most 2 later neighbors per vertex; and a sequence proper on H
-    is proper on its spanning subgraph g. PER_VERTEX_CHORDAL_BOUND then
-    covers the whole output.
+    When it yields none for either, neither endpoint merges anything, and
+    one best-choice run goes from alpha to beta on H, g plus the pair (a, b)
+    of every bag. Both endpoints are proper on H; the elimination order is a
+    perfect elimination ordering of H with at most 2 later neighbors per
+    vertex; and a sequence proper on H is proper on its spanning subgraph g.
+    PER_VERTEX_CHORDAL_BOUND then covers the whole output.
 
     Either way one `sequences._compact` call folds the steps in up to two
     forward-and-backward rounds, and they are replayed once from alpha. The
@@ -346,16 +340,16 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
     require_proper(g, alpha, 5, "alpha")
     require_proper(g, beta, 5, "beta")
     elim = _eliminate(g)
-    if _merges_nothing(elim, alpha.colors) and _merges_nothing(elim, beta.colors):
-        # every vertex is its own class, and H is the merged graph
-        order, later, _ = _elimination_order(elim, range(g.n), alpha.colors)
-        steps = _best_choice(order, later, alpha.colors, beta.colors, 5)
-        bound = PER_VERTEX_CHORDAL_BOUND
-    else:
+    if any(_merge_pairs(elim, alpha.colors)) or any(_merge_pairs(elim, beta.colors)):
         steps_a, gamma_1 = _toward_3coloring(elim, alpha.colors, alpha.colors)
         steps_b, gamma_2 = _toward_3coloring(elim, beta.colors, gamma_1)
         _, back = _undo(beta.colors, steps_b)
         steps = steps_a + _two_phase(gamma_1, gamma_2, d=2) + back
         bound = PER_VERTEX_PIPELINE_BOUND
+    else:
+        # every vertex is its own class, and H is the merged graph
+        order, later, _ = _elimination_order(elim, range(g.n), alpha.colors)
+        steps = _best_choice(order, later, alpha.colors, beta.colors, 5)
+        bound = PER_VERTEX_CHORDAL_BOUND
     steps = _compact(g.adjacency, alpha.colors, steps)
     return _replayed(g, 5, alpha, steps, beta.colors, bound)

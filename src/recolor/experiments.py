@@ -88,11 +88,6 @@ def _build_graph(family: str, n: int, keep_prob: float, seed: int) -> Graph:
     return gen_partial_2tree(n, keep_prob, seed)
 
 
-def _measure(record: ExperimentRecord, seq) -> None:
-    record.seq_len = len(seq.steps)
-    record.max_per_vertex = max(Counter(v for v, _ in seq.steps).values(), default=0)
-
-
 def _run_instance(config: ExperimentConfig, g: Graph, seed: int) -> list[ExperimentRecord]:
     records = []
     k = config.k
@@ -133,7 +128,8 @@ def _run_instance(config: ExperimentConfig, g: Graph, seed: int) -> list[Experim
                     rec.detail = report.violations[0].detail
             else:
                 seq = pipeline_theorem(g, src, dst)
-            _measure(rec, seq)
+            rec.seq_len = len(seq.steps)
+            rec.max_per_vertex = max(Counter(v for v, _ in seq.steps).values(), default=0)
             if cross_check:
                 rec.bfs_distance = exact
                 if exact is None or exact > len(seq.steps):

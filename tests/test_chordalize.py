@@ -389,15 +389,25 @@ def test_pipeline_compacts_its_one_best_choice_run(monkeypatch):
     assert verify_sequence(g, seq).colors == beta.colors
 
 
-def test_pipeline_on_c4_with_monochromatic_fill_pairs_runs_both_halves(monkeypatch):
-    # C4 with alpha = 1, 2, 1, 2: both possible fill pairs share a color, so
-    # alpha merges and the pipeline goes through both halves
+@pytest.mark.parametrize(
+    "alpha, beta, length",
+    [((1, 2, 1, 2), (3, 4, 5, 1), 4), ((3, 4, 5, 1), (1, 2, 1, 2), 6)],
+    ids=["alpha-merges", "beta-merges"],
+)
+def test_pipeline_on_c4_with_monochromatic_fill_pairs_runs_both_halves(
+    monkeypatch, alpha, beta, length
+):
+    # C4 colored 1, 2, 1, 2: both possible fill pairs share a color, so that
+    # endpoint merges 1 and 3 and the pipeline goes through both halves,
+    # whichever endpoint it is; 3, 4, 5, 1 merges nothing, so a route test
+    # reading one endpoint only would run best choice once (4 steps when
+    # beta merges)
     runs = _counting_best_choice(monkeypatch)
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    alpha, beta = Coloring(5, (1, 2, 1, 2)), Coloring(5, (3, 4, 5, 1))
-    seq = pipeline_theorem(g, alpha, beta)
+    seq = pipeline_theorem(g, Coloring(5, alpha), Coloring(5, beta))
     assert len(runs) == 2
-    assert verify_sequence(g, seq).colors == beta.colors
+    assert len(seq.steps) == length
+    assert verify_sequence(g, seq).colors == beta
 
 
 @settings(max_examples=15, deadline=None)
@@ -453,7 +463,7 @@ def _assert_elimination_order_reads_merged_graph(g, coloring):
     elim = decomposition._eliminate(g)
     to_merged, classes = merge_map.to_merged, merge_map.classes
     # the pipeline's test for the one-run route agrees with the merge
-    assert chordalize._merges_nothing(elim, coloring.colors) == (len(classes) == g.n)
+    assert (not any(chordalize._merge_pairs(elim, coloring.colors))) == (len(classes) == g.n)
     # a preference of 0 never applies, so the target is h's greedy coloring
     order, later, target = chordalize._elimination_order(elim, to_merged, [0] * len(classes))
     peo = EliminationOrdering(tuple(order))
