@@ -151,8 +151,8 @@ def _replayed(
 
 
 # Most forward-and-backward rounds `_compact` runs. On partial 2-trees at
-# n = 1600 the second round removes about 10% of the steps the first leaves,
-# and a third only about 3% more, each at the cost of about a whole round
+# n = 1600 the second round removes about 6% of the steps the first leaves,
+# and a third under 1% more, each at the cost of about a whole round
 COMPACT_ROUNDS = 2
 
 
@@ -198,72 +198,65 @@ def _fold(
     """One pass of `_compact`, in input order: valid steps from `start`, same end.
 
     A kept step sits at the time (input index) of the input step it came
-    from. A vertex v's last kept step stays pending until v's next input
-    step, to c. Let seen(v) be the colors v's neighbors hold in the input
-    from the pending step up to now: their colors at the pending step and
-    the color of every later input step of a neighbor, whether the pass
-    keeps, rewrites or drops that step. When c is not in seen(v) and is v's
-    color from before the pending step, both steps go. When c is not in
-    seen(v) otherwise, the pending step is rewritten to c, the next step
-    goes and the rewritten step stays pending. When c is in seen(v), the
-    next step is kept and becomes the pending one.
+    from, and each vertex has one chain of kept steps, read back from its
+    last. A dropped step never joins a chain, and a rewritten step keeps its
+    place with its new color, so the chains hold exactly the kept steps. Let
+    t be v's last kept step when v's next input step, to c, comes, and let
+    seen(v) be the colors v's neighbors hold in the kept steps from t up to
+    now: their colors at t and the color of every later kept step of a
+    neighbor. When t is an input step and c is not in seen(v), the next step
+    goes: t goes too when c is v's color from before t, and is otherwise
+    rewritten to c and stays v's last kept step. Else the next step is kept
+    and becomes v's last one. A start color is never rewritten.
 
     Why it holds: after each input step the kept steps are valid and reach
-    the input's coloring, and a vertex's kept color at any earlier time s is
-    one of its input colors between s and now, since a rewrite or a drop
-    gives v, from the pending step on, its input color now. So when c is not
-    in seen(v), no neighbor holds c in the kept steps at any time in the
-    interval, and v may hold c there: the neighbors' kept steps avoid it, and
-    v's only kept step there is the pending one. A rewritten step still
-    changes v's color, as c is not v's color from before it. Either way the
-    kept steps reach the input's coloring again, so the end is unchanged. A
-    rewrite removes one step of v and a drop two, so no vertex's count rises.
+    the input's coloring. When c is not in seen(v), no neighbor holds c in
+    the kept steps at any time from t to now, and v's only kept step there is
+    t, so v may hold c from t on. A rewritten step still changes v's color,
+    as c is not v's color from before it. Either way v holds c now, as in
+    the input, so the end is unchanged. A rewrite removes one step of v and a
+    drop two, so no vertex's count rises.
 
-    In particular, when no neighbor moves in the input between v's pending
-    and next steps, seen(v) is the neighbors' colors now, which the valid
-    next step avoids, so the pending step always goes.
+    In particular, when no neighbor has a kept step after t, seen(v) is the
+    neighbors' colors now, which the valid next step avoids, so t always
+    goes.
 
-    seen(v) is read when v's next step comes: a neighbor w that has not moved
-    since the pending step holds its current color, which c avoids, and one
-    that has is walked back through its input steps (`prev`). So a step
-    costs about deg(v) beside those walks, as in a replay.
+    seen(v) is read when v's next step comes, by walking each neighbor's
+    chain back from its last kept step to its last one at or before t. So a
+    step costs about deg(v) beside those walks, as in a replay.
     """
     n = len(start)
     # index i >= n is input step i - n, and index v < n stands for a step of v
-    # to its start color before the input. colors[i] is step i's color, last[v]
-    # indexes v's last step, prev[i] the step of the same vertex before step i,
-    # and pending[v] v's pending step (-1 for none). kept[i] is step i as kept
-    # or rewritten, or None once dropped
+    # to its start color before the input. colors[i] is step i's color, as
+    # rewritten, last[v] indexes v's last kept step, and prev[i] the kept step
+    # of the same vertex before step i. kept[i] is step i as kept or
+    # rewritten, or None once dropped
     colors = [*start, *(c for _, c in steps)]
     last = list(range(n))
-    prev = [-1] * n
-    pending = [-1] * n
+    prev = [-1] * len(colors)
     kept = [None] * n + steps
     for i, step in enumerate(steps, n):
         v, c = step
-        prev.append(last[v])
-        last[v] = i
-        t = pending[v]
-        if t >= 0:
+        t = last[v]
+        if t >= n:
             for w in adjacency[v]:
                 j = last[w]
-                if j > t:
-                    # w's current color is not c, since the input step is valid
+                while j > t and colors[j] != c:
                     j = prev[j]
-                    while j > t and colors[j] != c:
-                        j = prev[j]
-                    # w took c after the pending step, or held it then
-                    if colors[j] == c:
-                        break
+                # w took c after t, or held it then
+                if colors[j] == c:
+                    break
             else:
                 kept[i] = None
                 if c == colors[prev[t]]:
                     kept[t] = None
-                    pending[v] = -1
+                    last[v] = prev[t]
                 else:
                     kept[t] = step
+                    colors[t] = c
                 continue
-        pending[v] = i
+        prev[i] = t
+        last[v] = i
     return list(filter(None, kept))
 
 

@@ -517,8 +517,8 @@ def test_merge_map_json_round_trip():
 # breaks it. Refresh it only with a stated and measured change of outputs.
 # 13 of its 40 pipeline instances merge in neither endpoint and take the one
 # best-choice run; the other 27 go through both halves. The pipeline
-# outputs total 3048 steps.
-CORPUS_DIGEST = "f58cf3ca594dc9bc59fb7f0a3e94e9cafcf584ac3383cbf445c71305b961ba03"
+# outputs total 2982 steps.
+CORPUS_DIGEST = "d65f04574bd9f512ddda525b836cf84e3a94c0eaabf1c3daad1f6044a2ec5bb5"
 
 
 def test_outputs_match_recorded_digest():
@@ -541,8 +541,8 @@ def test_outputs_match_recorded_digest():
 
 # The same outputs at the benchmark's n = 1600, where CORPUS_DIGEST stops at
 # n = 200: the pipeline, and best-choice on chordal graphs. The pipeline
-# outputs total 5946 steps.
-LARGE_CORPUS_DIGEST = "eca680e6d6cd25aafd62c6d6ed06f5aa4f14a25e6ac52b7588be0e092dbc9ef2"
+# outputs total 5756 steps.
+LARGE_CORPUS_DIGEST = "d3bc09a61e704caaf10ac293f300d1da53b91d438c732e659ea5b958a54a224d"
 
 
 def test_large_outputs_match_recorded_digest():
@@ -675,7 +675,7 @@ def test_pipeline_checks_its_routes_bound_in_its_one_replay(monkeypatch, g, boun
 
 @pytest.mark.parametrize(
     "g, folds, length",
-    [(gen_2tree(1600, 1), 2, 1746), (gen_partial_2tree(1600, 0.6, 1), 4, 2000)],
+    [(gen_2tree(1600, 1), 2, 1746), (gen_partial_2tree(1600, 0.6, 1), 4, 1925)],
     ids=["2tree", "partial-2tree"],
 )
 def test_pipeline_compacts_in_up_to_two_rounds(monkeypatch, g, folds, length):
@@ -727,10 +727,10 @@ def test_pipeline_raises_when_a_segment_misses_its_end(monkeypatch, seed, error)
         pipeline_theorem(g, alpha, beta)
 
 
-@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("seed", [2, 20])
 def test_pipeline_returns_a_short_bridge_only_when_its_replay_passes(monkeypatch, seed):
     # on other instances a later step on the vertex the bridge left behind
-    # repairs it, here once the compaction folds steps together (on seed 0
+    # repairs it, here once the compaction folds steps together (on seed 20
     # only in its second round), and the one replay from alpha accepts a
     # valid alpha-to-beta sequence
     g, alpha, beta = _short_bridge_instance(monkeypatch, seed)

@@ -411,9 +411,10 @@ def test_compact_drops_a_step_and_its_return():
 
 
 def test_compact_keeps_last_moved_time_of_dropped_steps():
-    # star centred at 1. Vertex 1's steps 3 and 4 cancel, so both go, but its
-    # step 1 to color 3 stays; vertex 0 must keep its step to 2, which it took
-    # before that step 1, or it would hold color 3 next to vertex 1's 3
+    # star centred at 1. Vertex 1's steps 3 and 4 cancel, so both go, and its
+    # chain of kept steps ends at its step 1 to color 3 again. Walked back,
+    # that chain shows vertex 1 at its start color 4 when vertex 0 stepped to
+    # 2, so vertex 0's step to 2 cannot become its step to 4 and stays
     star = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
     seq = seq_of(4, (3, 4, 1, 2), [(0, 2), (1, 3), (2, 4), (1, 1), (1, 3), (0, 4)])
     assert _assert_compacts(star, seq) == [(0, 2), (1, 3), (2, 4), (0, 4)]
@@ -440,8 +441,9 @@ def test_compact_keeps_a_step_whose_color_a_neighbor_held_in_between():
 
 def test_compact_sees_a_neighbors_step_rewritten_inside_the_interval():
     # vertex 1's step to 4 is rewritten to 5 at step 2, inside vertex 0's
-    # interval, so vertex 1 holds 5 from step 0 to step 3. Vertex 0's step to
-    # 3 must then stay: rewritten to 5 it would collide with vertex 1 at step 1.
+    # interval, so vertex 1's chain holds 5 from step 0 to step 3. Vertex 0's
+    # step to 3 must then stay: rewritten to 5 it would collide with vertex 1
+    # at step 1.
     # Backward, no neighbor takes 1 in vertex 1's interval, so it keeps 1
     # until its step to 2. That frees vertex 0's interval of vertex 1's 5, so
     # the second round's forward pass folds vertex 0's step to 3 into its step
@@ -449,6 +451,23 @@ def test_compact_sees_a_neighbors_step_rewritten_inside_the_interval():
     seq = seq_of(5, (2, 1, 3), [(1, 4), (0, 3), (1, 5), (1, 2), (0, 5)])
     assert _assert_compacts(P3, seq, _fold) == [(1, 5), (0, 3), (1, 2), (0, 5)]
     assert _assert_compacts(P3, seq) == [(0, 5), (1, 2)]
+
+
+def test_fold_reads_no_dropped_step_of_a_neighbor():
+    # vertex 0 goes 1 -> 3 -> 1 and both steps go, so its chain holds only its
+    # start color 1. Vertex 1's walk over that chain finds no 3, so its step
+    # to 2 and its return to 3 go as well
+    seq = seq_of(4, (1, 3), [(1, 2), (0, 3), (0, 1), (1, 3)])
+    assert _assert_compacts(K2, seq, _fold) == []
+
+
+def test_compact_folds_past_a_neighbors_rewritten_color():
+    # vertex 1's step to 3 is rewritten to 2, its next step's color, so its
+    # chain never holds 3 and vertex 0's step to 1 becomes its step to 3.
+    # Backward, vertex 0's step to 3 goes too
+    seq = seq_of(4, (2, 4), [(0, 1), (1, 3), (1, 2), (0, 3), (0, 4), (1, 1)])
+    assert _assert_compacts(K2, seq, _fold) == [(0, 3), (1, 1), (0, 4)]
+    assert _assert_compacts(K2, seq) == [(1, 1), (0, 4)]
 
 
 def _audit_corpus():
