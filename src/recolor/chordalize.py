@@ -53,8 +53,8 @@ endpoint; the test stops at the first pair and builds nothing, so each merge
 that runs runs once. When neither does, its step list is the one run
 `_best_choice(order, later, alpha, beta, 5)` on H; otherwise it joins its
 three parts (alpha to gamma1, the bridge, the undone beta half). Either way
-one compaction call runs up to two rounds over the list, each forward and
-then backward, and the list is replayed once against the route's bound,
+one compaction call runs up to three passes over the list, all forward from
+alpha, and the list is replayed once against the route's bound,
 PER_VERTEX_PIPELINE_BOUND or PER_VERTEX_CHORDAL_BOUND; `sequences._compact`
 argues why the compaction keeps every step proper, the end unchanged and no
 vertex's count higher.
@@ -332,8 +332,8 @@ def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSeq
     vertex; and a sequence proper on H is proper on its spanning subgraph g.
     PER_VERTEX_CHORDAL_BOUND then covers the whole output.
 
-    Either way one `sequences._compact` call folds the steps in up to two
-    forward-and-backward rounds, and they are replayed once from alpha. The
+    Either way one `sequences._compact` call folds the steps in up to three
+    forward passes, and they are replayed once from alpha. The
     replay checks the end and the route's per-vertex bound; the stages in
     between neither check nor replay.
     """

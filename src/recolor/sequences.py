@@ -150,10 +150,11 @@ def _replayed(
     return seq
 
 
-# Most forward-and-backward rounds `_compact` runs. On partial 2-trees at
-# n = 1600 the second round removes about 6% of the steps the first leaves,
-# and a third under 1% more, each at the cost of about a whole round
-COMPACT_ROUNDS = 2
+# Most passes `_compact` runs: one plain pass, then up to two two-way ones.
+# On the joined halves of partial 2-trees at n = 1600 the plain pass leaves
+# 1.45n of 2.25n steps, the first two-way pass 1.23n and the second 1.21n. A
+# third would remove under 0.2% more, for about 40% of the plain pass's time
+COMPACT_PASSES = 3
 
 
 def _compact(
@@ -161,39 +162,32 @@ def _compact(
 ) -> list[tuple[int, int]]:
     """A valid sequence from `start` with the end of the valid `steps`, never longer.
 
-    A round runs `_fold` forward from `start`, then backward: the folded
-    steps undone from `start` are a valid sequence from where they really
-    end back to `start`, `_fold` runs over them from that end, and their
-    result is undone from that end again. A valid sequence reversed is
-    valid, and each pass only rewrites or drops steps, so a round's result
-    still runs from `start` to the same end and no vertex's count rises. The
-    backward pass starts from the steps' real end, not from a target the
-    caller expects, so a caller that replays the result still sees a
-    sequence that misses its target.
+    Every pass is a `_fold` forward from `start`, which keeps a valid input
+    valid from `start` to the same end and raises no vertex's count. The
+    first pass is plain, and the others, up to COMPACT_PASSES in all, also
+    fold backward. The first must stay plain: a two-way pass keeps a vertex
+    at its earlier color where it can, and on the raw steps that blocks the
+    forward folds which unwind interleaved moves of adjacent vertices.
 
-    A forward fold gives a vertex its later color early, which needs no
-    neighbor to hold that color in between; a backward fold keeps the vertex
-    at its earlier color until its later step, which needs no neighbor to
-    take that one. So each pass finds folds the other cannot, and a fold in
-    one pass can open another in the next.
-
-    Rounds repeat, up to COMPACT_ROUNDS, while a round removes a step. Each
-    round is the same round on a valid input, so the argument above holds
-    for the result of every round. A round that removes no step changes no
-    step either, since every rewrite drops the next step, so a further
-    round would return the same steps: that is where the rounds stop early.
+    The passes stop early after a two-way pass that removes no step. Such a
+    pass changes no step either, since every fold removes one, so a further
+    pass would return the same steps. A plain pass that removes nothing does
+    not stop them, as a two-way pass can still fold backward.
     """
-    for _ in range(COMPACT_ROUNDS):
+    steps = _fold(adjacency, start, steps)
+    for _ in range(COMPACT_PASSES - 1):
         size = len(steps)
-        for _ in range(2):
-            start, steps = _undo(start, _fold(adjacency, start, steps))
+        steps = _fold(adjacency, start, steps, True)
         if len(steps) == size:
             break
     return steps
 
 
 def _fold(
-    adjacency: Sequence[Sequence[int]], start: Sequence[int], steps: list[tuple[int, int]]
+    adjacency: Sequence[Sequence[int]],
+    start: Sequence[int],
+    steps: list[tuple[int, int]],
+    both: bool = False,
 ) -> list[tuple[int, int]]:
     """One pass of `_compact`, in input order: valid steps from `start`, same end.
 
@@ -201,29 +195,43 @@ def _fold(
     from, and each vertex has one chain of kept steps, read back from its
     last. A dropped step never joins a chain, and a rewritten step keeps its
     place with its new color, so the chains hold exactly the kept steps. Let
-    t be v's last kept step when v's next input step, to c, comes, and let
-    seen(v) be the colors v's neighbors hold in the kept steps from t up to
-    now: their colors at t and the color of every later kept step of a
-    neighbor. When t is an input step and c is not in seen(v), the next step
-    goes: t goes too when c is v's color from before t, and is otherwise
-    rewritten to c and stays v's last kept step. Else the next step is kept
-    and becomes v's last one. A start color is never rewritten.
+    t be v's last kept step when v's next input step i, to c, comes, let p be
+    v's color from before t, and let seen(v) be the colors v's neighbors hold
+    in the kept steps from t up to now: their colors at t and the color of
+    every later kept step of a neighbor. Only when t is an input step:
+
+    - When `both` is set, c is not p and no neighbor's kept step after t
+      takes p, t goes (a backward fold) and step i is kept, so v keeps p
+      until step i.
+    - Else, when c is not in seen(v), step i goes (a forward fold): t goes
+      too when c is p, and is otherwise rewritten to c and stays v's last
+      kept step.
+
+    Otherwise step i is kept and becomes v's last one. A start color is
+    never rewritten.
 
     Why it holds: after each input step the kept steps are valid and reach
-    the input's coloring. When c is not in seen(v), no neighbor holds c in
-    the kept steps at any time from t to now, and v's only kept step there is
-    t, so v may hold c from t on. A rewritten step still changes v's color,
-    as c is not v's color from before it. Either way v holds c now, as in
-    the input, so the end is unchanged. A rewrite removes one step of v and a
-    drop two, so no vertex's count rises.
+    the input's coloring. A backward fold: no neighbor holds p just before t,
+    when v does, and none takes it after t, so v may keep p until step i.
+    Step i is then valid as the input's step is, since the neighbors hold
+    the input's colors just before it, and it still changes v's color, as c
+    is not p. A forward fold: no neighbor holds c in the kept steps at any
+    time from t to now, and v's only kept step there is t, so v may hold c
+    from t on. A rewritten step still changes v's color, as c is not p.
+    Either way v holds c after step i, as in the input, so the end is
+    unchanged. Every fold removes one step of v, and a forward fold with c
+    equal to p two, so no vertex's count rises, and a pass that removes
+    nothing changes nothing.
 
     In particular, when no neighbor has a kept step after t, seen(v) is the
     neighbors' colors now, which the valid next step avoids, so t always
     goes.
 
-    seen(v) is read when v's next step comes, by walking each neighbor's
-    chain back from its last kept step to its last one at or before t. So a
-    step costs about deg(v) beside those walks, as in a replay.
+    The tests are read when v's next step comes, by walking each neighbor's
+    chain back from its last kept step to its last one at or before t: for p
+    first when `both` is set and c is not p, then, unless t went, for c. So a
+    step costs about deg(v) beside those walks, as in a replay, and a two-way
+    pass walks at most twice where a plain one walks once.
     """
     n = len(start)
     # index i >= n is input step i - n, and index v < n stands for a step of v
@@ -239,6 +247,20 @@ def _fold(
         v, c = step
         t = last[v]
         if t >= n:
+            p = colors[prev[t]]
+            if both and c != p:
+                for w in adjacency[v]:
+                    j = last[w]
+                    while j > t and colors[j] != p:
+                        j = prev[j]
+                    # w took p after t
+                    if j > t:
+                        break
+                else:
+                    kept[t] = None
+                    prev[i] = prev[t]
+                    last[v] = i
+                    continue
             for w in adjacency[v]:
                 j = last[w]
                 while j > t and colors[j] != c:
@@ -248,7 +270,7 @@ def _fold(
                     break
             else:
                 kept[i] = None
-                if c == colors[prev[t]]:
+                if c == p:
                     kept[t] = None
                     last[v] = prev[t]
                 else:

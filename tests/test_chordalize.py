@@ -377,7 +377,7 @@ def test_pipeline_on_squared_path_runs_best_choice_once(monkeypatch, n, length):
 def test_pipeline_compacts_its_one_best_choice_run(monkeypatch):
     # no bag holds two vertices of one color in either endpoint, so the
     # pipeline runs one best-choice pass, of 12 steps; its compaction folds
-    # three of them away, two in its first round and one in its second
+    # three of them away, one in each of its three passes
     runs = _counting_best_choice(monkeypatch)
     g = gen_partial_2tree(8, 0.7, 72)
     order = degeneracy_order(g)
@@ -517,8 +517,8 @@ def test_merge_map_json_round_trip():
 # breaks it. Refresh it only with a stated and measured change of outputs.
 # 13 of its 40 pipeline instances merge in neither endpoint and take the one
 # best-choice run; the other 27 go through both halves. The pipeline
-# outputs total 2982 steps.
-CORPUS_DIGEST = "d65f04574bd9f512ddda525b836cf84e3a94c0eaabf1c3daad1f6044a2ec5bb5"
+# outputs total 2989 steps.
+CORPUS_DIGEST = "f89219a9a581cd7dd11c35aa3a0a1f1dfa10e4f3e2c4995447f61c6d4c4edcff"
 
 
 def test_outputs_match_recorded_digest():
@@ -541,8 +541,8 @@ def test_outputs_match_recorded_digest():
 
 # The same outputs at the benchmark's n = 1600, where CORPUS_DIGEST stops at
 # n = 200: the pipeline, and best-choice on chordal graphs. The pipeline
-# outputs total 5756 steps.
-LARGE_CORPUS_DIGEST = "d3bc09a61e704caaf10ac293f300d1da53b91d438c732e659ea5b958a54a224d"
+# outputs total 5729 steps.
+LARGE_CORPUS_DIGEST = "6d1a507df421632d8bbc1403a6408e3999701c8a7e8cecc57ed03c139ab73a36"
 
 
 def test_large_outputs_match_recorded_digest():
@@ -675,13 +675,13 @@ def test_pipeline_checks_its_routes_bound_in_its_one_replay(monkeypatch, g, boun
 
 @pytest.mark.parametrize(
     "g, folds, length",
-    [(gen_2tree(1600, 1), 2, 1746), (gen_partial_2tree(1600, 0.6, 1), 4, 1925)],
+    [(gen_2tree(1600, 1), 2, 1746), (gen_partial_2tree(1600, 0.6, 1), 3, 1927)],
     ids=["2tree", "partial-2tree"],
 )
-def test_pipeline_compacts_in_up_to_two_rounds(monkeypatch, g, folds, length):
-    # the CI instances. The 2-tree's one best-choice run loses no step in its
-    # first round, so the second is skipped: one forward and one backward
-    # fold. The partial 2-tree's first round removes steps, so both run
+def test_pipeline_compacts_in_up_to_three_passes(monkeypatch, g, folds, length):
+    # the CI instances. The 2-tree's one best-choice run loses no step in the
+    # plain pass or in the first two-way pass, so the second is skipped. The
+    # partial 2-tree's first two-way pass removes steps, so all three run
     calls = []
     fold = sequences._fold
 
@@ -696,6 +696,20 @@ def test_pipeline_compacts_in_up_to_two_rounds(monkeypatch, g, folds, length):
     seq = pipeline_theorem(g, alpha, beta)
     assert len(calls) == folds
     assert len(seq.steps) == length
+
+
+def test_pipeline_compacts_with_a_plain_pass_first():
+    # an oracle-small instance (seed 16, instance 24). The plain first pass
+    # unwinds the raw steps' interleaved moves of adjacent vertices, which
+    # two-way passes alone cannot: they would leave 13 steps, with one vertex
+    # recolored 4 times
+    g = gen_partial_2tree(8, 0.7, 16024)
+    order = degeneracy_order(g)
+    alpha = random_proper_coloring(g, order, 5, 32049)
+    beta = random_proper_coloring(g, order, 5, 32050)
+    seq = pipeline_theorem(g, alpha, beta)
+    assert len(seq.steps) == 7
+    assert max(Counter(v for v, _ in seq.steps).values()) == 1
 
 
 def _short_bridge_instance(monkeypatch, seed):
@@ -731,7 +745,7 @@ def test_pipeline_raises_when_a_segment_misses_its_end(monkeypatch, seed, error)
 def test_pipeline_returns_a_short_bridge_only_when_its_replay_passes(monkeypatch, seed):
     # on other instances a later step on the vertex the bridge left behind
     # repairs it, here once the compaction folds steps together (on seed 20
-    # only in its second round), and the one replay from alpha accepts a
+    # only from its first two-way pass on), and the one replay from alpha accepts a
     # valid alpha-to-beta sequence
     g, alpha, beta = _short_bridge_instance(monkeypatch, seed)
     assert verify_sequence(g, pipeline_theorem(g, alpha, beta)).colors == beta.colors

@@ -3,6 +3,7 @@ import json
 import random
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +33,7 @@ from recolor import (
     random_proper_coloring,
     verify_sequence,
 )
+from recolor import sequences
 from recolor.sequences import _compact, _fold, _undo
 
 import helpers
@@ -355,22 +357,21 @@ def _assert_compacts(g, seq, compact=_compact):
     st.integers(0, 10**6),
 )
 def test_compact_keeps_random_walks_valid(chordal, n, k, length, seed):
-    # _compact is valid with the walk's end and no count rises; it is two
-    # rounds, the second skipped only where it would change nothing, so it is
-    # never longer than one round
+    # _compact is valid with the walk's end and no count rises. It is never
+    # longer than its plain first pass alone, and it stops before
+    # COMPACT_PASSES only where one more two-way pass would change nothing
     g, start = _walk_start(chordal, n, k, seed)
     walk = _random_walk(g, start, length, random.Random(seed))
-    steps = _assert_compacts(g, walk)
-    once = _round(g.adjacency, start.colors, list(walk.steps))
-    assert len(steps) <= len(once)
-    assert steps == _round(g.adjacency, start.colors, once)
+    with mock.patch.object(sequences, "_fold", wraps=_fold) as fold:
+        steps = _assert_compacts(g, walk)
+    assert len(steps) <= len(_fold(g.adjacency, start.colors, list(walk.steps)))
+    if fold.call_count < sequences.COMPACT_PASSES:
+        assert _fold(g.adjacency, start.colors, steps, True) == steps
 
 
-def _round(adjacency, start, steps):
-    """One forward-and-backward round of _compact."""
-    for _ in range(2):
-        start, steps = _undo(start, _fold(adjacency, start, steps))
-    return steps
+def _two_way(adjacency, start, steps):
+    """One two-way pass of _fold."""
+    return _fold(adjacency, start, steps, True)
 
 
 def _walk_start(chordal, n, k, seed):
@@ -401,6 +402,26 @@ def test_compact_backward_keeps_random_walks_valid(chordal, n, k, length, seed):
     end, back = _undo(start.colors, walk.steps)
     steps = _assert_compacts(g, RecoloringSequence(Coloring(k, end), tuple(back)))
     assert verify_sequence(g, RecoloringSequence(Coloring(k, end), tuple(steps))) == start
+
+
+def test_two_way_pass_folds_backward():
+    # vertex 0 goes 1 -> 3 -> 2, and vertex 1 holds 2 at vertex 0's step to 3,
+    # so the plain pass cannot give vertex 0 its 2 early and keeps every step.
+    # No neighbor takes 1 after that step, so the two-way pass keeps vertex 0
+    # at 1 until its step to 2, and _compact finds that fold after a plain
+    # pass that removed nothing
+    seq = seq_of(4, (1, 2), [(0, 3), (1, 4), (0, 2)])
+    assert _assert_compacts(K2, seq, _fold) == list(seq.steps)
+    assert _assert_compacts(K2, seq, _two_way) == [(1, 4), (0, 2)]
+    assert _assert_compacts(K2, seq) == [(1, 4), (0, 2)]
+
+
+def test_two_way_pass_folds_a_return_forward():
+    # vertex 1 goes 4 -> 3 -> 4, back to its color from before its first
+    # step. A backward fold would keep it at 4 and leave its step to 4, which
+    # changes nothing; the forward fold drops both steps instead
+    seq = seq_of(4, (2, 4), [(1, 3), (1, 4)])
+    assert _assert_compacts(K2, seq, _two_way) == []
 
 
 def test_compact_drops_a_step_and_its_return():
@@ -444,10 +465,10 @@ def test_compact_sees_a_neighbors_step_rewritten_inside_the_interval():
     # interval, so vertex 1's chain holds 5 from step 0 to step 3. Vertex 0's
     # step to 3 must then stay: rewritten to 5 it would collide with vertex 1
     # at step 1.
-    # Backward, no neighbor takes 1 in vertex 1's interval, so it keeps 1
-    # until its step to 2. That frees vertex 0's interval of vertex 1's 5, so
-    # the second round's forward pass folds vertex 0's step to 3 into its step
-    # to 5
+    # The two-way pass finds no neighbor taking 1 in vertex 1's interval, so
+    # it keeps vertex 1 at 1 until its step to 2. That frees vertex 0's
+    # interval of vertex 1's 5, so the same pass then folds vertex 0's step
+    # to 3 into its step to 5
     seq = seq_of(5, (2, 1, 3), [(1, 4), (0, 3), (1, 5), (1, 2), (0, 5)])
     assert _assert_compacts(P3, seq, _fold) == [(1, 5), (0, 3), (1, 2), (0, 5)]
     assert _assert_compacts(P3, seq) == [(0, 5), (1, 2)]
