@@ -88,7 +88,9 @@ def _best_choice(
     """best_choice_recoloring's steps, without checking its inputs or replaying them.
 
     `later` is the later-neighbor table of `order`, and `alpha` and `beta`
-    are the endpoint colors in 1..k. k must be at least 2 plus the largest
+    are the endpoint colors in 1..k, all three indexed by vertex id. `order`
+    may list a subset of the ids: the pipeline names each merge class by its
+    smallest member and lists only those. k must be at least 2 plus the largest
     later set, as best choice checks and the pipeline's k = 5 with at most
     2 later neighbors gives, so a forced move always has a free color. Each
     u is spliced in against the neighbors already processed, which are
@@ -118,8 +120,8 @@ def _best_choice(
         nxt[p] = prv[s] = node
         return node
 
-    rank = [0] * len(order)
-    trace: list[list[int]] = [[]] * len(order)
+    rank = [0] * len(alpha)
+    trace: list[list[int]] = [[]] * len(alpha)
     for i, u in enumerate(reversed(order)):
         nbrs = later[u]
         cur_u = alpha[u]

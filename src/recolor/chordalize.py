@@ -43,6 +43,14 @@ at the class's smallest member, so each half moves few vertices and the two
 3-colorings differ on few. The bridge moves only the vertices whose two
 3-colorings differ.
 
+A merge class is named by its smallest member, the root `_merge_classes`
+finds, so the pipeline works in g's vertex ids throughout: a class's color
+and preference are those of its root, the elimination order, later table and
+3-coloring are indexed by roots, best choice's order lists only the roots,
+and `_lift` expands only the steps of classes of two or more. Only the
+public `merge_same_colored` and `lift_sequence` use a `MergeMap`'s numbering,
+the classes as 0, 1, ... in the order of their roots.
+
 The private cores (`_merge_classes`, `_elimination_order`, `_lift`,
 `_two_phase` and `bestchoice._best_choice`) pass plain lists and tuples to
 each other and check nothing. The value types (`Coloring`, `MergeMap`,
@@ -118,18 +126,24 @@ def merge_same_colored(g: Graph, alpha: Coloring) -> tuple[Graph, MergeMap, Colo
 
     Returns the merged-and-filled graph (chordal, clique number <= 3), the
     merge map, and the inherited coloring, which is proper on the result.
-    The filled bags' edges are x-later[x] over the classes' later table, as
-    the module docstring argues. Raises NotWidth2 if g has treewidth above 2.
+    The classes are numbered in the order of their smallest members, the
+    roots that `_merge_classes` names them by. The filled bags' edges are
+    x-later[x] over the classes' later table, as the module docstring argues.
+    Raises NotWidth2 if g has treewidth above 2.
     """
     _require_instance("alpha", alpha, Coloring)
     require_proper(g, alpha, alpha.k, "alpha")
     elim = _eliminate(g)
-    to_merged, classes, colors_h = _merge_classes(elim, alpha.colors)
-    _, later, _ = _elimination_order(elim, to_merged, colors_h)
+    root, merged = _merge_classes(elim, alpha.colors)
+    order, later, _ = _elimination_order(elim, root, alpha.colors)
+    # the order lists every root once; class i is the i-th smallest root, and
+    # `dense` maps each root to its class in that order
+    dense = {r: i for i, r in enumerate(sorted(order))}
+    classes = tuple(tuple(merged.get(r, (r,))) for r in dense)
     return (
-        Graph.from_edges(len(classes), [(x, y) for x, ys in enumerate(later) for y in ys]),
-        MergeMap(tuple(to_merged), tuple(map(tuple, classes))),
-        Coloring(alpha.k, tuple(colors_h)),
+        Graph.from_edges(len(dense), [(dense[x], dense[y]) for x in dense for y in later[x]]),
+        MergeMap(tuple([dense[r] for r in root]), classes),
+        Coloring(alpha.k, tuple([alpha.colors[r] for r in dense])),
     )
 
 
@@ -147,12 +161,13 @@ def _merge_pairs(bags: Sequence[Sequence[int]], colors: Sequence[int]) -> Iterat
 
 def _merge_classes(
     bags: Sequence[Sequence[int]], colors: Sequence[int]
-) -> tuple[list[int], list[list[int]], list[int]]:
-    """The merge map and inherited colors of merge_same_colored, without h.
+) -> tuple[list[int], dict[int, list[int]]]:
+    """The merge classes of merge_same_colored, each named by its smallest member.
 
-    Returns to_merged, the classes (ascending, numbered in the order of their
-    smallest members) and each class's color. The classes are the connected
-    components of the pairs `_merge_pairs(bags, colors)` yields.
+    Returns root, where root[v] is the smallest member of v's class, and the
+    ascending members of each class of two or more, keyed by its root. The
+    classes are the connected components of the pairs
+    `_merge_pairs(bags, colors)` yields, and a class's color is its root's.
     """
     # root[v] <= v, and a component's root is its smallest member
     root = list(range(len(bags)))
@@ -161,22 +176,15 @@ def _merge_classes(
             root[a] = a = root[root[a]]
         while root[b] != b:
             root[b] = b = root[root[b]]
-        if a < b:
-            root[b] = a
-        else:
-            root[a] = b
+        root[max(a, b)] = min(a, b)
 
-    # root[v] < v lies in v's class and was numbered first
-    to_merged = [0] * len(root)
-    classes: list[list[int]] = []
+    # a parent root[v] < v was visited first, so root[root[v]] is the class's root
+    merged: dict[int, list[int]] = {}
     for v, r in enumerate(root):
-        if r == v:
-            to_merged[v] = len(classes)
-            classes.append([v])
-        else:
-            to_merged[v] = m = to_merged[r]
-            classes[m].append(v)
-    return to_merged, classes, [colors[c[0]] for c in classes]
+        if r != v:
+            root[v] = r = root[r]
+            merged.setdefault(r, [r]).append(v)
+    return root, merged
 
 
 def _elimination_order(
@@ -184,8 +192,11 @@ def _elimination_order(
 ) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
     """The merge classes' elimination order, later-neighbor table and 3-coloring.
 
-    `elim` is the degree-<=2 elimination the classes were merged over, and
-    `prefer` holds one preferred color per class. A class goes where its last
+    `elim` is the degree-<=2 elimination the classes were merged over,
+    to_merged[v] names v's class (the pipeline passes `_merge_classes`'s
+    root), and `prefer` holds one preferred color per class, indexed by
+    those names, as are `later` and the target; the order lists each name
+    once. A class goes where its last
     member w is eliminated, and later[x] is the ascending, distinct classes of
     w's neighbors then. By the argument in the module docstring this is a
     perfect elimination ordering of h. target[x] is prefer[x] when that is in
@@ -238,9 +249,11 @@ def lift_sequence(
             f"{len(seq_h.start.colors)}-vertex merged sequence"
         )
     colors_h = seq_h.start.colors
+    # class m stands for itself only when it is (m,)
+    merged = {m: members for m, members in enumerate(classes) if members != (m,)}
     lifted = RecoloringSequence(
         Coloring(seq_h.start.k, tuple([colors_h[m] for m in to_merged])),
-        tuple(_lift(seq_h.steps, classes)),
+        tuple(_lift(seq_h.steps, merged)),
     )
     try:
         verify_sequence(g, lifted)
@@ -250,10 +263,20 @@ def lift_sequence(
 
 
 def _lift(
-    steps_h: Sequence[tuple[int, int]], classes: Sequence[Sequence[int]]
+    steps_h: Sequence[tuple[int, int]], merged: dict[int, Sequence[int]]
 ) -> list[tuple[int, int]]:
-    """lift_sequence's steps, without checking or replaying them."""
-    return [(v, c) for m, c in steps_h for v in classes[m]]
+    """lift_sequence's steps, without checking or replaying them.
+
+    A step of a vertex x in `merged` becomes one step per vertex of merged[x],
+    in its order; any other step names a vertex of g and is kept as it is.
+    """
+    lifted = []
+    for step in steps_h:
+        if step[0] in merged:
+            lifted += [(v, step[1]) for v in merged[step[0]]]
+        else:
+            lifted.append(step)
+    return lifted
 
 
 def two_phase_transform(
@@ -300,15 +323,17 @@ def _toward_3coloring(
     """Steps on g from the 5-coloring `colors` to a 3-coloring, and that 3-coloring.
 
     `elim` is the degree-<=2 elimination of g, read as its elimination bags.
-    The 3-coloring of the merged graph is assigned in the same backward walk
-    that finds the classes' elimination order, and a class keeps the color
-    `prefer` gives its smallest member wherever it can.
+    Each merge class is named by its smallest member, its root, so the merged
+    graph's colors, preferences and 3-coloring are those of g read at the
+    roots, and best choice's order lists only the roots. The 3-coloring is
+    assigned in the same backward walk that finds the classes' elimination
+    order, and a class keeps the color `prefer` gives its root wherever it
+    can. Only the steps of merged classes are expanded when lifted.
     """
-    to_merged, classes, colors_h = _merge_classes(elim, colors)
-    prefer_h = [prefer[c[0]] for c in classes]
-    order, later, target = _elimination_order(elim, to_merged, prefer_h)
-    steps_h = _best_choice(order, later, colors_h, target, 5)
-    return _lift(steps_h, classes), [target[m] for m in to_merged]
+    root, merged = _merge_classes(elim, colors)
+    order, later, target = _elimination_order(elim, root, prefer)
+    steps_h = _best_choice(order, later, colors, target, 5)
+    return _lift(steps_h, merged), [target[r] for r in root]
 
 
 def pipeline_theorem(g: Graph, alpha: Coloring, beta: Coloring) -> RecoloringSequence:

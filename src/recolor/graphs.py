@@ -161,10 +161,10 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
             f"coloring has {len(coloring.colors)} entries for a graph on {g.n} vertices"
         )
     cols = coloring.colors
-    for u in range(g.n):
-        cu = cols[u]
-        for v in g.adjacency[u]:
-            if v > u and cols[v] == cu:
+    # each edge is read from both ends; Graph has no self-loops, so v != u
+    for cu, nbrs in zip(cols, g.adjacency):
+        for v in nbrs:
+            if cols[v] == cu:
                 return False
     return True
 

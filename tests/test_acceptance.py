@@ -153,7 +153,18 @@ def test_criterion_4_audit_of_pipeline_halves(monkeypatch):
                     direct += 1
                 else:
                     assert len(runs) == 2
-                for (order_h, later, start, _, steps), (h, _, coloring_h) in zip(runs, merged):
+                for (order, later_r, start_r, _, steps_r), (h, merge_map, coloring_h) in zip(
+                    runs, merged
+                ):
+                    # the runs name each class by its smallest member, and
+                    # their order lists exactly those; translate them into
+                    # merge_same_colored's numbering of the classes
+                    to_merged, classes = merge_map.to_merged, merge_map.classes
+                    assert sorted(order) == [cls[0] for cls in classes]
+                    order_h = [to_merged[r] for r in order]
+                    later = [tuple(to_merged[y] for y in later_r[cls[0]]) for cls in classes]
+                    start = [start_r[cls[0]] for cls in classes]
+                    steps = [(to_merged[v], c) for v, c in steps_r]
                     # the core takes the counts of a replay on the h that
                     # merge_same_colored builds, and agrees with the public
                     # audit there

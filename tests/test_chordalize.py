@@ -484,19 +484,22 @@ def _assert_elimination_order_reads_merged_graph(g, coloring):
             assert (target[x] == p) == free
 
 
-def test_elimination_order_on_digest_corpus():
+def _digest_corpus_colorings():
+    """The graphs and colorings of the pipeline digest corpus, plus one
+    colored chordal graph of clique number <= 3 per size and seed."""
     for n in (3, 10, 50, 200):
         for s in range(10):
             g = gen_partial_2tree(n, 0.6, s)
             order = degeneracy_order(g)
             for seed in (2 * s + 1, 2 * s + 2):
-                _assert_elimination_order_reads_merged_graph(
-                    g, random_proper_coloring(g, order, 5, seed)
-                )
+                yield g, random_proper_coloring(g, order, 5, seed)
             h = gen_chordal_omega3(n, s)
-            _assert_elimination_order_reads_merged_graph(
-                h, random_proper_coloring(h, mcs_order(h), 5, s)
-            )
+            yield h, random_proper_coloring(h, mcs_order(h), 5, s)
+
+
+def test_elimination_order_on_digest_corpus():
+    for g, coloring in _digest_corpus_colorings():
+        _assert_elimination_order_reads_merged_graph(g, coloring)
 
 
 @settings(max_examples=40, deadline=None)
@@ -505,6 +508,42 @@ def test_elimination_order_on_partial_2trees(n, seed, tenths, k):
     g = gen_partial_2tree(n, tenths / 10, seed)
     coloring = random_proper_coloring(g, degeneracy_order(g), k, seed + 1)
     _assert_elimination_order_reads_merged_graph(g, coloring)
+
+
+def _assert_roots_name_merge_classes(g, coloring):
+    """_merge_classes names each class of merge_same_colored by its smallest
+    member and lists exactly the classes of two or more, and a pipeline half
+    lifts its best-choice run as lift_sequence lifts that run on h."""
+    _, merge_map, coloring_h = merge_same_colored(g, coloring)
+    to_merged, classes = merge_map.to_merged, merge_map.classes
+    elim = decomposition._eliminate(g)
+    root, merged = chordalize._merge_classes(elim, coloring.colors)
+    assert root == [classes[to_merged[v]][0] for v in range(g.n)]
+    assert merged == {cls[0]: list(cls) for cls in classes if len(cls) > 1}
+    if not any(chordalize._merge_pairs(elim, coloring.colors)):
+        assert (root, merged) == (list(range(g.n)), {})
+    # the alpha half's run, named by roots, then in merge_same_colored's numbering
+    order, later, target = chordalize._elimination_order(elim, root, coloring.colors)
+    steps_r = bestchoice._best_choice(order, later, coloring.colors, target, 5)
+    seq_h = RecoloringSequence(
+        Coloring(5, coloring_h.colors), tuple((to_merged[v], c) for v, c in steps_r)
+    )
+    steps, gamma = chordalize._toward_3coloring(elim, coloring.colors, coloring.colors)
+    assert tuple(steps) == lift_sequence(seq_h, merge_map, g).steps
+    assert gamma == [target[r] for r in root]
+
+
+def test_merge_roots_on_digest_corpus():
+    for g, coloring in _digest_corpus_colorings():
+        _assert_roots_name_merge_classes(g, coloring)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 120), st.integers(0, 10**6), st.integers(0, 10), st.integers(3, 5))
+def test_merge_roots_on_partial_2trees(n, seed, tenths, k):
+    g = gen_partial_2tree(n, tenths / 10, seed)
+    coloring = random_proper_coloring(g, degeneracy_order(g), k, seed + 1)
+    _assert_roots_name_merge_classes(g, coloring)
 
 
 def test_merge_map_json_round_trip():
