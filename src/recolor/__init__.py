@@ -53,7 +53,6 @@ from .oracle import (
     bfs_distance,
     proper_coloring_count,
     reconfig_connected,
-    reconfig_diameter,
 )
 from .sequences import (
     AuditReport,

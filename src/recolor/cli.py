@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands: gen, check, decompose, reduce, recolor, pipeline,
-oracle {distance|connected|diameter}, audit, bench. All files are JSON in
+oracle {distance|connected}, audit, bench. All files are JSON in
 the formats documented in the README; bench writes CSV.
 """
 
@@ -31,13 +31,7 @@ from .graphs import (
     is_proper,
     random_proper_coloring,
 )
-from .oracle import (
-    DEFAULT_STATE_CAP,
-    bfs_distance,
-    proper_coloring_count,
-    reconfig_connected,
-    reconfig_diameter,
-)
+from .oracle import DEFAULT_STATE_CAP, bfs_distance, reconfig_connected
 from .sequences import RecoloringSequence, audit_best_choice, verify_sequence
 
 
@@ -170,15 +164,7 @@ def _cmd_oracle(args) -> int:
         d = bfs_distance(g, args.k, alpha, beta, args.state_cap)
         print("unreachable" if d is None else d)
         return 0
-    if args.mode == "connected":
-        print("connected" if reconfig_connected(g, args.k, args.state_cap) else "disconnected")
-        return 0
-    d = reconfig_diameter(g, args.k, args.state_cap)
-    if d is None:
-        # the count is cached with the state space, so this sweeps nothing
-        empty = proper_coloring_count(g, args.k, args.state_cap) == 0
-        d = "no proper colorings" if empty else "disconnected"
-    print(d)
+    print("connected" if reconfig_connected(g, args.k, args.state_cap) else "disconnected")
     return 0
 
 
@@ -276,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("oracle", help="exhaustive state-space search")
-    p.add_argument("mode", choices=("distance", "connected", "diameter"))
+    p.add_argument("mode", choices=("distance", "connected"))
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--alpha")

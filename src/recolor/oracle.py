@@ -10,10 +10,7 @@ and stops where the two balls meet (`_kernels.bfs_meet`). `reconfig_connected`
 needs no distance, only whether one state reaches all: the proper states
 that differ in one vertex's colour form a clique, so `_kernels.reaches_all`
 closes the reached set line by line on the dense packed mask, where vertex
-0's colour is a bit. `reconfig_diameter` needs each source's eccentricity and
-whether it reaches every state, so it runs full searches
-(`_kernels.bfs_levels`) that return only the depth and the count, one per
-start `_kernels.orbit_sources` picks.
+0's colour is a bit.
 
 `_kernels` owns the state space: the cached read-only mask, the same mask
 packed, and its count of proper states, so `bfs_distance` then
@@ -70,8 +67,7 @@ def bfs_distance(
 
 
 def proper_coloring_count(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> int:
-    """Number of proper k-colorings of g; 0 tells an empty state space from a
-    disconnected one where `reconfig_diameter` returns None."""
+    """Number of proper k-colorings of g."""
     return _proper_states(g, k, state_cap)[2]
 
 
@@ -86,28 +82,3 @@ def reconfig_connected(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> 
         return True
     from . import _kernels
     return _kernels.reaches_all(int(mask.argmax()), packed, g.n, k)
-
-
-def reconfig_diameter(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> int | None:
-    """Largest pairwise distance between proper k-colorings; None if disconnected
-    or if there is no proper colouring (`reconfig_connected` is then True, and
-    `proper_coloring_count` 0).
-
-    Every permutation of the colours is an automorphism of the state graph, so
-    all states of one orbit have the same eccentricity. One search runs per
-    orbit, from its state whose colours first appear in the order 1, 2, 3, ...
-    (digit[v] <= max(digit[:v]) + 1); a disconnected space is caught by the
-    first. Keep instances very small.
-    """
-    mask, _, total = _proper_states(g, k, state_cap)
-    if total <= 1:
-        # one state, as for n = 0 at any k, is its own whole space: no search
-        return 0 if total else None
-    from . import _kernels
-    best = 0
-    for src in _kernels.orbit_sources(mask, g.n, k):
-        levels, reached = _kernels.bfs_levels(int(src), mask, g.n, k)
-        if reached != total:
-            return None
-        best = max(best, levels)
-    return best

@@ -77,38 +77,6 @@ def naive_all_distances(g: Graph, k: int, source):
     return dist
 
 
-def naive_diameter(g: Graph, k: int):
-    """Largest all-pairs distance by one BFS per proper coloring; None if disconnected.
-
-    The proper colorings are numbered and each one's neighbor list is built
-    once, so every BFS walks lists of integers.
-    """
-    states = proper_colorings(g, k)
-    if not states:
-        return None
-    index = {s: i for i, s in enumerate(states)}
-    nbrs = [[index[t] for t in _neighbors_in_reconfig(g, k, s)] for s in states]
-    best = 0
-    for src in range(len(states)):
-        dist = [-1] * len(states)
-        dist[src] = 0
-        frontier = [src]
-        level = 0
-        while frontier:
-            level += 1
-            nxt = []
-            for x in frontier:
-                for y in nbrs[x]:
-                    if dist[y] < 0:
-                        dist[y] = level
-                        nxt.append(y)
-            frontier = nxt
-        if -1 in dist:
-            return None
-        best = max(best, level - 1)
-    return best
-
-
 def squared_path(n: int, k: int) -> tuple[Graph, Coloring, Coloring]:
     """The squared path P_n^2 and its two k-colorings alpha_i = (1,2,3,4)[i mod 4]
     and beta_i = (1,4,3,2)[i mod 4].

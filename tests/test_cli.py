@@ -137,7 +137,6 @@ def test_pipeline_and_oracle(tmp_path, capsys):
         "--alpha", str(a), "--beta", str(b),
     ) == 0
     assert run("oracle", "connected", "--graph", str(g), "--k", "3") == 0
-    assert run("oracle", "diameter", "--graph", str(g), "--k", "3") == 0
     # rainbow colorings of K3 at k = 3 are frozen
     for argv in (
         ("distance", "--graph", str(k3), "--k", "3", "--alpha", str(rainbow),
@@ -145,19 +144,16 @@ def test_pipeline_and_oracle(tmp_path, capsys):
         ("distance", "--graph", str(k3), "--k", "3", "--alpha", str(rainbow),
          "--beta", str(rainbow)),
         ("connected", "--graph", str(k3), "--k", "3"),
-        ("diameter", "--graph", str(k3), "--k", "3"),
-        ("diameter", "--graph", str(k3), "--k", "4"),
-        # no proper colouring: an empty space is connected and has no diameter
+        ("connected", "--graph", str(k3), "--k", "4"),
+        # no proper colouring: an empty space is connected
         ("connected", "--graph", str(k3), "--k", "2"),
-        ("diameter", "--graph", str(k3), "--k", "2"),
         ("connected", "--graph", str(g8), "--k", "1"),
-        ("diameter", "--graph", str(g8), "--k", "1"),
     ):
         assert run("oracle", *argv) == 0
     printed = capsys.readouterr().out.splitlines()
-    assert printed[-12:] == [
-        "4", "connected", "4", "unreachable", "0", "disconnected", "disconnected", "4",
-    ] + ["connected", "no proper colorings"] * 2
+    assert printed[-8:] == [
+        "4", "connected", "unreachable", "0", "disconnected", "connected", "connected", "connected",
+    ]
 
 
 def test_oracle_on_the_empty_graph_at_a_huge_k(tmp_path, capsys):
@@ -168,32 +164,14 @@ def test_oracle_on_the_empty_graph_at_a_huge_k(tmp_path, capsys):
     _write(e, {"k": 10**18, "colors": []})
     oracle = ("oracle", "--graph", str(g), "--k", str(10**18))
     assert run(*oracle, "connected") == 0
-    assert run(*oracle, "diameter") == 0
     assert run(*oracle, "distance", "--alpha", str(e), "--beta", str(e)) == 0
-    assert capsys.readouterr() == ("connected\n0\n0\n", "")
+    assert capsys.readouterr() == ("connected\n0\n", "")
 
 
 def test_oracle_too_large_is_an_error(tmp_path):
     g = tmp_path / "g.json"
     _write(g, {"n": 40, "edges": []})
     assert run("oracle", "connected", "--graph", str(g), "--k", "5") == 1
-
-
-def test_oracle_diameter_sweeps_no_space_a_second_time(tmp_path, capsys, monkeypatch):
-    # a disconnected space and an empty one both leave the diameter at None;
-    # the count of proper states tells them apart without a reachability sweep
-    from recolor import _kernels
-
-    def no_sweep(*args):
-        raise AssertionError("oracle diameter ran reaches_all")
-
-    monkeypatch.setattr(_kernels, "reaches_all", no_sweep)
-    g = tmp_path / "g.json"
-    assert run("gen", "--family", "partial-2tree", "--n", "8", "--seed", "1", "--out", str(g)) == 0
-    for k in ("3", "1"):
-        assert run("oracle", "diameter", "--graph", str(g), "--k", k) == 0
-    printed = capsys.readouterr().out.splitlines()
-    assert printed[-2:] == ["disconnected", "no proper colorings"]
 
 
 def test_bad_input_is_one_error_line(tmp_path, capsys):
@@ -233,7 +211,7 @@ def test_bad_input_is_one_error_line(tmp_path, capsys):
         ("oracle", "distance", "--graph", str(g), "--k", "3"),
         ("oracle", "distance", "--graph", str(g), "--alpha", str(c)),
         ("oracle", "connected", "--graph", str(g), "--k", "0"),
-        ("oracle", "diameter", "--graph", str(g), "--k", "-1"),
+        ("oracle", "connected", "--graph", str(g), "--k", "-1"),
         ("check", "--graph", str(bad), "--coloring", str(c)),
         recolor3 + ("--peo", str(short), "--out", str(tmp_path / "out.json")),
         recolor3 + ("--peo", str(dup), "--out", str(tmp_path / "out.json")),
@@ -409,7 +387,7 @@ def test_batch_that_checks_nothing_is_rejected(tmp_path, capsys):
         bench + ("--state-cap", "0"),
         bench + ("--state-cap", "-5"),
         ("oracle", "connected", "--graph", str(g), "--state-cap", "-5"),
-        ("oracle", "diameter", "--graph", str(g), "--state-cap", "0"),
+        ("oracle", "connected", "--graph", str(g), "--state-cap", "0"),
     ):
         assert run(*argv) == 1
         err = capsys.readouterr().err

@@ -80,7 +80,6 @@ FORMS = {
     "pipeline": "pipeline --graph {g} --alpha {a} --beta {b} --out {out}",
     "oracle-distance": "oracle distance --graph {g} --alpha {a} --beta {b}",
     "oracle-connected": "oracle connected --graph {g}",
-    "oracle-diameter": "oracle diameter --graph {g}",
     "audit": "audit --graph {g} --peo {peo} --seq {seq} --json-out {out}",
 }
 SWAPS = [

@@ -71,7 +71,6 @@ CASES = {
     "proper_coloring_count": (recolor.proper_coloring_count, (G, 3, 100)),
     "random_proper_coloring": (recolor.random_proper_coloring, (G, PEO, 5, 0)),
     "reconfig_connected": (recolor.reconfig_connected, (G, 3, 100)),
-    "reconfig_diameter": (recolor.reconfig_diameter, (G, 3, 100)),
     "run_experiments": (recolor.run_experiments, (ExperimentConfig("2tree", (3,), (0,)),)),
     "two_phase_transform": (recolor.two_phase_transform, (G, ALPHA3, BETA3, 2, 5)),
     "verify_sequence": (recolor.verify_sequence, (G, SEQ)),

@@ -29,7 +29,6 @@ from recolor import (
     proper_coloring_count,
     random_proper_coloring,
     reconfig_connected,
-    reconfig_diameter,
     run_experiments,
     two_phase_transform,
 )
@@ -370,7 +369,6 @@ def _k3_calls(k):
         "bfs_distance": lambda: bfs_distance(K3, k, rainbow, turned),
         "proper_coloring_count": lambda: proper_coloring_count(K3, k),
         "reconfig_connected": lambda: reconfig_connected(K3, k),
-        "reconfig_diameter": lambda: reconfig_diameter(K3, k),
     }
 
 
@@ -390,7 +388,6 @@ def _k3_calls(k):
         ("bfs_distance", 0, r"^need k >= 1, got 0$"),
         ("proper_coloring_count", 0, r"^need k >= 1, got 0$"),
         ("reconfig_connected", -2, r"^need k >= 1, got -2$"),
-        ("reconfig_diameter", 0, r"^need k >= 1, got 0$"),
     ],
 )
 def test_integer_parameters_are_checked(call, k, message):
@@ -425,7 +422,6 @@ _CHECKED_SIZES = {
     ),
     "proper_coloring_count state_cap": ("state cap", lambda x: proper_coloring_count(K2, 3, x)),
     "reconfig_connected state_cap": ("state cap", lambda x: reconfig_connected(K2, 3, x)),
-    "reconfig_diameter state_cap": ("state cap", lambda x: reconfig_diameter(K2, 3, x)),
 }
 
 

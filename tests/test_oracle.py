@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import product
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,6 @@ from recolor import (
     proper_coloring_count,
     random_proper_coloring,
     reconfig_connected,
-    reconfig_diameter,
 )
 import recolor
 from recolor import _kernels, oracle
@@ -116,28 +117,6 @@ def test_connected_when_k_at_least_degeneracy_plus_2(n, seed):
     assert reconfig_connected(g, 5)
 
 
-def test_diameter_single_vertex():
-    g = Graph.from_edges(1, [])
-    assert reconfig_diameter(g, 2) == 1
-    assert reconfig_diameter(g, 5) == 1
-
-
-def test_diameter_disconnected_is_none():
-    assert reconfig_diameter(K3, 3) is None
-
-
-def test_diameter_matches_independent_all_pairs():
-    assert reconfig_diameter(P3, 3) == helpers.naive_diameter(P3, 3)
-
-
-def test_diameter_small_instance_k4_vs_k5():
-    # frozen values from exhaustive search; the kind of pair the growth-trend
-    # experiment records
-    g = gen_partial_2tree(5, 0.8, 2)
-    assert reconfig_diameter(g, 4) == 8
-    assert reconfig_diameter(g, 5) == 7
-
-
 def test_squared_path_distances():
     # at k = 4 the interior of alpha is frozen, and the distance grows faster
     # than at k = 5
@@ -174,8 +153,8 @@ def small_graphs(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(small_graphs(), st.integers(1, 5), st.integers(0, 10**5))
-def test_kernels_match_brute_force(g, k, pick):
+@given(small_graphs(), st.integers(1, 5), st.integers(0, 10**5), st.integers(0, 10**5))
+def test_kernels_match_brute_force(g, k, pick, pick_goal):
     mask = _kernels.proper_mask(g.n, k, g.edges())
     proper = helpers.proper_colorings(g, k)
     want = np.zeros(k**g.n, dtype=bool)
@@ -184,9 +163,10 @@ def test_kernels_match_brute_force(g, k, pick):
     assert np.array_equal(mask, want)
     if not proper:
         return
-    src = proper[pick % len(proper)]
-    reach = helpers.naive_all_distances(g, k, src)
-    assert _kernels.bfs_levels(_code(src, k), mask, g.n, k) == (max(reach.values()), len(reach))
+    # the meeting search on the mask just checked, between two picked states
+    src, goal = (proper[p % len(proper)] for p in (pick, pick_goal))
+    got = _kernels.bfs_meet(_code(src, k), _code(goal, k), mask, g.n, k)
+    assert got == helpers.naive_bfs_distance(g, k, src, goal)
 
 
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -284,48 +264,38 @@ def test_bfs_meet_peak_below_three_bytes_per_state():
         assert peak < 3 * 5**8, (g.edges(), peak / 5**8)
 
 
-def test_bfs_levels_peak_below_four_bytes_per_state():
-    # the bool `fresh` mark (one byte per state) plus one level's candidates,
-    # where an int32 distance per state would take four bytes alone
-    for s in range(5):
-        g = gen_partial_2tree(8, 0.7, s)
-        start = random_proper_coloring(g, degeneracy_order(g), 5, s)
-        mask = _kernels.proper_mask(g.n, 5, g.edges())
-        tracemalloc.start()
-        try:
-            levels, reached = _kernels.bfs_levels(_code(start.colors, 5), mask, g.n, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert reached == np.count_nonzero(mask) and levels > 0
-        assert peak < 4 * 5**8, (s, peak / 5**8)
-
-
-def test_searches_with_frontiers_past_one_broadcast():
-    # from (1, ..., 1) the edgeless graph's level j holds C(7, j) * 3^j
-    # states, so the searches rewrite small frontiers in one broadcast and
-    # large ones per (vertex, colour)
-    g, k = Graph.from_edges(7, []), 4
-    src = (1,) * 7
-    want = helpers.naive_all_distances(g, k, src)
-    sizes = np.bincount(list(want.values()))
-    assert sizes[1] * g.n * k <= _kernels._BATCH < sizes.max() * g.n * k
-    mask = _kernels.proper_mask(g.n, k, g.edges())
-    assert _kernels.bfs_levels(_code(src, k), mask, g.n, k) == (max(want.values()), len(want))
-    for far in ((4,) * 7, (2, 3, 4, 2, 3, 4, 2), (1, 1, 2, 3, 4, 4, 4)):
-        got = bfs_distance(g, k, Coloring(k, src), Coloring(k, far))
-        assert got == helpers.naive_bfs_distance(g, k, src, far) == want[far]
+def test_bfs_meet_with_frontiers_past_one_broadcast():
+    # the edgeless graph's level j around any state holds C(7, j) * 4^j states
+    # at k = 5, and the distance is the Hamming distance, here 7 = 3 + 3 + 1:
+    # each side grows three levels in one broadcast each, and the meeting
+    # level is grown from a frontier of level 3, one (vertex, colour) at a time
+    g, k = Graph.from_edges(7, []), 5
+    sizes = [comb(7, j) * (k - 1) ** j for j in range(8)]
+    assert sizes[2] * g.n * k <= _kernels._BATCH < sizes[3] * g.n * k
+    src = Coloring(k, (1,) * 7)
+    for far in ((5,) * 7, (2, 2, 2, 2, 2, 2, 5)):
+        assert bfs_distance(g, k, src, Coloring(k, far)) == 7
+        assert bfs_distance(g, k, Coloring(k, far), src) == 7
+    # the search meets in the first vertex's batches, so check all n * k
+    # batches of that level: together they hold exactly levels 2 to 4
+    level = {c: sum(x != 1 for x in c) for c in product(range(1, k + 1), repeat=g.n)}
+    frontier = np.array(sorted(_code(c, k) for c, j in level.items() if j == 3), dtype=np.int64)
+    assert frontier.size == sizes[3]
+    batches = list(_kernels._rewrites(frontier, g.n, k))
+    assert len(batches) == g.n * k
+    want = sorted(_code(c, k) for c, j in level.items() if 2 <= j <= 4)
+    assert np.unique(np.concatenate(batches)).tolist() == want
 
 
 def _oracle_results(g, k, fresh):
-    """Distance, connectivity and diameter on g; with `fresh`, each from a newly built mask."""
+    """Distance, connectivity and colouring count on g; with `fresh`, each from a newly built mask."""
     order = degeneracy_order(g)
     a, b = (random_proper_coloring(g, order, k, s) for s in (1, 2))
     results = []
     for call in (
         lambda: bfs_distance(g, k, a, b),
         lambda: reconfig_connected(g, k),
-        lambda: reconfig_diameter(g, k),
+        lambda: proper_coloring_count(g, k),
     ):
         if fresh:
             _kernels.state_space.cache_clear()
@@ -380,35 +350,6 @@ def test_mask_cache_keeps_the_cap_and_is_read_only():
         packed[0, 0] = 0
 
 
-def _first_appearance(code, n, k):
-    """True iff the colours of `code` first appear in the order 1, 2, 3, ..."""
-    top = -1
-    for v in range(n):
-        digit = code // k**v % k
-        if digit > top + 1:
-            return False
-        top = max(top, digit)
-    return True
-
-
-def test_orbit_sources_peak_below_32_bytes_per_proper_state():
-    # the codes and one digit buffer (int64), the running maximum (int8) and
-    # the keep-mask: about 25 bytes per proper state, where the (states, n)
-    # int64 digit, running-maximum and difference arrays took about 247
-    g = gen_partial_2tree(7, 0.7, 0)
-    mask = _kernels.proper_mask(g.n, 5, g.edges())
-    proper = int(np.count_nonzero(mask))
-    tracemalloc.start()
-    try:
-        sources = _kernels.orbit_sources(mask, g.n, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * proper, peak / proper
-    want = [c for c in np.flatnonzero(mask).tolist() if _first_appearance(c, g.n, 5)]
-    assert sources.tolist() == want
-
-
 @settings(max_examples=100, deadline=None)
 @given(small_graphs(), st.integers(1, 5), st.integers(0, 10**5), st.integers(0, 10**5))
 @example(K3, 3, 0, 1)
@@ -421,20 +362,8 @@ def test_distance_matches_full_bfs_and_naive_search(g, k, pick_a, pick_b):
         return
     a, b = proper[pick_a % len(proper)], proper[pick_b % len(proper)]
     got = bfs_distance(g, k, Coloring(k, a), Coloring(k, b))
-    mask = _kernels.proper_mask(g.n, k, g.edges())
     reach = helpers.naive_all_distances(g, k, a)
-    assert _kernels.bfs_levels(_code(a, k), mask, g.n, k) == (max(reach.values()), len(reach))
     assert got == reach.get(b) == helpers.naive_bfs_distance(g, k, a, b)
-
-
-@settings(max_examples=30, deadline=None)
-@given(small_graphs(), st.integers(1, 4))
-@example(K3, 3)
-@example(P3, 2)
-@example(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]), 4)
-def test_diameter_matches_naive_all_pairs(g, k):
-    assume(k**g.n <= 1024)
-    assert reconfig_diameter(g, k) == helpers.naive_diameter(g, k)
 
 
 @pytest.mark.parametrize("k", [0, -1, True])
@@ -445,7 +374,7 @@ def test_oracle_rejects_bad_k(k):
     with pytest.raises(InvalidInput):
         reconfig_connected(P3, k)
     with pytest.raises(InvalidInput):
-        reconfig_diameter(P3, k)
+        proper_coloring_count(P3, k)
 
 
 def test_size_rule_is_exact():
@@ -466,14 +395,14 @@ def test_oracle_rejects_states_beyond_numpy_indexing():
     with pytest.raises(TooLarge, match=r"5\^30 states exceed numpy"):
         reconfig_connected(g, 5, cap)
     with pytest.raises(TooLarge, match=r"5\^30 states exceed numpy"):
-        reconfig_diameter(g, 5, cap)
+        proper_coloring_count(g, 5, cap)
 
 
 def test_one_color_on_more_vertices_than_numpy_axes():
     # k = 1 keeps 70 vertices at one state, past numpy's limit of 64 axes
     g = Graph.from_edges(70, [])
     assert reconfig_connected(g, 1)
-    assert reconfig_diameter(g, 1) == 0
+    assert proper_coloring_count(g, 1) == 1
     assert _kernels.proper_mask(70, 1, [(3, 69)]).tolist() == [False]
 
 
@@ -487,7 +416,6 @@ def test_empty_graph_at_any_k(k):
     try:
         assert reconfig_connected(g, k) is True
         assert proper_coloring_count(g, k) == 1
-        assert reconfig_diameter(g, k) == 0
         assert bfs_distance(g, k, empty, empty) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -521,7 +449,7 @@ a, b = (r.random_proper_coloring(small, order, 5, s) for s in (1, 2))
 huge = r.Graph(10**6, ((),) * 10**6)
 rejected = []
 for call in (lambda: r.bfs_distance(small, 0, a, b), lambda: r.reconfig_connected(small, 0),
-             lambda: r.reconfig_diameter(small, 0), lambda: r.reconfig_connected(huge, 5)):
+             lambda: r.proper_coloring_count(small, 0), lambda: r.reconfig_connected(huge, 5)):
     try:
         call()
     except (r.InvalidInput, r.TooLarge) as exc:
