@@ -174,6 +174,19 @@ def test_oracle_too_large_is_an_error(tmp_path):
     assert run("oracle", "connected", "--graph", str(g), "--k", "5") == 1
 
 
+def test_oracle_diameter_is_a_usage_error(tmp_path, capsys):
+    # the oracle answers distances and connectivity only
+    g = tmp_path / "g.json"
+    _write(g, {"n": 1, "edges": []})
+    with pytest.raises(SystemExit) as exc:
+        run("oracle", "diameter", "--graph", str(g))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert out == "" and len(errors) == 1
+    assert "invalid choice: 'diameter'" in errors[0] and "'distance', 'connected'" in errors[0]
+
+
 def test_bad_input_is_one_error_line(tmp_path, capsys):
     g = tmp_path / "g.json"
     c = tmp_path / "c.json"

@@ -366,6 +366,48 @@ def test_distance_matches_full_bfs_and_naive_search(g, k, pick_a, pick_b):
     assert got == reach.get(b) == helpers.naive_bfs_distance(g, k, a, b)
 
 
+_C4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
+SMALL = {
+    "K1": (1, []),
+    "E2": (2, []),
+    "K2": (2, [(0, 1)]),
+    "E3": (3, []),
+    "P3": (3, [(0, 1), (1, 2)]),
+    "K3": (3, [(0, 1), (0, 2), (1, 2)]),
+    "P4": (4, [(0, 1), (1, 2), (2, 3)]),
+    "star": (4, [(0, 1), (0, 2), (0, 3)]),
+    "C4": (4, _C4),
+    "paw": (4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+    "diamond": (4, _C4 + [(0, 2)]),
+    "K4": (4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+    "C5": (5, [(v, (v + 1) % 5) for v in range(5)]),
+    "W4": (5, _C4 + [(v, 4) for v in range(4)]),
+    "K5": (5, [(u, v) for u in range(5) for v in range(u + 1, 5)]),
+}
+
+
+# every space of at most 64 proper colourings, empty ones included, so that
+# each one's all-pairs check stays under 4096 searches
+@pytest.mark.parametrize(
+    "name, k",
+    [
+        (name, k)
+        for name, (n, edges) in SMALL.items()
+        for k in range(1, 6)
+        if len(helpers.proper_colorings(Graph.from_edges(n, edges), k)) <= 64
+    ],
+)
+def test_oracle_answers_every_pair_like_plain_search(name, k):
+    g = Graph.from_edges(*SMALL[name])
+    proper = helpers.proper_colorings(g, k)
+    assert proper_coloring_count(g, k) == len(proper)
+    reach = {a: helpers.naive_all_distances(g, k, a) for a in proper}
+    # an empty space is connected
+    assert reconfig_connected(g, k) == all(len(r) == len(proper) for r in reach.values())
+    for a, b in product(proper, repeat=2):
+        assert bfs_distance(g, k, Coloring(k, a), Coloring(k, b)) == reach[a].get(b), (a, b)
+
+
 @pytest.mark.parametrize("k", [0, -1, True])
 def test_oracle_rejects_bad_k(k):
     a = Coloring(3, (1, 2, 1))
