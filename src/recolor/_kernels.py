@@ -14,8 +14,8 @@ does it densely on the packed mask. It closes the reached set along one
 axis at a time and answers yes as soon as the set equals the packed mask,
 and no when a sweep adds nothing. `bfs_meet` (one distance) is a sparse
 frontier search from both ends that rewrites one digit of each frontier
-code (`_rewrites`): a small frontier for every (vertex, colour) pair in one
-broadcast, a large one per pair.
+code (`_rewrites`), in broadcasts of as many whole vertices, each with all
+k colours, as fit in `_BATCH` codes, and at least one.
 
 This is the package's only numpy importer. `oracle` imports it inside each
 call, after its checks, so numpy never loads for the pipeline.
@@ -96,33 +96,34 @@ def _grown(base: np.ndarray, first: int, n: int, k: int, edges) -> np.ndarray:
     return table
 
 
-# Most candidate codes one broadcast of `_rewrites` may hold (256 KiB of int64)
+# Most candidate codes a `_rewrites` broadcast of two or more vertices holds (256 KiB of int64)
 _BATCH = 1 << 15
 
 
 def _rewrites(frontier: np.ndarray, n: int, k: int):
     """Every code one digit away from a frontier code, or equal to it.
 
-    A frontier whose n*k rewrites fit in `_BATCH` codes yields them in one
-    array, from one broadcast laid out (vertex, colour, code), so the inner
-    loop runs over the frontier: this saves the Python overhead of n*k
-    batches on the many small levels. A larger frontier yields one array per
-    (vertex, colour), so `bfs_meet` marks the states each batch reaches
+    One rule sizes the batches: each is one broadcast laid out (vertex,
+    colour, code) over as many consecutive vertices as fit in `_BATCH`
+    codes, and always at least one vertex, with all k colours. A small
+    frontier gets one broadcast for all n vertices, which saves the Python
+    overhead of n batches on the many small levels; a large one gets one
+    broadcast per vertex, so `bfs_meet` marks the states each batch reaches
     before it gathers the next, and the later batches of the level skip
-    them; one broadcast over all n*k pairs, even cut into row chunks, would
-    keep every repeat until the sort, and made `bfs_meet` 6-11% slower.
+    them. Rewrites of one vertex to two different colours differ in that
+    digit and never coincide, so marking between one vertex's colours would
+    skip nothing more. One broadcast over every vertex, even cut into row
+    chunks, keeps every repeat until the sort and made `bfs_meet` 6-11%
+    slower; one batch per vertex with no `_BATCH` made it about 50% slower
+    at 5^8, as the many small levels pay n batches each.
     """
-    weights = k ** np.arange(n, dtype=np.int64)
-    if frontier.size * n * k <= _BATCH:
-        w = weights[:, None]
-        base = frontier - frontier // w % k * w
-        colours = (np.arange(k, dtype=np.int64) * w)[:, :, None]
-        yield (base[:, None, :] + colours).reshape(-1)
-        return
-    for pv in weights:
-        base = frontier - ((frontier // pv) % k) * pv
-        for d in range(k):
-            yield base + d * pv
+    w = (k ** np.arange(n, dtype=np.int64))[:, None]
+    colours = (np.arange(k, dtype=np.int64) * w)[:, :, None]
+    step = max(1, _BATCH // (frontier.size * k))
+    for v in range(0, n, step):
+        pv = w[v : v + step]
+        base = frontier - frontier // pv % k * pv
+        yield (base[:, None, :] + colours[v : v + step]).reshape(-1)
 
 
 def _union(parts: list) -> np.ndarray:

@@ -37,8 +37,11 @@ def _within(k: int, n: int, cap: int) -> bool:
     return k**n <= cap
 
 
-def _proper_states(g: Graph, k: int, state_cap: int):
-    """`_kernels.state_space` after checking g, k and the cap, so a hit obeys a smaller cap."""
+def _proper_states(g: Graph, k: int, state_cap: int, **ends: Coloring):
+    """`_kernels.state_space` after checking g, k, the cap and then each of `ends` by name.
+
+    So a hit obeys a smaller cap, and a bad endpoint builds nothing.
+    """
     _require_instance("g", g, Graph)
     _require_int("k", k, 1)
     _require_int("state cap", state_cap, 1)
@@ -46,6 +49,8 @@ def _proper_states(g: Graph, k: int, state_cap: int):
         raise TooLarge(f"{k}^{g.n} states exceed the cap of {state_cap}")
     if not _within(k, g.n, sys.maxsize):
         raise TooLarge(f"{k}^{g.n} states exceed numpy's largest array index")
+    for name, coloring in ends.items():
+        require_proper(g, coloring, k, name)
     from . import _kernels
     return _kernels.state_space(g.n, k, tuple(g.edges()))
 
@@ -58,9 +63,7 @@ def bfs_distance(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> int | None:
     """Fewest single-vertex recolorings from alpha to beta, None if unreachable."""
-    mask = _proper_states(g, k, state_cap)[0]
-    require_proper(g, alpha, k, "alpha")
-    require_proper(g, beta, k, "beta")
+    mask = _proper_states(g, k, state_cap, alpha=alpha, beta=beta)[0]
     from . import _kernels
     start, goal = (_kernels.encode(c.colors, k) for c in (alpha, beta))
     return _kernels.bfs_meet(start, goal, mask, g.n, k)

@@ -1,6 +1,7 @@
 import csv
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,23 @@ def test_oracle_on_the_empty_graph_at_a_huge_k(tmp_path, capsys):
     assert run(*oracle, "connected") == 0
     assert run(*oracle, "distance", "--alpha", str(e), "--beta", str(e)) == 0
     assert capsys.readouterr() == ("connected\n0\n", "")
+
+
+def test_oracle_on_one_vertex_at_the_largest_k_the_cap_admits(tmp_path, capsys):
+    # 2,000,000^1 states fill the default cap; the distance search rewrites
+    # the one frontier state to every colour in one broadcast, so the call
+    # ends in milliseconds where a batch per colour took about 10 s
+    k = 2_000_000
+    g, a, b = (tmp_path / name for name in ("g.json", "a.json", "b.json"))
+    _write(g, {"n": 1, "edges": []})
+    _write(a, {"k": k, "colors": [1]})
+    _write(b, {"k": k, "colors": [k]})
+    oracle = ("oracle", "--graph", str(g), "--k", str(k))
+    started = time.perf_counter()
+    assert run(*oracle, "distance", "--alpha", str(a), "--beta", str(b)) == 0
+    assert time.perf_counter() - started < 5
+    assert run(*oracle, "connected") == 0
+    assert capsys.readouterr() == ("1\nconnected\n", "")
 
 
 def test_oracle_too_large_is_an_error(tmp_path):

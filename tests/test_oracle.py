@@ -243,32 +243,34 @@ def test_state_space_build_peak_below_one_point_three_bytes_per_state():
 
 
 def test_bfs_meet_peak_below_three_bytes_per_state():
-    # the int8 mark (one byte per state) plus one level's candidates: a small
-    # frontier's one broadcast holds at most _BATCH codes, a large one's
-    # batches one code per frontier state
-    cases = []
-    for s in range(5):
-        g = gen_partial_2tree(8, 0.7, s)
-        order = degeneracy_order(g)
-        ends = (random_proper_coloring(g, order, 5, s + x) for x in (1, 2))
-        cases.append((g, *(_code(c.colors, 5) for c in ends)))
-    cases.append((Graph.from_edges(8, []), 0, 5**8 - 1))
-    for g, a, b in cases:
-        mask = _kernels.proper_mask(g.n, 5, g.edges())
-        tracemalloc.start()
-        try:
-            assert _kernels.bfs_meet(a, b, mask, g.n, 5) is not None
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 5**8, (g.edges(), peak / 5**8)
+    # the int8 mark (one byte per state) plus one level's candidates: each
+    # broadcast holds at most _BATCH codes, or all k colours of one vertex
+    # for every frontier state, and its unseen codes stay until the level's
+    # sort; the largest levels come at the cap size, 5^9, about 2.22 bytes
+    for n in (8, 9):
+        cases = []
+        for s in range(5):
+            g = gen_partial_2tree(n, 0.7, s)
+            order = degeneracy_order(g)
+            ends = (random_proper_coloring(g, order, 5, s + x) for x in (1, 2))
+            cases.append((g, *(_code(c.colors, 5) for c in ends)))
+        cases.append((Graph.from_edges(n, []), 0, 5**n - 1))
+        for g, a, b in cases:
+            mask = _kernels.proper_mask(g.n, 5, g.edges())
+            tracemalloc.start()
+            try:
+                assert _kernels.bfs_meet(a, b, mask, g.n, 5) is not None
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * 5**n, (g.edges(), peak / 5**n)
 
 
 def test_bfs_meet_with_frontiers_past_one_broadcast():
     # the edgeless graph's level j around any state holds C(7, j) * 4^j states
     # at k = 5, and the distance is the Hamming distance, here 7 = 3 + 3 + 1:
     # each side grows three levels in one broadcast each, and the meeting
-    # level is grown from a frontier of level 3, one (vertex, colour) at a time
+    # level is grown from a frontier of level 3, two vertices per broadcast
     g, k = Graph.from_edges(7, []), 5
     sizes = [comb(7, j) * (k - 1) ** j for j in range(8)]
     assert sizes[2] * g.n * k <= _kernels._BATCH < sizes[3] * g.n * k
@@ -276,15 +278,25 @@ def test_bfs_meet_with_frontiers_past_one_broadcast():
     for far in ((5,) * 7, (2, 2, 2, 2, 2, 2, 5)):
         assert bfs_distance(g, k, src, Coloring(k, far)) == 7
         assert bfs_distance(g, k, Coloring(k, far), src) == 7
-    # the search meets in the first vertex's batches, so check all n * k
-    # batches of that level: together they hold exactly levels 2 to 4
+    # the search meets in the first batch, so check every batch of level 3,
+    # where two vertices share a broadcast, and of level 4, where each vertex
+    # is its own: together they hold exactly levels j - 1 to j + 1
     level = {c: sum(x != 1 for x in c) for c in product(range(1, k + 1), repeat=g.n)}
-    frontier = np.array(sorted(_code(c, k) for c, j in level.items() if j == 3), dtype=np.int64)
-    assert frontier.size == sizes[3]
-    batches = list(_kernels._rewrites(frontier, g.n, k))
-    assert len(batches) == g.n * k
-    want = sorted(_code(c, k) for c, j in level.items() if 2 <= j <= 4)
-    assert np.unique(np.concatenate(batches)).tolist() == want
+    for j, size, step in ((3, 2240, 2), (4, 8960, 1)):
+        frontier = np.array(sorted(_code(c, k) for c, i in level.items() if i == j), dtype=np.int64)
+        assert frontier.size == sizes[j] == size
+        assert max(1, _kernels._BATCH // (frontier.size * k)) == step
+        batches = list(_kernels._rewrites(frontier, g.n, k))
+        assert len(batches) == -(-g.n // step)
+        assert max(b.size for b in batches) <= max(_kernels._BATCH, k * frontier.size)
+        want = sorted(_code(c, k) for c, i in level.items() if j - 1 <= i <= j + 1)
+        assert np.unique(np.concatenate(batches)).tolist() == want
+    # one state at the largest k the default cap admits on one vertex: every
+    # colour in one broadcast, not one batch per colour
+    k = oracle.DEFAULT_STATE_CAP
+    batches = list(_kernels._rewrites(np.array([7], dtype=np.int64), 1, k))
+    assert len(batches) == 1
+    assert np.array_equal(batches[0], np.arange(k))
 
 
 def _oracle_results(g, k, fresh):
@@ -487,11 +499,14 @@ core = loaded()
 small = r.gen_partial_2tree(6, 0.6, 3)
 order = r.degeneracy_order(small)
 a, b = (r.random_proper_coloring(small, order, 5, s) for s in (1, 2))
-# calls the oracle's checks reject: a bad k, and 5^(10^6) states
+# calls the oracle's checks reject: a bad k, 5^(10^6) states, and an improper
+# alpha, which is rejected before the state space is built
 huge = r.Graph(10**6, ((),) * 10**6)
+improper = r.Coloring(5, (1,) * small.n)
 rejected = []
 for call in (lambda: r.bfs_distance(small, 0, a, b), lambda: r.reconfig_connected(small, 0),
-             lambda: r.proper_coloring_count(small, 0), lambda: r.reconfig_connected(huge, 5)):
+             lambda: r.proper_coloring_count(small, 0), lambda: r.reconfig_connected(huge, 5),
+             lambda: r.bfs_distance(small, 5, improper, b)):
     try:
         call()
     except (r.InvalidInput, r.TooLarge) as exc:
@@ -511,7 +526,7 @@ def test_core_runs_without_numpy_until_an_oracle_call():
     ).stdout
     core, rejected, distance, after = json.loads(out)
     assert core == []
-    assert rejected == ["InvalidInput"] * 3 + ["TooLarge", []]
+    assert rejected == ["InvalidInput"] * 3 + ["TooLarge", "InvalidColoring", []]
     assert "numpy" in after
     small = gen_partial_2tree(6, 0.6, 3)
     order = degeneracy_order(small)
