@@ -2,20 +2,22 @@
 
 This module owns the state space. Colorings are packed as base-k integers
 (`encode`: digit of vertex v = color-1, weight k^v), so in C order the digit
-of vertex v is axis n-1-v of a `(k,)*n` array. `state_space` builds the
-properness mask one vertex at a time, from vertex 0 up (`_grown`), and the
-same mask packed, with vertex 0's digit as a bit (k^(n-1) lines of
-ceil(k/8) bytes); it keeps the last read-only pair with its count of proper
-states, counted once.
+of vertex v is axis n-1-v of a `(k,)*n` array. `proper_mask` builds the
+properness mask one vertex at a time, from vertex 0 up (`_grown`), and
+`state_space` keeps the last one, read-only, with its count of proper states,
+counted once.
 
 Two searches run over the proper states, one for each question the oracle
-answers. `reaches_all` only tells whether one state reaches them all, and
-does it densely on the packed mask. It closes the reached set along one
-axis at a time and answers yes as soon as the set equals the packed mask,
-and no when a sweep adds nothing. `bfs_meet` (one distance) is a sparse
-frontier search from both ends that rewrites one digit of each frontier
-code (`_rewrites`), in broadcasts of as many whole vertices, each with all
-k colours, as fit in `_BATCH` codes, and at least one.
+answers. `reaches_all` only tells whether the proper states are connected,
+and does it densely on its own packed mask (`_packed`: vertex 0's digit as a
+bit, k^(n-1) lines of ceil(k/8) bytes), which nothing else reads. It closes
+the reached set along one axis at a time and stops on one count per sweep,
+the packed lines that hold a reached state: all the non-empty lines (yes),
+or the last sweep's count, after which the set can no longer grow (no).
+`bfs_meet` (one distance) is a sparse frontier search from both ends on the
+cached mask, which rewrites one digit of each frontier code (`_rewrites`) in
+batches of at most `_BATCH` codes: whole vertices with all k colours where
+they fit, and runs of one vertex's colours where they do not.
 
 This is the package's only numpy importer. `oracle` imports it inside each
 call, after its checks, so numpy never loads for the pipeline.
@@ -37,21 +39,14 @@ def encode(colors: tuple[int, ...], k: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def state_space(n: int, k: int, edges: tuple) -> tuple[np.ndarray, np.ndarray, int]:
-    """The read-only `proper_mask` of (n, k, edges), its packed lines and its proper states' count.
+def state_space(n: int, k: int, edges: tuple) -> tuple[np.ndarray, int]:
+    """The read-only `proper_mask` of (n, k, edges) and its count of proper states.
 
-    The packed lines hold vertex 0's digit in bits: a `(k^(n-1), ceil(k/8))`
-    uint8 array where bit c%8 of byte c//8 on line i is state i*k + c. For
-    n = 0, whose one state has no digit, it is one line of one byte with
-    bit 0 set, at any k. Only the last space is kept: about
-    k^n * (1 + ceil(k/8)/k) bytes. `edges` is a tuple, so it hashes.
+    Only the last space is kept: k^n bytes. `edges` is a tuple, so it hashes.
     """
     mask = proper_mask(n, k, edges)
-    width = (k + 7) // 8 if n else 1
-    line = np.packbits(np.arange(8 * width) < (k if n else 1), bitorder="little")
-    packed = _grown(line, 1, n, k, edges).reshape(-1, width)
-    mask.flags.writeable = packed.flags.writeable = False
-    return mask, packed, int(np.count_nonzero(mask))
+    mask.flags.writeable = False
+    return mask, int(np.count_nonzero(mask))
 
 
 def proper_mask(n: int, k: int, edges) -> np.ndarray:
@@ -71,7 +66,7 @@ def _grown(base: np.ndarray, first: int, n: int, k: int, edges) -> np.ndarray:
     against each edge once, with no reads and no division; the view has 4
     axes for any n (numpy allows at most 64).
 
-    A neighbour below `first` is a bit of the packed lines, whose `base` is
+    A neighbour below `first` is a bit of `_packed`'s lines, whose `base` is
     one line of ceil(k/8) bytes with vertex 0's colours as bits: row c
     clears bit c%8 of byte c//8 on every line.
     """
@@ -96,34 +91,40 @@ def _grown(base: np.ndarray, first: int, n: int, k: int, edges) -> np.ndarray:
     return table
 
 
-# Most candidate codes a `_rewrites` broadcast of two or more vertices holds (256 KiB of int64)
+# Most candidate codes a `_rewrites` batch holds (256 KiB of int64), or one per frontier code
 _BATCH = 1 << 15
 
 
 def _rewrites(frontier: np.ndarray, n: int, k: int):
     """Every code one digit away from a frontier code, or equal to it.
 
-    One rule sizes the batches: each is one broadcast laid out (vertex,
-    colour, code) over as many consecutive vertices as fit in `_BATCH`
-    codes, and always at least one vertex, with all k colours. A small
-    frontier gets one broadcast for all n vertices, which saves the Python
-    overhead of n batches on the many small levels; a large one gets one
-    broadcast per vertex, so `bfs_meet` marks the states each batch reaches
-    before it gathers the next, and the later batches of the level skip
-    them. Rewrites of one vertex to two different colours differ in that
-    digit and never coincide, so marking between one vertex's colours would
-    skip nothing more. One broadcast over every vertex, even cut into row
-    chunks, keeps every repeat until the sort and made `bfs_meet` 6-11%
-    slower; one batch per vertex with no `_BATCH` made it about 50% slower
-    at 5^8, as the many small levels pay n batches each.
+    One rule, at most `_BATCH` codes a batch, sizes the batches at two
+    granularities, laid out (vertex, colour, code). Whole vertices, each with
+    all k colours, are grouped as many to one broadcast as fit; a vertex
+    whose k colours do not fit is its own group, and its colours are split
+    into runs of `_BATCH // |frontier|`, at least one, so no batch holds more
+    than max(`_BATCH`, |frontier|) codes at any k. Each group's base codes
+    are computed once. A small frontier gets one broadcast for all n
+    vertices, which saves the Python overhead of n batches on the many small
+    levels; a large one gets a batch per vertex or colour run, so `bfs_meet`
+    marks the states each batch reaches before it gathers the next, the
+    later batches of the level skip them, and an early meeting stops before
+    the rest are built. Rewrites of one vertex to two different colours
+    differ in that digit and never coincide, so marking between them skips
+    nothing, but it bounds the memory. One broadcast over every vertex, even
+    cut into row chunks, keeps every repeat until the sort and made
+    `bfs_meet` 6-11% slower; one batch per vertex with no `_BATCH` made it
+    about 50% slower at 5^8, as the many small levels pay n batches each.
     """
     w = (k ** np.arange(n, dtype=np.int64))[:, None]
     colours = (np.arange(k, dtype=np.int64) * w)[:, :, None]
     step = max(1, _BATCH // (frontier.size * k))
+    run = max(1, _BATCH // frontier.size)
     for v in range(0, n, step):
         pv = w[v : v + step]
-        base = frontier - frontier // pv % k * pv
-        yield (base[:, None, :] + colours[v : v + step]).reshape(-1)
+        base = (frontier - frontier // pv % k * pv)[:, None, :]
+        for c in range(0, k, run):
+            yield (base + colours[v : v + step, c : c + run]).reshape(-1)
 
 
 def _union(parts: list) -> np.ndarray:
@@ -148,28 +149,43 @@ def _close_lines(reached, proper, line, outer: int, k: int, inner: int) -> None:
     np.bitwise_and(hit[:, None, :], proper.reshape(outer, k, inner), out=view)
 
 
-def reaches_all(start: int, packed: np.ndarray, n: int, k: int) -> bool:
-    """Whether the proper `start` reaches every proper state by single-digit changes.
+def _packed(n: int, k: int, edges) -> np.ndarray:
+    """The proper mask of n >= 1 vertices packed, with vertex 0's digit as a bit.
 
-    `packed` is `state_space`'s packed lines, with vertex 0's digit in bits.
-    The space has at least two proper states, so n >= 1.
+    A `(k^(n-1), ceil(k/8))` uint8 array where bit c%8 of byte c//8 on line i
+    is state i*k + c, grown over vertices 1..n-1 from one line with bits
+    0..k-1 set.
+    """
+    line = np.packbits(np.arange(8 * ((k + 7) // 8)) < k, bitorder="little")
+    return _grown(line, 1, n, k, edges).reshape(-1, line.size)
+
+
+def reaches_all(n: int, k: int, edges) -> bool:
+    """Whether every proper k-coloring of (n, edges) reaches every other by single-digit changes.
 
     States that differ only in vertex v's digit are pairwise adjacent, so the
     proper states on one line along axis v form a clique: once one is reached,
-    all are. A sweep closes the reached set along every axis in turn. Every
-    state it adds is one move from a reached state, and a sweep that adds
-    nothing leaves the set closed under moves, so sweeps repeat until one adds
-    nothing (False) or every proper state is reached (True).
+    all are. The search starts from the first non-empty line of `_packed`,
+    whole, and each sweep closes the reached set along every axis in turn, so
+    every state it adds is one move from a reached state and the set only
+    grows. The empty graph's one state is trivially connected.
 
-    The reached set is packed the same way, so a sweep reads and writes
+    The search ends on one count, read once per sweep before its vertex-0
+    step: the packed lines that hold a reached state. When that equals the
+    non-empty lines, every proper state shares a line with a reached one
+    (True), which also covers a space of one proper state or none. When it
+    equals the last sweep's count, the set of hit lines is the same as then,
+    since it only grows; the vertex-0 step turns the reached set into exactly
+    those lines, so this sweep would return the set the last one returned,
+    and as every step of it only adds, that set is closed along every axis:
+    a whole component that misses a non-empty line (False).
+
+    The reached set is packed like the mask, so a sweep reads and writes
     k^(n-1) * ceil(k/8) bytes per array. Along vertex 0 a packed line that
     holds a reached bit becomes the line of `packed`, by one multiply with
-    the bool hit mask (`np.copyto` with `where` took about 20 times as
-    long). Along vertex v >= 1 a sweep ORs the line's k packed slices,
-    bytewise, and ANDs the result, broadcast, with `packed`. The reached set
-    is a subset of `packed`, so it is complete exactly when the two arrays
-    are equal, which is tested after each half of a sweep; a sweep that
-    leaves it equal to its copy from before the sweep ends the search.
+    the bool hit mask (`np.copyto` with `where` took about 20 times as long).
+    Along vertex v >= 1 a sweep ORs the line's k packed slices, bytewise, and
+    ANDs the result, broadcast, with `packed`.
 
     An axis is cheap to sweep when its slices are long runs: of the m = n-1
     line digits, the high ceil(m/2) are swept in the natural
@@ -179,32 +195,34 @@ def reaches_all(start: int, packed: np.ndarray, n: int, k: int) -> bool:
     reached set is copied between layouts into preallocated arrays, with no
     temporary.
     """
+    if not n:
+        return True
+    packed = _packed(n, k, edges)
     width = packed.shape[1]
     m = n - 1
     lo, hi = m // 2, m - m // 2
+    hit = packed.any(axis=-1, keepdims=True)
+    filled, count = np.count_nonzero(hit), 0
     reached = np.zeros_like(packed)
-    reached[start // k, start % k // 8] = 1 << start % k % 8
-    before = np.empty_like(packed)
+    reached[hit.argmax()] = packed[hit.argmax()]
     grid = reached.reshape(k**hi, k**lo, width)
     flipped = np.empty((k**lo, k**hi, width), dtype=np.uint8)
     flipped_proper = np.ascontiguousarray(packed.reshape(k**hi, k**lo, width).transpose(1, 0, 2))
     line = np.empty(k ** max(m - 1, 0) * width, dtype=np.uint8)
     while True:
-        np.copyto(before, reached)
-        np.multiply(packed, reached.any(axis=-1, keepdims=True), out=reached)
+        np.any(reached, axis=-1, keepdims=True, out=hit)
+        count, last = np.count_nonzero(hit), count
+        # every non-empty line hit (yes), or no line added by the last sweep (no)
+        if count in (filled, last):
+            return bool(count == filled)
+        np.multiply(packed, hit, out=reached)
         # line digit j is vertex j + 1
         for j in range(lo, m):
             _close_lines(reached, packed, line, k ** (m - 1 - j), k, k**j * width)
-        if np.array_equal(reached, packed):
-            return True
         np.copyto(flipped, grid.transpose(1, 0, 2))
         for j in range(lo):
             _close_lines(flipped, flipped_proper, line, k ** (lo - 1 - j), k, k ** (hi + j) * width)
-        if np.array_equal(flipped, flipped_proper):
-            return True
         np.copyto(grid, flipped.transpose(1, 0, 2))
-        if np.array_equal(reached, before):
-            return False
 
 
 def bfs_meet(start: int, goal: int, proper: np.ndarray, n: int, k: int) -> int | None:

@@ -9,9 +9,11 @@ Instances run in order in the calling process.
 A request the library rejects (a generator's InvalidSize or InvalidInput, a
 size above MAX_JSON_VERTICES, an InvalidInput or InvalidColoring for the
 requested k, a TooLarge state space) stops the batch with that error; a
-failure on a valid request is recorded as a row. Every graph is built before
-any instance runs, so a rejection of the requested sizes or parameters
-raises before the batch does any work.
+failure on a valid request is recorded as a row. Every (size, seed) is
+checked by the generators' own argument check before any instance runs, so
+a rejection of the requested sizes or parameters raises before the batch
+does any work; then each graph is built just before its instance and
+dropped after it, so a batch holds one graph at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from .chordalize import pipeline_theorem
 from .decomposition import degeneracy_order, mcs_order
 from .errors import InvalidInput, RecolorError, TooLarge
 from .graphs import (
+    _SMALLEST,
     Graph,
+    _require_generator_args,
     _require_instance,
     _require_int,
     gen_2tree,
@@ -42,7 +46,8 @@ from .sequences import audit_best_choice
 
 CSV_SCHEMA_VERSION = 1
 
-FAMILIES = ("chordal-omega3", "2tree", "partial-2tree")
+# named where the generators' argument checks are
+FAMILIES = tuple(_SMALLEST)
 
 
 @dataclass(frozen=True)
@@ -161,12 +166,15 @@ def run_experiments(config: ExperimentConfig) -> list[ExperimentRecord]:
     if not (sizes and seeds):
         raise InvalidInput("no sizes or no seeds: the batch would check nothing")
     _require_int("state cap", config.state_cap, 1)
-    graphs = [
-        (_build_graph(config.family, n, config.keep_prob, seed), seed)
-        for n in sizes
-        for seed in seeds
+    runs = [(n, seed) for n in sizes for seed in seeds]
+    for n, seed in runs:
+        _require_generator_args(config.family, n, seed, config.keep_prob)
+    # one graph at a time: each is built just before its instance and dropped after it
+    return [
+        rec
+        for n, seed in runs
+        for rec in _run_instance(config, _build_graph(config.family, n, config.keep_prob, seed), seed)
     ]
-    return [rec for g, seed in graphs for rec in _run_instance(config, g, seed)]
 
 
 def has_violations(records: list[ExperimentRecord]) -> bool:

@@ -229,6 +229,34 @@ def require_proper(g: Graph, coloring: Coloring, max_color: int, name: str) -> N
         raise InvalidColoring(f"{name} is not proper")
 
 
+# each generator family's fewest vertices, and the InvalidSize message below them
+_SMALLEST = {
+    "chordal-omega3": (1, "need at least 1 vertex"),
+    "2tree": (3, "a 2-tree needs at least 3 vertices"),
+    "partial-2tree": (3, "a partial 2-tree needs at least 3 vertices"),
+}
+
+
+def _require_generator_args(family: str, n: object, seed: object, keep_prob: object = None) -> None:
+    """Raise unless the generator of `family` accepts n, seed and, for partial 2-trees, keep_prob.
+
+    Every generator calls this first, and the batch runner calls it for
+    every instance before it builds the first graph, so a bad request stops
+    a batch before any work, and a batch never holds more than one graph.
+    """
+    _require_vertex_cap("n", n)
+    _require_int("seed", seed)
+    least, message = _SMALLEST[family]
+    if n < least:
+        raise InvalidSize(f"{message}, got {n}")
+    if family != "partial-2tree":
+        return
+    if not isinstance(keep_prob, (int, float)) or isinstance(keep_prob, bool):
+        raise InvalidInput(f"keep_prob must be a number, got {keep_prob!r}")
+    if not 0 <= keep_prob <= 1:
+        raise InvalidInput(f"keep_prob must lie in [0, 1], got {keep_prob}")
+
+
 def _2tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
     """Edges (u, v), u < v, none repeated, of a random 2-tree on n >= 3 vertices."""
     # start from a triangle, then repeatedly glue a new vertex onto a random edge
@@ -242,10 +270,7 @@ def _2tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
 
 def gen_2tree(n: int, seed: int) -> Graph:
     """Random 2-tree on n >= 3 vertices; always has 2n-3 edges and is chordal."""
-    _require_vertex_cap("n", n)
-    _require_int("seed", seed)
-    if n < 3:
-        raise InvalidSize(f"a 2-tree needs at least 3 vertices, got {n}")
+    _require_generator_args("2tree", n, seed)
     return Graph.from_edges(n, _2tree_edges(n, random.Random(seed)))
 
 
@@ -255,14 +280,7 @@ def gen_partial_2tree(n: int, keep_prob: float, seed: int) -> Graph:
     keep_prob=1 reproduces gen_2tree(n, seed) exactly. The result always has
     treewidth at most 2.
     """
-    _require_vertex_cap("n", n)
-    _require_int("seed", seed)
-    if n < 3:
-        raise InvalidSize(f"a partial 2-tree needs at least 3 vertices, got {n}")
-    if not isinstance(keep_prob, (int, float)) or isinstance(keep_prob, bool):
-        raise InvalidInput(f"keep_prob must be a number, got {keep_prob!r}")
-    if not 0 <= keep_prob <= 1:
-        raise InvalidInput(f"keep_prob must lie in [0, 1], got {keep_prob}")
+    _require_generator_args("partial-2tree", n, seed, keep_prob)
     rng = random.Random(seed)
     # sorted, the edges are in gen_2tree(n, seed).edges() order
     edges = sorted(_2tree_edges(n, rng))
@@ -276,10 +294,7 @@ def gen_chordal_omega3(n: int, seed: int) -> Graph:
     clique of size 0, 1 or 2 as its neighborhood, so construction order
     reversed is a perfect elimination ordering.
     """
-    _require_vertex_cap("n", n)
-    _require_int("seed", seed)
-    if n < 1:
-        raise InvalidSize(f"need at least 1 vertex, got {n}")
+    _require_generator_args("chordal-omega3", n, seed)
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     for v in range(1, n):

@@ -6,18 +6,16 @@ cap guards against accidental blow-ups. Intended for small instances used to
 cross-validate the constructive transformations.
 
 `bfs_distance` needs one distance, so it grows a ball around each endpoint
-and stops where the two balls meet (`_kernels.bfs_meet`). `reconfig_connected`
-needs no distance, only whether one state reaches all: the proper states
-that differ in one vertex's colour form a clique, so `_kernels.reaches_all`
-closes the reached set line by line on the dense packed mask, where vertex
-0's colour is a bit.
+and stops where the two balls meet (`_kernels.bfs_meet`), on the cached bool
+mask of `_kernels.state_space`, which holds the last space's mask and its
+count of proper states, so `bfs_distance` then `proper_coloring_count` on one
+graph build and count the mask once. `reconfig_connected` needs no distance,
+only whether the proper states are connected, and `_kernels.reaches_all`
+answers that alone, on a packed mask of its own that the cache never holds.
 
-`_kernels` owns the state space: the cached read-only mask, the same mask
-packed, and its count of proper states, so `bfs_distance` then
-`reconfig_connected` on one graph build both masks and count them once.
 This module checks arguments, and `_within` is the one size rule. numpy
-loads only with `_kernels`, which each function imports after its checks,
-so `import recolor`, the pipeline and a rejected call never load it.
+loads only with `_kernels`, which `_checked` imports after the checks, so
+`import recolor`, the pipeline and a rejected call never load it.
 """
 
 from __future__ import annotations
@@ -37,10 +35,11 @@ def _within(k: int, n: int, cap: int) -> bool:
     return k**n <= cap
 
 
-def _proper_states(g: Graph, k: int, state_cap: int, **ends: Coloring):
-    """`_kernels.state_space` after checking g, k, the cap and then each of `ends` by name.
+def _checked(g: Graph, k: int, state_cap: int, **ends: Coloring):
+    """`_kernels` and the space's key `(n, k, edges)`, after checking g, k, the cap and each of `ends` by name.
 
-    So a hit obeys a smaller cap, and a bad endpoint builds nothing.
+    So a bad argument loads no numpy and builds nothing, and a cached space
+    obeys a smaller cap. `edges` is a tuple, so it hashes.
     """
     _require_instance("g", g, Graph)
     _require_int("k", k, 1)
@@ -52,7 +51,7 @@ def _proper_states(g: Graph, k: int, state_cap: int, **ends: Coloring):
     for name, coloring in ends.items():
         require_proper(g, coloring, k, name)
     from . import _kernels
-    return _kernels.state_space(g.n, k, tuple(g.edges()))
+    return _kernels, (g.n, k, tuple(g.edges()))
 
 
 def bfs_distance(
@@ -63,25 +62,18 @@ def bfs_distance(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> int | None:
     """Fewest single-vertex recolorings from alpha to beta, None if unreachable."""
-    mask = _proper_states(g, k, state_cap, alpha=alpha, beta=beta)[0]
-    from . import _kernels
-    start, goal = (_kernels.encode(c.colors, k) for c in (alpha, beta))
-    return _kernels.bfs_meet(start, goal, mask, g.n, k)
+    kernels, space = _checked(g, k, state_cap, alpha=alpha, beta=beta)
+    start, goal = (kernels.encode(c.colors, k) for c in (alpha, beta))
+    return kernels.bfs_meet(start, goal, kernels.state_space(*space)[0], g.n, k)
 
 
 def proper_coloring_count(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> int:
     """Number of proper k-colorings of g."""
-    return _proper_states(g, k, state_cap)[2]
+    kernels, space = _checked(g, k, state_cap)
+    return kernels.state_space(*space)[1]
 
 
 def reconfig_connected(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> bool:
-    """True iff every proper k-coloring is reachable from every other.
-
-    One proper coloring or none is trivially connected; otherwise the
-    verdict is `_kernels.reaches_all` from the first proper state.
-    """
-    mask, packed, total = _proper_states(g, k, state_cap)
-    if total <= 1:
-        return True
-    from . import _kernels
-    return _kernels.reaches_all(int(mask.argmax()), packed, g.n, k)
+    """True iff every proper k-coloring is reachable from every other; one or none trivially is."""
+    kernels, space = _checked(g, k, state_cap)
+    return kernels.reaches_all(*space)

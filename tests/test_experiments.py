@@ -1,6 +1,7 @@
 import csv
 import re
 import time
+import weakref
 
 import pytest
 
@@ -129,6 +130,22 @@ def test_vertex_cap_stops_the_batch_before_any_work(monkeypatch):
     config = ExperimentConfig(family="2tree", sizes=(8, 10**6 + 1), seeds=(0,))
     with pytest.raises(InvalidInput, match=r"^graph declares 1000001 vertices, above 1000000$"):
         run_experiments(config)
+
+
+def test_batch_holds_one_graph_at_a_time(monkeypatch):
+    # each graph is built just before its instance and freed after it
+    seen = []
+
+    def run_instance(config, g, seed):
+        assert all(ref() is None for ref in seen)
+        seen.append(weakref.ref(g))
+        return []
+
+    monkeypatch.setattr(experiments, "_run_instance", run_instance)
+    for family in FAMILIES:
+        seen.clear()
+        assert run_experiments(ExperimentConfig(family=family, sizes=(5, 6), seeds=(0, 1, 2))) == []
+        assert len(seen) == 6
 
 
 @pytest.mark.parametrize("field, value", [("sizes", 5), ("seeds", 3.5), ("sizes", None)])

@@ -173,6 +173,11 @@ P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 K2 = Graph.from_edges(2, [(0, 1)])
 
 
+# a partial 2-tree whose 60 proper 3-colourings form components of 30: the
+# reached set grows for five sweeps before an equal count stops the search
+SPLIT = gen_partial_2tree(6, 0.5, 96)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(), st.integers(1, 10), st.integers(0, 10**5))
 @example(K3, 3, 0)  # frozen: each proper state reaches only itself
@@ -183,6 +188,7 @@ K2 = Graph.from_edges(2, [(0, 1)])
 @example(Graph.from_edges(1, []), 3, 0)  # n = 1: no axis left after packing
 @example(K2, 3, 1)  # n = 2: one axis left after packing
 @example(P4, 3, 7)  # three line digits: the high ones outnumber the low ones
+@example(SPLIT, 3, 0)
 # k >= 9: two bytes on each packed line, and vertex 0's colour in the second
 @example(K3, 9, 500)
 @example(P3, 10, 800)
@@ -190,44 +196,52 @@ K2 = Graph.from_edges(2, [(0, 1)])
 def test_reaches_all_matches_naive_component(g, k, pick):
     assume(k**g.n <= 5**6)
     proper = helpers.proper_colorings(g, k)
-    if not proper:
-        assert reconfig_connected(g, k)
-        return
-    src = proper[pick % len(proper)]
-    mask, packed, total = _kernels.state_space(g.n, k, tuple(g.edges()))
-    assert total == len(proper)
+    edges = tuple(g.edges())
     if g.n:  # bit c % 8 of byte c // 8 on line i is state i * k + c
-        lines = np.unpackbits(packed, axis=1, bitorder="little")
+        lines = np.unpackbits(_kernels._packed(g.n, k, edges), axis=1, bitorder="little")
+        mask = _kernels.proper_mask(g.n, k, edges)
         assert np.array_equal(lines[:, :k].reshape(-1), mask) and not lines[:, k:].any()
-    reach = helpers.naive_all_distances(g, k, src)
-    if total > 1:
-        assert _kernels.reaches_all(_code(src, k), packed, g.n, k) == (len(reach) == total)
-    assert reconfig_connected(g, k) == (len(reach) == len(proper))
+    # a space of one proper state or none is connected
+    connected = len(proper) < 2
+    if proper:
+        reach = helpers.naive_all_distances(g, k, proper[pick % len(proper)])
+        connected = len(reach) == len(proper)
+    assert _kernels.reaches_all(g.n, k, edges) is reconfig_connected(g, k) is connected
 
 
-def test_reconfig_connected_peak_below_two_and_a_half_bytes_per_state():
-    # the bool mask (one byte per state) plus arrays of k^(n-1) bytes, a
-    # fifth of a byte per state each at k = 5: the cached packed mask, and
-    # reaches_all's reached set, the set before the sweep, their two
-    # transposed copies and the vertex-0 hit mask; about 2.27 bytes per state.
-    # reaches_all takes the packed mask from the cache and copies nothing
-    # more: with the space already cached a call peaks at about 1.07
-    for s in range(5):
-        g = gen_partial_2tree(8, 0.7, s)
-        tracemalloc.start()
-        try:
-            assert reconfig_connected(g, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * 5**8, (s, peak / 5**8)
+def test_reaches_all_stops_when_a_sweep_adds_no_line(monkeypatch):
+    proper = helpers.proper_colorings(SPLIT, 3)
+    assert (len(proper), len(helpers.naive_all_distances(SPLIT, 3, proper[0]))) == (60, 30)
+    closed = []
+    close = _kernels._close_lines
+    monkeypatch.setattr(_kernels, "_close_lines", lambda *a: closed.append(close(*a)))
+    assert not _kernels.reaches_all(SPLIT.n, 3, tuple(SPLIT.edges()))
+    # six whole sweeps of five line digits each: five that add lines, one
+    # that adds none, and the seventh count equals the sixth
+    assert len(closed) == 6 * (SPLIT.n - 1)
+
+
+def test_reconfig_connected_peak_below_one_point_six_bytes_per_state():
+    # reconfig_connected builds no bool mask and reads no cache: reaches_all
+    # holds five arrays of k^(n-1) bytes, a fifth of a byte per state each at
+    # k = 5: its packed mask, the reached set, their two transposed copies
+    # and the hit mask; about 1.07 bytes per state at 5^8 and 1.05 at 5^9,
+    # where the cached bool mask beside two more such arrays read 2.27
+    for n in (8, 9):
+        for s in range(5):
+            g = gen_partial_2tree(n, 0.7, s)
+            tracemalloc.start()
+            try:
+                assert reconfig_connected(g, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.6 * 5**n, (n, s, peak / 5**n)
 
 
 def test_state_space_build_peak_below_one_point_three_bytes_per_state():
     # adding the last vertex copies the mask over the others into k rows:
-    # k^(n-1) bytes beside the new k^n, 1.2 bytes per state at k = 5; the
-    # packed build then holds the mask beside its own last two tables of
-    # k^(n-2) and k^(n-1) lines; about 1.25 bytes per state either way
+    # k^(n-1) bytes beside the new k^n, 1.2 bytes per state at k = 5
     for n in (8, 9):
         for s in range(3):
             g = gen_partial_2tree(n, 0.7, s)
@@ -244,26 +258,30 @@ def test_state_space_build_peak_below_one_point_three_bytes_per_state():
 
 def test_bfs_meet_peak_below_three_bytes_per_state():
     # the int8 mark (one byte per state) plus one level's candidates: each
-    # broadcast holds at most _BATCH codes, or all k colours of one vertex
-    # for every frontier state, and its unseen codes stay until the level's
-    # sort; the largest levels come at the cap size, 5^9, about 2.22 bytes
+    # batch holds at most _BATCH codes, or one per frontier state, and its
+    # unseen codes stay until the level's sort; the largest levels come at
+    # the cap size, 5^9, about 2.22 bytes. K2 at k = 1414 meets at distance 3
+    # in a level of one state, whose 1414 rewrites per vertex fit one batch
+    # each; about 1.2 bytes per state (21 when a vertex's k colours for
+    # every frontier state made one batch of 2M codes)
+    cases = []
     for n in (8, 9):
-        cases = []
         for s in range(5):
             g = gen_partial_2tree(n, 0.7, s)
             order = degeneracy_order(g)
             ends = (random_proper_coloring(g, order, 5, s + x) for x in (1, 2))
-            cases.append((g, *(_code(c.colors, 5) for c in ends)))
-        cases.append((Graph.from_edges(n, []), 0, 5**n - 1))
-        for g, a, b in cases:
-            mask = _kernels.proper_mask(g.n, 5, g.edges())
-            tracemalloc.start()
-            try:
-                assert _kernels.bfs_meet(a, b, mask, g.n, 5) is not None
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 3 * 5**n, (g.edges(), peak / 5**n)
+            cases.append((g, 5, *(_code(c.colors, 5) for c in ends)))
+        cases.append((Graph.from_edges(n, []), 5, 0, 5**n - 1))
+    cases.append((K2, 1414, _code((1, 2), 1414), _code((2, 1), 1414)))
+    for g, k, a, b in cases:
+        mask = _kernels.proper_mask(g.n, k, g.edges())
+        tracemalloc.start()
+        try:
+            assert _kernels.bfs_meet(a, b, mask, g.n, k) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * k**g.n, (g.edges(), k, peak / k**g.n)
 
 
 def test_bfs_meet_with_frontiers_past_one_broadcast():
@@ -280,23 +298,24 @@ def test_bfs_meet_with_frontiers_past_one_broadcast():
         assert bfs_distance(g, k, Coloring(k, far), src) == 7
     # the search meets in the first batch, so check every batch of level 3,
     # where two vertices share a broadcast, and of level 4, where each vertex
-    # is its own: together they hold exactly levels j - 1 to j + 1
+    # is cut into runs of _BATCH // 8960 = 3 colours, two batches a vertex:
+    # together they hold exactly levels j - 1 to j + 1
     level = {c: sum(x != 1 for x in c) for c in product(range(1, k + 1), repeat=g.n)}
-    for j, size, step in ((3, 2240, 2), (4, 8960, 1)):
+    for j, size, batch_count in ((3, 2240, 4), (4, 8960, 14)):
         frontier = np.array(sorted(_code(c, k) for c, i in level.items() if i == j), dtype=np.int64)
         assert frontier.size == sizes[j] == size
-        assert max(1, _kernels._BATCH // (frontier.size * k)) == step
         batches = list(_kernels._rewrites(frontier, g.n, k))
-        assert len(batches) == -(-g.n // step)
-        assert max(b.size for b in batches) <= max(_kernels._BATCH, k * frontier.size)
+        assert len(batches) == batch_count
+        assert max(b.size for b in batches) <= max(_kernels._BATCH, frontier.size)
         want = sorted(_code(c, k) for c, i in level.items() if j - 1 <= i <= j + 1)
         assert np.unique(np.concatenate(batches)).tolist() == want
-    # one state at the largest k the default cap admits on one vertex: every
-    # colour in one broadcast, not one batch per colour
+    # one state at the largest k the default cap admits on one vertex: its
+    # colours in ceil(k / _BATCH) = 62 runs, each one broadcast of _BATCH codes
+    # or fewer, not one batch per colour nor one of all 2M codes
     k = oracle.DEFAULT_STATE_CAP
     batches = list(_kernels._rewrites(np.array([7], dtype=np.int64), 1, k))
-    assert len(batches) == 1
-    assert np.array_equal(batches[0], np.arange(k))
+    assert len(batches) == 62
+    assert np.array_equal(np.concatenate(batches), np.arange(k))
 
 
 def _oracle_results(g, k, fresh):
@@ -333,16 +352,18 @@ def test_mask_cache_keeps_results(monkeypatch):
     ga, gb = gen_partial_2tree(5, 0.8, 2), gen_partial_2tree(5, 0.4, 7)
     assert ga.edges() != gb.edges()
     want = {g: _oracle_results(g, 4, fresh=True) for g in (ga, gb)}
-    connected_at_5 = _oracle_results(ga, 5, fresh=True)[1]
+    count_at_5 = _oracle_results(ga, 5, fresh=True)[2]
     _kernels.state_space.cache_clear()
     for log in (built, masks, counted):
         log.clear()
-    # A, B, A: each switch of graph builds a mask, and calls on one graph share it
+    # A, B, A: each switch of graph builds a mask, and bfs_distance and
+    # proper_coloring_count on one graph share it; reconfig_connected
+    # neither reads nor fills the cache
     for g in (ga, gb, ga):
         assert _oracle_results(g, 4, fresh=False) == want[g]
     # the same graph at another k misses the cache, and so does the switch back
-    assert reconfig_connected(ga, 5) == connected_at_5
-    assert reconfig_connected(ga, 4) == want[ga][1]
+    assert proper_coloring_count(ga, 5) == count_at_5
+    assert proper_coloring_count(ga, 4) == want[ga][2]
     assert [k for _, k, _ in built] == [4, 4, 4, 5, 4]
     # each mask is counted once, when it is built, and a cache hit counts nothing
     assert counted == list(range(len(masks)))
@@ -350,16 +371,15 @@ def test_mask_cache_keeps_results(monkeypatch):
 
 def test_mask_cache_keeps_the_cap_and_is_read_only():
     g = gen_partial_2tree(6, 0.7, 1)
-    assert reconfig_connected(g, 5)
+    total = proper_coloring_count(g, 5)
     with pytest.raises(TooLarge, match=r"5\^6 states exceed the cap of 15624"):
-        reconfig_connected(g, 5, 5**6 - 1)
-    mask, packed, total = oracle._proper_states(g, 5, 5**6)
-    assert oracle._proper_states(g, 5, 5**6)[0] is mask
-    assert total == np.count_nonzero(mask)
+        proper_coloring_count(g, 5, 5**6 - 1)
+    kernels, space = oracle._checked(g, 5, 5**6)
+    mask, cached = kernels.state_space(*space)
+    assert kernels.state_space(*space)[0] is mask
+    assert total == cached == np.count_nonzero(mask)
     with pytest.raises(ValueError, match="read-only"):
         mask[0] = not mask[0]
-    with pytest.raises(ValueError, match="read-only"):
-        packed[0, 0] = 0
 
 
 @settings(max_examples=100, deadline=None)
