@@ -30,7 +30,6 @@ from .chordalize import pipeline_theorem
 from .decomposition import degeneracy_order, mcs_order
 from .errors import InvalidInput, RecolorError, TooLarge
 from .graphs import (
-    _SMALLEST,
     Graph,
     _require_generator_args,
     _require_instance,
@@ -46,8 +45,7 @@ from .sequences import audit_best_choice
 
 CSV_SCHEMA_VERSION = 1
 
-# named where the generators' argument checks are
-FAMILIES = tuple(_SMALLEST)
+FAMILIES = ("chordal-omega3", "2tree", "partial-2tree")
 
 
 @dataclass(frozen=True)

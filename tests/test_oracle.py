@@ -201,6 +201,7 @@ def test_reaches_all_matches_naive_component(g, k, pick):
         lines = np.unpackbits(_kernels._packed(g.n, k, edges), axis=1, bitorder="little")
         mask = _kernels.proper_mask(g.n, k, edges)
         assert np.array_equal(lines[:, :k].reshape(-1), mask) and not lines[:, k:].any()
+    assert proper_coloring_count(g, k) == len(proper)
     # a space of one proper state or none is connected
     connected = len(proper) < 2
     if proper:
